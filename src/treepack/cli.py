@@ -27,6 +27,7 @@ from .errors import (
     InstanceParseError,
     InvalidArgumentError,
     PreconditionViolationError,
+    parse_int,
 )
 from .generate import MODELS, generate
 from .graphcore import parse_instance, serialize_instance, steiner_connectivity
@@ -183,10 +184,14 @@ def cmd_gen(args) -> int:
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    """'lo:hi' (inclusive, lo <= hi) or a single integer; line 0 in an
+    error stands for the command line."""
+    lo, colon, hi = spec.partition(":")
+    first = parse_int(lo, 0)
+    last = parse_int(hi, 0) if colon else first
+    if first > last:
+        raise InvalidArgumentError(f"range {spec!r} is empty: {first} > {last}")
+    return list(range(first, last + 1))
 
 
 def cmd_sweep(args) -> int:

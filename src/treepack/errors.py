@@ -2,8 +2,13 @@
 
 Every error class maps onto one CLI exit code: input problems (parse errors,
 invalid arguments) exit 2, capacity refusals exit 3, and internal invariant
-breaches are bugs that should never be swallowed.
+breaches are bugs that should never be swallowed.  parse_int is the one
+integer-token reader of every text format.
 """
+
+import re
+
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class TreepackError(Exception):
@@ -46,3 +51,13 @@ class InstanceParseError(TreepackError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+def parse_int(token: str, line_number: int) -> int:
+    """Read an integer token: an optional minus sign and ASCII digits.
+
+    Stricter than int(), which also takes '+3', '1_0' and non-ASCII digits.
+    """
+    if _INTEGER.fullmatch(token) is None:
+        raise InstanceParseError(line_number, f"expected an integer, got {token!r}")
+    return int(token)

@@ -27,6 +27,7 @@ from .errors import (
     InternalInvariantError,
     InvalidArgumentError,
     PreconditionViolationError,
+    parse_int,
 )
 from .matroid import Hypergraph, Matroid, Partition, iter_partitions
 
@@ -252,15 +253,13 @@ def parse_vector(text: str) -> dict[int, Fraction]:
         fields = line.split()
         if fields[0] != "x" or len(fields) != 3:
             raise InstanceParseError(lineno, "expected 'x <element-id> <num>/<den>'")
-        try:
-            eid = int(fields[1])
-            if "/" in fields[2]:
-                num, den = fields[2].split("/", 1)
-                value = Fraction(int(num), int(den))
-            else:
-                value = Fraction(int(fields[2]))
-        except (ValueError, ZeroDivisionError):
-            raise InstanceParseError(lineno, "malformed rational value") from None
+        eid = parse_int(fields[1], lineno)
+        num, slash, den = fields[2].partition("/")
+        numerator = parse_int(num, lineno)
+        denominator = parse_int(den, lineno) if slash else 1
+        if denominator == 0:
+            raise InstanceParseError(lineno, "zero denominator")
+        value = Fraction(numerator, denominator)
         if eid in out:
             raise InstanceParseError(lineno, f"duplicate element id {eid}")
         out[eid] = value

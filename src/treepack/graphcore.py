@@ -12,18 +12,26 @@ operation (replace edges uv, uv' at u by a single edge vv') together with a
 verified search for a cut-preserving pair at a vertex, and a reducer that
 drives all non-terminals toward the bipartite degree-3 normal form used by
 the hypergraph packing pipeline.
+
+The reducer logs three kinds of step: a split (which, at a degree-2 vertex,
+also removes that vertex), an edge deletion, and an isolated-vertex removal.
+Each step knows how to apply itself to a graph and how to undo itself, so
+replaying and rewinding a trace is one call per step.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import KeysView, Mapping
 
 from .errors import (
     InstanceParseError,
     InternalInvariantError,
     InvalidArgumentError,
     PreconditionViolationError,
+    parse_int,
 )
 
 
@@ -32,12 +40,12 @@ class Multigraph:
 
     Edge ids are allocated from a monotone counter and never recycled, even
     across deletions.  A loop contributes 2 to the degree of its vertex.
+    The vertex set is the key set of the incidence map.
     """
 
-    __slots__ = ("_vertices", "_edges", "_incidence", "_next_edge_id")
+    __slots__ = ("_edges", "_incidence", "_next_edge_id")
 
     def __init__(self):
-        self._vertices: set[int] = set()
         self._edges: dict[int, tuple[int, int]] = {}
         self._incidence: dict[int, set[int]] = {}
         self._next_edge_id = 0
@@ -45,12 +53,11 @@ class Multigraph:
     # -- construction ------------------------------------------------------
 
     def add_vertex(self, v: int) -> None:
-        if v not in self._vertices:
-            self._vertices.add(v)
+        if v not in self._incidence:
             self._incidence[v] = set()
 
     def add_edge(self, u: int, v: int, eid: int | None = None) -> int:
-        if u not in self._vertices or v not in self._vertices:
+        if u not in self._incidence or v not in self._incidence:
             raise InvalidArgumentError(f"edge endpoints {u},{v} must be existing vertices")
         if eid is None:
             eid = self._next_edge_id
@@ -69,16 +76,14 @@ class Multigraph:
         self._incidence[v].discard(eid)
 
     def remove_vertex(self, v: int) -> None:
-        if v not in self._vertices:
+        if v not in self._incidence:
             raise InvalidArgumentError(f"no vertex {v}")
         if self._incidence[v]:
             raise InvalidArgumentError(f"vertex {v} is not isolated")
-        self._vertices.discard(v)
         del self._incidence[v]
 
     def copy(self) -> "Multigraph":
         g = Multigraph()
-        g._vertices = set(self._vertices)
         g._edges = dict(self._edges)
         g._incidence = {v: set(ids) for v, ids in self._incidence.items()}
         g._next_edge_id = self._next_edge_id
@@ -97,19 +102,21 @@ class Multigraph:
     # -- queries -----------------------------------------------------------
 
     @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self._vertices)
+    def vertices(self) -> KeysView[int]:
+        """Live read-only view; copy it before mutating the graph under it."""
+        return self._incidence.keys()
 
     @property
-    def edges(self) -> dict[int, tuple[int, int]]:
-        return dict(self._edges)
+    def edges(self) -> Mapping[int, tuple[int, int]]:
+        """Live read-only view of edge id -> endpoints."""
+        return MappingProxyType(self._edges)
 
     @property
     def next_edge_id(self) -> int:
         return self._next_edge_id
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._vertices
+        return v in self._incidence
 
     def has_edge(self, eid: int) -> bool:
         return eid in self._edges
@@ -133,7 +140,7 @@ class Multigraph:
         return a == b
 
     def incident_edges(self, v: int) -> list[int]:
-        if v not in self._vertices:
+        if v not in self._incidence:
             raise InvalidArgumentError(f"no vertex {v}")
         return sorted(self._incidence[v])
 
@@ -156,13 +163,13 @@ class Multigraph:
         return len(self._edges)
 
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        return len(self._incidence)
 
     def is_connected(self) -> bool:
-        if not self._vertices:
+        if not self._incidence:
             return True
-        start = min(self._vertices)
-        return len(self._component_of(start)) == len(self._vertices)
+        start = min(self._incidence)
+        return len(self._component_of(start)) == len(self._incidence)
 
     def _component_of(self, start: int) -> set[int]:
         seen = {start}
@@ -179,13 +186,14 @@ class Multigraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multigraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._normalized() == other._normalized()
+        return (self._incidence.keys() == other._incidence.keys()
+                and self._normalized() == other._normalized())
 
     def _normalized(self) -> dict[int, tuple[int, int]]:
         return {eid: (min(u, v), max(u, v)) for eid, (u, v) in self._edges.items()}
 
     def __repr__(self) -> str:
-        return f"Multigraph(|V|={len(self._vertices)}, |E|={len(self._edges)})"
+        return f"Multigraph(|V|={len(self._incidence)}, |E|={len(self._edges)})"
 
 
 # -- reduction trace ---------------------------------------------------------
@@ -193,7 +201,11 @@ class Multigraph:
 
 @dataclass(frozen=True)
 class SplitStep:
-    """Edges e1=(center,v), e2=(center,v') replaced by child=(v,v')."""
+    """Edges e1=(center,v), e2=(center,v') replaced by child=(v,v').
+
+    `removed` is set when this was the last split at a degree-2 vertex,
+    which the step then also removes (a suppression).
+    """
 
     center: int
     e1: int
@@ -202,19 +214,21 @@ class SplitStep:
     e2_ends: tuple[int, int]
     child: int
     child_ends: tuple[int, int]
+    removed: int | None = None
 
+    def apply(self, g: Multigraph) -> None:
+        g.delete_edge(self.e1)
+        g.delete_edge(self.e2)
+        g.add_edge(*self.child_ends, eid=self.child)
+        if self.removed is not None:
+            g.remove_vertex(self.removed)
 
-@dataclass(frozen=True)
-class SuppressStep:
-    """Final split at a degree-2 vertex, followed by removing the vertex."""
-
-    removed: int
-    e1: int
-    e1_ends: tuple[int, int]
-    e2: int
-    e2_ends: tuple[int, int]
-    child: int
-    child_ends: tuple[int, int]
+    def undo(self, g: Multigraph) -> None:
+        if self.removed is not None:
+            g.add_vertex(self.removed)
+        g.delete_edge(self.child)
+        g.add_edge(*self.e1_ends, eid=self.e1)
+        g.add_edge(*self.e2_ends, eid=self.e2)
 
 
 @dataclass(frozen=True)
@@ -222,13 +236,27 @@ class DeleteEdgeStep:
     edge: int
     ends: tuple[int, int]
 
+    def apply(self, g: Multigraph) -> None:
+        g.delete_edge(self.edge)
+
+    def undo(self, g: Multigraph) -> None:
+        g.add_vertex(self.ends[0])
+        g.add_vertex(self.ends[1])
+        g.add_edge(*self.ends, eid=self.edge)
+
 
 @dataclass(frozen=True)
 class RemoveIsolatedStep:
     vertex: int
 
+    def apply(self, g: Multigraph) -> None:
+        g.remove_vertex(self.vertex)
 
-TraceStep = SplitStep | SuppressStep | DeleteEdgeStep | RemoveIsolatedStep
+    def undo(self, g: Multigraph) -> None:
+        g.add_vertex(self.vertex)
+
+
+TraceStep = SplitStep | DeleteEdgeStep | RemoveIsolatedStep
 
 
 @dataclass
@@ -253,33 +281,13 @@ class SplitTrace:
     def apply(self, g: Multigraph) -> Multigraph:
         out = g.copy()
         for step in self.steps:
-            if isinstance(step, (SplitStep, SuppressStep)):
-                out.delete_edge(step.e1)
-                out.delete_edge(step.e2)
-                out.add_edge(step.child_ends[0], step.child_ends[1], eid=step.child)
-                if isinstance(step, SuppressStep):
-                    out.remove_vertex(step.removed)
-            elif isinstance(step, DeleteEdgeStep):
-                out.delete_edge(step.edge)
-            else:
-                out.remove_vertex(step.vertex)
+            step.apply(out)
         return out
 
     def unapply(self, g: Multigraph) -> Multigraph:
         out = g.copy()
         for step in reversed(self.steps):
-            if isinstance(step, (SplitStep, SuppressStep)):
-                if isinstance(step, SuppressStep):
-                    out.add_vertex(step.removed)
-                out.delete_edge(step.child)
-                out.add_edge(step.e1_ends[0], step.e1_ends[1], eid=step.e1)
-                out.add_edge(step.e2_ends[0], step.e2_ends[1], eid=step.e2)
-            elif isinstance(step, DeleteEdgeStep):
-                out.add_vertex(step.ends[0])
-                out.add_vertex(step.ends[1])
-                out.add_edge(step.ends[0], step.ends[1], eid=step.edge)
-            else:
-                out.add_vertex(step.vertex)
+            step.undo(out)
         return out
 
 
@@ -385,15 +393,11 @@ def _split_inplace(g: Multigraph, u: int, e1: int, e2: int) -> SplitStep:
             raise InvalidArgumentError(f"edge {eid} is not incident to {u}")
         if a == b:
             raise InvalidArgumentError(f"edge {eid} is a loop at {u} and cannot be split")
-    v = g.other_end(e1, u)
-    w = g.other_end(e2, u)
-    e1_ends = g.endpoints(e1)
-    e2_ends = g.endpoints(e2)
-    g.delete_edge(e1)
-    g.delete_edge(e2)
-    child = g.add_edge(v, w)
-    return SplitStep(center=u, e1=e1, e1_ends=e1_ends, e2=e2, e2_ends=e2_ends,
-                     child=child, child_ends=(v, w))
+    step = SplitStep(center=u, e1=e1, e1_ends=g.endpoints(e1), e2=e2,
+                     e2_ends=g.endpoints(e2), child=g.next_edge_id,
+                     child_ends=(g.other_end(e1, u), g.other_end(e2, u)))
+    step.apply(g)
+    return step
 
 
 def split_off(g: Multigraph, u: int, e1: int, e2: int) -> tuple[Multigraph, SplitStep]:
@@ -470,7 +474,8 @@ def _drain_vertex(g: Multigraph, u: int) -> list[TraceStep]:
     """Mutating helper: split/delete at u until it is isolated, then remove.
 
     Requires even degree.  Loops at u are deleted (they never affect a
-    cut); the final two edge ends are split and logged as a suppression.
+    cut); the final two edge ends are split and logged as a suppression
+    (a split step that also removes u).
     A degree-2 split always preserves pairwise min-cuts among the other
     vertices because any path through u uses both of its edges and reroutes
     over the child edge, so no search is needed at that stage.
@@ -490,9 +495,7 @@ def _drain_vertex(g: Multigraph, u: int) -> list[TraceStep]:
             e1, e2 = g.incident_edges(u)
             split = _split_inplace(g, u, e1, e2)
             g.remove_vertex(u)
-            steps.append(SuppressStep(removed=u, e1=split.e1, e1_ends=split.e1_ends,
-                                      e2=split.e2, e2_ends=split.e2_ends,
-                                      child=split.child, child_ends=split.child_ends))
+            steps.append(replace(split, removed=u))
             return steps
         e1, e2 = mader_split(g, u)
         steps.append(_split_inplace(g, u, e1, e2))
@@ -603,17 +606,15 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
             ends = work.endpoints(eid)
             probe = work.copy()
             probe.delete_edge(eid)
-            orphans = [v for v in sorted(set(ends))
-                       if v not in tset and probe.degree(v) == 0]
-            for v in orphans:
-                probe.remove_vertex(v)
+            steps: list[TraceStep] = [DeleteEdgeStep(edge=eid, ends=ends)]
+            for v in sorted(set(ends)):
+                if v not in tset and probe.degree(v) == 0:
+                    probe.remove_vertex(v)
+                    steps.append(RemoveIsolatedStep(vertex=v))
             if ends[0] != ends[1] and steiner_connectivity(probe, tset) < threshold:
                 continue
-            trace.append(DeleteEdgeStep(edge=eid, ends=ends))
-            work.delete_edge(eid)
-            for v in orphans:
-                work.remove_vertex(v)
-                trace.append(RemoveIsolatedStep(vertex=v))
+            work = probe
+            trace.extend(steps)
             changed = True
 
         # Vertex rules, ascending id for reproducibility.
@@ -675,40 +676,36 @@ def parse_instance(text: str) -> tuple[Multigraph, frozenset[int]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "graph":
-                if header is not None:
-                    raise InstanceParseError(lineno, "duplicate graph header")
-                if len(fields) != 3:
-                    raise InstanceParseError(lineno, "graph header needs two counts")
-                header = (int(fields[1]), int(fields[2]))
-            elif kind == "v":
-                if len(fields) != 2:
-                    raise InstanceParseError(lineno, "vertex line needs one id")
-                g.add_vertex(int(fields[1]))
-            elif kind == "t":
-                if len(fields) != 2:
-                    raise InstanceParseError(lineno, "terminal line needs one id")
-                v = int(fields[1])
-                g.add_vertex(v)
-                terminals.add(v)
-            elif kind == "e":
-                if len(fields) != 4:
-                    raise InstanceParseError(lineno, "edge line needs id and two endpoints")
-                eid, u, v = int(fields[1]), int(fields[2]), int(fields[3])
-                if eid < 0:
-                    raise InstanceParseError(lineno, f"edge id {eid} is negative")
-                if g.has_edge(eid):
-                    raise InstanceParseError(lineno, f"duplicate edge id {eid}")
-                g.add_vertex(u)
-                g.add_vertex(v)
-                g.add_edge(u, v, eid=eid)
-            else:
-                raise InstanceParseError(lineno, f"unknown line kind {kind!r}")
-        except ValueError:
-            raise InstanceParseError(lineno, "expected integer fields") from None
+        kind, *fields = line.split()
+        values = [parse_int(x, lineno) for x in fields]
+        if kind == "graph":
+            if header is not None:
+                raise InstanceParseError(lineno, "duplicate graph header")
+            if len(values) != 2:
+                raise InstanceParseError(lineno, "graph header needs two counts")
+            header = (values[0], values[1])
+        elif kind == "v":
+            if len(values) != 1:
+                raise InstanceParseError(lineno, "vertex line needs one id")
+            g.add_vertex(values[0])
+        elif kind == "t":
+            if len(values) != 1:
+                raise InstanceParseError(lineno, "terminal line needs one id")
+            g.add_vertex(values[0])
+            terminals.add(values[0])
+        elif kind == "e":
+            if len(values) != 3:
+                raise InstanceParseError(lineno, "edge line needs id and two endpoints")
+            eid, u, v = values
+            if eid < 0:
+                raise InstanceParseError(lineno, f"edge id {eid} is negative")
+            if g.has_edge(eid):
+                raise InstanceParseError(lineno, f"duplicate edge id {eid}")
+            g.add_vertex(u)
+            g.add_vertex(v)
+            g.add_edge(u, v, eid=eid)
+        else:
+            raise InstanceParseError(lineno, f"unknown line kind {kind!r}")
     if header is None:
         raise InstanceParseError(0, "missing 'graph <n> <m>' header")
     n, m = header

@@ -24,6 +24,7 @@ from .errors import (
     InstanceParseError,
     InternalInvariantError,
     InvalidArgumentError,
+    parse_int,
 )
 
 Pair = tuple[int, int]
@@ -159,12 +160,7 @@ class Matroid:
         return hit
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
-        pool = self.ground if subset is None else sorted(set(subset))
-        picked: set[int] = set()
-        for x in pool:
-            if self.independent(picked | {x}):
-                picked.add(x)
-        return len(picked)
+        return len(self.greedy_basis(subset))
 
     def greedy_basis(self, subset: Iterable[int] | None = None) -> frozenset[int]:
         pool = self.ground if subset is None else sorted(set(subset))
@@ -206,6 +202,8 @@ def check_matroid_axioms(oracle: Matroid) -> str | None:
 
 
 class _DSU:
+    """Union-find over hashable items; unseen items are singletons."""
+
     __slots__ = ("parent",)
 
     def __init__(self):
@@ -226,6 +224,10 @@ class _DSU:
             return False
         self.parent[rb] = ra
         return True
+
+    def joins(self, items: Iterable[int]) -> bool:
+        """True when all of `items` lie in one set (vacuously for none)."""
+        return len({self.find(x) for x in items}) <= 1
 
 
 def graphic_independent(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> bool:
@@ -293,29 +295,28 @@ def parse_hypergraph(text: str) -> Hypergraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        try:
-            if fields[0] == "hypergraph":
-                if len(fields) != 3:
-                    raise InstanceParseError(lineno, "hypergraph header needs two counts")
-                header = (int(fields[1]), int(fields[2]))
-            elif fields[0] == "v":
-                vertices.add(int(fields[1]))
-            elif fields[0] == "h":
-                if len(fields) not in (4, 5):
-                    raise InstanceParseError(lineno, "hyperedge line needs an id and 2 or 3 vertices")
-                eid = int(fields[1])
-                members = [int(x) for x in fields[2:]]
-                if eid in edges:
-                    raise InstanceParseError(lineno, f"duplicate hyperedge id {eid}")
-                if len(set(members)) != len(members):
-                    raise InstanceParseError(lineno, "hyperedge vertices must be distinct")
-                vertices.update(members)
-                edges[eid] = frozenset(members)
-            else:
-                raise InstanceParseError(lineno, f"unknown line kind {fields[0]!r}")
-        except ValueError:
-            raise InstanceParseError(lineno, "expected integer fields") from None
+        kind, *fields = line.split()
+        values = [parse_int(x, lineno) for x in fields]
+        if kind == "hypergraph":
+            if len(values) != 2:
+                raise InstanceParseError(lineno, "hypergraph header needs two counts")
+            header = (values[0], values[1])
+        elif kind == "v":
+            if len(values) != 1:
+                raise InstanceParseError(lineno, "vertex line needs one id")
+            vertices.add(values[0])
+        elif kind == "h":
+            if len(values) not in (3, 4):
+                raise InstanceParseError(lineno, "hyperedge line needs an id and 2 or 3 vertices")
+            eid, *members = values
+            if eid in edges:
+                raise InstanceParseError(lineno, f"duplicate hyperedge id {eid}")
+            if len(set(members)) != len(members):
+                raise InstanceParseError(lineno, "hyperedge vertices must be distinct")
+            vertices.update(members)
+            edges[eid] = frozenset(members)
+        else:
+            raise InstanceParseError(lineno, f"unknown line kind {kind!r}")
     if header is None:
         raise InstanceParseError(0, "missing 'hypergraph <n> <m>' header")
     if header[0] != len(vertices) or header[1] != len(edges):
@@ -506,15 +507,12 @@ def rank_by_partitions(h: Hypergraph, subset: Iterable[int] | None = None,
 
 
 def union_rank(h: Hypergraph, subset: Iterable[int] | None, k: int) -> int:
-    """Rank in the k-fold union of the hypergraphic matroid.
-
-    Small vertex sets use the partition formula; larger ones fall back to
-    packing the subset into k independent parts and counting.
+    """Rank in the k-fold union of the hypergraphic matroid: the size of a
+    maximum packing of the subset into k independent parts.
+    rank_by_partitions computes the same value by the partition formula.
     """
     if k < 1:
         raise InvalidArgumentError("k must be at least 1")
-    if len(h.vertices) <= 8:
-        return rank_by_partitions(h, subset, k=k)
     oracle = HypergraphicMatroid(h)
     ids = oracle.edge_ids_of(subset)
     parts, _ = pack_elements(oracle, k, ids)

@@ -16,7 +16,7 @@ Every packing any pipeline hands back has already passed verify_packing;
 a verification failure after a claimed success raises an internal error
 rather than returning a wrong answer.  brute_force_pack is the
 capacity-bounded exhaustive oracle that the test suite plays against the
-pipelines.
+pipelines; it accepts a search leaf only when verify_packing does.
 """
 
 from __future__ import annotations
@@ -29,17 +29,18 @@ from .errors import (
     InstanceParseError,
     InternalInvariantError,
     InvalidArgumentError,
+    parse_int,
 )
 from .graphcore import (
-    DeleteEdgeStep,
     Multigraph,
+    ReduceResult,
     SplitStep,
     SplitTrace,
-    SuppressStep,
     reduce_instance,
     steiner_min_cut,
 )
 from .matroid import (
+    _DSU,
     Hypergraph,
     HypergraphicMatroid,
     Partition,
@@ -157,49 +158,6 @@ def _part_vertices(g: Multigraph, edge_ids: Iterable[int]) -> set[int]:
     return out
 
 
-def _edges_connected(g: Multigraph, edge_ids: frozenset[int] | set[int],
-                     over: set[int]) -> bool:
-    """True when `over` lies inside one component of the edge-induced
-    subgraph (vertices of `over` with no incident edge only pass when the
-    subgraph is that single vertex)."""
-    if not over:
-        return True
-    adj: dict[int, set[int]] = {v: set() for v in over}
-    for eid in edge_ids:
-        u, v = g.endpoints(eid)
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    start = min(over)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return set(over) <= seen
-
-
-def _edges_form_forest(g: Multigraph, edge_ids: Iterable[int]) -> bool:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in edge_ids:
-        u, v = g.endpoints(eid)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[rv] = ru
-    return True
-
-
 def _part_degrees(g: Multigraph, edge_ids: Iterable[int]) -> dict[int, int]:
     deg: dict[int, int] = {}
     for eid in edge_ids:
@@ -293,34 +251,25 @@ def verify_packing(g: Multigraph, terminals: frozenset[int] | None,
                 return VerifyResult(ok=False, part_index=i,
                                     reason=f"{len(part)} edges cannot span "
                                            f"{g.vertex_count()} vertices as a tree")
-            if not _edges_form_forest(g, part):
-                return VerifyResult(ok=False, part_index=i, reason="part has a cycle")
-            if not _edges_connected(g, part, set(g.vertices)):
-                return VerifyResult(ok=False, part_index=i, reason="part does not span the graph")
-        elif packing.mode == "steiner":
-            vertices = _part_vertices(g, part)
-            if not part:
-                if len(tset) != 1:
-                    return VerifyResult(ok=False, part_index=i, reason="empty part")
-                continue
-            if not tset <= vertices:
-                return VerifyResult(ok=False, part_index=i,
-                                    reason="part misses a terminal")
-            if not _edges_form_forest(g, part):
-                return VerifyResult(ok=False, part_index=i, reason="part has a cycle")
-            if not _edges_connected(g, part, vertices):
-                return VerifyResult(ok=False, part_index=i, reason="part is disconnected")
+            vertices = g.vertices
         else:
-            vertices = _part_vertices(g, part)
             if not part:
                 if len(tset) != 1:
                     return VerifyResult(ok=False, part_index=i, reason="empty part")
                 continue
+            vertices = _part_vertices(g, part)
             if not tset <= vertices:
                 return VerifyResult(ok=False, part_index=i,
                                     reason="part misses a terminal")
-            if not _edges_connected(g, part, vertices):
-                return VerifyResult(ok=False, part_index=i, reason="part is disconnected")
+        dsu = _DSU()
+        acyclic = True
+        for eid in part:
+            acyclic &= dsu.union(*g.endpoints(eid))
+        if packing.mode != "connector" and not acyclic:
+            return VerifyResult(ok=False, part_index=i, reason="part has a cycle")
+        if not dsu.joins(vertices):
+            return VerifyResult(ok=False, part_index=i, reason="part is disconnected")
+        if packing.mode == "connector":
             deg = _part_degrees(g, part)
             for v in sorted(vertices - tset):
                 d = deg.get(v, 0)
@@ -334,6 +283,16 @@ def verify_packing(g: Multigraph, terminals: frozenset[int] | None,
         note = None if canonical else "unverified connector shape"
         return VerifyResult(ok=True, canonical=canonical, note=note)
     return VerifyResult(ok=True)
+
+
+def _verified(g: Multigraph, terminals: frozenset[int] | None, packing: Packing,
+              route: str) -> Packing:
+    """The packing, once verify_packing accepts it on g; an internal error
+    naming the route that produced it otherwise."""
+    check = verify_packing(g, terminals, packing)
+    if not check.ok:
+        raise InternalInvariantError(f"{route} packing failed verification: {check.reason}")
+    return packing
 
 
 # -- violating partitions -----------------------------------------------------
@@ -381,26 +340,17 @@ def _violating_partition_certificate(g: Multigraph, k: int, scope: str = "graph"
     best_blocks: tuple[frozenset[int], ...] = ()
     for mask in range(1 << n):
         chosen = [ids[i] for i in range(n) if mask >> i & 1]
-        parent = {v: v for v in vs}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        dsu = _DSU()
         components = len(vs)
         for eid in chosen:
-            roots = {find(v) for v in esets[eid]}
-            roots = sorted(roots)
-            for other in roots[1:]:
-                parent[other] = roots[0]
-                components -= 1
+            u, *rest = esets[eid]
+            for v in rest:
+                components -= dsu.union(u, v)
         value = (n - len(chosen)) + k * (len(vs) - components)
         if best_value is None or value < best_value:
             groups: dict[int, set[int]] = {}
             for v in vs:
-                groups.setdefault(find(v), set()).add(v)
+                groups.setdefault(dsu.find(v), set()).add(v)
             best_value = value
             best_blocks = tuple(frozenset(b) for b in
                                 sorted(groups.values(), key=min))
@@ -426,10 +376,7 @@ def pack_spanning_trees(g: Multigraph, k: int) -> PackResult:
     n = g.vertex_count()
     result = pack_bases(graphic_matroid(g.vertices, g.edges), k)
     if result.size == k * (n - 1):
-        packing = Packing(mode="spanning", parts=result.parts)
-        check = verify_packing(g, None, packing)
-        if not check.ok:
-            raise InternalInvariantError(f"spanning packing failed verification: {check.reason}")
+        packing = _verified(g, None, Packing(mode="spanning", parts=result.parts), "spanning")
         return PackResult(outcome="packed", packing=packing, method="pipeline")
     cert = _violating_partition_certificate(g, k)
     return PackResult(outcome="certificate", certificate=cert, method="pipeline")
@@ -523,12 +470,8 @@ def lift_parts(parts: Iterable[frozenset[int]], trace: SplitTrace,
     g = reduced.copy()
     work = [set(p) for p in parts]
     for step in reversed(trace.steps):
-        if isinstance(step, (SplitStep, SuppressStep)):
-            if isinstance(step, SuppressStep):
-                g.add_vertex(step.removed)
-            g.delete_edge(step.child)
-            g.add_edge(step.e1_ends[0], step.e1_ends[1], eid=step.e1)
-            g.add_edge(step.e2_ends[0], step.e2_ends[1], eid=step.e2)
+        step.undo(g)
+        if isinstance(step, SplitStep):
             for part in work:
                 if step.child in part:
                     part.discard(step.child)
@@ -540,13 +483,17 @@ def lift_parts(parts: Iterable[frozenset[int]], trace: SplitTrace,
                         part.clear()
                         part.update(refreshed)
                     break
-        elif isinstance(step, DeleteEdgeStep):
-            g.add_vertex(step.ends[0])
-            g.add_vertex(step.ends[1])
-            g.add_edge(step.ends[0], step.ends[1], eid=step.edge)
-        else:
-            g.add_vertex(step.vertex)
     return [frozenset(p) for p in work], g
+
+
+def _lift_verified(parts: Iterable[frozenset[int]], rr: ReduceResult, g: Multigraph,
+                   mode: str, route: str) -> Packing:
+    """Lift reduced-graph parts back to g through the reduction trace and
+    verify the result there; the rewind must restore g exactly."""
+    lifted, original = lift_parts(parts, rr.trace, rr.graph, rr.terminals, mode)
+    if original != g:
+        raise InternalInvariantError("trace rewind did not restore the input graph")
+    return _verified(g, rr.terminals, Packing(mode=mode, parts=tuple(lifted)), route)
 
 
 # -- exhaustive oracle --------------------------------------------------------
@@ -567,8 +514,9 @@ def brute_force_pack(g: Multigraph, terminals: frozenset[int] | None, k: int,
     use, so part families are enumerated once each.  Tree modes keep every
     part acyclic while searching; every node also checks that each part
     can still reach all its required vertices using the unassigned
-    remainder.  Exhaustion is a proof that no packing exists (loops are
-    never needed by any mode and are left unused).
+    remainder, and a complete assignment is accepted only when
+    verify_packing accepts it.  Exhaustion is a proof that no packing
+    exists (loops are never needed by any mode and are left unused).
     """
     if mode not in MODES:
         raise InvalidArgumentError(f"unknown packing mode {mode!r}")
@@ -593,58 +541,25 @@ def brute_force_pack(g: Multigraph, terminals: frozenset[int] | None, k: int,
     edges = [eid for eid in sorted(g.edges) if not g.is_loop(eid)]
     m = len(edges)
     ends = {eid: g.endpoints(eid) for eid in edges}
-    min_part_edges = (g.vertex_count() if mode == "spanning" else len(required)) - 1
+    min_part_edges = max(0, (g.vertex_count() if mode == "spanning" else len(required)) - 1)
     parts: list[set[int]] = [set() for _ in range(k)]
 
     def part_can_reach(part_idx: int, next_i: int) -> bool:
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        dsu = _DSU()
         for eid in parts[part_idx]:
-            u, v = ends[eid]
-            parent[find(u)] = find(v)
+            dsu.union(*ends[eid])
         for i in range(next_i, m):
-            u, v = ends[edges[i]]
-            parent[find(u)] = find(v)
-        roots = {find(v) for v in required}
-        return len(roots) == 1
-
-    def parts_final_ok() -> bool:
-        for part in parts:
-            fp = frozenset(part)
-            if mode == "spanning":
-                if len(fp) != g.vertex_count() - 1:
-                    return False
-                if not _edges_connected(g, fp, set(g.vertices)):
-                    return False
-            elif mode == "steiner":
-                vertices = _part_vertices(g, fp)
-                if not required <= vertices or not _edges_connected(g, fp, vertices):
-                    return False
-            else:
-                vertices = _part_vertices(g, fp)
-                if not required <= vertices or not _edges_connected(g, fp, vertices):
-                    return False
-                deg = _part_degrees(g, fp)
-                for v in vertices - tset:
-                    if deg.get(v, 0) % 2 != 0:
-                        return False
-        return True
+            dsu.union(*ends[edges[i]])
+        return dsu.joins(required)
 
     tree_mode = mode in ("spanning", "steiner")
     found: list[Packing] = []
 
     def search(i: int, used_parts: int) -> bool:
         if i == m:
-            if parts_final_ok():
-                found.append(Packing(mode=mode,
-                                     parts=tuple(frozenset(p) for p in parts)))
+            packing = Packing(mode=mode, parts=tuple(frozenset(p) for p in parts))
+            if verify_packing(g, tset, packing).ok:
+                found.append(packing)
                 return True
             return False
         remaining = m - i
@@ -663,7 +578,8 @@ def brute_force_pack(g: Multigraph, terminals: frozenset[int] | None, k: int,
             if tree_mode:
                 if mode == "spanning" and len(parts[j]) >= min_part_edges:
                     continue
-                if not _edges_form_forest(g, parts[j] | {eid}):
+                dsu = _DSU()
+                if not all(dsu.union(*ends[e]) for e in (*parts[j], eid)):
                     continue
             parts[j].add(eid)
             if all(part_can_reach(jj, i + 1) for jj in range(k)) \
@@ -672,15 +588,8 @@ def brute_force_pack(g: Multigraph, terminals: frozenset[int] | None, k: int,
             parts[j].discard(eid)
         return False
 
-    if min_part_edges < 0:
-        min_part_edges = 0
     if search(0, 0):
-        packing = found[0]
-        check = verify_packing(g, tset if mode != "spanning" else None, packing)
-        if not check.ok:
-            raise InternalInvariantError(
-                f"exhaustive search produced an invalid packing: {check.reason}")
-        return BruteResult(packing=packing, infeasible=False)
+        return BruteResult(packing=found[0], infeasible=False)
     return BruteResult(packing=None, infeasible=True)
 
 
@@ -726,17 +635,9 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
         brute = brute_force_pack(target, tset, k, mode)
         if brute.packing is not None:
             if lift:
-                lifted, original = lift_parts(brute.packing.parts, rr.trace,
-                                              rr.graph, tset, mode)
-                if original != g:
-                    raise InternalInvariantError("trace rewind did not restore the input graph")
-                packing = Packing(mode=mode, parts=tuple(lifted))
+                packing = _lift_verified(brute.packing.parts, rr, g, mode, "brute-force")
             else:
-                packing = brute.packing
-            check = verify_packing(g, tset, packing)
-            if not check.ok:
-                raise InternalInvariantError(
-                    f"brute-force packing failed verification: {check.reason}")
+                packing = _verified(g, tset, brute.packing, "brute-force")
             return PackResult(outcome="packed", packing=packing, trace=rr.trace,
                               reduced_graph=rr.graph,
                               pre_lift=brute.packing if lift else None,
@@ -755,14 +656,7 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
             # reduced edge set down to a terminal tree and lift it.
             part = prune_to_terminal_tree(rr.graph, tset, rr.graph.edges)
             pre_lift = Packing(mode="steiner", parts=(part,))
-            lifted, original = lift_parts([part], rr.trace, rr.graph, tset, mode)
-            if original != g:
-                raise InternalInvariantError("trace rewind did not restore the input graph")
-            packing = Packing(mode="steiner", parts=tuple(lifted))
-            check = verify_packing(g, tset, packing)
-            if not check.ok:
-                raise InternalInvariantError(
-                    f"single-tree packing failed verification: {check.reason}")
+            packing = _lift_verified([part], rr, g, mode, "single-tree")
             return PackResult(outcome="packed", packing=packing, trace=rr.trace,
                               reduced_graph=rr.graph, pre_lift=pre_lift,
                               method="pipeline", threshold=threshold,
@@ -804,20 +698,8 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
             if reps is None:
                 raise InternalInvariantError("a packed basis failed its own witness")
             decoded.append(_decode_connector_part(rr.graph, part, origin, reps))
-    pre_lift = Packing(mode=mode, parts=tuple(decoded))
-    check = verify_packing(rr.graph, tset, pre_lift)
-    if not check.ok:
-        raise InternalInvariantError(
-            f"decoded packing failed verification on the reduced graph: {check.reason}")
-
-    lifted, original = lift_parts(decoded, rr.trace, rr.graph, tset, mode)
-    if original != g:
-        raise InternalInvariantError("trace rewind did not restore the input graph")
-    packing = Packing(mode=mode, parts=tuple(lifted))
-    check = verify_packing(g, tset, packing)
-    if not check.ok:
-        raise InternalInvariantError(
-            f"lifted packing failed verification: {check.reason}")
+    pre_lift = _verified(rr.graph, tset, Packing(mode=mode, parts=tuple(decoded)), "decoded")
+    packing = _lift_verified(decoded, rr, g, mode, "lifted")
     return PackResult(outcome="packed", packing=packing, trace=rr.trace,
                       reduced_graph=rr.graph, pre_lift=pre_lift,
                       method="pipeline", threshold=threshold,
@@ -874,10 +756,7 @@ def parse_packing(text: str) -> Packing:
             if len(fields) != 3 or fields[1] not in MODES:
                 raise InstanceParseError(lineno, "expected 'packing <mode> <k>'")
             mode = fields[1]
-            try:
-                count = int(fields[2])
-            except ValueError:
-                raise InstanceParseError(lineno, "part count must be an integer") from None
+            count = parse_int(fields[2], lineno)
         elif line.startswith("part"):
             if mode is None:
                 raise InstanceParseError(lineno, "part line before packing header")
@@ -885,11 +764,8 @@ def parse_packing(text: str) -> Packing:
             fields = head.split()
             if len(fields) != 2:
                 raise InstanceParseError(lineno, "expected 'part <i>: <edge ids>'")
-            try:
-                index = int(fields[1])
-                ids = [int(x) for x in rest.split()]
-            except ValueError:
-                raise InstanceParseError(lineno, "expected integer fields") from None
+            index = parse_int(fields[1], lineno)
+            ids = [parse_int(x, lineno) for x in rest.split()]
             if index != len(parts) + 1:
                 raise InstanceParseError(lineno, f"parts must be numbered in order, got {index}")
             parts.append(frozenset(ids))

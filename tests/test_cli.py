@@ -186,6 +186,12 @@ class TestSweep:
             "model\tn\tk\tthreshold\tseeds\tpacked\tcertificates\tinfeasible"
             "\tbrute_checked\tbrute_agree"]
 
+    def test_reversed_or_malformed_range_exits_2(self, capsys):
+        for n in ("5:2", "3:", "1_0", "+3"):
+            code, out = run_cli(capsys, "sweep", "nwt", "--n", n, "--k", "1",
+                                "--seeds", "1:3")
+            assert code == 2 and out == ""
+
     def test_kriesell_sweep_all_packed_at_tree_threshold(self, capsys):
         code, out = run_cli(capsys, "sweep", "kriesell", "--n", "3", "--k", "1",
                             "--seeds", "0:4", "--threshold", "paper-f")

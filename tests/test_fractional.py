@@ -197,6 +197,10 @@ class TestVectorFormat:
         with pytest.raises(InstanceParseError) as err:
             parse_vector("x 0 1/2\nx 1 one\n")
         assert err.value.line_number == 2
+        for value in ("1_0", "+3", "\u0663", "1/+2", "1/0", "1/", "/2"):
+            with pytest.raises(InstanceParseError) as err:
+                parse_vector(f"x 0 1/2\nx 1 {value}\n")
+            assert err.value.line_number == 2
 
     def test_duplicate_rejected(self):
         from treepack import InstanceParseError

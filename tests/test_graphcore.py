@@ -17,6 +17,7 @@ from treepack import (
     split_off,
     steiner_connectivity,
 )
+from treepack.generate import generate_kriesell
 from conftest import (
     all_pairwise_cuts,
     brute_min_cut,
@@ -298,6 +299,16 @@ class TestReduceInstance:
         with pytest.raises(InvalidArgumentError):
             reduce_instance(triangle(), {0, 1, 2}, 5)
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=3, max_value=7), st.integers(min_value=0, max_value=10_000))
+    def test_kriesell_trace_replays_both_ways(self, n, seed):
+        # threshold 8 keeps enough edges that plain splits occur alongside
+        # suppressions, deletions and isolated-vertex removals
+        inst = generate_kriesell(n, 1, seed)
+        rr = reduce_instance(inst.graph, inst.terminals, min(8, inst.connectivity))
+        assert rr.trace.apply(inst.graph) == rr.graph
+        assert rr.trace.unapply(rr.graph) == inst.graph
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_random_instances_keep_connectivity_and_replay(self, seed):
@@ -333,6 +344,11 @@ class TestInstanceFormat:
     def test_malformed_line_rejected(self):
         with pytest.raises(InstanceParseError):
             parse_instance("graph 1 0\nv zero\n")
+        # int() would read these as 10, 3 and 3
+        for token in ("1_0", "+3", "\u0663"):
+            with pytest.raises(InstanceParseError) as err:
+                parse_instance(f"graph 2 1\nt 0\nt 1\ne 0 0 {token}\n")
+            assert err.value.line_number == 4
 
     def test_header_mismatch_rejected(self):
         with pytest.raises(InstanceParseError):
@@ -341,6 +357,16 @@ class TestInstanceFormat:
     def test_comments_ignored(self):
         g, t = parse_instance("# hello\ngraph 2 1\nt 0\nt 1\ne 4 0 1\n")
         assert g.edges == {4: (0, 1)} and t == frozenset({0, 1})
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    def test_round_trip_property(self, seed, data):
+        g = random_multigraph(seed, max_vertices=6, max_edges=10)
+        terminals = data.draw(st.frozensets(st.sampled_from(sorted(g.vertices))))
+        text = serialize_instance(g, terminals)
+        g2, t2 = parse_instance(text)
+        assert g2 == g and t2 == terminals
+        assert serialize_instance(g2, t2) == text
 
     def test_negative_edge_id_rejected(self):
         with pytest.raises(InstanceParseError) as err:

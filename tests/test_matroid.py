@@ -168,11 +168,12 @@ class TestUnionRank:
             h = random_hypergraph(seed, n=3 + rng.below(3), m=1 + rng.below(6))
             for k in (1, 2, 3):
                 parts, _ = pack_elements(HypergraphicMatroid(h), k, h.edge_ids())
-                assert union_rank(h, None, k) == sum(len(p) for p in parts)
+                assert union_rank(h, None, k) == sum(len(p) for p in parts) \
+                    == rank_by_partitions(h, None, k=k)
 
     def test_packing_route_above_partition_cutover(self):
-        # nine vertices: union_rank switches to the packing route, which
-        # must still match the partition formula
+        # nine vertices: the packing route matches the partition formula
+        # beyond the small cases above
         h = random_hypergraph(3, n=9, m=7)
         for k in (1, 2):
             assert union_rank(h, None, k) == rank_by_partitions(h, None, k=k)
@@ -301,6 +302,13 @@ class TestTextFormats:
         from treepack import InstanceParseError, parse_hypergraph
         with pytest.raises(InstanceParseError):
             parse_hypergraph("hypergraph 2 2\nh 0 0 1\nh 0 0 1\n")
+
+    def test_hypergraph_field_counts_and_integers_checked(self):
+        from treepack import InstanceParseError, parse_hypergraph
+        for line in ("v", "v 1 2 3", "v 1_0", "v +3", "v \u0663", "h 0 0 1_0"):
+            with pytest.raises(InstanceParseError) as err:
+                parse_hypergraph(f"hypergraph 2 0\n{line}\n")
+            assert err.value.line_number == 2
 
     def test_representative_witness_one_record_per_line(self):
         from treepack import serialize_representatives

@@ -1,6 +1,7 @@
 """Pipelines, verifier, exhaustive oracle, decoding and lifting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treepack import (
     InvalidArgumentError,
@@ -13,6 +14,7 @@ from treepack import (
     pack_spanning_trees,
     pack_steiner_trees,
     parse_packing,
+    reduce_instance,
     serialize_packing,
     steiner_connectivity,
     threshold_value,
@@ -257,7 +259,7 @@ class TestLifting:
         # Original: hub 4 on terminals 0..3, plus a 0-2 chord.  The trace
         # splits the hub twice; a reduced tree using both children plus the
         # chord gains a cycle at the second un-split and must be re-pruned.
-        from treepack.graphcore import SplitStep, SplitTrace, SuppressStep
+        from treepack.graphcore import SplitStep, SplitTrace
         from treepack.packing import lift_parts
         original = graph_from_pairs(4, [])
         original.add_vertex(4)
@@ -267,8 +269,8 @@ class TestLifting:
         trace = SplitTrace()
         trace.append(SplitStep(center=4, e1=0, e1_ends=(4, 0), e2=1,
                                e2_ends=(4, 1), child=5, child_ends=(0, 1)))
-        trace.append(SuppressStep(removed=4, e1=2, e1_ends=(4, 2), e2=3,
-                                  e2_ends=(4, 3), child=6, child_ends=(2, 3)))
+        trace.append(SplitStep(center=4, e1=2, e1_ends=(4, 2), e2=3,
+                               e2_ends=(4, 3), child=6, child_ends=(2, 3), removed=4))
         reduced = trace.apply(original)
         terminals = frozenset(range(4))
         part = frozenset({5, 4, 6})  # edges 0-1, 0-2, 2-3: a terminal tree
@@ -278,6 +280,20 @@ class TestLifting:
         assert rebuilt == original
         packing = Packing(mode="steiner", parts=tuple(lifted))
         assert verify_packing(original, terminals, packing).ok
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=3, max_value=7), st.integers(min_value=0, max_value=10_000))
+    def test_lift_rebuilds_the_original_graph(self, n, seed):
+        from treepack.generate import generate_kriesell
+        from treepack.packing import lift_parts, prune_to_terminal_tree
+        inst = generate_kriesell(n, 1, seed)
+        tset = inst.terminals
+        rr = reduce_instance(inst.graph, tset, min(8, inst.connectivity))
+        part = prune_to_terminal_tree(rr.graph, tset, rr.graph.edges)
+        lifted, rebuilt = lift_parts([part], rr.trace, rr.graph, tset, "steiner")
+        assert rebuilt == inst.graph
+        assert verify_packing(inst.graph, tset,
+                              Packing(mode="steiner", parts=tuple(lifted))).ok
 
     def test_connector_k2_through_nontrivial_reduction(self):
         from treepack.generate import generate_kriesell
@@ -345,6 +361,18 @@ class TestVerifyPacking:
         packing = Packing(mode="steiner", parts=(frozenset({0}),))
         out = verify_packing(g, frozenset({0, 1, 2}), packing)
         assert not out.ok and out.reason == "part misses a terminal"
+
+    def test_disconnected_part_flagged(self):
+        # edges 0-1 and 2-3 of a 4-cycle: a forest on all four terminals,
+        # doubled into an even-degree subgraph for the connector case
+        g = c4()
+        out = verify_packing(g, frozenset({0, 1, 2, 3}),
+                             Packing(mode="steiner", parts=(frozenset({0, 2}),)))
+        assert not out.ok and out.reason == "part is disconnected"
+        g = graph_from_pairs(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
+        out = verify_packing(g, frozenset({0, 2}),
+                             Packing(mode="connector", parts=(frozenset(range(4)),)))
+        assert not out.ok and out.reason == "part is disconnected"
 
     def test_unknown_edge_rejected(self):
         g = triangle()
@@ -423,6 +451,12 @@ class TestPackingFormat:
         from treepack import InstanceParseError
         with pytest.raises(InstanceParseError):
             parse_packing("packing bogus 1\n")
+        for token in ("1_0", "+3", "\u0663"):
+            with pytest.raises(InstanceParseError):
+                parse_packing(f"packing steiner {token}\n")
+            with pytest.raises(InstanceParseError) as err:
+                parse_packing(f"packing steiner 1\npart 1: 0 {token}\n")
+            assert err.value.line_number == 2
 
     def test_out_of_order_parts_rejected(self):
         from treepack import InstanceParseError
