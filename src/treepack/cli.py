@@ -183,6 +183,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _int_arg(token: str) -> int:
+    """Integer option reader with the strict syntax of errors.parse_int;
+    argparse names the option and exits 2 on a bad token."""
+    try:
+        return parse_int(token, 0)
+    except InstanceParseError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {token!r}") from None
+
+
 def _parse_range(spec: str) -> list[int]:
     """'lo:hi' (inclusive, lo <= hi) or a single integer; line 0 in an
     error stands for the command line."""
@@ -245,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-cuts", help="check terminal connectivity against a threshold")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     p.add_argument("--threshold", default="paper-f",
                    help="nwt | fkk | paper-f | paper-g | <integer>")
     p.set_defaults(func=cmd_verify_cuts)
@@ -254,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--mode", choices=("spanning", "steiner", "connector"),
                    required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     p.add_argument("--threshold", default=None,
                    help="nwt | fkk | paper-f | paper-g | <integer>")
     p.add_argument("--brute-fallback", action="store_true")
@@ -263,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded model instance")
     p.add_argument("model", choices=MODELS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 

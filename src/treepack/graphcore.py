@@ -651,7 +651,8 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
                     trace.append(_split_inplace(work, u, e1, e2))
                     changed = True
 
-    final = steiner_connectivity(work, tset)
+    # An empty trace left the input unchanged, so its connectivity is known.
+    final = steiner_connectivity(work, tset) if trace else start
     if final < threshold:
         raise InternalInvariantError(
             f"reduction lowered terminal connectivity to {final} < {threshold}")

@@ -9,9 +9,16 @@ second, enumeration-based route: minimize rank(P) + crossing-edge-count
 over all vertex partitions, which doubles as the verification oracle for
 the incremental path.
 
-The k-fold union machinery packs elements into k disjoint independent
-parts by shortest augmenting chains over the exchange digraph, which
-yields disjoint bases exactly when the ground set is rich enough.
+The k-fold union engine (`pack_elements`) is Edmonds' matroid partition: it
+packs elements into k disjoint independent parts by shortest augmenting
+chains over the exchange digraph, whose arcs lead from an element y to the
+elements of the fundamental circuit C(I, y) of each part I that y is not in.
+An oracle keeps one state per part (`_part_state`) and reads circuits off
+it (`_circuit`): the graphic oracle keeps the part's forest and reads the
+tree path between y's ends; the hypergraphic oracle keeps the part's
+representative forest and runs exchange searches from it.  The plain
+`Matroid` probes its predicate once per candidate instead, and is the
+reference both are tested against.
 """
 
 from __future__ import annotations
@@ -137,38 +144,58 @@ def graph_edge_sets(edges: Mapping[int, tuple[int, int]]) -> dict[int, frozenset
 class Matroid:
     """Matroid given by its ground set and an independence predicate.
 
-    Queries are memoized per instance; the oracle must therefore behave as
-    a pure function of the queried set.
+    The predicate must behave as a pure function of the queried set.
+    `_part_state` and `_circuit` are what the k-fold union engine asks of
+    an oracle; the defaults here probe the predicate, and subclasses that
+    override them are tested against these defaults.
     """
 
     def __init__(self, ground: Iterable[int], indep: Callable[[frozenset[int]], bool],
                  name: str = "matroid"):
         self.ground: tuple[int, ...] = tuple(sorted(set(ground)))
+        self._members = frozenset(self.ground)
         self._indep = indep
         self.name = name
-        self._cache: dict[frozenset[int], bool] = {}
+
+    def members(self, subset: Iterable[int] | None) -> list[int]:
+        """The subset (default: the ground set) in ascending order."""
+        if subset is None:
+            return list(self.ground)
+        ids = sorted(set(subset))
+        extra = [e for e in ids if e not in self._members]
+        if extra:
+            raise InvalidArgumentError(f"elements {extra} are not in the ground set")
+        return ids
 
     def independent(self, subset: Iterable[int]) -> bool:
         key = frozenset(subset)
-        extra = key - set(self.ground)
+        extra = key - self._members
         if extra:
             raise InvalidArgumentError(f"elements {sorted(extra)} are not in the ground set")
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._indep(key)
-            self._cache[key] = hit
-        return hit
+        return self._indep(key)
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
         return len(self.greedy_basis(subset))
 
     def greedy_basis(self, subset: Iterable[int] | None = None) -> frozenset[int]:
-        pool = self.ground if subset is None else sorted(set(subset))
         picked: set[int] = set()
-        for x in pool:
+        for x in self.members(subset):
             if self.independent(picked | {x}):
                 picked.add(x)
         return frozenset(picked)
+
+    def _part_state(self, part: set[int]) -> object | None:
+        """What `_circuit` needs to know of one part of a k-fold packing,
+        or None when the part is dependent."""
+        return part if self.independent(part) else None
+
+    def _circuit(self, part: set[int], state: object, y: int) -> frozenset[int] | None:
+        """The elements z of the independent `part` for which part - z + y is
+        independent (the fundamental circuit of y, less y), or None when
+        part + y is independent.  `y` is not in `part`."""
+        if self.independent(part | {y}):
+            return None
+        return frozenset(z for z in part if self.independent((part - {z}) | {y}))
 
 
 def check_matroid_axioms(oracle: Matroid) -> str | None:
@@ -242,14 +269,73 @@ def graphic_independent(vertices: Iterable[int], edges: Iterable[tuple[int, int]
     return True
 
 
-def graphic_matroid(vertices: Iterable[int], edges: Mapping[int, tuple[int, int]]) -> Matroid:
-    vset = frozenset(vertices)
-    edge_map = dict(edges)
+def _forest_adjacency(edges: Iterable[tuple[object, Pair]]) -> dict[int, list[tuple[int, object]]]:
+    """vertex -> [(neighbour, label)] for labelled edges (label, (u, v))."""
+    adj: dict[int, list[tuple[int, object]]] = {}
+    for label, (a, b) in edges:
+        adj.setdefault(a, []).append((b, label))
+        adj.setdefault(b, []).append((a, label))
+    return adj
 
-    def indep(subset: frozenset[int]) -> bool:
-        return graphic_independent(vset, [edge_map[e] for e in subset])
 
-    return Matroid(edge_map.keys(), indep, name="graphic")
+def _forest_path(adj: Mapping[int, list[tuple[int, object]]], u: int, v: int) -> list | None:
+    """Labels on the path of the forest `adj` between u and v, listed from
+    v back to u; None when u and v lie in different trees."""
+    if u == v:
+        return []
+    if u not in adj or v not in adj:
+        return None
+    prev: dict[int, tuple[int, object] | None] = {u: None}
+    queue = deque([u])
+    while v not in prev and queue:
+        x = queue.popleft()
+        for y, label in adj[x]:
+            if y not in prev:
+                prev[y] = (x, label)
+                queue.append(y)
+    if v not in prev:
+        return None
+    path = []
+    x = v
+    while x != u:
+        x, label = prev[x]
+        path.append(label)
+    return path
+
+
+class GraphicMatroid(Matroid):
+    """Cycle matroid of a multigraph (loops are dependent).  A part's state
+    is its forest; the circuit of an edge is the tree path between its ends."""
+
+    def __init__(self, vertices: Iterable[int], edges: Mapping[int, tuple[int, int]]):
+        self.vertices = frozenset(vertices)
+        self.edges = dict(edges)
+        for ends in self.edges.values():
+            if not set(ends) <= self.vertices:
+                raise InvalidArgumentError(f"edge endpoint outside vertex set: {ends}")
+        super().__init__(self.edges.keys(), self._indep_query, name="graphic")
+
+    def _indep_query(self, subset: frozenset[int]) -> bool:
+        return graphic_independent(self.vertices, [self.edges[e] for e in subset])
+
+    def rank(self, subset: Iterable[int] | None = None) -> int:
+        dsu = _DSU()
+        return sum(dsu.union(*self.edges[e]) for e in self.members(subset))
+
+    def _part_state(self, part: set[int]) -> dict[int, list[tuple[int, object]]] | None:
+        if not self.independent(part):
+            return None
+        return _forest_adjacency((e, self.edges[e]) for e in part)
+
+    def _circuit(self, part: set[int], state: Mapping[int, list[tuple[int, object]]],
+                 y: int) -> frozenset[int] | None:
+        path = _forest_path(state, *self.edges[y])
+        return None if path is None else frozenset(path)
+
+
+def graphic_matroid(vertices: Iterable[int], edges: Mapping[int, tuple[int, int]]
+                    ) -> GraphicMatroid:
+    return GraphicMatroid(vertices, edges)
 
 
 def free_matroid(ground: Iterable[int]) -> Matroid:
@@ -365,44 +451,14 @@ class HypergraphicMatroid(Matroid):
             return [(vs[0], vs[1])]
         return [(vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])]
 
-    @staticmethod
-    def _cycle_pairs(chosen: Mapping[Pair, int], pair: Pair) -> list[Pair] | None:
-        """Pairs on the unique cycle created by adding `pair` to the forest
-        of chosen pairs; None when no cycle appears."""
-        if pair in chosen:
-            return [pair]
-        adj: dict[int, list[tuple[int, Pair]]] = {}
-        for (a, b) in chosen:
-            adj.setdefault(a, []).append((b, (a, b)))
-            adj.setdefault(b, []).append((a, (a, b)))
-        u, v = pair
-        if u not in adj or v not in adj:
-            return None
-        prev: dict[int, tuple[int, Pair]] = {}
-        queue = deque([u])
-        seen = {u}
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for y, via in sorted(adj.get(x, ())):
-                if y not in seen:
-                    seen.add(y)
-                    prev[y] = (x, via)
-                    queue.append(y)
-        if v not in seen:
-            return None
-        path = []
-        x = v
-        while x != u:
-            x, via = prev[x]
-            path.append(via)
-        return path
-
-    def _augment(self, reps: dict[int, Pair], new_eid: int) -> bool:
+    def _augment(self, reps: dict[int, Pair], new_eid: int,
+                 displaced: set[int] | None = None) -> bool:
         """Insert one hyperedge, reassigning representatives along a
-        shortest exchange chain.  Mutates `reps` on success."""
+        shortest exchange chain.  Mutates `reps` on success; on failure,
+        adds to `displaced` (when given) every hyperedge the search tried
+        to move."""
         chosen: dict[Pair, int] = {pair: e for e, pair in reps.items()}
+        adj = _forest_adjacency((pair, pair) for pair in chosen)
         claimant: dict[Pair, int] = {}
         parent: dict[Pair, Pair | None] = {}
         queue: deque[Pair] = deque()
@@ -413,7 +469,7 @@ class HypergraphicMatroid(Matroid):
                 queue.append(p)
         while queue:
             p = queue.popleft()
-            blockers = self._cycle_pairs(chosen, p)
+            blockers = _forest_path(adj, *p)
             if blockers is None:
                 cur: Pair | None = p
                 while cur is not None:
@@ -423,6 +479,8 @@ class HypergraphicMatroid(Matroid):
                 return True
             for q in blockers:
                 needy = chosen[q]
+                if displaced is not None:
+                    displaced.add(needy)
                 for p2 in self._pairs(needy):
                     if p2 == q or p2 in claimant:
                         continue
@@ -455,18 +513,24 @@ class HypergraphicMatroid(Matroid):
         return self.witness(subset) is not None
 
     def rank_greedy(self, subset: Iterable[int] | None = None) -> int:
-        ids = self.edge_ids_of(subset)
         reps: dict[int, Pair] = {}
-        count = 0
-        for eid in ids:
-            if self._augment(reps, eid):
-                count += 1
-        return count
+        return sum(self._augment(reps, eid) for eid in self.members(subset))
 
-    def edge_ids_of(self, subset: Iterable[int] | None) -> list[int]:
-        if subset is None:
-            return sorted(self.hypergraph.hyperedges)
-        return sorted(set(subset))
+    rank = rank_greedy
+
+    def _part_state(self, part: set[int]) -> dict[int, Pair] | None:
+        return self.witness(part)
+
+    def _circuit(self, part: set[int], state: Mapping[int, Pair],
+                 y: int) -> frozenset[int] | None:
+        # A failed search from the part's forest spans every hyperedge it
+        # displaced together with y, so those hyperedges hold the circuit;
+        # z is in it exactly when y fits once z is taken out.
+        displaced: set[int] = set()
+        if self._augment(dict(state), y, displaced):
+            return None
+        return frozenset(z for z in displaced if self._augment(
+            {e: pair for e, pair in state.items() if e != z}, y))
 
 
 def hypergraphic_independent(h: Hypergraph, subset: Iterable[int]
@@ -514,8 +578,7 @@ def union_rank(h: Hypergraph, subset: Iterable[int] | None, k: int) -> int:
     if k < 1:
         raise InvalidArgumentError("k must be at least 1")
     oracle = HypergraphicMatroid(h)
-    ids = oracle.edge_ids_of(subset)
-    parts, _ = pack_elements(oracle, k, ids)
+    parts, _ = pack_elements(oracle, k, oracle.members(subset))
     return sum(len(p) for p in parts)
 
 
@@ -559,43 +622,64 @@ class PackBasesResult:
         return self.family.parts
 
 
-def _union_augment(oracle: Matroid, parts: list[set[int]],
+class _Part:
+    """One part of a k-fold packing, the oracle's state for it, and the
+    circuits read off that state, by element."""
+
+    __slots__ = ("items", "state", "circuits")
+
+    def __init__(self, oracle: Matroid, index: int, items: set[int]):
+        state = oracle._part_state(items)
+        if state is None:
+            raise InternalInvariantError(
+                f"union augmentation broke part {index}; "
+                f"run check_matroid_axioms on oracle {oracle.name!r}")
+        self.items = items
+        self.state = state
+        self.circuits: dict[int, frozenset[int] | None] = {}
+
+    def circuit(self, oracle: Matroid, y: int) -> frozenset[int] | None:
+        if y not in self.circuits:
+            self.circuits[y] = oracle._circuit(self.items, self.state, y)
+        return self.circuits[y]
+
+
+def _union_augment(oracle: Matroid, parts: list[_Part],
                    placement: dict[int, int], x: int) -> bool:
-    """Shortest exchange chain inserting x into the part family."""
-    k = len(parts)
+    """Shortest exchange chain inserting x into the part family.
+
+    The arcs from y are the circuits of y in the parts y is not in; the
+    parts on a successful chain are rebuilt, which re-checks them."""
     parent: dict[int, int | None] = {x: None}
     queue = deque([x])
     while queue:
         y = queue.popleft()
         y_at = placement.get(y)
-        for i in range(k):
+        circuits = []
+        for i, part in enumerate(parts):
             if i == y_at:
                 continue
-            if oracle.independent(frozenset(parts[i]) | {y}):
+            circuit = part.circuit(oracle, y)
+            if circuit is None:
+                changed = []
                 target = i
                 cur: int | None = y
                 while cur is not None:
                     old = placement.get(cur)
-                    parts[target].add(cur)
+                    parts[target].items.add(cur)
                     placement[cur] = target
+                    changed.append(target)
                     if old is not None:
-                        parts[old].discard(cur)
+                        parts[old].items.discard(cur)
                     target = old if old is not None else -1
                     cur = parent[cur]
-                for i2, part in enumerate(parts):
-                    if not oracle.independent(frozenset(part)):
-                        raise InternalInvariantError(
-                            f"union augmentation broke part {i2}; "
-                            f"run check_matroid_axioms on oracle {oracle.name!r}")
+                for t in sorted(set(changed)):
+                    parts[t] = _Part(oracle, t, parts[t].items)
                 return True
-        for i in range(k):
-            if i == y_at:
-                continue
-            base = frozenset(parts[i])
-            for z in sorted(parts[i]):
-                if z in parent:
-                    continue
-                if oracle.independent((base - {z}) | {y}):
+            circuits.append(circuit)
+        for circuit in circuits:
+            for z in sorted(circuit):
+                if z not in parent:
                     parent[z] = y
                     queue.append(z)
     return False
@@ -608,17 +692,19 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     Elements are attempted in ascending id order; each one is inserted by
     the first shortest augmenting chain found, or reported back as
     unplaceable.  The total placed count equals the k-fold union rank of
-    the element set.
+    the element set.  Each part keeps the oracle's state and the circuits
+    read off it until a chain changes the part; only the parts a chain
+    changes are rebuilt, and rebuilding re-checks their independence.
     """
     if k < 1:
         raise InvalidArgumentError("k must be at least 1")
-    parts: list[set[int]] = [set() for _ in range(k)]
+    parts = [_Part(oracle, i, set()) for i in range(k)]
     placement: dict[int, int] = {}
     unplaced: list[int] = []
     for x in sorted(set(elements)):
         if not _union_augment(oracle, parts, placement, x):
             unplaced.append(x)
-    return parts, unplaced
+    return [part.items for part in parts], unplaced
 
 
 def pack_bases(oracle: Matroid, k: int) -> PackBasesResult:
@@ -626,7 +712,8 @@ def pack_bases(oracle: Matroid, k: int) -> PackBasesResult:
 
     complete=True means every part is a basis (the union has full k-fold
     rank); otherwise the family plus its achieved size is the deficiency
-    certificate.
+    certificate.  The graphic and hypergraphic oracles answer the rank
+    without a replay: one union-find pass, one exchange search per element.
     """
     parts, unplaced = pack_elements(oracle, k, oracle.ground)
     family = UnionBasisFamily(parts=tuple(frozenset(p) for p in parts))

@@ -78,8 +78,8 @@ def threshold_value(name: str, k: int) -> int:
     if name in table:
         return table[name]
     try:
-        value = int(name)
-    except ValueError:
+        value = parse_int(name, 0)
+    except InstanceParseError:
         raise InvalidArgumentError(f"unknown threshold {name!r}") from None
     if value < 0:
         raise InvalidArgumentError("threshold must be nonnegative")

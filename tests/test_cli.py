@@ -53,6 +53,14 @@ class TestVerifyCuts:
         code, _ = run_cli(capsys, "verify-cuts", str(path), "--k", "1")
         assert code == 2
 
+    def test_malformed_integer_threshold_exits_2(self, capsys, doubled_triangle_file):
+        for token in ("1_0", "+1", "\u0663"):
+            code = main(["verify-cuts", doubled_triangle_file,
+                         "--k", "1", "--threshold", token])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert f"unknown threshold {token!r}" in captured.err
+
     def test_missing_file_exits_2(self, capsys):
         code, _ = run_cli(capsys, "verify-cuts", "/nonexistent", "--k", "1")
         assert code == 2
@@ -119,6 +127,19 @@ class TestPack:
 
 
 class TestGen:
+    def test_malformed_integer_options_exit_2(self, capsys):
+        good = {"--n": "5", "--k": "1", "--seed": "3"}
+        for option in good:
+            for token in ("1_0", "+1", "\u0663"):
+                argv = ["gen", "nwt"]
+                for name, value in good.items():
+                    argv += [name, token if name == option else value]
+                with pytest.raises(SystemExit) as exit_info:
+                    main(argv)
+                assert exit_info.value.code == 2
+                err = capsys.readouterr().err
+                assert f"argument {option}: expected an integer" in err
+
     def test_determinism_bitwise(self, capsys, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         run_cli(capsys, "gen", "nwt", "--n", "5", "--k", "2", "--seed", "7",
@@ -187,7 +208,7 @@ class TestSweep:
             "\tbrute_checked\tbrute_agree"]
 
     def test_reversed_or_malformed_range_exits_2(self, capsys):
-        for n in ("5:2", "3:", "1_0", "+3"):
+        for n in ("5:2", "3:", "1_0", "+3", "+1", "\u0663"):
             code, out = run_cli(capsys, "sweep", "nwt", "--n", n, "--k", "1",
                                 "--seeds", "1:3")
             assert code == 2 and out == ""

@@ -17,7 +17,8 @@ from treepack import (
     split_off,
     steiner_connectivity,
 )
-from treepack.generate import generate_kriesell
+import treepack.graphcore
+from treepack.generate import generate, generate_kriesell
 from conftest import (
     all_pairwise_cuts,
     brute_min_cut,
@@ -240,6 +241,23 @@ class TestReduceInstance:
         assert rr.form == "fkk"
         assert rr.graph == g
         assert len(rr.trace) == 0
+
+    def test_empty_trace_skips_the_exit_connectivity_check(self, monkeypatch):
+        # With no step taken the reduced graph is the input, so the entry
+        # check's value stands for the exit one: one steiner_min_cut, not two.
+        calls = []
+        counted = treepack.graphcore.steiner_min_cut
+
+        def counting(g, terminals):
+            calls.append(1)
+            return counted(g, terminals)
+
+        inst = generate("fkk", 9, 2, 5)
+        monkeypatch.setattr(treepack.graphcore, "steiner_min_cut", counting)
+        rr = reduce_instance(inst.graph, inst.terminals, 3 * 2)
+        assert len(calls) == 1
+        assert (rr.graph, rr.terminals, len(rr.trace), rr.form) == \
+            (inst.graph, inst.terminals, 0, "fkk")
 
     def test_degree_four_nonterminal_eliminated_and_replayable(self):
         g = graph_from_pairs(3, [(2, 0), (2, 0), (2, 1), (2, 1)])

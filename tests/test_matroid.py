@@ -19,9 +19,11 @@ from treepack import (
     rank_by_partitions,
     union_rank,
 )
+from treepack import InternalInvariantError, Matroid, build_steiner_hypergraph
+from treepack.generate import generate
 from treepack.matroid import check_matroid_axioms, iter_partitions, pack_elements
 from treepack.rng import SplitMix64
-from conftest import brute_hypergraphic_independent, c4, doubled_triangle
+from conftest import brute_hypergraphic_independent, c4, doubled_triangle, random_multigraph
 
 
 def bell(n: int) -> int:
@@ -191,7 +193,6 @@ class TestAxioms:
             assert check_matroid_axioms(HypergraphicMatroid(h)) is None
 
     def test_broken_oracle_detected(self):
-        from treepack import Matroid
         broken = Matroid(range(3), lambda s: len(s) != 1)  # empty ok, singletons not
         assert check_matroid_axioms(broken) == "downward"
 
@@ -225,6 +226,75 @@ class TestPackBases:
                 for part in result.parts:
                     assert oracle.independent(part)
                 assert result.size == union_rank(h, None, k)
+
+
+def engine_oracles(seed: int):
+    """A graphic oracle on a multigraph with loops and parallel edges, and a
+    hypergraphic one, both from the seed."""
+    rng = SplitMix64(seed)
+    g = random_multigraph(seed, max_vertices=6, max_edges=12)
+    h = random_hypergraph(seed, n=3 + rng.below(4), m=1 + rng.below(9))
+    return graphic_matroid(g.vertices, g.edges), HypergraphicMatroid(h)
+
+
+def reference(oracle) -> Matroid:
+    """The same predicate behind the plain oracle, which probes it."""
+    return Matroid(oracle.ground, oracle.independent, name="reference")
+
+
+class TestUnionEngine:
+    def test_pack_elements_matches_probing_reference(self):
+        for seed in range(40):
+            for oracle in engine_oracles(seed):
+                for k in (1, 2, 3):
+                    assert pack_elements(oracle, k, oracle.ground) == \
+                        pack_elements(reference(oracle), k, oracle.ground)
+
+    def test_pack_bases_matches_reference_on_benchmark_shapes(self):
+        # nwt n=24 k=2 and fkk n=11 k=2 are the spanning-nwt and
+        # steiner-fkk benchmark shapes (fkk instances are already reduced).
+        for seed in (1, 2):
+            nwt = generate("nwt", 24, 2, seed).graph
+            fkk = generate("fkk", 11, 2, seed)
+            h, _ = build_steiner_hypergraph(fkk.graph, fkk.terminals)
+            for oracle in (graphic_matroid(nwt.vertices, nwt.edges), HypergraphicMatroid(h)):
+                assert pack_bases(oracle, 2) == pack_bases(reference(oracle), 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_circuit_matches_probing(self, seed):
+        rng = SplitMix64(seed)
+        for oracle in engine_oracles(seed):
+            probe = reference(oracle)
+            pool = [e for e in oracle.ground if rng.below(3)]
+            part = set(oracle.greedy_basis(pool))
+            state = oracle._part_state(part)
+            assert state is not None
+            for y in oracle.ground:
+                if y in part:
+                    continue
+                circuit = oracle._circuit(part, state, y)
+                assert circuit == probe._circuit(part, part, y)
+                assert (circuit is None) == oracle.independent(part | {y})
+
+    def test_rank_matches_greedy_basis(self):
+        for seed in range(40):
+            rng = SplitMix64(seed)
+            for oracle in engine_oracles(seed):
+                assert oracle.rank() == len(oracle.greedy_basis())
+                subset = [e for e in oracle.ground if rng.below(2)]
+                assert oracle.rank(subset) == len(oracle.greedy_basis(subset))
+                with pytest.raises(InvalidArgumentError):
+                    oracle.rank([max(oracle.ground, default=0) + 1])
+
+    def test_dependent_part_after_a_chain_is_reported(self):
+        class Lying(Matroid):
+            def _circuit(self, part, state, y):
+                return None  # claims every element fits
+
+        oracle = Lying(range(2), lambda s: len(s) <= 1, name="lying")
+        with pytest.raises(InternalInvariantError, match="broke part 0"):
+            pack_elements(oracle, 1, [0, 1])
 
 
 class TestAdjustUnion:

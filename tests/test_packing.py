@@ -60,8 +60,9 @@ class TestThresholds:
         assert threshold_value("paper-f", 1) == 8
         assert threshold_value("paper-g", 1) == 12
         assert threshold_value("5", 1) == 5
-        with pytest.raises(InvalidArgumentError):
-            threshold_value("bogus", 1)
+        for name in ("bogus", "1_0", "+1", "\u0663"):
+            with pytest.raises(InvalidArgumentError, match="unknown threshold"):
+                threshold_value(name, 1)
 
 
 class TestPackSpanningTrees:
