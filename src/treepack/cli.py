@@ -48,6 +48,9 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
+# PackResult.method values, in the order of the sweep's method_* columns.
+SWEEP_METHODS = ("pipeline", "brute-force", "trivial")
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -209,7 +212,7 @@ def cmd_sweep(args) -> int:
     seeds = _parse_range(args.seeds) if args.seeds else []
     mode = "spanning" if args.model == "nwt" else "steiner"
     header = ("model\tn\tk\tthreshold\tseeds\tpacked\tcertificates\tinfeasible"
-              "\tbrute_checked\tbrute_agree")
+              "\tbrute_checked\tbrute_agree\tmethod_pipeline\tmethod_brute\tmethod_trivial")
     if not seeds:
         print(header)
         return EXIT_OK
@@ -218,12 +221,15 @@ def cmd_sweep(args) -> int:
         for k in sorted(ks):
             threshold = threshold_value(args.threshold, k)
             packed = certs = infeasible = brute_checked = brute_agree = 0
+            # Packed instances by the route that produced them.
+            methods = dict.fromkeys(SWEEP_METHODS, 0)
             for seed in seeds:
                 instance = generate(args.model, n, k, seed)
                 result = _run_pipeline(mode, instance.graph, instance.terminals,
                                        k, threshold, True)
                 if result.outcome == "packed":
                     packed += 1
+                    methods[result.method] += 1
                 elif result.outcome == "certificate":
                     certs += 1
                 else:
@@ -238,7 +244,8 @@ def cmd_sweep(args) -> int:
                     brute_agree += 1
             rows.append(f"{args.model}\t{n}\t{k}\t{threshold}\t{len(seeds)}"
                         f"\t{packed}\t{certs}\t{infeasible}"
-                        f"\t{brute_checked}\t{brute_agree}")
+                        f"\t{brute_checked}\t{brute_agree}"
+                        + "".join(f"\t{methods[m]}" for m in SWEEP_METHODS))
     print(header)
     for row in rows:
         print(row)

@@ -3,8 +3,9 @@
 Exhaustive routines refuse inputs above these sizes instead of silently
 truncating: a verdict is only ever reported when it was actually proved.
 The environment variable TREEPACK_CAPACITY, when set to an integer, lowers
-every cap to at most that value (it can never raise a cap), which lets CI
-shrink the enumeration work without touching code.
+every cap to at most that value (it can never raise a cap), which bounds
+the library's enumeration work without touching code.  The test suite
+clears it: its exhaustive oracles need the default caps.
 """
 
 import os

@@ -18,7 +18,10 @@ it (`_circuit`): the graphic oracle keeps the part's forest and reads the
 tree path between y's ends; the hypergraphic oracle keeps the part's
 representative forest and runs exchange searches from it.  The plain
 `Matroid` probes its predicate once per candidate instead, and is the
-reference both are tested against.
+reference both are tested against.  A search that fails leaves its reached
+set behind: every part spans it, and the union of those sets minimises
+|E - A| + k*rank(A), so certificates of deficiency are read off the failed
+searches instead of enumerated.
 """
 
 from __future__ import annotations
@@ -612,10 +615,20 @@ class UnionBasisFamily:
 
 @dataclass(frozen=True)
 class PackBasesResult:
+    """A maximum k-fold packing of the ground set.
+
+    `reached` is the union of the element sets that the failed exchange
+    searches reached (Edmonds 1965).  It holds every unplaced element, each
+    part spans it, and size == |ground - reached| + k * rank(reached): it
+    is a minimiser of the matroid-union rank formula, empty when every
+    element was placed.
+    """
+
     family: UnionBasisFamily
     size: int
     complete: bool       # size == k * rank(ground): parts are disjoint bases
     unplaced: tuple[int, ...]
+    reached: frozenset[int]
 
     @property
     def parts(self) -> tuple[frozenset[int], ...]:
@@ -645,11 +658,16 @@ class _Part:
 
 
 def _union_augment(oracle: Matroid, parts: list[_Part],
-                   placement: dict[int, int], x: int) -> bool:
+                   placement: dict[int, int], x: int) -> frozenset[int] | None:
     """Shortest exchange chain inserting x into the part family.
 
     The arcs from y are the circuits of y in the parts y is not in; the
-    parts on a successful chain are rebuilt, which re-checks them."""
+    parts on a successful chain are rebuilt, which re-checks them.  Returns
+    None when x was placed; otherwise the elements the search reached.
+    Every part spans that set: each reached y outside a part has its
+    circuit in that part inside the set.  So no later chain enters it, as
+    arcs from it stay inside and none of its elements fits a part it is
+    not in."""
     parent: dict[int, int | None] = {x: None}
     queue = deque([x])
     while queue:
@@ -675,14 +693,32 @@ def _union_augment(oracle: Matroid, parts: list[_Part],
                     cur = parent[cur]
                 for t in sorted(set(changed)):
                     parts[t] = _Part(oracle, t, parts[t].items)
-                return True
+                return None
             circuits.append(circuit)
         for circuit in circuits:
             for z in sorted(circuit):
                 if z not in parent:
                     parent[z] = y
                     queue.append(z)
-    return False
+    return frozenset(parent)
+
+
+def _pack(oracle: Matroid, k: int, elements: Iterable[int]
+          ) -> tuple[list[set[int]], list[int], frozenset[int]]:
+    """The parts, the unplaced elements, and the union of the sets their
+    failed searches reached."""
+    if k < 1:
+        raise InvalidArgumentError("k must be at least 1")
+    parts = [_Part(oracle, i, set()) for i in range(k)]
+    placement: dict[int, int] = {}
+    unplaced: list[int] = []
+    reached: set[int] = set()
+    for x in sorted(set(elements)):
+        seen = _union_augment(oracle, parts, placement, x)
+        if seen is not None:
+            unplaced.append(x)
+            reached |= seen
+    return [part.items for part in parts], unplaced, frozenset(reached)
 
 
 def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
@@ -696,15 +732,8 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     read off it until a chain changes the part; only the parts a chain
     changes are rebuilt, and rebuilding re-checks their independence.
     """
-    if k < 1:
-        raise InvalidArgumentError("k must be at least 1")
-    parts = [_Part(oracle, i, set()) for i in range(k)]
-    placement: dict[int, int] = {}
-    unplaced: list[int] = []
-    for x in sorted(set(elements)):
-        if not _union_augment(oracle, parts, placement, x):
-            unplaced.append(x)
-    return [part.items for part in parts], unplaced
+    parts, unplaced, _ = _pack(oracle, k, elements)
+    return parts, unplaced
 
 
 def pack_bases(oracle: Matroid, k: int) -> PackBasesResult:
@@ -712,15 +741,17 @@ def pack_bases(oracle: Matroid, k: int) -> PackBasesResult:
 
     complete=True means every part is a basis (the union has full k-fold
     rank); otherwise the family plus its achieved size is the deficiency
-    certificate.  The graphic and hypergraphic oracles answer the rank
-    without a replay: one union-find pass, one exchange search per element.
+    certificate, and `reached` is a set A attaining the minimum of
+    |ground - A| + k * rank(A), read off the failed exchange searches.  The
+    graphic and hypergraphic oracles answer the rank without a replay: one
+    union-find pass, one exchange search per element.
     """
-    parts, unplaced = pack_elements(oracle, k, oracle.ground)
+    parts, unplaced, reached = _pack(oracle, k, oracle.ground)
     family = UnionBasisFamily(parts=tuple(frozenset(p) for p in parts))
     size = family.size
     complete = size == k * oracle.rank()
     return PackBasesResult(family=family, size=size, complete=complete,
-                           unplaced=tuple(unplaced))
+                           unplaced=tuple(unplaced), reached=reached)
 
 
 def adjust_union(oracle: Matroid, family: UnionBasisFamily,

@@ -1,7 +1,7 @@
 """End-to-end packing pipelines and their ground-truth oracle.
 
 Spanning-tree packing runs the k-fold union of the graphic matroid and, on
-failure, extracts a partition of the vertex set whose crossing-edge count
+failure, takes from the failed search a partition whose crossing-edge count
 certifies impossibility.  Terminal-tree ("steiner") and connector packing
 share one pipeline: check the requested cut threshold, reduce the instance
 until non-terminals form an independent set of degree-3 vertices, replace
@@ -300,62 +300,49 @@ def _verified(g: Multigraph, terminals: frozenset[int] | None, packing: Packing,
 
 def _first_violating_partition(vertices: frozenset[int],
                                edge_sets: Mapping[int, frozenset[int]],
-                               k: int) -> tuple[Partition, int] | None:
+                               k: int) -> Partition | None:
     """First partition (canonical order) with fewer than k*(|P|-1) crossing
     edges, or None."""
     for p in iter_partitions(vertices):
-        out = p.classify(edge_sets).outer_count
-        if out < k * (len(p) - 1):
-            return p, out
+        if p.classify(edge_sets).outer_count < k * (len(p) - 1):
+            return p
     return None
 
 
-def _violating_partition_certificate(g: Multigraph, k: int, scope: str = "graph",
-                                     edge_sets: Mapping[int, frozenset[int]] | None = None,
-                                     vertices: frozenset[int] | None = None) -> Certificate:
-    """Extract a partition certificate for a failed k-fold packing.
+def _violating_partition_certificate(vertices: frozenset[int],
+                                     edge_sets: Mapping[int, frozenset[int]], k: int,
+                                     reached: frozenset[int],
+                                     scope: str = "graph") -> Certificate:
+    """A partition certificate for a failed k-fold packing whose exchange
+    searches reached the edge set `reached` (`PackBasesResult.reached`).
 
-    Small vertex sets scan partitions directly.  Otherwise, for graphs
-    within the subset cap, the partition is read off a minimizer of
-    |E minus A| + k * rank(A): its blocks are the components of A, and the
-    crossing count is then provably below the bound.  That fallback relies
-    on the graphic rank being |V| minus the component count, so hypergraph
-    scopes only get the partition scan.
+    When no edge has more than two ends the matroid is graphic, and the
+    blocks are the components of (vertices, reached), isolated vertices
+    as singletons.  `reached` minimises |E - A| + k * rank(A), so no edge
+    outside it joins a block: the crossing count is size - k * rank(reached),
+    and the partition falls short of the bound by k(n-1) - size, the
+    largest deficiency of any partition.  No enumeration is needed.  A
+    hypergraphic rank is not a component count, so a scope with 3-vertex
+    hyperedges scans partitions within the partition-vertex cap.  Either
+    way the crossing count is recounted.
     """
-    vs = vertices if vertices is not None else g.vertices
-    esets = edge_sets if edge_sets is not None else graph_edge_sets(g.edges)
-    graph_scope = all(len(vset) <= 2 for vset in esets.values())
-    if not (graph_scope and len(esets) <= limits.effective(limits.SUBSET_ELEMENTS)):
-        limits.require("partition-vertices", limits.PARTITION_VERTICES, len(vs),
-                       "violating-partition extraction")
-        hit = _first_violating_partition(vs, esets, k)
-        if hit is None:
-            raise InternalInvariantError("packing failed but no partition violates the bound")
-        p, out = hit
-        return Certificate(kind="violating-partition", scope=scope,
-                           partition=p.blocks, lambda_out=out, bound=k * (len(p) - 1))
-    ids = sorted(esets)
-    n = len(ids)
-    best_value = None
-    best_blocks: tuple[frozenset[int], ...] = ()
-    for mask in range(1 << n):
-        chosen = [ids[i] for i in range(n) if mask >> i & 1]
+    if all(len(ends) <= 2 for ends in edge_sets.values()):
         dsu = _DSU()
-        components = len(vs)
-        for eid in chosen:
-            u, *rest = esets[eid]
+        for eid in reached:
+            u, *rest = edge_sets[eid]
             for v in rest:
-                components -= dsu.union(u, v)
-        value = (n - len(chosen)) + k * (len(vs) - components)
-        if best_value is None or value < best_value:
-            groups: dict[int, set[int]] = {}
-            for v in vs:
-                groups.setdefault(dsu.find(v), set()).add(v)
-            best_value = value
-            best_blocks = tuple(frozenset(b) for b in
-                                sorted(groups.values(), key=min))
-    p = Partition(blocks=best_blocks)
-    out = p.classify(esets).outer_count
+                dsu.union(u, v)
+        blocks: dict[int, set[int]] = {}
+        for v in vertices:
+            blocks.setdefault(dsu.find(v), set()).add(v)
+        p = Partition(blocks=tuple(frozenset(b) for b in sorted(blocks.values(), key=min)))
+    else:
+        limits.require("partition-vertices", limits.PARTITION_VERTICES, len(vertices),
+                       "violating-partition extraction")
+        p = _first_violating_partition(vertices, edge_sets, k)
+        if p is None:
+            raise InternalInvariantError("packing failed but no partition violates the bound")
+    out = p.classify(edge_sets).outer_count
     bound = k * (len(p) - 1)
     if out >= bound:
         raise InternalInvariantError("extracted partition does not violate the bound")
@@ -378,7 +365,8 @@ def pack_spanning_trees(g: Multigraph, k: int) -> PackResult:
     if result.size == k * (n - 1):
         packing = _verified(g, None, Packing(mode="spanning", parts=result.parts), "spanning")
         return PackResult(outcome="packed", packing=packing, method="pipeline")
-    cert = _violating_partition_certificate(g, k)
+    cert = _violating_partition_certificate(g.vertices, graph_edge_sets(g.edges), k,
+                                            result.reached)
     return PackResult(outcome="certificate", certificate=cert, method="pipeline")
 
 
@@ -682,9 +670,8 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
             hit = brute_on(g, lift=False)
             if hit is not None:
                 return hit
-        cert = _violating_partition_certificate(
-            rr.graph, k, scope="reduced-hypergraph",
-            edge_sets=h.hyperedges, vertices=h.vertices)
+        cert = _violating_partition_certificate(h.vertices, h.hyperedges, k,
+                                                packed.reached, scope="reduced-hypergraph")
         return PackResult(outcome="certificate", certificate=cert, trace=rr.trace,
                           reduced_graph=rr.graph, threshold=threshold,
                           connectivity=connectivity)

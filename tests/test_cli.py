@@ -4,7 +4,7 @@ import pytest
 
 from treepack import parse_instance, parse_packing, reduce_instance, verify_packing
 from treepack.cli import main
-from conftest import c4, doubled_triangle
+from conftest import c4, doubled_triangle, graph_from_pairs
 from treepack import serialize_instance
 
 
@@ -84,6 +84,18 @@ class TestPack:
         assert "outcome certificate" in out
         assert "certificate_kind violating-partition" in out
         assert "certificate_partition 0|1|2|3" in out
+
+    def test_long_cycle_spanning_certificate(self, capsys, tmp_path):
+        # A 20-cycle is beyond every partition and subset cap; the
+        # certificate comes from the failed packing search.
+        g = graph_from_pairs(20, [(v, (v + 1) % 20) for v in range(20)])
+        path = tmp_path / "c20.txt"
+        path.write_text(serialize_instance(g, set(range(20))), encoding="utf-8")
+        code, out = run_cli(capsys, "pack", str(path), "--mode", "spanning", "--k", "2")
+        assert code == 1
+        assert "certificate_kind violating-partition" in out
+        assert "certificate_lambda_out 20" in out
+        assert "certificate_bound 38" in out
 
     def test_steiner_on_generated_normal_form(self, capsys, tmp_path):
         inst = tmp_path / "fkk.txt"
@@ -199,13 +211,16 @@ class TestSweep:
             fields = row.split("\t")
             assert fields[5] == fields[4]  # packed == seeds
             assert fields[9] == fields[8]  # brute agrees wherever checked
+            # method_pipeline + method_brute + method_trivial == packed
+            assert sum(map(int, fields[10:13])) == int(fields[5])
 
     def test_empty_seed_list_prints_header_only(self, capsys):
         code, out = run_cli(capsys, "sweep", "nwt", "--n", "3", "--k", "1")
         assert code == 0
         assert out.strip().splitlines() == [
             "model\tn\tk\tthreshold\tseeds\tpacked\tcertificates\tinfeasible"
-            "\tbrute_checked\tbrute_agree"]
+            "\tbrute_checked\tbrute_agree\tmethod_pipeline\tmethod_brute"
+            "\tmethod_trivial"]
 
     def test_reversed_or_malformed_range_exits_2(self, capsys):
         for n in ("5:2", "3:", "1_0", "+3", "+1", "\u0663"):

@@ -43,15 +43,53 @@ class TestEffectiveCaps:
 class TestCliCapacityExit:
     def test_pack_exits_3_when_cap_blocks_certificate(self, monkeypatch, tmp_path,
                                                       capsys):
-        # C5 has no two disjoint spanning trees; with every cap forced to 3
-        # the certificate extraction cannot run, which must surface as a
-        # capacity refusal, never as a silent verdict.
+        # A reduced hypergraph with 3-vertex hyperedges still scans vertex
+        # partitions for its certificate.  This one has four terminals, so
+        # with every cap forced to 3 the scan cannot run, which must surface
+        # as a capacity refusal, never as a silent verdict.
         from treepack import serialize_instance
         from treepack.cli import main
         monkeypatch.setenv("TREEPACK_CAPACITY", "3")
-        g = graph_from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
+        for hub, triple in ((4, (0, 1, 2)), (5, (1, 2, 3))):
+            g.add_vertex(hub)
+            for t in triple:
+                g.add_edge(hub, t)
+        path = tmp_path / "fkk.txt"
+        path.write_text(serialize_instance(g, {0, 1, 2, 3}), encoding="utf-8")
+        code = main(["pack", str(path), "--mode", "steiner", "--k", "3",
+                     "--threshold", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "partition-vertices" in captured.err
+        monkeypatch.delenv("TREEPACK_CAPACITY")
+        code = main(["pack", str(path), "--mode", "steiner", "--k", "3",
+                     "--threshold", "1"])
+        assert code == 1
+        assert "certificate_scope reduced-hypergraph" in capsys.readouterr().out
+
+    def test_spanning_certificate_needs_no_cap(self, monkeypatch, tmp_path, capsys):
+        # C5 has no two disjoint spanning trees.  Its certificate is read
+        # off the failed packing search, so even with every cap forced to 3
+        # it is produced, and its counts survive a recount.
+        from treepack import serialize_instance
+        from treepack.cli import main
+        monkeypatch.setenv("TREEPACK_CAPACITY", "3")
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+        g = graph_from_pairs(5, pairs)
         path = tmp_path / "c5.txt"
         path.write_text(serialize_instance(g, {0, 1, 2, 3, 4}), encoding="utf-8")
         code = main(["pack", str(path), "--mode", "spanning", "--k", "2"])
-        capsys.readouterr()
-        assert code == 3
+        report = dict(line.split(" ", 1)
+                      for line in capsys.readouterr().out.splitlines())
+        assert code == 1
+        assert report["certificate_kind"] == "violating-partition"
+        blocks = [{int(v) for v in b.split(",")}
+                  for b in report["certificate_partition"].split("|")]
+        assert sorted(v for b in blocks for v in b) == list(range(5))
+        block_of = {v: i for i, b in enumerate(blocks) for v in b}
+        crossing = sum(block_of[u] != block_of[v] for u, v in pairs)
+        bound = 2 * (len(blocks) - 1)
+        assert int(report["certificate_lambda_out"]) == crossing
+        assert int(report["certificate_bound"]) == bound
+        assert crossing < bound

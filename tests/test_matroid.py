@@ -277,6 +277,26 @@ class TestUnionEngine:
                 assert circuit == probe._circuit(part, part, y)
                 assert (circuit is None) == oracle.independent(part | {y})
 
+    def test_reached_set_meets_the_edmonds_identity(self):
+        # The failed searches reach a set A that holds every unplaced
+        # element, that every part spans, and at which the union rank
+        # formula |E - A| + k * rank(A) attains the packed size.
+        nonempty = 0
+        for seed in range(40):
+            for oracle in engine_oracles(seed):
+                for k in (1, 2, 3):
+                    result = pack_bases(oracle, k)
+                    reached = result.reached
+                    assert set(result.unplaced) <= reached
+                    rank = oracle.rank(reached)
+                    assert result.size == \
+                        len(set(oracle.ground) - reached) + k * rank
+                    for part in result.parts:
+                        assert oracle.rank(part & reached) == rank
+                    assert pack_bases(reference(oracle), k) == result
+                    nonempty += bool(reached)
+        assert nonempty > 40
+
     def test_rank_matches_greedy_basis(self):
         for seed in range(40):
             rng = SplitMix64(seed)

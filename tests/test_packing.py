@@ -10,6 +10,8 @@ from treepack import (
     Thresholds,
     brute_force_pack,
     build_steiner_hypergraph,
+    graphic_matroid,
+    pack_bases,
     pack_connectors,
     pack_spanning_trees,
     pack_steiner_trees,
@@ -104,6 +106,76 @@ class TestPackSpanningTrees:
                 brute = brute_force_pack(g, None, k, "spanning").packing is not None
                 no_violation = not violates_tree_packing_bound(g, k)
                 assert packed == brute == no_violation
+
+
+def max_deficiency(g, k) -> int:
+    """The largest k*(|P|-1) - crossing(P) over every vertex partition."""
+    edge_sets = graph_edge_sets(g.edges)
+    return max(k * (len(p) - 1) - p.classify(edge_sets).outer_count
+               for p in iter_partitions(g.vertices))
+
+
+def recounted(g, cert, k) -> bool:
+    """The certificate's blocks partition V(g) and its counts are right."""
+    block_of = {v: i for i, block in enumerate(cert.partition) for v in block}
+    if sum(map(len, cert.partition)) != g.vertex_count() or block_of.keys() != g.vertices:
+        return False
+    crossing = sum(block_of[u] != block_of[v] for u, v in g.edges.values())
+    return (cert.lambda_out, cert.bound) == (crossing, k * (len(cert.partition) - 1))
+
+
+class TestSpanningCertificates:
+    """Certificates read off the failed packing search, against the scan."""
+
+    def test_deficiency_is_the_maximum_over_all_partitions(self):
+        from conftest import random_multigraph
+        seen = {"loop": 0, "parallel": 0, "isolated": 0, "disconnected": 0}
+        certificates = 0
+        for seed in range(120):
+            g = random_multigraph(seed, max_vertices=7, max_edges=12)
+            if seed % 3 == 0:
+                g.add_vertex(g.vertex_count())  # an isolated vertex
+            ends = [tuple(sorted(e)) for e in g.edges.values()]
+            for k in (1, 2, 3):
+                result = pack_spanning_trees(g, k)
+                oracle = max_deficiency(g, k)
+                if result.succeeded:
+                    assert oracle <= 0
+                    continue
+                cert = result.certificate
+                assert cert.kind == "violating-partition" and cert.scope == "graph"
+                assert recounted(g, cert, k)
+                assert cert.bound - cert.lambda_out == oracle > 0
+                certificates += 1
+                seen["loop"] += any(u == v for u, v in ends)
+                seen["parallel"] += len(set(ends)) < len(ends)
+                seen["isolated"] += any(g.degree(v) == 0 for v in g.vertices)
+                seen["disconnected"] += not g.is_connected()
+        assert certificates > 200
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("n", [20, 200])
+    def test_long_cycles_need_no_enumeration(self, n):
+        g = graph_from_pairs(n, [(v, (v + 1) % n) for v in range(n)])
+        cert = pack_spanning_trees(g, 2).certificate
+        assert recounted(g, cert, 2)
+        assert (cert.lambda_out, cert.bound) == (n, 2 * (n - 1))
+
+    def test_components_of_the_reached_set_are_the_blocks(self):
+        # Two disjoint doubled triangles: each holds two trees and leaves
+        # two edges over, so the failed searches reach both triangles.
+        g = graph_from_pairs(6, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2),
+                                 (3, 4), (3, 4), (4, 5), (4, 5), (3, 5), (3, 5)])
+        reached = pack_bases(graphic_matroid(g.vertices, g.edges), 2).reached
+        assert reached == frozenset(g.edges)
+        cert = pack_spanning_trees(g, 2).certificate
+        assert sorted(map(sorted, cert.partition)) == [[0, 1, 2], [3, 4, 5]]
+        assert (cert.lambda_out, cert.bound) == (0, 2)
+        assert cert.bound - cert.lambda_out == max_deficiency(g, 2)
+        g.add_edge(2, 3)  # a bridge: one crossing edge, still below 2
+        cert = pack_spanning_trees(g, 2).certificate
+        assert sorted(map(sorted, cert.partition)) == [[0, 1, 2], [3, 4, 5]]
+        assert (cert.lambda_out, cert.bound) == (1, 2)
 
 
 class TestBuildSteinerHypergraph:
