@@ -7,11 +7,15 @@ replayed forward (original -> reduced) or backward (reduced -> original)
 and reproduce ids exactly.
 
 Cut routines use unit-capacity augmenting paths; a loop never counts toward
-any cut.  The splitting-off routines implement the classical degree-lowering
-operation (replace edges uv, uv' at u by a single edge vv') together with a
-verified search for a cut-preserving pair at a vertex, and a reducer that
-drives all non-terminals toward the bipartite degree-3 normal form used by
-the hypergraph packing pipeline.
+any cut.  Every max-flow goes through `min_cut`.  The splitting-off
+routines implement the classical degree-lowering operation (replace edges
+uv, uv' at u by a single edge vv') together with a verified search for a
+cut-preserving pair at a vertex, and a reducer that drives all
+non-terminals toward the bipartite degree-3 normal form used by the
+hypergraph packing pipeline.  The pair search checks each candidate
+against one Gusfield equivalent-flow tree instead of all pairwise cuts,
+and the reducer's deletion guard runs flows only once a lower bound on
+the terminal connectivity has no slack left.
 
 The reducer logs three kinds of step: a split (which, at a degree-2 vertex,
 also removes that vertex), an edge deletion, and an isolated-vertex removal.
@@ -171,13 +175,17 @@ class Multigraph:
         start = min(self._incidence)
         return len(self._component_of(start)) == len(self._incidence)
 
-    def _component_of(self, start: int) -> set[int]:
+    def _component_of(self, start: int, skip: int | None = None) -> set[int]:
+        """Vertices reachable from `start`, not crossing edge `skip`."""
         seen = {start}
         queue = deque([start])
         while queue:
             v = queue.popleft()
             for eid in self._incidence[v]:
-                w = self.other_end(eid, v)
+                if eid == skip:
+                    continue
+                a, b = self._edges[eid]
+                w = b if a == v else a
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -300,51 +308,44 @@ def min_cut(g: Multigraph, s: int, t: int) -> tuple[int, frozenset[int]]:
 
     Unit-capacity augmenting paths: each non-loop edge carries at most one
     unit of flow in one direction.  The returned size equals the maximum
-    number of edge-disjoint s-t paths.
+    number of edge-disjoint s-t paths.  The residual arcs are laid out once
+    per call.  The returned side is the set reachable from s in the final
+    residual graph, which is the same for every maximum flow, so the order
+    in which paths are found does not change it.
     """
     if s == t:
         raise InvalidArgumentError("min_cut needs two distinct vertices")
     if not g.has_vertex(s) or not g.has_vertex(t):
         raise InvalidArgumentError("min_cut endpoints must be vertices of the graph")
 
-    # flow[eid] is +1 when one unit runs from the stored first endpoint to
-    # the second, -1 for the reverse, 0 when idle.
-    flow: dict[int, int] = {}
-    edges = g.edges
-
-    def residual_neighbors(x: int):
-        for eid in g.incident_edges(x):
-            a, b = edges[eid]
-            if a == b:
-                continue
-            if x == a and flow.get(eid, 0) < 1:
-                yield eid, b, 1
-            elif x == b and flow.get(eid, 0) > -1:
-                yield eid, a, -1
+    # Non-loop edge i = (a, b) gives the arc a -> b with direction +1 and
+    # the arc b -> a with direction -1.  flow[i] is +1 when one unit runs
+    # from a to b, -1 for the reverse, 0 when idle; an arc with direction d
+    # has residual capacity while flow[i] != d.
+    arcs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in g.vertices}
+    for i, (a, b) in enumerate(g.edges.values()):
+        if a != b:
+            arcs[a].append((i, b, 1))
+            arcs[b].append((i, a, -1))
+    flow = [0] * g.edge_count()
 
     size = 0
     while True:
-        parent: dict[int, tuple[int, int, int]] = {}
-        seen = {s}
-        queue = deque([s])
-        found = False
-        while queue and not found:
-            x = queue.popleft()
-            for eid, y, direction in residual_neighbors(x):
-                if y in seen:
-                    continue
-                seen.add(y)
-                parent[y] = (x, eid, direction)
-                if y == t:
-                    found = True
-                    break
-                queue.append(y)
-        if not found:
-            return size, frozenset(seen)
+        parent: dict[int, tuple[int, int, int] | None] = {s: None}
+        queue = [s]
+        for x in queue:
+            for i, y, direction in arcs[x]:
+                if y not in parent and flow[i] != direction:
+                    parent[y] = (x, i, direction)
+                    queue.append(y)
+            if t in parent:
+                break
+        else:
+            return size, frozenset(parent)
         y = t
         while y != s:
-            x, eid, direction = parent[y]
-            flow[eid] = flow.get(eid, 0) + direction
+            x, i, direction = parent[y]
+            flow[i] += direction
             y = x
         size += 1
 
@@ -411,34 +412,49 @@ def split_off(g: Multigraph, u: int, e1: int, e2: int) -> tuple[Multigraph, Spli
 
 
 def _has_incident_cut_edge(g: Multigraph, u: int) -> bool:
+    """Is some non-loop edge at u a bridge?  One BFS from u per edge, with
+    that edge skipped."""
     for eid in g.incident_edges(u):
-        if g.is_loop(eid):
-            continue
         v = g.other_end(eid, u)
-        probe = g.copy()
-        probe.delete_edge(eid)
-        if v not in probe._component_of(u):
+        if v != u and v not in g._component_of(u, skip=eid):
             return True
     return False
 
 
-def _pairwise_cuts(g: Multigraph, vertices: list[int]) -> dict[tuple[int, int], int]:
-    cuts = {}
-    for i, x in enumerate(vertices):
+def _flow_tree(g: Multigraph, vertices: list[int]) -> list[tuple[int, int, int]]:
+    """Gusfield's equivalent-flow tree on `vertices`, as edges (x, p, λ(x, p)).
+
+    One min_cut per edge, taken in g itself (no contraction).  For every
+    pair of `vertices`, the smallest λ on the tree path between them is
+    their min-cut in g (Gusfield 1990, "Very simple methods for all pairs
+    network flow analysis").
+    """
+    parent = {v: vertices[0] for v in vertices[1:]}
+    tree = []
+    for i, x in enumerate(vertices[1:], start=1):
+        p = parent[x]
+        value, side = min_cut(g, x, p)
+        tree.append((x, p, value))
         for y in vertices[i + 1:]:
-            cuts[(x, y)], _ = min_cut(g, x, y)
-    return cuts
+            if parent[y] == p and y in side:
+                parent[y] = x
+    return tree
 
 
 def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
     """Find two edges at u whose split preserves every pairwise min-cut
     among the remaining vertices.
 
-    Candidate pairs are tried in ascending edge-id order and each one is
-    verified by recomputing all pairwise min-cuts on the split graph; the
-    first verified pair wins.  Such a pair always exists when deg(u) != 3,
-    u meets no cut-edge and the graph is connected, so exhausting the
-    search signals a cut-computation bug.
+    Candidate pairs are tried in ascending edge-id order; the first one
+    that passes the check wins.  The check runs against one equivalent-flow
+    tree of g on V - u (|V| - 2 flows, built once).  A split never raises a
+    pairwise cut, and in the split graph λ(a, b) >= min(λ(a, c), λ(c, b))
+    still holds, so every pairwise cut survives exactly when each tree edge
+    (x, p, λ) still has min_cut(x, p) >= λ.  A trial therefore costs at
+    most |V| - 2 flows and stops at the first edge that falls short.
+    Such a pair always exists when deg(u) != 3, u meets no cut-edge and
+    the graph is connected, so exhausting the search signals a
+    cut-computation bug.
     """
     if not g.has_vertex(u):
         raise InvalidArgumentError(f"no vertex {u}")
@@ -452,19 +468,12 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
     if _has_incident_cut_edge(g, u):
         raise PreconditionViolationError(f"vertex {u} is incident with a cut-edge")
 
-    others = sorted(g.vertices - {u})
-    before = _pairwise_cuts(g, others)
+    tree = _flow_tree(g, sorted(g.vertices - {u}))
     candidates = [eid for eid in g.incident_edges(u) if not g.is_loop(eid)]
     for i, e1 in enumerate(candidates):
         for e2 in candidates[i + 1:]:
             trial, _ = split_off(g, u, e1, e2)
-            ok = True
-            for (x, y), value in before.items():
-                after, _ = min_cut(trial, x, y)
-                if after != value:
-                    ok = False
-                    break
-            if ok:
+            if all(min_cut(trial, x, p)[0] >= value for x, p, value in tree):
                 return e1, e2
     raise InternalInvariantError(
         f"no cut-preserving pair at vertex {u}: min_cut computation is suspect")
@@ -552,9 +561,12 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
     Fixpoint loop: even-degree non-terminals are split to isolation and
     removed; odd-degree non-terminals above 3 are split down to 3; loops,
     edges between two non-terminals and parallel edges at a non-terminal
-    are deleted whenever the connectivity check on the deleted graph still
-    meets the threshold.  Every change is logged so the caller can replay
-    or invert the whole reduction.
+    are deleted whenever the deleted graph stays connected with terminal
+    connectivity at or above the threshold.  That check runs no flow while
+    a lower bound on the connectivity (the entry value, less one per
+    unchecked deletion, reset by each exact check) is above the threshold.
+    Every change is logged so the caller can replay or invert the whole
+    reduction.
     """
     tset = frozenset(terminals)
     if not tset <= g.vertices:
@@ -566,6 +578,10 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
 
     work = g.copy()
     trace = SplitTrace()
+    # A lower bound on the terminal connectivity of `work`.  Splits, drains
+    # and loop deletions keep every pairwise cut among the vertices they
+    # leave, so they keep it; a non-loop deletion lowers it by at most one.
+    bound = start
 
     def deletion_candidate(eid: int) -> bool:
         a, b = work.endpoints(eid)
@@ -598,6 +614,11 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
         # check (they never lie in a cut).  The guard judges the composite
         # move including the isolated-vertex cleanup that would follow,
         # else pruning a pendant non-terminal would read as a disconnect.
+        # While the bound has slack the deletion cannot take the terminal
+        # connectivity below the threshold, so no flow is run; the graph
+        # must stay connected all the same, since a component without
+        # terminals reads as connectivity 0.  Without slack the exact
+        # value is computed and becomes the bound.
         for eid in sorted(work.edges):
             if not work.has_edge(eid):
                 continue
@@ -611,8 +632,14 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
                 if v not in tset and probe.degree(v) == 0:
                     probe.remove_vertex(v)
                     steps.append(RemoveIsolatedStep(vertex=v))
-            if ends[0] != ends[1] and steiner_connectivity(probe, tset) < threshold:
-                continue
+            if ends[0] != ends[1]:
+                if bound - 1 >= threshold and probe.is_connected():
+                    bound -= 1
+                else:
+                    exact = steiner_connectivity(probe, tset)
+                    if exact < threshold:
+                        continue
+                    bound = exact
             work = probe
             trace.extend(steps)
             changed = True

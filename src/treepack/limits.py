@@ -2,15 +2,16 @@
 
 Exhaustive routines refuse inputs above these sizes instead of silently
 truncating: a verdict is only ever reported when it was actually proved.
-The environment variable TREEPACK_CAPACITY, when set to an integer, lowers
-every cap to at most that value (it can never raise a cap), which bounds
-the library's enumeration work without touching code.  The test suite
-clears it: its exhaustive oracles need the default caps.
+The environment variable TREEPACK_CAPACITY, when set to plain ASCII digits
+(any other value is ignored), lowers every cap to at most that value (it
+can never raise a cap), which bounds the library's enumeration work
+without touching code.  The test suite clears it: its exhaustive oracles
+need the default caps.
 """
 
 import os
 
-from .errors import CapacityError
+from .errors import CapacityError, InstanceParseError, parse_int
 
 # Hard defaults.
 SUBSET_ELEMENTS = 18     # 2^n subset scans over a matroid ground set
@@ -24,8 +25,8 @@ def _env_cap() -> int | None:
     if raw is None:
         return None
     try:
-        value = int(raw)
-    except ValueError:
+        value = parse_int(raw, 0)
+    except InstanceParseError:
         return None
     return value if value >= 0 else None
 

@@ -157,6 +157,24 @@ def all_pairwise_cuts(g: Multigraph, vertices) -> dict:
             for i, x in enumerate(vs) for y in vs[i + 1:]}
 
 
+def reference_mader_split(g: Multigraph, u: int) -> tuple[tuple[int, int], int]:
+    """First-fit splitting pair at u, each candidate checked by recomputing
+    every pairwise min-cut among the other vertices; also returns how many
+    candidates were rejected before it."""
+    from treepack import split_off
+    others = g.vertices - {u}
+    before = all_pairwise_cuts(g, others)
+    candidates = [e for e in g.incident_edges(u) if not g.is_loop(e)]
+    rejected = 0
+    for i, e1 in enumerate(candidates):
+        for e2 in candidates[i + 1:]:
+            trial, _ = split_off(g, u, e1, e2)
+            if all_pairwise_cuts(trial, others) == before:
+                return (e1, e2), rejected
+            rejected += 1
+    raise AssertionError(f"no cut-preserving pair at vertex {u}")
+
+
 # -- exact rational feasibility ------------------------------------------------
 
 

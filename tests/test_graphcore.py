@@ -27,8 +27,19 @@ from conftest import (
     doubled_triangle,
     graph_from_pairs,
     random_multigraph,
+    reference_mader_split,
     triangle,
 )
+
+
+def _eligible_split_vertices(g):
+    """Vertices where mader_split's precondition holds."""
+    from treepack.graphcore import _has_incident_cut_edge
+    if not g.is_connected():
+        return []
+    return [u for u in sorted(g.vertices)
+            if g.degree(u) != 3 and g.degree(u) >= 2
+            and not _has_incident_cut_edge(g, u)]
 
 
 class TestMultigraph:
@@ -200,6 +211,78 @@ class TestMaderSplit:
         # vertex 3 has degree 4 via its loop but hangs on a bridge
         with pytest.raises(PreconditionViolationError):
             mader_split(g, 3)
+        from treepack.graphcore import _has_incident_cut_edge
+        g.add_edge(1, 1)  # a loop is never a bridge
+        assert [u for u in range(4) if _has_incident_cut_edge(g, u)] == [0, 3]
+        g.add_edge(0, 3)  # nor is an edge with a parallel copy
+        assert not any(_has_incident_cut_edge(g, u) for u in range(4))
+
+    def test_chosen_pair_matches_reference_on_seeded_multigraphs(self):
+        checked = first_rejected = 0
+        for seed in range(120):
+            g = random_multigraph(seed, max_vertices=8, max_edges=13,
+                                  loops=seed % 2 == 0, connected=True)
+            if seed % 3 == 0:
+                for eid, (a, b) in sorted(g.edges.items()):
+                    g.add_edge(a, b)
+            for u in _eligible_split_vertices(g):
+                pair, rejected = reference_mader_split(g, u)
+                assert mader_split(g, u) == pair, (seed, u)
+                checked += 1
+                first_rejected += rejected > 0
+        assert checked >= 300 and first_rejected >= 20
+
+    def test_chosen_pair_matches_reference_on_kriesell_graphs(self):
+        checked = first_rejected = 0
+        for n in range(9, 14):
+            g = generate_kriesell(n, 1, n).graph
+            for u in _eligible_split_vertices(g):
+                pair, rejected = reference_mader_split(g, u)
+                assert mader_split(g, u) == pair, (n, u)
+                checked += 1
+                first_rejected += rejected > 0
+        assert checked >= 50 and first_rejected >= 30
+
+
+class TestFlowTree:
+    @staticmethod
+    def _path_minimum(tree, a, b):
+        adjacency = {}
+        for x, p, value in tree:
+            adjacency.setdefault(x, []).append((p, value))
+            adjacency.setdefault(p, []).append((x, value))
+        best = {a: None}
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for y, value in adjacency.get(x, []):
+                if y not in best:
+                    best[y] = value if best[x] is None else min(best[x], value)
+                    stack.append(y)
+        return best[b]
+
+    def test_tree_is_flow_equivalent(self):
+        import networkx as nx
+        from treepack.graphcore import _flow_tree
+        for seed in range(60):
+            g = random_multigraph(seed, max_vertices=8, max_edges=16,
+                                  connected=seed % 4 != 0)
+            if seed % 3 == 0:
+                for eid, (a, b) in sorted(g.edges.items()):
+                    g.add_edge(a, b)
+            vertices = sorted(g.vertices)
+            tree = _flow_tree(g, vertices)
+            assert len(tree) == len(vertices) - 1
+            reference = nx.Graph()
+            reference.add_nodes_from(vertices)
+            for a, b in g.edges.values():
+                if a != b:
+                    old = reference.get_edge_data(a, b, {"capacity": 0})["capacity"]
+                    reference.add_edge(a, b, capacity=old + 1)
+            for x, y in all_pairwise_cuts(g, vertices):
+                value, _ = min_cut(g, x, y)
+                assert self._path_minimum(tree, x, y) == value, (seed, x, y)
+                assert nx.minimum_cut_value(reference, x, y) == value, (seed, x, y)
 
 
 class TestIsolateEvenNonterminal:
@@ -316,6 +399,73 @@ class TestReduceInstance:
     def test_precondition_checked(self):
         with pytest.raises(InvalidArgumentError):
             reduce_instance(triangle(), {0, 1, 2}, 5)
+
+    def test_deletion_stranding_a_terminal_free_component_is_refused(self):
+        # Terminals 0 and 1 share four edges (λ_T = 4, threshold 2, so
+        # there is slack).  The non-terminal edge 2-3 is a bridge to the
+        # terminal-free component {3, 4}: deleting it leaves every cut
+        # between 0 and 1 intact but disconnects the graph, so the guard
+        # refuses it until the far side has been pruned away.
+        g = graph_from_pairs(5, [(0, 1)] * 4 + [(0, 2), (0, 2), (2, 3)] + [(3, 4)] * 3)
+        rr = reduce_instance(g, {0, 1}, 2)
+        replay = g.copy()
+        for step in rr.trace.steps:
+            step.apply(replay)
+            # an isolated vertex is removed by the step that follows
+            touched = {v for v in replay.vertices if replay.degree(v) > 0}
+            assert touched <= replay._component_of(0), step
+        assert replay == rr.graph
+        assert sorted(rr.graph.edges.values()) == [(0, 1)] * 4
+        assert rr.trace.unapply(rr.graph) == g
+
+    def test_kriesell_trace_is_pinned(self):
+        # Deletions here have slack; accepting one that strands a
+        # terminal-free component would change this trace (49 steps -> 48).
+        inst = generate("kriesell", 11, 1, 20)
+        rr = reduce_instance(inst.graph, inst.terminals, 3)
+        tokens = []
+        for step in rr.trace.steps:
+            if isinstance(step, treepack.graphcore.DeleteEdgeStep):
+                tokens.append(f"d{step.edge}")
+            elif isinstance(step, treepack.graphcore.RemoveIsolatedStep):
+                tokens.append(f"r{step.vertex}")
+            else:
+                tokens.append(f"s{step.center}:{step.e1},{step.e2}>{step.child}"
+                              f"{'' if step.removed is None else '-'}")
+        assert " ".join(tokens) == (
+            "d0 d1 d2 d4 d5 d6 d8 d9 d10 d11 d12 d13 d15 d16 d17 d19 d20 d21 d22 "
+            "d23 d24 d25 d26 d27 d29 d30 r4 d32 d33 d34 d36 d37 d38 d39 d44 d46 "
+            "d47 r9 s1:7,14>48- s5:31,35>49- d3 r0 d18 r2 d28 r3 d45 r10 "
+            "s7:40,43>50-")
+
+    def test_guard_spends_slack_one_deletion_at_a_time(self):
+        # λ_T = 9 at threshold 8: one unit of slack.  The first deletion at
+        # hub 2 spends it; the second is checked exactly and kept (it does
+        # not lower λ_T); a deletion at hub 3 would, and is refused.
+        g = graph_from_pairs(4, [(0, 1)] * 5 + [(0, 2), (0, 2), (0, 3), (0, 3),
+                                                (1, 2), (1, 2), (1, 3), (1, 3)])
+        rr = reduce_instance(g, {0, 1}, 8)
+        deleted = [step.edge for step in rr.trace.steps
+                   if isinstance(step, treepack.graphcore.DeleteEdgeStep)]
+        assert deleted == [5, 9]
+        assert steiner_connectivity(rr.graph, {0, 1}) == 8
+
+    def test_guard_runs_no_flow_while_slack_remains(self, monkeypatch):
+        # λ_T = 7 at threshold 1: both parallel-edge deletions at the hub
+        # have slack, so only the entry and exit checks run.
+        calls = []
+        counted = treepack.graphcore.steiner_min_cut
+
+        def counting(g, terminals):
+            calls.append(1)
+            return counted(g, terminals)
+
+        g = graph_from_pairs(3, [(0, 1)] * 5 + [(0, 2), (0, 2), (1, 2), (1, 2)])
+        monkeypatch.setattr(treepack.graphcore, "steiner_min_cut", counting)
+        rr = reduce_instance(g, {0, 1}, 1)
+        kinds = [type(step).__name__ for step in rr.trace.steps]
+        assert kinds == ["DeleteEdgeStep", "DeleteEdgeStep", "SplitStep"]
+        assert len(calls) == 2
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=3, max_value=7), st.integers(min_value=0, max_value=10_000))

@@ -23,8 +23,11 @@ class TestEffectiveCaps:
         assert limits.effective(limits.BRUTE_EDGES) == 16
 
     def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("TREEPACK_CAPACITY", "lots")
-        assert limits.effective(limits.BRUTE_EDGES) == 16
+        # int() would read "+3", "1_0", "\u0663" and " 5 " as 3, 10, 3 and 5
+        for raw in ("lots", "+3", "1_0", "\u0663", " 5 ", "5.0", "", "-1"):
+            monkeypatch.setenv("TREEPACK_CAPACITY", raw)
+            assert limits.effective(limits.BRUTE_EDGES) == 16, raw
+            assert limits.effective(limits.PARTITION_VERTICES) == 10, raw
 
     def test_lowered_cap_rejects_brute_force(self, monkeypatch):
         monkeypatch.setenv("TREEPACK_CAPACITY", "4")
