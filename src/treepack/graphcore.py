@@ -452,24 +452,23 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
     still holds, so every pairwise cut survives exactly when each tree edge
     (x, p, λ) still has min_cut(x, p) >= λ.  A trial therefore costs at
     most |V| - 2 flows and stops at the first edge that falls short.
-    Such a pair always exists when deg(u) != 3, u meets no cut-edge and
-    the graph is connected, so exhausting the search signals a
-    cut-computation bug.
+    Such a pair always exists when deg(u) != 3, u meets at least two
+    non-loop edges and no cut-edge, and the graph is connected, so
+    exhausting the search signals a cut-computation bug.
     """
     if not g.has_vertex(u):
         raise InvalidArgumentError(f"no vertex {u}")
-    deg = g.degree(u)
-    if deg == 3:
+    if g.degree(u) == 3:
         raise PreconditionViolationError("cannot split at a degree-3 vertex")
-    if deg < 2:
-        raise PreconditionViolationError("need at least two edge ends at the vertex")
+    candidates = [eid for eid in g.incident_edges(u) if not g.is_loop(eid)]
+    if len(candidates) < 2:
+        raise PreconditionViolationError("need at least two non-loop edges at the vertex")
     if not g.is_connected():
         raise PreconditionViolationError("graph must be connected")
     if _has_incident_cut_edge(g, u):
         raise PreconditionViolationError(f"vertex {u} is incident with a cut-edge")
 
     tree = _flow_tree(g, sorted(g.vertices - {u}))
-    candidates = [eid for eid in g.incident_edges(u) if not g.is_loop(eid)]
     for i, e1 in enumerate(candidates):
         for e2 in candidates[i + 1:]:
             trial, _ = split_off(g, u, e1, e2)
@@ -553,7 +552,8 @@ def _is_normal_form(g: Multigraph, tset: frozenset[int]) -> bool:
     return True
 
 
-def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
+def reduce_instance(g: Multigraph, terminals, threshold: int, *,
+                    connectivity: int | None = None) -> ReduceResult:
     """Drive every non-terminal toward degree 3 with distinct terminal
     neighbors while keeping the terminal connectivity at or above
     `threshold`.
@@ -566,12 +566,14 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
     a lower bound on the connectivity (the entry value, less one per
     unchecked deletion, reset by each exact check) is above the threshold.
     Every change is logged so the caller can replay or invert the whole
-    reduction.
+    reduction.  A caller that already knows the terminal connectivity of g
+    passes it as `connectivity`, which then is not computed again; it must
+    be exact, since it is the bound the first deletions spend.
     """
     tset = frozenset(terminals)
     if not tset <= g.vertices:
         raise InvalidArgumentError("terminals must be vertices of the graph")
-    start = steiner_connectivity(g, tset)
+    start = steiner_connectivity(g, tset) if connectivity is None else connectivity
     if start < threshold:
         raise InvalidArgumentError(
             f"terminal connectivity {start} is below the threshold {threshold}")

@@ -13,11 +13,16 @@ The k-fold union engine (`pack_elements`) is Edmonds' matroid partition: it
 packs elements into k disjoint independent parts by shortest augmenting
 chains over the exchange digraph, whose arcs lead from an element y to the
 elements of the fundamental circuit C(I, y) of each part I that y is not in.
-An oracle keeps one state per part (`_part_state`) and reads circuits off
-it (`_circuit`): the graphic oracle keeps the part's forest and reads the
-tree path between y's ends; the hypergraphic oracle keeps the part's
-representative forest and runs exchange searches from it.  The plain
-`Matroid` probes its predicate once per candidate instead, and is the
+An oracle keeps one state per part (`_part_state`), reads circuits off it
+(`_circuit`) and moves it past each chain that changes the part
+(`_part_update`).  The graphic oracle's state is the part's forest, rooted
+once (`_RootedForest`), and a circuit is the tree path between y's ends.
+The hypergraphic oracle's state is the part's representative forest, rooted
+the same way; a circuit is what one failed exchange search displaces, and
+a chain updates the forest by dropping the representatives of the elements
+that left and inserting the ones that arrived, as in the incremental
+matroid partition of Cunningham (1986) and Gabow-Westermann (1992).  The
+plain `Matroid` probes its predicate once per candidate instead, and is the
 reference both are tested against.  A search that fails leaves its reached
 set behind: every part spans it, and the union of those sets minimises
 |E - A| + k*rank(A), so certificates of deficiency are read off the failed
@@ -26,6 +31,7 @@ searches instead of enumerated.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -148,9 +154,9 @@ class Matroid:
     """Matroid given by its ground set and an independence predicate.
 
     The predicate must behave as a pure function of the queried set.
-    `_part_state` and `_circuit` are what the k-fold union engine asks of
-    an oracle; the defaults here probe the predicate, and subclasses that
-    override them are tested against these defaults.
+    `_part_state`, `_part_update` and `_circuit` are what the k-fold union
+    engine asks of an oracle; the defaults here probe the predicate, and
+    subclasses that override them are tested against these defaults.
     """
 
     def __init__(self, ground: Iterable[int], indep: Callable[[frozenset[int]], bool],
@@ -191,6 +197,14 @@ class Matroid:
         """What `_circuit` needs to know of one part of a k-fold packing,
         or None when the part is dependent."""
         return part if self.independent(part) else None
+
+    def _part_update(self, part: set[int], state: object, left: set[int],
+                     arrived: set[int]) -> object | None:
+        """The state of `part` after an exchange chain took `left` out of it
+        and put `arrived` in (`part` already reflects both), from its state
+        before; None when the part is now dependent.  The default derives
+        it afresh, which re-checks the whole part."""
+        return self._part_state(part)
 
     def _circuit(self, part: set[int], state: object, y: int) -> frozenset[int] | None:
         """The elements z of the independent `part` for which part - z + y is
@@ -272,38 +286,61 @@ def graphic_independent(vertices: Iterable[int], edges: Iterable[tuple[int, int]
     return True
 
 
-def _forest_adjacency(edges: Iterable[tuple[object, Pair]]) -> dict[int, list[tuple[int, object]]]:
-    """vertex -> [(neighbour, label)] for labelled edges (label, (u, v))."""
-    adj: dict[int, list[tuple[int, object]]] = {}
-    for label, (a, b) in edges:
-        adj.setdefault(a, []).append((b, label))
-        adj.setdefault(b, []).append((a, label))
-    return adj
+class _RootedForest:
+    """A forest of labelled edges (label, (u, v)), rooted once: each vertex
+    keeps its tree, its depth, its parent and the label of the edge to it.
+    A path query climbs from both ends to their lowest common ancestor, so
+    it costs the length of the path, not a search of the tree.  `acyclic`
+    is False when the edges were not a forest (a loop, or an edge that
+    closes a cycle); paths are then those of a spanning forest of them."""
 
+    __slots__ = ("tree", "depth", "up", "acyclic")
 
-def _forest_path(adj: Mapping[int, list[tuple[int, object]]], u: int, v: int) -> list | None:
-    """Labels on the path of the forest `adj` between u and v, listed from
-    v back to u; None when u and v lie in different trees."""
-    if u == v:
-        return []
-    if u not in adj or v not in adj:
-        return None
-    prev: dict[int, tuple[int, object] | None] = {u: None}
-    queue = deque([u])
-    while v not in prev and queue:
-        x = queue.popleft()
-        for y, label in adj[x]:
-            if y not in prev:
-                prev[y] = (x, label)
-                queue.append(y)
-    if v not in prev:
-        return None
-    path = []
-    x = v
-    while x != u:
-        x, label = prev[x]
-        path.append(label)
-    return path
+    def __init__(self, edges: Iterable[tuple[object, Pair]]):
+        adj: dict[int, list[tuple[int, object]]] = {}
+        count = 0
+        for label, (a, b) in edges:
+            adj.setdefault(a, []).append((b, label))
+            adj.setdefault(b, []).append((a, label))
+            count += 1
+        self.tree: dict[int, int] = {}
+        self.depth: dict[int, int] = {}
+        self.up: dict[int, tuple[int, object]] = {}
+        for root in adj:
+            if root in self.tree:
+                continue
+            self.tree[root] = root
+            self.depth[root] = 0
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y, label in adj[x]:
+                    if y not in self.tree:
+                        self.tree[y] = root
+                        self.depth[y] = self.depth[x] + 1
+                        self.up[y] = (x, label)
+                        stack.append(y)
+        self.acyclic = len(self.up) == count
+
+    def path(self, u: int, v: int) -> list | None:
+        """Labels on the path between u and v, listed from v back to u; None
+        when u and v lie in different trees."""
+        tree = self.tree
+        if u != v and (u not in tree or v not in tree or tree[u] != tree[v]):
+            return None
+        depth, up = self.depth, self.up
+        from_v: list = []
+        from_u: list = []
+        # The deeper end (v on a tie) is never the common ancestor.
+        while u != v:
+            if depth[v] >= depth[u]:
+                v, label = up[v]
+                from_v.append(label)
+            else:
+                u, label = up[u]
+                from_u.append(label)
+        from_u.reverse()
+        return from_v + from_u
 
 
 class GraphicMatroid(Matroid):
@@ -325,14 +362,13 @@ class GraphicMatroid(Matroid):
         dsu = _DSU()
         return sum(dsu.union(*self.edges[e]) for e in self.members(subset))
 
-    def _part_state(self, part: set[int]) -> dict[int, list[tuple[int, object]]] | None:
-        if not self.independent(part):
-            return None
-        return _forest_adjacency((e, self.edges[e]) for e in part)
+    def _part_state(self, part: set[int]) -> _RootedForest | None:
+        forest = _RootedForest((e, self.edges[e]) for e in part)
+        return forest if forest.acyclic else None
 
-    def _circuit(self, part: set[int], state: Mapping[int, list[tuple[int, object]]],
+    def _circuit(self, part: set[int], state: _RootedForest,
                  y: int) -> frozenset[int] | None:
-        path = _forest_path(state, *self.edges[y])
+        path = state.path(*self.edges[y])
         return None if path is None else frozenset(path)
 
 
@@ -440,57 +476,89 @@ def serialize_partition(p: Partition) -> str:
 # -- hypergraphic matroid -----------------------------------------------------
 
 
+class _RepForest:
+    """A representative forest: each hyperedge's pair, the hyperedge that
+    holds each pair, and the pairs rooted for path queries.  It is built
+    once per forest and read by every exchange search from that forest."""
+
+    __slots__ = ("reps", "holder", "paths")
+
+    def __init__(self, reps: dict[int, Pair]):
+        self.reps = reps
+        self.holder = {pair: e for e, pair in reps.items()}
+        self.paths = _RootedForest((pair, pair) for pair in self.holder)
+
+
 class HypergraphicMatroid(Matroid):
     """Matroid on hyperedges; independent sets admit a forest of
-    representative pairs, one pair chosen inside each hyperedge."""
+    representative pairs, one pair chosen inside each hyperedge.  A part's
+    state is its representative forest, which exchange chains update in
+    place of a rebuild."""
 
     def __init__(self, h: Hypergraph):
         self.hypergraph = h
+        self._pairs = {eid: list(itertools.combinations(sorted(vs), 2))
+                       for eid, vs in h.hyperedges.items()}
         super().__init__(h.hyperedges.keys(), self._indep_query, name="hypergraphic")
 
-    def _pairs(self, eid: int) -> list[Pair]:
-        vs = sorted(self.hypergraph.hyperedges[eid])
-        if len(vs) == 2:
-            return [(vs[0], vs[1])]
-        return [(vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])]
+    def _augment(self, forest: _RepForest, new_eid: int,
+                 displaced: set[int] | None = None) -> dict[int, Pair] | None:
+        """Insert one hyperedge into `forest` by a shortest exchange chain.
 
-    def _augment(self, reps: dict[int, Pair], new_eid: int,
-                 displaced: set[int] | None = None) -> bool:
-        """Insert one hyperedge, reassigning representatives along a
-        shortest exchange chain.  Mutates `reps` on success; on failure,
-        adds to `displaced` (when given) every hyperedge the search tried
-        to move."""
-        chosen: dict[Pair, int] = {pair: e for e, pair in reps.items()}
-        adj = _forest_adjacency((pair, pair) for pair in chosen)
+        Breadth-first over vertex pairs, starting from new_eid's: a claimed
+        pair whose ends the forest joins displaces the hyperedges whose
+        representatives lie on that path, and each displaced hyperedge
+        claims its other pairs not yet claimed.  The first claimed pair whose
+        ends lie in different trees ends the search: the result maps each
+        hyperedge on its chain (new_eid included) to its new pair, for the
+        caller to apply.  On failure the result is None and `displaced`
+        (when given) has gained every hyperedge the search displaced.
+        `forest` is only read, so a failed search leaves nothing to undo."""
+        holder = forest.holder
+        path = forest.paths.path
+        pairs = self._pairs
         claimant: dict[Pair, int] = {}
         parent: dict[Pair, Pair | None] = {}
         queue: deque[Pair] = deque()
-        for p in self._pairs(new_eid):
-            if p not in claimant:
-                claimant[p] = new_eid
-                parent[p] = None
-                queue.append(p)
+        for p in pairs[new_eid]:
+            claimant[p] = new_eid
+            parent[p] = None
+            queue.append(p)
         while queue:
             p = queue.popleft()
-            blockers = _forest_path(adj, *p)
+            blockers = path(*p)
             if blockers is None:
+                chain: dict[int, Pair] = {}
                 cur: Pair | None = p
                 while cur is not None:
-                    reps[claimant[cur]] = cur
+                    chain[claimant[cur]] = cur
                     cur = parent[cur]
-                self._assert_forest(reps)
-                return True
+                return chain
             for q in blockers:
-                needy = chosen[q]
+                needy = holder[q]
                 if displaced is not None:
                     displaced.add(needy)
-                for p2 in self._pairs(needy):
+                for p2 in pairs[needy]:
                     if p2 == q or p2 in claimant:
                         continue
                     claimant[p2] = needy
                     parent[p2] = p
                     queue.append(p2)
-        return False
+        return None
+
+    def _insert(self, reps: dict[int, Pair], ids: Iterable[int],
+                strict: bool) -> _RepForest | None:
+        """The forest `reps` grown by each of `ids` in turn that fits, then
+        checked once; with strict=True, None at the first that does not."""
+        forest = _RepForest(reps)
+        for eid in ids:
+            chain = self._augment(forest, eid)
+            if chain is not None:
+                forest = _RepForest({**forest.reps, **chain})
+            elif strict:
+                return None
+        self._assert_forest(forest.reps)
+        return forest
 
     def _assert_forest(self, reps: Mapping[int, Pair]) -> None:
         pairs = list(reps.values())
@@ -506,34 +574,61 @@ class HypergraphicMatroid(Matroid):
         unknown = [e for e in ids if e not in self.hypergraph.hyperedges]
         if unknown:
             raise InvalidArgumentError(f"unknown hyperedge ids {unknown}")
-        reps: dict[int, Pair] = {}
-        for eid in ids:
-            if not self._augment(reps, eid):
-                return None
-        return reps
+        forest = self._insert({}, ids, strict=True)
+        return None if forest is None else forest.reps
 
     def _indep_query(self, subset: frozenset[int]) -> bool:
         return self.witness(subset) is not None
 
     def rank_greedy(self, subset: Iterable[int] | None = None) -> int:
-        reps: dict[int, Pair] = {}
-        return sum(self._augment(reps, eid) for eid in self.members(subset))
+        return len(self._insert({}, self.members(subset), strict=False).reps)
 
     rank = rank_greedy
 
-    def _part_state(self, part: set[int]) -> dict[int, Pair] | None:
-        return self.witness(part)
+    def _part_state(self, part: set[int]) -> _RepForest | None:
+        """The part's representative forest from `witness`: one exchange
+        search per element.  The engine asks this only of its empty parts;
+        after that, chains update the forest (`_part_update`)."""
+        reps = self.witness(part)
+        return None if reps is None else _RepForest(reps)
 
-    def _circuit(self, part: set[int], state: Mapping[int, Pair],
+    def _part_update(self, part: set[int], state: _RepForest, left: set[int],
+                     arrived: set[int]) -> _RepForest | None:
+        """Drop the representatives of `left` and insert each of `arrived`
+        by one exchange search, then check the forest once: |arrived|
+        searches where a rebuild takes |part|.  Each set on the way lies
+        inside the new part, so while that is independent every insertion
+        fits; one that does not reports the part dependent."""
+        kept = {e: pair for e, pair in state.reps.items() if e not in left}
+        return self._insert(kept, sorted(arrived), strict=True)
+
+    def _circuit(self, part: set[int], state: _RepForest,
                  y: int) -> frozenset[int] | None:
-        # A failed search from the part's forest spans every hyperedge it
-        # displaced together with y, so those hyperedges hold the circuit;
-        # z is in it exactly when y fits once z is taken out.
+        """One failed search from the part's forest displaces exactly the
+        circuit C(part, y) less y.  Write D for its displaced set.
+
+        C - y is inside D: when the search fails, every pair of y and of
+        each hyperedge in D has its ends joined by forest paths made of
+        representatives of D (they are what those paths displaced).  So
+        D + y lies inside the trees that D's |D| representatives form, more
+        hyperedges than the rank there, and y is spanned by D.
+
+        D is inside C - y: take z in D and follow the parent links from the
+        pair that first displaced z back to a pair of y.  That is a chain
+        that alternately claims a pair and displaces the hyperedge whose
+        representative blocks it, one search level per step.  It has no
+        shortcut, since a pair whose path held the representative of a
+        later hyperedge on the chain would have displaced it at an earlier
+        level; and its last pair is its only one whose path held rep(z),
+        since an earlier one would have displaced z sooner.  So in the
+        forest of part - z, where the last pair joins two trees, the chain
+        is a shortest augmenting path, and applying it gives a
+        representative forest of part - z + y (the shortest-path lemma of
+        matroid intersection)."""
         displaced: set[int] = set()
-        if self._augment(dict(state), y, displaced):
+        if self._augment(state, y, displaced) is not None:
             return None
-        return frozenset(z for z in displaced if self._augment(
-            {e: pair for e, pair in state.items() if e != z}, y))
+        return frozenset(displaced)
 
 
 def hypergraphic_independent(h: Hypergraph, subset: Iterable[int]
@@ -639,15 +734,22 @@ class _Part:
     """One part of a k-fold packing, the oracle's state for it, and the
     circuits read off that state, by element."""
 
-    __slots__ = ("items", "state", "circuits")
+    __slots__ = ("index", "items", "state", "circuits")
 
     def __init__(self, oracle: Matroid, index: int, items: set[int]):
-        state = oracle._part_state(items)
+        self.index = index
+        self.items = items
+        self._settle(oracle, oracle._part_state(items))
+
+    def update(self, oracle: Matroid, left: set[int], arrived: set[int]) -> None:
+        """Move the state past a chain that changed `items` by these sets."""
+        self._settle(oracle, oracle._part_update(self.items, self.state, left, arrived))
+
+    def _settle(self, oracle: Matroid, state: object | None) -> None:
         if state is None:
             raise InternalInvariantError(
-                f"union augmentation broke part {index}; "
+                f"union augmentation broke part {self.index}; "
                 f"run check_matroid_axioms on oracle {oracle.name!r}")
-        self.items = items
         self.state = state
         self.circuits: dict[int, frozenset[int] | None] = {}
 
@@ -661,12 +763,13 @@ def _union_augment(oracle: Matroid, parts: list[_Part],
                    placement: dict[int, int], x: int) -> frozenset[int] | None:
     """Shortest exchange chain inserting x into the part family.
 
-    The arcs from y are the circuits of y in the parts y is not in; the
-    parts on a successful chain are rebuilt, which re-checks them.  Returns
-    None when x was placed; otherwise the elements the search reached.
-    Every part spans that set: each reached y outside a part has its
-    circuit in that part inside the set.  So no later chain enters it, as
-    arcs from it stay inside and none of its elements fits a part it is
+    The arcs from y are the circuits of y in the parts y is not in.  A
+    successful chain tells each part it changed which elements left it and
+    which arrived, and the oracle updates that part's state and re-checks
+    it.  Returns None when x was placed; otherwise the elements the search
+    reached.  Every part spans that set: each reached y outside a part has
+    its circuit in that part inside the set.  So no later chain enters it,
+    as arcs from it stay inside and none of its elements fits a part it is
     not in."""
     parent: dict[int, int | None] = {x: None}
     queue = deque([x])
@@ -679,20 +782,21 @@ def _union_augment(oracle: Matroid, parts: list[_Part],
                 continue
             circuit = part.circuit(oracle, y)
             if circuit is None:
-                changed = []
-                target = i
+                moves: dict[int, tuple[set[int], set[int]]] = {}
+                target: int | None = i
                 cur: int | None = y
                 while cur is not None:
                     old = placement.get(cur)
                     parts[target].items.add(cur)
                     placement[cur] = target
-                    changed.append(target)
+                    moves.setdefault(target, (set(), set()))[1].add(cur)
                     if old is not None:
                         parts[old].items.discard(cur)
-                    target = old if old is not None else -1
+                        moves.setdefault(old, (set(), set()))[0].add(cur)
+                    target = old
                     cur = parent[cur]
-                for t in sorted(set(changed)):
-                    parts[t] = _Part(oracle, t, parts[t].items)
+                for t in sorted(moves):
+                    parts[t].update(oracle, *moves[t])
                 return None
             circuits.append(circuit)
         for circuit in circuits:
@@ -729,8 +833,11 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     the first shortest augmenting chain found, or reported back as
     unplaceable.  The total placed count equals the k-fold union rank of
     the element set.  Each part keeps the oracle's state and the circuits
-    read off it until a chain changes the part; only the parts a chain
-    changes are rebuilt, and rebuilding re-checks their independence.
+    read off it until a chain changes the part.  Then the oracle updates
+    that state from the elements that left and arrived (`_part_update`)
+    and re-checks the part; the hypergraphic oracle does so with one
+    exchange search per arrival, so the parts' forests are built from
+    nothing only once, empty.
     """
     parts, unplaced, _ = _pack(oracle, k, elements)
     return parts, unplaced

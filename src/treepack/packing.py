@@ -614,7 +614,7 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
     # Reduction runs at the hypergraph-packing threshold when the instance
     # affords it; below that (probing regimes) it preserves what was asked.
     reduce_threshold = t_values.fkk if connectivity >= t_values.fkk else threshold
-    rr = reduce_instance(g, tset, reduce_threshold)
+    rr = reduce_instance(g, tset, reduce_threshold, connectivity=connectivity)
 
     def brute_on(target: Multigraph, lift: bool) -> PackResult | None:
         cap = limits.effective(limits.BRUTE_EDGES)

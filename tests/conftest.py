@@ -3,13 +3,15 @@
 The oracles here are deliberately independent of the library's primary
 code paths: cuts by subset enumeration, terminal connectivity by vertex
 bipartitions, hypergraphic independence by full representative products,
-and convex decomposability by an exact rational phase-one simplex.  Tests
-compare the fast implementations against these.
+forest paths by breadth-first search, and convex decomposability by an
+exact rational phase-one simplex.  Tests compare the fast implementations
+against these.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -148,6 +150,36 @@ def brute_hypergraphic_independent(h, subset) -> bool:
         if graphic_independent(h.vertices, combo):
             return True
     return False
+
+
+def forest_path(edges, u: int, v: int) -> list | None:
+    """Labels on the path between u and v of the forest given by labelled
+    edges (label, (a, b)), listed from v back to u, by breadth-first
+    search; None when u and v lie in different trees."""
+    adj: dict[int, list] = {}
+    for label, (a, b) in edges:
+        adj.setdefault(a, []).append((b, label))
+        adj.setdefault(b, []).append((a, label))
+    if u == v:
+        return []
+    if u not in adj or v not in adj:
+        return None
+    prev = {u: None}
+    queue = deque([u])
+    while v not in prev and queue:
+        x = queue.popleft()
+        for y, label in adj[x]:
+            if y not in prev:
+                prev[y] = (x, label)
+                queue.append(y)
+    if v not in prev:
+        return None
+    path = []
+    x = v
+    while x != u:
+        x, label = prev[x]
+        path.append(label)
+    return path
 
 
 def all_pairwise_cuts(g: Multigraph, vertices) -> dict:

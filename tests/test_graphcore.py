@@ -205,6 +205,10 @@ class TestMaderSplit:
         g = graph_from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (1, 3)])
         with pytest.raises(PreconditionViolationError):
             mader_split(g, 0)
+        # degree 4 from two loops alone leaves no pair to split either
+        g = graph_from_pairs(1, [(0, 0), (0, 0)])
+        with pytest.raises(PreconditionViolationError):
+            mader_split(g, 0)
 
     def test_cut_edge_rejected(self):
         g = graph_from_pairs(4, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 3)])

@@ -21,9 +21,22 @@ from treepack import (
 )
 from treepack import InternalInvariantError, Matroid, build_steiner_hypergraph
 from treepack.generate import generate
-from treepack.matroid import check_matroid_axioms, iter_partitions, pack_elements
+from treepack.matroid import (
+    GraphicMatroid,
+    _RootedForest,
+    check_matroid_axioms,
+    iter_partitions,
+    pack_elements,
+)
 from treepack.rng import SplitMix64
-from conftest import brute_hypergraphic_independent, c4, doubled_triangle, random_multigraph
+from conftest import (
+    brute_hypergraphic_independent,
+    c4,
+    doubled_triangle,
+    forest_path,
+    random_multigraph,
+    triangle,
+)
 
 
 def bell(n: int) -> int:
@@ -43,6 +56,25 @@ def random_hypergraph(seed: int, n: int, m: int) -> Hypergraph:
     for eid in range(m):
         size = 2 + rng.below(2)
         h.add_hyperedge(eid, rng.sample(range(n), size))
+    return h
+
+
+def shared_pair_hypergraph(seed: int) -> Hypergraph:
+    """Each hyperedge after the first holds a vertex pair of an earlier one."""
+    rng = SplitMix64(seed)
+    n = 3 + rng.below(4)
+    h = Hypergraph(range(n), {0: rng.sample(range(n), 3)})
+    for eid in range(1, 2 + rng.below(8)):
+        pair = rng.sample(sorted(h.hyperedges[rng.below(eid)]), 2)
+        rest = [v for v in range(n) if v not in pair]
+        h.add_hyperedge(eid, pair + rng.sample(rest, rng.below(2)))
+    return h
+
+
+def reduced_fkk(n: int, k: int, seed: int) -> Hypergraph:
+    """The hypergraph of an fkk instance, which is already reduced."""
+    inst = generate("fkk", n, k, seed)
+    h, _ = build_steiner_hypergraph(inst.graph, inst.terminals)
     return h
 
 
@@ -242,6 +274,18 @@ def reference(oracle) -> Matroid:
     return Matroid(oracle.ground, oracle.independent, name="reference")
 
 
+def assert_circuits_match_probing(oracle, part: set[int]) -> None:
+    probe = reference(oracle)
+    state = oracle._part_state(part)
+    assert state is not None
+    for y in oracle.ground:
+        if y in part:
+            continue
+        circuit = oracle._circuit(part, state, y)
+        assert circuit == probe._circuit(part, part, y)
+        assert (circuit is None) == oracle.independent(part | {y})
+
+
 class TestUnionEngine:
     def test_pack_elements_matches_probing_reference(self):
         for seed in range(40):
@@ -255,8 +299,7 @@ class TestUnionEngine:
         # steiner-fkk benchmark shapes (fkk instances are already reduced).
         for seed in (1, 2):
             nwt = generate("nwt", 24, 2, seed).graph
-            fkk = generate("fkk", 11, 2, seed)
-            h, _ = build_steiner_hypergraph(fkk.graph, fkk.terminals)
+            h = reduced_fkk(11, 2, seed)
             for oracle in (graphic_matroid(nwt.vertices, nwt.edges), HypergraphicMatroid(h)):
                 assert pack_bases(oracle, 2) == pack_bases(reference(oracle), 2)
 
@@ -264,18 +307,64 @@ class TestUnionEngine:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_circuit_matches_probing(self, seed):
         rng = SplitMix64(seed)
-        for oracle in engine_oracles(seed):
-            probe = reference(oracle)
+        shared = HypergraphicMatroid(shared_pair_hypergraph(seed))
+        for oracle in (*engine_oracles(seed), shared):
             pool = [e for e in oracle.ground if rng.below(3)]
-            part = set(oracle.greedy_basis(pool))
-            state = oracle._part_state(part)
-            assert state is not None
-            for y in oracle.ground:
-                if y in part:
-                    continue
-                circuit = oracle._circuit(part, state, y)
-                assert circuit == probe._circuit(part, part, y)
-                assert (circuit is None) == oracle.independent(part | {y})
+            assert_circuits_match_probing(oracle, set(oracle.greedy_basis(pool)))
+
+    def test_circuit_matches_probing_on_reduced_fkk(self):
+        # Parts of 10 hyperedges: a basis of each packing, and one part
+        # of a 2-fold packing with the other's elements to probe.
+        for seed in (1, 2):
+            oracle = HypergraphicMatroid(reduced_fkk(11, 2, seed))
+            parts = pack_bases(oracle, 2).parts
+            assert min(len(p) for p in parts) >= 10
+            for part in parts:
+                assert_circuits_match_probing(oracle, set(part))
+
+    def test_chain_updates_keep_a_forest_of_the_part(self):
+        # The state a chain update leaves must be a representative forest
+        # of exactly the part, as `witness` would find one.
+        class Checked(HypergraphicMatroid):
+            updates = 0
+
+            def _part_update(self, part, state, left, arrived):
+                new = super()._part_update(part, state, left, arrived)
+                assert set(new.reps) == part and self.witness(part) is not None
+                assert all(set(pair) <= self.hypergraph.hyperedges[e]
+                           for e, pair in new.reps.items())
+                Checked.updates += 1
+                return new
+
+        for seed in range(40):
+            h = engine_oracles(seed)[1].hypergraph
+            for k in (1, 2, 3):
+                checked = Checked(h)
+                assert pack_elements(checked, k, checked.ground) == \
+                    pack_elements(reference(checked), k, checked.ground)
+        assert Checked.updates > 200
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_rooted_forest_paths_match_search(self, seed):
+        rng = SplitMix64(seed)
+        n = 1 + rng.below(12)
+        order = list(range(n))
+        rng.shuffle(order)
+        # a random forest: each vertex after the first joins an earlier one
+        # or starts a tree; labels are arbitrary distinct values
+        edges = [(100 + i, (order[i], order[rng.below(i)]))
+                 for i in range(1, n) if rng.below(4)]
+        forest = _RootedForest(edges)
+        assert forest.acyclic
+        for u in range(n + 1):
+            for v in range(n + 1):
+                assert forest.path(u, v) == forest_path(edges, u, v)
+        # one more edge, perhaps a loop, is a forest exactly when it joins
+        # two trees
+        extra = edges + [(0, (rng.below(n + 1), rng.below(n + 1)))]
+        assert _RootedForest(extra).acyclic == \
+            graphic_independent(range(n + 1), [ends for _, ends in extra])
 
     def test_reached_set_meets_the_edmonds_identity(self):
         # The failed searches reach a set A that holds every unplaced
@@ -315,6 +404,45 @@ class TestUnionEngine:
         oracle = Lying(range(2), lambda s: len(s) <= 1, name="lying")
         with pytest.raises(InternalInvariantError, match="broke part 0"):
             pack_elements(oracle, 1, [0, 1])
+
+        class LyingGraphic(GraphicMatroid):
+            def _circuit(self, part, state, y):
+                return None
+
+        g = triangle()
+        with pytest.raises(InternalInvariantError, match="broke part 0"):
+            pack_elements(LyingGraphic(g.vertices, g.edges), 1, g.edges)
+
+        class LyingHypergraphic(HypergraphicMatroid):
+            def _circuit(self, part, state, y):
+                return None
+
+        # three copies of a triple have rank 2: the chain update cannot
+        # insert the third
+        h = Hypergraph(range(3), {i: (0, 1, 2) for i in range(3)})
+        with pytest.raises(InternalInvariantError, match="broke part 0"):
+            pack_elements(LyingHypergraphic(h), 1, [0, 1, 2])
+
+    def test_work_stays_incremental(self, monkeypatch):
+        # Seeding the k empty parts is the only witness replay, and each
+        # circuit costs one exchange search: no confirming searches and no
+        # per-chain rebuilds.
+        calls = {"witness": 0, "_augment": 0}
+        for name in calls:
+            original = getattr(HypergraphicMatroid, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(HypergraphicMatroid, name, counted)
+        for n, k in ((11, 2), (24, 2), (9, 3)):
+            calls.update(witness=0, _augment=0)
+            result = pack_bases(HypergraphicMatroid(reduced_fkk(n, k, 1)), k)
+            assert result.complete
+            assert calls["witness"] == k
+            if n == 24:
+                assert calls["_augment"] < 600
 
 
 class TestAdjustUnion:

@@ -261,6 +261,27 @@ class TestPackSteinerTrees:
         assert result.succeeded
         assert all(not p for p in result.packing.parts)
 
+    def test_entry_connectivity_is_computed_once(self, monkeypatch):
+        # The pipeline's threshold check computes λ_T and hands it to the
+        # reduction, which would otherwise compute it again.
+        import treepack.graphcore
+        import treepack.packing
+        from treepack.generate import generate
+        inst = generate("fkk", 11, 2, 1)
+        calls = []
+        original = treepack.graphcore.steiner_min_cut
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(treepack.graphcore, "steiner_min_cut", counted)
+        monkeypatch.setattr(treepack.packing, "steiner_min_cut", counted)
+        result = pack_steiner_trees(inst.graph, inst.terminals, 2, threshold=6,
+                                    brute_fallback=False)
+        assert result.succeeded and len(result.trace) == 0
+        assert len(calls) == 1
+
     def test_lift_through_nontrivial_reduction(self):
         # non-terminal chain forces splits before the hypergraph step
         g = graph_from_pairs(2, [(0, 1)])
