@@ -10,7 +10,9 @@ Reports are line-oriented `key value` text so goldens diff cleanly; every
 timing line starts with `time_` and is the only part allowed to differ
 between identical runs.  Exit codes: 0 verified success or passing check,
 1 sound negative (certificate, infeasibility, failed check), 2 malformed
-input or bad arguments, 3 capacity refusal.
+input or bad arguments, 3 capacity refusal.  No subcommand reaches 3 today:
+certificates are read off the failed search, and the exhaustive fallback
+runs only within its caps.
 """
 
 from __future__ import annotations

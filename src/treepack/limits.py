@@ -15,7 +15,7 @@ from .errors import CapacityError, InstanceParseError, parse_int
 
 # Hard defaults.
 SUBSET_ELEMENTS = 18     # 2^n subset scans over a matroid ground set
-PARTITION_VERTICES = 10  # Bell-number partition scans over a vertex set
+PARTITION_VERTICES = 10  # Bell-number partition scan of check_fractional_union_basis
 BRUTE_EDGES = 16         # exhaustive packing search, edges
 BRUTE_PARTS = 3          # exhaustive packing search, number of parts
 

@@ -721,7 +721,6 @@ class PackBasesResult:
 
     family: UnionBasisFamily
     size: int
-    complete: bool       # size == k * rank(ground): parts are disjoint bases
     unplaced: tuple[int, ...]
     reached: frozenset[int]
 
@@ -846,18 +845,15 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
 def pack_bases(oracle: Matroid, k: int) -> PackBasesResult:
     """Maximum packing of the ground set into k disjoint independent parts.
 
-    complete=True means every part is a basis (the union has full k-fold
-    rank); otherwise the family plus its achieved size is the deficiency
-    certificate, and `reached` is a set A attaining the minimum of
-    |ground - A| + k * rank(A), read off the failed exchange searches.  The
-    graphic and hypergraphic oracles answer the rank without a replay: one
-    union-find pass, one exchange search per element.
+    The family plus its achieved size is the deficiency certificate, and
+    `reached` is a set A attaining the minimum of |ground - A| + k * rank(A),
+    read off the failed exchange searches.  No rank pass runs: the parts
+    are disjoint bases exactly when size == k * rank(ground), and the
+    pipelines test size == k * (|V| - 1), which needs no rank.
     """
     parts, unplaced, reached = _pack(oracle, k, oracle.ground)
     family = UnionBasisFamily(parts=tuple(frozenset(p) for p in parts))
-    size = family.size
-    complete = size == k * oracle.rank()
-    return PackBasesResult(family=family, size=size, complete=complete,
+    return PackBasesResult(family=family, size=family.size,
                            unplaced=tuple(unplaced), reached=reached)
 
 

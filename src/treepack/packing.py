@@ -1,16 +1,18 @@
 """End-to-end packing pipelines and their ground-truth oracle.
 
-Spanning-tree packing runs the k-fold union of the graphic matroid and, on
-failure, takes from the failed search a partition whose crossing-edge count
-certifies impossibility.  Terminal-tree ("steiner") and connector packing
-share one pipeline: check the requested cut threshold, reduce the instance
-until non-terminals form an independent set of degree-3 vertices, replace
-every non-terminal by a 3-vertex hyperedge, pack k disjoint bases of the
-hypergraphic matroid, decode the bases back to edge sets of the reduced
-graph, and lift the result through the reduction trace to the original
-graph.  Connector decoding keeps only the two edges named by each
-hyperedge's representative pair, so every used non-terminal has degree 2
-before lifting and even degree after.
+Spanning-tree packing runs the k-fold union of the graphic matroid.
+Terminal-tree ("steiner") and connector packing share one pipeline: check
+the requested cut threshold, reduce the instance until non-terminals form
+an independent set of degree-3 vertices, replace every non-terminal by a
+3-vertex hyperedge, pack k disjoint bases of the hypergraphic matroid,
+decode the bases back to edge sets of the reduced graph, and lift the
+result through the reduction trace to the original graph.  Connector
+decoding keeps only the two edges named by each hyperedge's representative
+pair, so every used non-terminal has degree 2 before lifting and even
+degree after.  When a union packing falls short, both pipelines take the
+same certificate off the failed search: the components of the edges or
+hyperedges it reached form a vertex partition with too few crossing
+elements, found without enumerating partitions.
 
 Every packing any pipeline hands back has already passed verify_packing;
 a verification failure after a claimed success raises an internal error
@@ -46,7 +48,7 @@ from .matroid import (
     Partition,
     graph_edge_sets,
     graphic_matroid,
-    iter_partitions,
+    iter_partitions,  # unused here, but bench/tracing.py wraps packing.iter_partitions
     pack_bases,
 )
 
@@ -298,50 +300,43 @@ def _verified(g: Multigraph, terminals: frozenset[int] | None, packing: Packing,
 # -- violating partitions -----------------------------------------------------
 
 
-def _first_violating_partition(vertices: frozenset[int],
-                               edge_sets: Mapping[int, frozenset[int]],
-                               k: int) -> Partition | None:
-    """First partition (canonical order) with fewer than k*(|P|-1) crossing
-    edges, or None."""
-    for p in iter_partitions(vertices):
-        if p.classify(edge_sets).outer_count < k * (len(p) - 1):
-            return p
-    return None
-
-
 def _violating_partition_certificate(vertices: frozenset[int],
                                      edge_sets: Mapping[int, frozenset[int]], k: int,
                                      reached: frozenset[int],
                                      scope: str = "graph") -> Certificate:
     """A partition certificate for a failed k-fold packing whose exchange
-    searches reached the edge set `reached` (`PackBasesResult.reached`).
+    searches reached the element set A = `reached` (`PackBasesResult.reached`),
+    for graphs and hypergraphs alike.
 
-    When no edge has more than two ends the matroid is graphic, and the
-    blocks are the components of (vertices, reached), isolated vertices
-    as singletons.  `reached` minimises |E - A| + k * rank(A), so no edge
-    outside it joins a block: the crossing count is size - k * rank(reached),
-    and the partition falls short of the bound by k(n-1) - size, the
-    largest deficiency of any partition.  No enumeration is needed.  A
-    hypergraphic rank is not a component count, so a scope with 3-vertex
-    hyperedges scans partitions within the partition-vertex cap.  Either
-    way the crossing count is recounted.
+    The blocks are the components of (vertices, A), isolated vertices as
+    singletons; no partition is enumerated.  For a partition Q write
+    rank(Q) = |vertices| - |Q| and cross(Q) for the elements that meet two
+    blocks.  Every partition has k * rank(Q) + cross(Q) >= size, and the
+    components attain it (Edmonds 1965; Frank-Kiraly-Kriesell 2003):
+
+    - Every part spans A, so B = part_0 & A is a basis of A.
+    - For each e in A - part_0, the vertex set X of the circuit C(part_0, e)
+      is tight for B: B has exactly |X| - 1 elements inside X.
+    - Tight sets that meet have a tight union.  So the merged sets Q satisfy
+      k * rank(Q) + cross(Q) <= |E - A| + k * |B| = size, the minimum.  For
+      k >= 2 this forces every element of A inside a block; for k = 1, A is
+      just the unplaced elements plus their circuits.
+    - So Q is the set of components of (vertices, A).
+
+    Hence the partition falls short of k(|Q|-1) by k(|vertices|-1) - size,
+    the largest deficiency of any partition.  Its crossing count is
+    recounted all the same, and a count that does not violate the bound is
+    an internal error.
     """
-    if all(len(ends) <= 2 for ends in edge_sets.values()):
-        dsu = _DSU()
-        for eid in reached:
-            u, *rest = edge_sets[eid]
-            for v in rest:
-                dsu.union(u, v)
-        blocks: dict[int, set[int]] = {}
-        for v in vertices:
-            blocks.setdefault(dsu.find(v), set()).add(v)
-        p = Partition(blocks=tuple(frozenset(b) for b in sorted(blocks.values(), key=min)))
-    else:
-        limits.require("partition-vertices", limits.PARTITION_VERTICES, len(vertices),
-                       "violating-partition extraction")
-        p = _first_violating_partition(vertices, edge_sets, k)
-        if p is None:
-            raise InternalInvariantError("packing failed but no partition violates the bound")
+    dsu = _DSU()
+    for eid in reached:
+        u, *rest = edge_sets[eid]
+        for v in rest:
+            dsu.union(u, v)
+    blocks: dict[int, set[int]] = {}
+    for v in vertices:
+        blocks.setdefault(dsu.find(v), set()).add(v)
+    p = Partition(blocks=tuple(frozenset(b) for b in sorted(blocks.values(), key=min)))
     out = p.classify(edge_sets).outer_count
     bound = k * (len(p) - 1)
     if out >= bound:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from treepack import Multigraph
+from treepack import Hypergraph, Multigraph
 from treepack.rng import SplitMix64
 
 
@@ -79,6 +79,16 @@ def random_multigraph(seed: int, max_vertices: int = 5, max_edges: int = 9,
             v = (u + 1) % n
         g.add_edge(u, v)
     return g
+
+
+def random_hypergraph(seed: int, n: int, m: int) -> Hypergraph:
+    """Seeded hypergraph on n vertices with m hyperedges of 2 or 3 vertices."""
+    rng = SplitMix64(seed)
+    h = Hypergraph(range(n))
+    for eid in range(m):
+        size = 2 + rng.below(2)
+        h.add_hyperedge(eid, rng.sample(range(n), size))
+    return h
 
 
 # -- oracles -----------------------------------------------------------------

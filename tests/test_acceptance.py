@@ -40,7 +40,12 @@ from treepack.fractional import ceil_fraction
 from treepack.matroid import graph_edge_sets, iter_partitions, pack_elements
 from treepack.generate import generate_fkk, generate_kriesell
 from treepack.rng import SplitMix64
-from conftest import all_pairwise_cuts, graph_from_pairs, random_multigraph
+from conftest import (
+    all_pairwise_cuts,
+    graph_from_pairs,
+    random_hypergraph,
+    random_multigraph,
+)
 
 
 @contextmanager
@@ -51,15 +56,6 @@ def criterion(number: int, name: str):
         print(f"ACCEPTANCE {number:2d} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {number:2d} {name}: PASS")
-
-
-def random_hypergraph(seed: int, n: int, m: int) -> Hypergraph:
-    rng = SplitMix64(seed)
-    h = Hypergraph(range(n))
-    for eid in range(m):
-        size = 2 + rng.below(2)
-        h.add_hyperedge(eid, rng.sample(range(n), size))
-    return h
 
 
 def test_criterion_1_tree_packing_biconditional():

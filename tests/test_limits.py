@@ -44,12 +44,11 @@ class TestEffectiveCaps:
 
 
 class TestCliCapacityExit:
-    def test_pack_exits_3_when_cap_blocks_certificate(self, monkeypatch, tmp_path,
-                                                      capsys):
-        # A reduced hypergraph with 3-vertex hyperedges still scans vertex
-        # partitions for its certificate.  This one has four terminals, so
-        # with every cap forced to 3 the scan cannot run, which must surface
-        # as a capacity refusal, never as a silent verdict.
+    def test_hypergraph_certificate_needs_no_cap(self, monkeypatch, tmp_path, capsys):
+        # A reduced hypergraph with 3-vertex hyperedges on four terminals.
+        # Its certificate is read off the failed packing search like a
+        # spanning-tree one, so even with every cap forced to 3 it is
+        # produced, and its counts survive a recount.
         from treepack import serialize_instance
         from treepack.cli import main
         monkeypatch.setenv("TREEPACK_CAPACITY", "3")
@@ -62,14 +61,22 @@ class TestCliCapacityExit:
         path.write_text(serialize_instance(g, {0, 1, 2, 3}), encoding="utf-8")
         code = main(["pack", str(path), "--mode", "steiner", "--k", "3",
                      "--threshold", "1"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "partition-vertices" in captured.err
-        monkeypatch.delenv("TREEPACK_CAPACITY")
-        code = main(["pack", str(path), "--mode", "steiner", "--k", "3",
-                     "--threshold", "1"])
+        report = dict(line.split(" ", 1)
+                      for line in capsys.readouterr().out.splitlines())
         assert code == 1
-        assert "certificate_scope reduced-hypergraph" in capsys.readouterr().out
+        assert report["certificate_kind"] == "violating-partition"
+        assert report["certificate_scope"] == "reduced-hypergraph"
+        blocks = [{int(v) for v in b.split(",")}
+                  for b in report["certificate_partition"].split("|")]
+        assert sorted(v for b in blocks for v in b) == [0, 1, 2, 3]
+        block_of = {v: i for i, b in enumerate(blocks) for v in b}
+        hyperedges = [(u, v) for u, v in g.edges.values() if max(u, v) < 4]
+        hyperedges += [(0, 1, 2), (1, 2, 3)]  # the two hubs
+        crossing = sum(len({block_of[v] for v in ends}) > 1 for ends in hyperedges)
+        bound = 3 * (len(blocks) - 1)
+        assert int(report["certificate_lambda_out"]) == crossing
+        assert int(report["certificate_bound"]) == bound
+        assert crossing < bound
 
     def test_spanning_certificate_needs_no_cap(self, monkeypatch, tmp_path, capsys):
         # C5 has no two disjoint spanning trees.  Its certificate is read

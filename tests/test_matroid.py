@@ -34,6 +34,7 @@ from conftest import (
     c4,
     doubled_triangle,
     forest_path,
+    random_hypergraph,
     random_multigraph,
     triangle,
 )
@@ -48,15 +49,6 @@ def bell(n: int) -> int:
             row.append(row[-1] + value)
         rows.append(row)
     return rows[-1][-1]
-
-
-def random_hypergraph(seed: int, n: int, m: int) -> Hypergraph:
-    rng = SplitMix64(seed)
-    h = Hypergraph(range(n))
-    for eid in range(m):
-        size = 2 + rng.below(2)
-        h.add_hyperedge(eid, rng.sample(range(n), size))
-    return h
 
 
 def shared_pair_hypergraph(seed: int) -> Hypergraph:
@@ -232,20 +224,23 @@ class TestAxioms:
 class TestPackBases:
     def test_doubled_triangle_two_spanning_trees(self):
         g = doubled_triangle()
-        result = pack_bases(graphic_matroid(g.vertices, g.edges), 2)
-        assert result.complete
+        oracle = graphic_matroid(g.vertices, g.edges)
+        result = pack_bases(oracle, 2)
+        assert result.size == 2 * oracle.rank()
         assert sorted(len(p) for p in result.parts) == [2, 2]
 
     def test_hypergraphic_four_copies(self):
         h = Hypergraph(range(3), {i: (0, 1, 2) for i in range(4)})
-        result = pack_bases(HypergraphicMatroid(h), 2)
-        assert result.complete
+        oracle = HypergraphicMatroid(h)
+        result = pack_bases(oracle, 2)
+        assert result.size == 2 * oracle.rank()
         assert sorted(len(p) for p in result.parts) == [2, 2]
 
     def test_c4_deficiency(self):
         g = c4()
-        result = pack_bases(graphic_matroid(g.vertices, g.edges), 2)
-        assert not result.complete
+        oracle = graphic_matroid(g.vertices, g.edges)
+        result = pack_bases(oracle, 2)
+        assert result.size != 2 * oracle.rank()
         assert result.size == 4  # below 2 * 3
 
     def test_parts_independent_and_size_is_union_rank(self):
@@ -425,8 +420,9 @@ class TestUnionEngine:
 
     def test_work_stays_incremental(self, monkeypatch):
         # Seeding the k empty parts is the only witness replay, and each
-        # circuit costs one exchange search: no confirming searches and no
-        # per-chain rebuilds.
+        # circuit costs one exchange search: no confirming searches, no
+        # per-chain rebuilds and no rank pass.  At n=24 the packing makes
+        # 245 searches, and a rank_greedy pass would add 79.
         calls = {"witness": 0, "_augment": 0}
         for name in calls:
             original = getattr(HypergraphicMatroid, name)
@@ -438,11 +434,12 @@ class TestUnionEngine:
             monkeypatch.setattr(HypergraphicMatroid, name, counted)
         for n, k in ((11, 2), (24, 2), (9, 3)):
             calls.update(witness=0, _augment=0)
-            result = pack_bases(HypergraphicMatroid(reduced_fkk(n, k, 1)), k)
-            assert result.complete
+            oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
+            result = pack_bases(oracle, k)
             assert calls["witness"] == k
             if n == 24:
-                assert calls["_augment"] < 600
+                assert calls["_augment"] < 300
+            assert result.size == k * oracle.rank()
 
 
 class TestAdjustUnion:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treepack import (
+    Hypergraph,
+    HypergraphicMatroid,
     InvalidArgumentError,
     Multigraph,
     Packing,
@@ -22,8 +24,11 @@ from treepack import (
     threshold_value,
     verify_packing,
 )
+from treepack.generate import generate
 from treepack.matroid import iter_partitions, graph_edge_sets
-from conftest import c4, doubled_triangle, graph_from_pairs, k4, triangle
+from treepack.packing import _violating_partition_certificate
+from treepack.rng import SplitMix64
+from conftest import c4, doubled_triangle, graph_from_pairs, k4, random_hypergraph, triangle
 
 
 def violates_tree_packing_bound(g, k) -> bool:
@@ -108,20 +113,25 @@ class TestPackSpanningTrees:
                 assert packed == brute == no_violation
 
 
-def max_deficiency(g, k) -> int:
+def max_deficiency(vertices, edge_sets, k) -> int:
     """The largest k*(|P|-1) - crossing(P) over every vertex partition."""
-    edge_sets = graph_edge_sets(g.edges)
     return max(k * (len(p) - 1) - p.classify(edge_sets).outer_count
-               for p in iter_partitions(g.vertices))
+               for p in iter_partitions(vertices))
 
 
-def recounted(g, cert, k) -> bool:
-    """The certificate's blocks partition V(g) and its counts are right."""
+def recounted(vertices, edge_sets, cert, k) -> bool:
+    """The certificate's blocks partition the vertices and its counts are
+    right; an edge or hyperedge crosses when it meets two blocks."""
     block_of = {v: i for i, block in enumerate(cert.partition) for v in block}
-    if sum(map(len, cert.partition)) != g.vertex_count() or block_of.keys() != g.vertices:
+    if sum(map(len, cert.partition)) != len(vertices) or block_of.keys() != set(vertices):
         return False
-    crossing = sum(block_of[u] != block_of[v] for u, v in g.edges.values())
+    crossing = sum(len({block_of[v] for v in ends}) > 1 for ends in edge_sets.values())
     return (cert.lambda_out, cert.bound) == (crossing, k * (len(cert.partition) - 1))
+
+
+def ground(g):
+    """A graph as the (vertices, edge_sets) pair the helpers above take."""
+    return g.vertices, graph_edge_sets(g.edges)
 
 
 class TestSpanningCertificates:
@@ -138,13 +148,13 @@ class TestSpanningCertificates:
             ends = [tuple(sorted(e)) for e in g.edges.values()]
             for k in (1, 2, 3):
                 result = pack_spanning_trees(g, k)
-                oracle = max_deficiency(g, k)
+                oracle = max_deficiency(*ground(g), k)
                 if result.succeeded:
                     assert oracle <= 0
                     continue
                 cert = result.certificate
                 assert cert.kind == "violating-partition" and cert.scope == "graph"
-                assert recounted(g, cert, k)
+                assert recounted(*ground(g), cert, k)
                 assert cert.bound - cert.lambda_out == oracle > 0
                 certificates += 1
                 seen["loop"] += any(u == v for u, v in ends)
@@ -158,7 +168,7 @@ class TestSpanningCertificates:
     def test_long_cycles_need_no_enumeration(self, n):
         g = graph_from_pairs(n, [(v, (v + 1) % n) for v in range(n)])
         cert = pack_spanning_trees(g, 2).certificate
-        assert recounted(g, cert, 2)
+        assert recounted(*ground(g), cert, 2)
         assert (cert.lambda_out, cert.bound) == (n, 2 * (n - 1))
 
     def test_components_of_the_reached_set_are_the_blocks(self):
@@ -171,10 +181,78 @@ class TestSpanningCertificates:
         cert = pack_spanning_trees(g, 2).certificate
         assert sorted(map(sorted, cert.partition)) == [[0, 1, 2], [3, 4, 5]]
         assert (cert.lambda_out, cert.bound) == (0, 2)
-        assert cert.bound - cert.lambda_out == max_deficiency(g, 2)
+        assert cert.bound - cert.lambda_out == max_deficiency(*ground(g), 2)
         g.add_edge(2, 3)  # a bridge: one crossing edge, still below 2
         cert = pack_spanning_trees(g, 2).certificate
         assert sorted(map(sorted, cert.partition)) == [[0, 1, 2], [3, 4, 5]]
+        assert (cert.lambda_out, cert.bound) == (1, 2)
+
+
+def joined_fkk(seed):
+    """Two fkk n=6 k=2 instances joined by one terminal edge: the graph,
+    its 12 terminals, and each half's terminal set."""
+    g = Multigraph()
+    halves = []
+    offset = 0
+    for s in (seed, seed + 100):
+        inst = generate("fkk", 6, 2, s)
+        for v in inst.graph.vertices:
+            g.add_vertex(v + offset)
+        for u, v in inst.graph.edges.values():
+            g.add_edge(u + offset, v + offset)
+        halves.append(frozenset(t + offset for t in inst.terminals))
+        offset += max(inst.graph.vertices) + 1
+    g.add_edge(min(halves[0]), min(halves[1]))
+    return g, halves[0] | halves[1], halves
+
+
+def fringed_hypergraph(seed):
+    """A random core of 3 to 6 vertices with at least as many hyperedges,
+    then up to 7 vertices in all, each new one joined by a single 2- or
+    3-vertex hyperedge.  Packings fail on the sparse fringe while the core
+    leaves hyperedges unplaced, so the failed searches reach something."""
+    rng = SplitMix64(seed)
+    core = 3 + rng.below(4)
+    n = core + rng.below(8 - core)
+    dense = random_hypergraph(seed, core, core + rng.below(2 * core))
+    h = Hypergraph(range(n), dense.hyperedges)
+    for v in range(core, n):
+        h.add_hyperedge(len(h.hyperedges), [v] + rng.sample(range(v), 1 + rng.below(2)))
+    return h
+
+
+class TestHypergraphCertificates:
+    """Reduced-hypergraph certificates come off the failed search too."""
+
+    def test_deficiency_is_the_maximum_over_all_partitions(self):
+        certificates = reached_triples = 0
+        for seed in range(150):
+            h = fringed_hypergraph(seed)
+            for k in (1, 2, 3):
+                packed = pack_bases(HypergraphicMatroid(h), k)
+                if packed.size == k * (len(h.vertices) - 1):
+                    continue  # maximality is checked against the scan in test_matroid
+                oracle = max_deficiency(h.vertices, h.hyperedges, k)
+                cert = _violating_partition_certificate(
+                    h.vertices, h.hyperedges, k, packed.reached,
+                    scope="reduced-hypergraph")
+                assert recounted(h.vertices, h.hyperedges, cert, k)
+                assert cert.bound - cert.lambda_out == oracle > 0
+                certificates += 1
+                reached_triples += any(len(h.hyperedges[e]) == 3 for e in packed.reached)
+        assert certificates > 200
+        assert reached_triples > 50
+
+    @pytest.mark.parametrize("pack", [pack_steiner_trees, pack_connectors])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_twelve_terminals_need_no_cap(self, pack, seed):
+        # Each half holds two trees; the one joining edge cannot carry two.
+        g, terminals, halves = joined_fkk(seed)
+        assert len(terminals) == 12
+        result = pack(g, terminals, 2, threshold=1, brute_fallback=False)
+        cert = result.certificate
+        assert (cert.kind, cert.scope) == ("violating-partition", "reduced-hypergraph")
+        assert sorted(map(sorted, cert.partition)) == sorted(map(sorted, halves))
         assert (cert.lambda_out, cert.bound) == (1, 2)
 
 
