@@ -4,14 +4,18 @@ The oracles here are deliberately independent of the library's primary
 code paths: cuts by subset enumeration, terminal connectivity by vertex
 bipartitions, hypergraphic independence by full representative products,
 forest paths by breadth-first search, and convex decomposability by an
-exact rational phase-one simplex.  Tests compare the fast implementations
-against these.
+exact rational phase-one simplex.  The reducer's slow paths live here
+too: bridges by one search per edge, split trials by a fresh min_cut per
+tree edge, and the scalar-bound deletion guard that recounts λ_T whenever
+its bound has no slack.  Tests compare the fast implementations against
+these.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -130,6 +134,32 @@ def _reachable(g: Multigraph, s: int, t: int, removed: set[int]) -> bool:
     return t in seen
 
 
+def brute_source_side(g: Multigraph, s: int, t: int) -> frozenset[int]:
+    """The s-side of the minimum s-t cut closest to s: the intersection of
+    the s-sides of all minimum cuts, found by trying every vertex set."""
+    others = sorted(g.vertices - {s, t})
+    sides = []
+    for mask in range(1 << len(others)):
+        side = {s} | {v for i, v in enumerate(others) if mask >> i & 1}
+        size = sum((a in side) != (b in side) for a, b in g.edges.values())
+        sides.append((size, side))
+    best = min(size for size, _ in sides)
+    return frozenset(set.intersection(*(side for size, side in sides if size == best)))
+
+
+def is_flow(g: Multigraph, flow, s: int, t: int, value: int) -> bool:
+    """Is `flow` (a list indexed by edge id, +1 along the stored edge
+    direction) a unit-capacity s-t flow of `value` that idles on loops?"""
+    net = dict.fromkeys(g.vertices, 0)
+    for eid, (a, b) in g.edges.items():
+        f = flow[eid] if eid < len(flow) else 0
+        if f not in (-1, 0, 1) or (a == b and f):
+            return False
+        net[a] += f
+        net[b] -= f
+    return all(net[v] == (value if v == s else -value if v == t else 0) for v in net)
+
+
 def brute_steiner_connectivity(g: Multigraph, terminals) -> int:
     """Minimum crossing-edge count over all vertex bipartitions splitting
     the terminal set (the graph must be connected for this to equal the
@@ -215,6 +245,153 @@ def reference_mader_split(g: Multigraph, u: int) -> tuple[tuple[int, int], int]:
                 return (e1, e2), rejected
             rejected += 1
     raise AssertionError(f"no cut-preserving pair at vertex {u}")
+
+
+def reference_has_incident_cut_edge(g: Multigraph, u: int) -> bool:
+    """One search from u per non-loop edge at u, with that edge removed."""
+    return any(not g.is_loop(eid) and not _reachable(g, u, g.other_end(eid, u), {eid})
+               for eid in g.incident_edges(u))
+
+
+def reference_flow_tree(g: Multigraph, vertices: list[int]) -> list[tuple[int, int, int]]:
+    """Gusfield's equivalent-flow tree as (x, p, λ(x, p)), one fresh
+    min_cut per edge."""
+    from treepack import min_cut
+    parent = {v: vertices[0] for v in vertices[1:]}
+    tree = []
+    for i, x in enumerate(vertices[1:], start=1):
+        p = parent[x]
+        value, side = min_cut(g, x, p)
+        tree.append((x, p, value))
+        for y in vertices[i + 1:]:
+            if parent[y] == p and y in side:
+                parent[y] = x
+    return tree
+
+
+def reference_split_verdict(g: Multigraph, u: int, e1: int, e2: int, tree) -> bool:
+    """Does the split keep every tree edge's value?  A fresh min_cut per
+    tree edge in the split graph."""
+    from treepack import min_cut, split_off
+    trial, _ = split_off(g, u, e1, e2)
+    return all(min_cut(trial, x, p)[0] >= value for x, p, value, *_ in tree)
+
+
+def reference_tree_split(g: Multigraph, u: int) -> tuple[int, int]:
+    """mader_split with a fresh flow tree per call and a fresh min_cut per
+    tree edge per trial, raising PreconditionViolationError where it does."""
+    from treepack import PreconditionViolationError
+    candidates = [e for e in g.incident_edges(u) if not g.is_loop(e)]
+    if g.degree(u) == 3 or len(candidates) < 2 or not g.is_connected() \
+            or reference_has_incident_cut_edge(g, u):
+        raise PreconditionViolationError(f"cannot split at {u}")
+    tree = reference_flow_tree(g, sorted(g.vertices - {u}))
+    for i, e1 in enumerate(candidates):
+        for e2 in candidates[i + 1:]:
+            if reference_split_verdict(g, u, e1, e2, tree):
+                return e1, e2
+    raise AssertionError(f"no cut-preserving pair at vertex {u}")
+
+
+def _reference_drain(g: Multigraph, u: int) -> list:
+    from treepack import split_off
+    from treepack.graphcore import DeleteEdgeStep, RemoveIsolatedStep
+    steps = []
+    while True:
+        for eid in [e for e in g.incident_edges(u) if g.is_loop(e)]:
+            steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
+            g.delete_edge(eid)
+        if g.degree(u) == 0:
+            break
+        if g.degree(u) == 2:
+            _, step = split_off(g, u, *g.incident_edges(u))
+            steps.append(replace(step, removed=u))
+            steps[-1].apply(g)
+            return steps
+        _, step = split_off(g, u, *reference_tree_split(g, u))
+        step.apply(g)
+        steps.append(step)
+    g.remove_vertex(u)
+    steps.append(RemoveIsolatedStep(vertex=u))
+    return steps
+
+
+def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
+    """The scalar-bound reducer: one lower bound on λ_T, spent one unit per
+    deletion while above the threshold and otherwise replaced by a full
+    steiner_connectivity recount, and a fresh tree split per split.
+    Returns the reduced graph and the trace steps."""
+    from treepack import PreconditionViolationError, split_off, steiner_connectivity
+    from treepack.graphcore import DeleteEdgeStep, RemoveIsolatedStep
+    tset = frozenset(terminals)
+    work = g.copy()
+    trace = []
+    bound = steiner_connectivity(g, tset)
+
+    def candidate(eid):
+        a, b = work.endpoints(eid)
+        if a == b or (a not in tset and b not in tset):
+            return True
+        if a in tset and b in tset:
+            return False
+        hub = a if a not in tset else b
+        return work.degree(hub) == 1 or any(
+            other != eid and sorted(work.endpoints(other)) == sorted((a, b))
+            for other in work.incident_edges(hub))
+
+    changed = True
+    while changed:
+        changed = False
+        for eid in sorted(work.edges):
+            if not work.has_edge(eid) or not candidate(eid):
+                continue
+            ends = work.endpoints(eid)
+            probe = work.copy()
+            probe.delete_edge(eid)
+            steps = [DeleteEdgeStep(edge=eid, ends=ends)]
+            for v in sorted(set(ends)):
+                if v not in tset and probe.degree(v) == 0:
+                    probe.remove_vertex(v)
+                    steps.append(RemoveIsolatedStep(vertex=v))
+            if ends[0] != ends[1]:
+                if bound - 1 >= threshold and probe.is_connected():
+                    bound -= 1
+                else:
+                    exact = steiner_connectivity(probe, tset)
+                    if exact < threshold:
+                        continue
+                    bound = exact
+            work = probe
+            trace.extend(steps)
+            changed = True
+        for u in sorted(work.vertices - tset):
+            if not work.has_vertex(u):
+                continue
+            deg = work.degree(u)
+            if deg == 0:
+                work.remove_vertex(u)
+                trace.append(RemoveIsolatedStep(vertex=u))
+                changed = True
+            elif deg % 2 == 0:
+                probe = work.copy()
+                try:
+                    steps = _reference_drain(probe, u)
+                except PreconditionViolationError:
+                    continue
+                work = probe
+                trace.extend(steps)
+                changed = True
+            elif deg >= 5:
+                while work.degree(u) > 3:
+                    try:
+                        pair = reference_tree_split(work, u)
+                    except PreconditionViolationError:
+                        break
+                    _, step = split_off(work, u, *pair)
+                    step.apply(work)
+                    trace.append(step)
+                    changed = True
+    return work, trace
 
 
 # -- exact rational feasibility ------------------------------------------------

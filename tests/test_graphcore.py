@@ -19,27 +19,47 @@ from treepack import (
 )
 import treepack.graphcore
 from treepack.generate import generate, generate_kriesell
+from treepack.graphcore import (
+    SplitStep,
+    _drain_vertex,
+    _flow_tree,
+    _has_incident_cut_edge,
+    _Residual,
+    _split_trial,
+)
+from treepack.packing import Thresholds
 from conftest import (
     all_pairwise_cuts,
     brute_min_cut,
+    brute_source_side,
     brute_steiner_connectivity,
     c4,
     doubled_triangle,
     graph_from_pairs,
+    is_flow,
     random_multigraph,
+    reference_has_incident_cut_edge,
     reference_mader_split,
+    reference_reduce_instance,
+    reference_split_verdict,
     triangle,
 )
 
 
 def _eligible_split_vertices(g):
     """Vertices where mader_split's precondition holds."""
-    from treepack.graphcore import _has_incident_cut_edge
     if not g.is_connected():
         return []
     return [u for u in sorted(g.vertices)
             if g.degree(u) != 3 and g.degree(u) >= 2
             and not _has_incident_cut_edge(g, u)]
+
+
+def _doubled(g):
+    """g with one parallel copy of every edge."""
+    for a, b in list(g.edges.values()):
+        g.add_edge(a, b)
+    return g
 
 
 class TestMultigraph:
@@ -100,6 +120,18 @@ class TestMinCut:
         vs = sorted(g.vertices)
         s, t = vs[0], vs[1]
         assert min_cut(g, s, t)[0] == brute_min_cut(g, s, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_kernel_value_side_and_flow_match_enumeration(self, seed):
+        g = random_multigraph(seed, max_vertices=6, max_edges=10)
+        vs = sorted(g.vertices)
+        s, t = vs[seed % len(vs)], vs[(seed + 1) % len(vs)]
+        value, flow, side = _Residual(g).max_flow(s, t)
+        assert value == brute_min_cut(g, s, t)
+        assert side == brute_source_side(g, s, t)
+        assert is_flow(g, flow, s, t, value)
+        assert min_cut(g, s, t) == (value, side)
 
 
 class TestSteinerConnectivity:
@@ -221,14 +253,28 @@ class TestMaderSplit:
         g.add_edge(0, 3)  # nor is an edge with a parallel copy
         assert not any(_has_incident_cut_edge(g, u) for u in range(4))
 
+    def test_incident_cut_edge_matches_per_edge_search(self):
+        bridged = spared_by_twin = 0
+        for seed in range(200):
+            g = random_multigraph(seed, max_vertices=7, max_edges=10,
+                                  connected=seed % 2 == 0)
+            if seed % 3 == 0:
+                for eid, (a, b) in sorted(g.edges.items())[::2]:
+                    g.add_edge(a, b)
+            for u in sorted(g.vertices):
+                expected = reference_has_incident_cut_edge(g, u)
+                assert _has_incident_cut_edge(g, u) == expected, (seed, u)
+                bridged += expected
+                spared_by_twin += seed % 3 == 0 and not expected
+        assert bridged >= 300 and spared_by_twin >= 150
+
     def test_chosen_pair_matches_reference_on_seeded_multigraphs(self):
         checked = first_rejected = 0
         for seed in range(120):
             g = random_multigraph(seed, max_vertices=8, max_edges=13,
                                   loops=seed % 2 == 0, connected=True)
             if seed % 3 == 0:
-                for eid, (a, b) in sorted(g.edges.items()):
-                    g.add_edge(a, b)
+                _doubled(g)
             for u in _eligible_split_vertices(g):
                 pair, rejected = reference_mader_split(g, u)
                 assert mader_split(g, u) == pair, (seed, u)
@@ -248,11 +294,62 @@ class TestMaderSplit:
         assert checked >= 50 and first_rejected >= 30
 
 
+class TestSplitTrial:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_repaired_verdict_matches_fresh_cuts(self, seed):
+        # Every candidate pair at every splittable vertex: the repaired
+        # verdict is the fresh min_cut verdict, an accepted pair's flows
+        # are flows of the split graph of the same values, and the shared
+        # network is left as it was.
+        g = random_multigraph(seed, max_vertices=7, max_edges=12,
+                              loops=seed % 2 == 0, connected=True)
+        if seed % 3 == 0:
+            _doubled(g)
+        for u in _eligible_split_vertices(g):
+            net = _Residual(g)
+            tree = _flow_tree(net, sorted(g.vertices - {u}))
+            candidates = [e for e in g.incident_edges(u) if not g.is_loop(e)]
+            for i, e1 in enumerate(candidates):
+                for e2 in candidates[i + 1:]:
+                    repaired = _split_trial(g, net, tree, u, e1, e2)
+                    assert (repaired is not None) == \
+                        reference_split_verdict(g, u, e1, e2, tree), (seed, u, e1, e2)
+                    if repaired is not None:
+                        trial, _ = split_off(g, u, e1, e2)
+                        for x, p, value, flow in repaired:
+                            assert is_flow(trial, flow, x, p, value)
+            assert net.arcs == _Residual(g).arcs
+
+    def test_every_drain_call_matches_reference(self):
+        # A drain hands its flow tree from one split to the next, so each
+        # of its calls is checked, on the graph that call saw.
+        graphs = [_doubled(random_multigraph(seed, max_vertices=7, max_edges=11,
+                                             connected=True)) for seed in range(40)]
+        graphs += [generate_kriesell(n, 1, n).graph for n in range(9, 12)]
+        checked = carried = 0
+        for g in graphs:
+            for u in _eligible_split_vertices(g):
+                if g.degree(u) % 2 or g.degree(u) < 6:
+                    continue
+                replay = g.copy()
+                calls = 0
+                for step in _drain_vertex(g.copy(), u):
+                    if isinstance(step, SplitStep) and step.removed is None:
+                        pair, _ = reference_mader_split(replay, u)
+                        assert (step.e1, step.e2) == pair
+                        calls += 1
+                    step.apply(replay)
+                checked += calls
+                carried += max(calls - 1, 0)
+        assert checked >= 250 and carried >= 150
+
+
 class TestFlowTree:
     @staticmethod
     def _path_minimum(tree, a, b):
         adjacency = {}
-        for x, p, value in tree:
+        for x, p, value, _ in tree:
             adjacency.setdefault(x, []).append((p, value))
             adjacency.setdefault(p, []).append((x, value))
         best = {a: None}
@@ -267,16 +364,16 @@ class TestFlowTree:
 
     def test_tree_is_flow_equivalent(self):
         import networkx as nx
-        from treepack.graphcore import _flow_tree
         for seed in range(60):
             g = random_multigraph(seed, max_vertices=8, max_edges=16,
                                   connected=seed % 4 != 0)
             if seed % 3 == 0:
-                for eid, (a, b) in sorted(g.edges.items()):
-                    g.add_edge(a, b)
+                _doubled(g)
             vertices = sorted(g.vertices)
-            tree = _flow_tree(g, vertices)
+            tree = _flow_tree(_Residual(g), vertices)
             assert len(tree) == len(vertices) - 1
+            for x, p, value, flow in tree:
+                assert is_flow(g, flow, x, p, value), (seed, x, p)
             reference = nx.Graph()
             reference.add_nodes_from(vertices)
             for a, b in g.edges.values():
@@ -470,6 +567,73 @@ class TestReduceInstance:
         kinds = [type(step).__name__ for step in rr.trace.steps]
         assert kinds == ["DeleteEdgeStep", "DeleteEdgeStep", "SplitStep"]
         assert len(calls) == 2
+
+    def test_guard_runs_no_search_while_slack_remains(self, monkeypatch):
+        # The graph of the test above: λ_T = 7 at threshold 1.  Only the
+        # entry recount (7 paths and a failed search) and the exit recount
+        # (λ_T = 6: 6 and 1) search the residual network.
+        searches = []
+        route = _Residual.route
+
+        def counted(self, *args):
+            searches.append(1)
+            return route(self, *args)
+
+        g = graph_from_pairs(3, [(0, 1)] * 5 + [(0, 2), (0, 2), (1, 2), (1, 2)])
+        monkeypatch.setattr(_Residual, "route", counted)
+        rr = reduce_instance(g, {0, 1}, 1)
+        assert len(searches) == 8 + 7
+        assert len(rr.trace) == 3 and steiner_connectivity(rr.graph, {0, 1}) == 6
+
+    def test_flow_guard_matches_scalar_bound_reference(self):
+        # The guard's per-terminal bounds and carried flows decide every
+        # deletion exactly as one scalar bound with full recounts does.
+        # paper-g is capped at λ_T where the instance falls short of it.
+        # Doubling a normal-form fkk instance makes every hub edge a
+        # parallel deletion candidate.
+        instances = []
+        for n in range(9, 13):
+            for k in (1, 2):
+                for seed in range(3):
+                    inst = generate_kriesell(n, k, seed)
+                    paper_g = min(Thresholds.for_k(k).g_k, inst.connectivity)
+                    instances += [(inst.graph, inst.terminals, t) for t in (2 * k, 3 * k, paper_g)]
+        for n, k in ((8, 2), (9, 3), (11, 2)):
+            for seed in range(3):
+                inst = generate("fkk", n, k, seed)
+                instances += [(inst.graph, inst.terminals, t) for t in (k, 2 * k, 3 * k)]
+                if k == 2 and seed < 2:
+                    doubled = _doubled(inst.graph.copy())
+                    instances += [(doubled, inst.terminals, t) for t in (2 * k, 4 * k, 6 * k)]
+        steps = deletions = 0
+        for g, terminals, threshold in instances:
+            rr = reduce_instance(g, terminals, threshold)
+            graph, trace = reference_reduce_instance(g, terminals, threshold)
+            assert rr.trace.steps == trace, (sorted(terminals), threshold)
+            assert rr.graph == graph
+            steps += len(trace)
+            deletions += sum(isinstance(step, treepack.graphcore.DeleteEdgeStep)
+                             for step in trace)
+        assert steps >= 4000 and deletions >= 3000
+
+    def test_guard_and_splits_stay_incremental(self, monkeypatch):
+        # Kriesell n=11, k=1, seed 7 at threshold 8 (λ_T = 9, five
+        # terminals, a 48-step trace).  The reduction makes 724 residual
+        # searches, entry and exit recounts included; fresh flows for every
+        # tree and every tight deletion made 3,164 (each flow's paths plus
+        # its one failed search).
+        searches = []
+        route = _Residual.route
+
+        def counted(self, *args):
+            searches.append(1)
+            return route(self, *args)
+
+        inst = generate("kriesell", 11, 1, 7)
+        monkeypatch.setattr(_Residual, "route", counted)
+        rr = reduce_instance(inst.graph, inst.terminals, 8)
+        assert (len(inst.terminals), inst.connectivity, len(rr.trace)) == (5, 9, 48)
+        assert len(searches) < 1000
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=3, max_value=7), st.integers(min_value=0, max_value=10_000))
