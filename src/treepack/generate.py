@@ -45,14 +45,13 @@ class GeneratedInstance:
     attempts: int
 
 
-def generate(model: str, n: int, k: int, seed: int,
-             max_edges: int | None = None) -> GeneratedInstance:
+def generate(model: str, n: int, k: int, seed: int) -> GeneratedInstance:
     if model == "nwt":
         return generate_nwt(n, k, seed)
     if model == "fkk":
         return generate_fkk(n, k, seed)
     if model == "kriesell":
-        return generate_kriesell(n, k, seed, max_edges=max_edges)
+        return generate_kriesell(n, k, seed)
     raise InvalidArgumentError(f"unknown model {model!r}")
 
 
@@ -156,6 +155,8 @@ def generate_kriesell(n: int, k: int, seed: int,
                     g.add_edge(u, v)
         if max_edges is not None and g.edge_count() > max_edges:
             continue
+        if not g.is_connected():
+            continue  # its terminals may still share a component
         conn = steiner_connectivity(g, terminals)
         if conn >= target:
             return GeneratedInstance(model="kriesell", n=n, k=k, seed=seed,

@@ -7,23 +7,24 @@ replayed forward (original -> reduced) or backward (reduced -> original)
 and reproduce ids exactly.
 
 Cut routines use unit-capacity augmenting paths; a loop never counts toward
-any cut.  Every flow runs in one private residual kernel, `_Residual`: an
-arc list laid out once per graph, flows as lists indexed by edge id, and
-one search that routes a unit from supply vertices to demand vertices.
+any cut.  A multigraph's incidence lists are its residual network, and
+every flow runs over them: flows are lists indexed by edge id, and one
+search (`_route`) sends a unit from supply vertices to demand vertices.
 `min_cut`, `steiner_min_cut`, the flow tree, the split trials and the
-deletion guard all use it, so a flow computed before an edit can be
-repaired after it instead of being recomputed.  The splitting-off
+deletion guard all use it, and a flow computed before an edit is repaired
+after it (`_reroute`) instead of being recomputed.  The splitting-off
 routines implement the classical degree-lowering operation (replace edges
 uv, uv' at u by a single edge vv') together with a verified search for a
 cut-preserving pair at a vertex, and a reducer that drives all
 non-terminals toward the bipartite degree-3 normal form used by the
 hypergraph packing pipeline.  The pair search checks each candidate
-against one Gusfield equivalent-flow tree instead of all pairwise cuts,
-by repairing the tree's flows (at most two units each), and consecutive
-splits at one vertex share the tree.  The reducer's deletion guard keeps
-a lower bound and, once known, a maximum flow for each terminal pair that
-makes up the terminal connectivity: slack is spent without flows, and a
-flow that the deleted edge carried is re-checked by one search.
+against one Gusfield equivalent-flow tree instead of all pairwise cuts:
+it splits the pair off, repairs the tree's flows (at most two units
+each), and undoes the split when one does not repair; consecutive splits
+at one vertex share the tree.  The reducer's deletion guard keeps a lower
+bound and, once known, a maximum flow for each terminal pair that makes up
+the terminal connectivity: slack is spent without flows, and a flow that
+the deleted edge carried is re-checked by one search.
 
 The reducer logs three kinds of step: a split (which, at a degree-2 vertex,
 also removes that vertex), an edge deletion, and an isolated-vertex removal.
@@ -53,39 +54,59 @@ class Multigraph:
     Edge ids are allocated from a monotone counter and never recycled, even
     across deletions.  A loop contributes 2 to the degree of its vertex.
     The vertex set is the key set of the incidence map.
+
+    Each vertex's incidence is its list of arcs (edge id, other end,
+    direction), which is also the graph's unit-capacity residual network:
+    edge i = (a, b) is listed at a as (i, b, +1) and at b as (i, a, -1),
+    and a loop once, as (i, a, +1).  A flow is a list indexed by edge id:
+    flow[i] is +1 when one unit runs from a to b, -1 for the reverse, 0
+    when idle, and an arc with direction d has residual capacity while
+    flow[i] != d.  A loop's arc leads back to its own vertex, so no search
+    ever takes it.
     """
 
     __slots__ = ("_edges", "_incidence", "_next_edge_id")
 
     def __init__(self):
         self._edges: dict[int, tuple[int, int]] = {}
-        self._incidence: dict[int, set[int]] = {}
+        self._incidence: dict[int, list[tuple[int, int, int]]] = {}
         self._next_edge_id = 0
 
     # -- construction ------------------------------------------------------
 
     def add_vertex(self, v: int) -> None:
         if v not in self._incidence:
-            self._incidence[v] = set()
+            self._incidence[v] = []
 
     def add_edge(self, u: int, v: int, eid: int | None = None) -> int:
         if u not in self._incidence or v not in self._incidence:
             raise InvalidArgumentError(f"edge endpoints {u},{v} must be existing vertices")
         if eid is None:
             eid = self._next_edge_id
+        elif eid < 0:
+            raise InvalidArgumentError(f"edge id {eid} is negative")
         elif eid in self._edges:
             raise InvalidArgumentError(f"edge id {eid} already in use")
         self._next_edge_id = max(self._next_edge_id, eid + 1)
         self._edges[eid] = (u, v)
-        self._incidence[u].add(eid)
-        self._incidence[v].add(eid)
+        self._incidence[u].append((eid, v, 1))
+        if u != v:
+            self._incidence[v].append((eid, u, -1))
         return eid
 
     def delete_edge(self, eid: int) -> None:
         u, v = self.endpoints(eid)
         del self._edges[eid]
-        self._incidence[u].discard(eid)
-        self._incidence[v].discard(eid)
+        self._incidence[u] = [arc for arc in self._incidence[u] if arc[0] != eid]
+        if v != u:
+            self._incidence[v] = [arc for arc in self._incidence[v] if arc[0] != eid]
+
+    def retract_edge(self, eid: int) -> None:
+        """Undo an add_edge: delete the edge and, when it holds the newest
+        id, hand that id back to the counter."""
+        self.delete_edge(eid)
+        if eid == self._next_edge_id - 1:
+            self._next_edge_id = eid
 
     def remove_vertex(self, v: int) -> None:
         if v not in self._incidence:
@@ -97,18 +118,8 @@ class Multigraph:
     def copy(self) -> "Multigraph":
         g = Multigraph()
         g._edges = dict(self._edges)
-        g._incidence = {v: set(ids) for v, ids in self._incidence.items()}
+        g._incidence = {v: list(arcs) for v, arcs in self._incidence.items()}
         g._next_edge_id = self._next_edge_id
-        return g
-
-    @classmethod
-    def from_edges(cls, vertices, edges) -> "Multigraph":
-        """Build from an iterable of vertices and (eid, u, v) triples."""
-        g = cls()
-        for v in vertices:
-            g.add_vertex(v)
-        for eid, u, v in edges:
-            g.add_edge(u, v, eid=eid)
         return g
 
     # -- queries -----------------------------------------------------------
@@ -154,20 +165,16 @@ class Multigraph:
     def incident_edges(self, v: int) -> list[int]:
         if v not in self._incidence:
             raise InvalidArgumentError(f"no vertex {v}")
-        return sorted(self._incidence[v])
+        return sorted([eid for eid, _, _ in self._incidence[v]])
 
     def degree(self, v: int) -> int:
         d = 0
-        for eid in self._incidence[v]:
-            a, b = self._edges[eid]
-            d += 2 if a == b else 1
+        for _, w, _ in self._incidence[v]:
+            d += 2 if w == v else 1
         return d
 
     def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for eid in self._incidence[v]:
-            a, b = self._edges[eid]
-            out.add(b if a == v else a)
+        out = {w for _, w, _ in self._incidence[v]}
         out.discard(v)
         return out
 
@@ -189,12 +196,8 @@ class Multigraph:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for eid in self._incidence[v]:
-                if eid == skip:
-                    continue
-                a, b = self._edges[eid]
-                w = b if a == v else a
-                if w not in seen:
+            for eid, w, _ in self._incidence[v]:
+                if w not in seen and eid != skip:
                     seen.add(w)
                     queue.append(w)
         return seen
@@ -242,7 +245,7 @@ class SplitStep:
     def undo(self, g: Multigraph) -> None:
         if self.removed is not None:
             g.add_vertex(self.removed)
-        g.delete_edge(self.child)
+        g.retract_edge(self.child)
         g.add_edge(*self.e1_ends, eid=self.e1)
         g.add_edge(*self.e2_ends, eid=self.e2)
 
@@ -310,84 +313,36 @@ class SplitTrace:
 # -- cuts --------------------------------------------------------------------
 
 
-class _Residual:
-    """Unit-capacity residual network of a multigraph, laid out once and
-    shared by every flow over that graph.
+def _route(g: Multigraph, flow: list[int], supply: dict[int, int],
+           demand: dict[int, int]) -> dict | None:
+    """One residual search: send one unit from a vertex of `supply` to a
+    vertex of `demand` along a shortest residual path of g.
 
-    Non-loop edge i = (a, b) gives the arc a -> b with direction +1 and the
-    arc b -> a with direction -1; loops give no arc.  A flow is a list
-    indexed by edge id: flow[i] is +1 when one unit runs from a to b, -1
-    for the reverse, 0 when idle, and an arc with direction d has residual
-    capacity while flow[i] != d.  An edit of the graph (a split, a
-    deletion) patches only the arc lists of the vertices it touches.
+    Both maps count the units still to leave or reach each vertex.  On
+    success the path is augmented into `flow`, its two ends are counted
+    off, and None is returned.  Otherwise nothing changes and the search's
+    parent map is returned; its keys are the vertices the supply can
+    reach.  Routing until a search fails is the augmenting path method on
+    the network with a super-source feeding the supply and a super-sink
+    draining the demand, so all of the supply routes exactly when some
+    flow in the residual network has these imbalances.
     """
-
-    __slots__ = ("arcs", "size")
-
-    def __init__(self, g: Multigraph):
-        self.arcs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in g.vertices}
-        self.size = g.next_edge_id  # the length of a flow list
-        for eid, (a, b) in g.edges.items():
-            self.attach(eid, a, b)
-
-    def attach(self, eid: int, a: int, b: int) -> None:
-        if a != b:
-            self.arcs[a].append((eid, b, 1))
-            self.arcs[b].append((eid, a, -1))
-
-    def detach(self, eids: tuple[int, ...], at) -> dict[int, list]:
-        """Drop the arcs of `eids` from the vertices `at` (all their ends);
-        returns the replaced arc lists, which `arcs.update` puts back."""
-        arcs = self.arcs
-        saved = {v: arcs[v] for v in at}
-        for v, old in saved.items():
-            arcs[v] = [arc for arc in old if arc[0] not in eids]
-        return saved
-
-    def route(self, flow: list[int], supply: dict[int, int],
-              demand: dict[int, int]) -> dict | None:
-        """One residual search: send one unit from a vertex of `supply` to
-        a vertex of `demand` along a shortest residual path.
-
-        Both maps count the units still to leave or reach each vertex.  On
-        success the path is augmented into `flow`, its two ends are counted
-        off, and None is returned.  Otherwise nothing changes and the
-        search's parent map is returned; its keys are the vertices the
-        supply can reach.  Routing until a search fails is the augmenting
-        path method on the network with a super-source feeding the supply
-        and a super-sink draining the demand, so all of the supply routes
-        exactly when some flow in the residual network has these
-        imbalances.
-        """
-        arcs = self.arcs
-        parent: dict[int, tuple[int, int, int] | None] = dict.fromkeys(supply)
-        queue = list(supply)
-        for x in queue:
-            for i, y, direction in arcs[x]:
-                if y not in parent and flow[i] != direction:
-                    parent[y] = (x, i, direction)
-                    if y in demand:
-                        _count_off(demand, y)
-                        while (step := parent[y]) is not None:
-                            y, i, direction = step
-                            flow[i] += direction
-                        _count_off(supply, y)
-                        return None
-                    queue.append(y)
-        return parent
-
-    def max_flow(self, s: int, t: int) -> tuple[int, list[int], frozenset[int]]:
-        """A maximum s-t flow from zero: its value, the flow, and the set
-        reachable from s in its residual graph."""
-        flow = [0] * self.size
-        # Each unit leaves s on its own edge, so one unit more than s has
-        # arcs is never all sent and the last search always fails.
-        supply = {s: len(self.arcs[s]) + 1}
-        demand = {t: len(self.arcs[t]) + 1}
-        value = 0
-        while (reached := self.route(flow, supply, demand)) is None:
-            value += 1
-        return value, flow, frozenset(reached)
+    arcs = g._incidence
+    parent: dict[int, tuple[int, int, int] | None] = dict.fromkeys(supply)
+    queue = list(supply)
+    for x in queue:
+        for i, y, direction in arcs[x]:
+            if y not in parent and flow[i] != direction:
+                parent[y] = (x, i, direction)
+                if y in demand:
+                    _count_off(demand, y)
+                    while (step := parent[y]) is not None:
+                        y, i, direction = step
+                        flow[i] += direction
+                    _count_off(supply, y)
+                    return None
+                queue.append(y)
+    return parent
 
 
 def _count_off(counts: dict[int, int], v: int) -> None:
@@ -397,11 +352,56 @@ def _count_off(counts: dict[int, int], v: int) -> None:
         counts[v] -= 1
 
 
+def _max_flow(g: Multigraph, s: int, t: int) -> tuple[int, list[int], frozenset[int]]:
+    """A maximum s-t flow from zero: its value, the flow, and the set
+    reachable from s in its residual graph."""
+    flow = [0] * g.next_edge_id
+    # Each unit leaves s on its own edge, so one unit more than s has arcs
+    # is never all sent and the last search always fails.
+    supply = {s: len(g._incidence[s]) + 1}
+    demand = {t: len(g._incidence[t]) + 1}
+    value = 0
+    while (reached := _route(g, flow, supply, demand)) is None:
+        value += 1
+    return value, flow, frozenset(reached)
+
+
+def _reroute(g: Multigraph, flow: list[int],
+             dropped: tuple[tuple[int, tuple[int, int]], ...]) -> list[int] | None:
+    """Repair a flow of the graph before an edit into g, the graph after
+    it.  `dropped` lists the removed edges as (edge id, ends); edges the
+    edit added start idle.
+
+    The flow's units on the removed edges are dropped, which leaves each
+    vertex that sent one a unit to send and each that received one a unit
+    to receive; routing that imbalance through g's residual network gives
+    a flow of g of the same value.  Returns it (the flow itself when it
+    left every removed edge idle, else a copy), or None when the imbalance
+    does not all route.
+    """
+    balance: dict[int, int] = {}
+    for eid, (a, b) in dropped:
+        if flow[eid]:
+            balance[a] = balance.get(a, 0) + flow[eid]
+            balance[b] = balance.get(b, 0) - flow[eid]
+    if not balance:
+        return flow
+    flow = flow + [0] * (g.next_edge_id - len(flow))
+    for eid, _ in dropped:
+        flow[eid] = 0
+    supply = {v: n for v, n in balance.items() if n > 0}
+    demand = {v: -n for v, n in balance.items() if n < 0}
+    while supply:
+        if _route(g, flow, supply, demand) is not None:
+            return None
+    return flow
+
+
 def min_cut(g: Multigraph, s: int, t: int) -> tuple[int, frozenset[int]]:
     """Minimum number of edges separating s from t, plus the s-side of one
     minimum cut.
 
-    Unit-capacity augmenting paths in a `_Residual` network: each non-loop
+    Unit-capacity augmenting paths in g's residual network: each non-loop
     edge carries at most one unit of flow in one direction.  The returned
     size equals the maximum number of edge-disjoint s-t paths.  The
     returned side is the set reachable from s in the final residual graph,
@@ -412,15 +412,16 @@ def min_cut(g: Multigraph, s: int, t: int) -> tuple[int, frozenset[int]]:
         raise InvalidArgumentError("min_cut needs two distinct vertices")
     if not g.has_vertex(s) or not g.has_vertex(t):
         raise InvalidArgumentError("min_cut endpoints must be vertices of the graph")
-    value, _, side = _Residual(g).max_flow(s, t)
+    value, _, side = _max_flow(g, s, t)
     return value, side
 
 
 def steiner_connectivity(g: Multigraph, terminals: frozenset[int] | set[int]) -> int:
     """Size of a minimum edge cut separating the terminal set.
 
-    Equals the minimum over pairwise terminal min-cuts.  A disconnected
-    graph reports 0.
+    Equals the minimum over pairwise terminal min-cuts: 0 when some
+    terminal lies in another component than the rest.  Components without
+    terminals do not matter.
     """
     size, _ = steiner_min_cut(g, terminals)
     return size
@@ -428,20 +429,21 @@ def steiner_connectivity(g: Multigraph, terminals: frozenset[int] | set[int]) ->
 
 def steiner_min_cut(g: Multigraph, terminals) -> tuple[int, frozenset[int]]:
     """Like steiner_connectivity but also returns one side of a minimum
-    terminal-separating cut (empty side when the graph is disconnected)."""
+    terminal-separating cut: the component of t0 = min T when some terminal
+    lies outside it."""
     tset = frozenset(terminals)
     if len(tset) < 2:
         raise InvalidArgumentError("terminal connectivity needs at least two terminals")
     if not tset <= g.vertices:
         raise InvalidArgumentError("terminals must be vertices of the graph")
-    if not g.is_connected():
-        return 0, frozenset()
     t0 = min(tset)
-    net = _Residual(g)
+    component = g._component_of(t0)
+    if not tset <= component:
+        return 0, frozenset(component)
     best = None
     best_side: frozenset[int] = frozenset()
     for t in sorted(tset - {t0}):
-        size, _, side = net.max_flow(t0, t)
+        size, _, side = _max_flow(g, t0, t)
         if best is None or size < best:
             best, best_side = size, side
     assert best is not None
@@ -483,8 +485,7 @@ def _has_incident_cut_edge(g: Multigraph, u: int) -> bool:
     never is, so only a neighbour joined to u by a single edge is tested,
     by one BFS from u that skips that edge."""
     lone: dict[int, int | None] = {}
-    for eid in g.incident_edges(u):
-        v = g.other_end(eid, u)
+    for eid, v, _ in g._incidence[u]:
         if v != u:
             lone[v] = None if v in lone else eid
     return any(eid is not None and v not in g._component_of(u, skip=eid)
@@ -494,7 +495,7 @@ def _has_incident_cut_edge(g: Multigraph, u: int) -> bool:
 _FlowTree = list[tuple[int, int, int, list[int]]]
 
 
-def _flow_tree(net: _Residual, vertices: list[int]) -> _FlowTree:
+def _flow_tree(g: Multigraph, vertices: list[int]) -> _FlowTree:
     """Gusfield's equivalent-flow tree on `vertices`, as edges
     (x, p, λ(x, p), a maximum x-p flow).
 
@@ -507,7 +508,7 @@ def _flow_tree(net: _Residual, vertices: list[int]) -> _FlowTree:
     tree = []
     for i, x in enumerate(vertices[1:], start=1):
         p = parent[x]
-        value, flow, side = net.max_flow(x, p)
+        value, flow, side = _max_flow(g, x, p)
         tree.append((x, p, value, flow))
         for y in vertices[i + 1:]:
             if parent[y] == p and y in side:
@@ -515,11 +516,12 @@ def _flow_tree(net: _Residual, vertices: list[int]) -> _FlowTree:
     return tree
 
 
-def _split_trial(g: Multigraph, net: _Residual, tree: _FlowTree, u: int,
-                 e1: int, e2: int) -> _FlowTree | None:
-    """Does splitting e1 = u v1, e2 = u v2 off at u keep every tree edge's
-    flow value?  Returns the tree with each flow repaired into the split
-    graph, or None at the first tree edge whose flow cannot be repaired.
+def _split_trial(g: Multigraph, tree: _FlowTree, u: int, e1: int, e2: int
+                 ) -> tuple[SplitStep, _FlowTree] | None:
+    """Split e1 = u v1, e2 = u v2 off at u in g, and keep the split when
+    every tree edge keeps its flow value: returns the step and the tree
+    with each flow repaired into the split graph.  Otherwise undoes the
+    split, leaving g as it was, and returns None.
 
     The repair of a flow from x to p (neither is u) drops its units on e1
     and e2 and leaves every other edge as it was.  That unbalances only u,
@@ -532,42 +534,30 @@ def _split_trial(g: Multigraph, net: _Residual, tree: _FlowTree, u: int,
     when the split graph still has λ(x, p) >= λ.  A split never raises a
     pairwise cut, so that is the same as keeping λ(x, p).
     """
-    v1, v2 = g.other_end(e1, u), g.other_end(e2, u)
-    # The units that leave u on e1 and e2 under a flow are flow[e] times
-    # these signs.
-    sign1 = 1 if g.endpoints(e1)[0] == u else -1
-    sign2 = 1 if g.endpoints(e2)[0] == u else -1
-    child = g.next_edge_id
-    saved = net.detach((e1, e2), {u, v1, v2})
-    net.attach(child, v1, v2)
-    try:
-        repaired = []
-        for x, p, value, flow in tree:
-            out1, out2 = flow[e1] * sign1, flow[e2] * sign2
-            if out1 or out2:
-                flow = flow + [0] * (child + 1 - len(flow))
-                flow[e1] = flow[e2] = 0
-                # u still takes in the units it sent on e1 and e2; v1 and
-                # v2 lack the units they received on them.
-                balance = {u: out1 + out2, v1: -out1}
-                balance[v2] = balance.get(v2, 0) - out2
-                supply = {v: n for v, n in balance.items() if n > 0}
-                demand = {v: -n for v, n in balance.items() if n < 0}
-                while supply:
-                    if net.route(flow, supply, demand) is not None:
-                        return None
-            repaired.append((x, p, value, flow))
-        return repaired
-    finally:
-        net.arcs.update(saved)
+    step = _split_inplace(g, u, e1, e2)
+    dropped = ((e1, step.e1_ends), (e2, step.e2_ends))
+    repaired = []
+    for x, p, value, flow in tree:
+        flow = _reroute(g, flow, dropped)
+        if flow is None:
+            step.undo(g)
+            return None
+        repaired.append((x, p, value, flow))
+    return step, repaired
 
 
-def _find_split(g: Multigraph, u: int, carried: tuple[_Residual, _FlowTree] | None
-                ) -> tuple[int, int, _Residual, _FlowTree]:
-    """mader_split's preconditions and search, from the residual network
-    and flow tree of the previous accepted split at u when `carried` has
-    them.  Returns the pair with the network and the repaired tree, both
-    of g before the split."""
+def _mader_split_inplace(g: Multigraph, u: int, tree: _FlowTree | None
+                         ) -> tuple[SplitStep, _FlowTree]:
+    """Mutating mader_split: check its preconditions, find the pair, and
+    split it off in g.  Returns the step and an equivalent-flow tree of the
+    split graph on V - u, which the next call at u takes as `tree` (None
+    builds one).
+
+    The tree stays an equivalent-flow tree of the split graph: the split
+    kept every pairwise cut among V - u, so every tree edge keeps its value
+    and every tree path minimum still equals its pair's cut.  Its repaired
+    flows are maximum flows of the split graph, of those same values.
+    """
     if not g.has_vertex(u):
         raise InvalidArgumentError(f"no vertex {u}")
     if g.degree(u) == 3:
@@ -579,16 +569,13 @@ def _find_split(g: Multigraph, u: int, carried: tuple[_Residual, _FlowTree] | No
         raise PreconditionViolationError("graph must be connected")
     if _has_incident_cut_edge(g, u):
         raise PreconditionViolationError(f"vertex {u} is incident with a cut-edge")
-    if carried is None:
-        net = _Residual(g)
-        tree = _flow_tree(net, sorted(g.vertices - {u}))
-    else:
-        net, tree = carried
+    if tree is None:
+        tree = _flow_tree(g, sorted(g.vertices - {u}))
     for i, e1 in enumerate(candidates):
         for e2 in candidates[i + 1:]:
-            repaired = _split_trial(g, net, tree, u, e1, e2)
-            if repaired is not None:
-                return e1, e2, net, repaired
+            found = _split_trial(g, tree, u, e1, e2)
+            if found is not None:
+                return found
     raise InternalInvariantError(
         f"no cut-preserving pair at vertex {u}: flow computation is suspect")
 
@@ -608,32 +595,11 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
     flow does not repair.
     Such a pair always exists when deg(u) != 3, u meets at least two
     non-loop edges and no cut-edge, and the graph is connected, so
-    exhausting the search signals a cut-computation bug.
+    exhausting the search signals a cut-computation bug.  The trials run on
+    a copy of g, which is left unchanged.
     """
-    e1, e2, _, _ = _find_split(g, u, None)
-    return e1, e2
-
-
-def _split_at(g: Multigraph, u: int, carried: tuple[_Residual, _FlowTree] | None
-              ) -> tuple[SplitStep, tuple[_Residual, _FlowTree]]:
-    """Mutating mader_split: find the pair, split it off in g, and return
-    the step with the network and flow tree of the split graph, for the
-    next call at u.
-
-    The tree stays an equivalent-flow tree of the split graph: the split
-    kept every pairwise cut among V - u, so every tree edge keeps its value
-    and every tree path minimum still equals its pair's cut.  Its repaired
-    flows are maximum flows of the split graph, of those same values.
-    """
-    e1, e2, net, tree = _find_split(g, u, carried)
-    v1, v2 = g.other_end(e1, u), g.other_end(e2, u)
-    step = _split_inplace(g, u, e1, e2)
-    net.detach((e1, e2), {u, v1, v2})
-    net.attach(step.child, v1, v2)
-    net.size = g.next_edge_id
-    for _, _, _, flow in tree:
-        flow.extend([0] * (net.size - len(flow)))
-    return step, (net, tree)
+    step, _ = _mader_split_inplace(g.copy(), u, None)
+    return step.e1, step.e2
 
 
 def _drain_vertex(g: Multigraph, u: int) -> list[TraceStep]:
@@ -650,7 +616,7 @@ def _drain_vertex(g: Multigraph, u: int) -> list[TraceStep]:
     steps: list[TraceStep] = []
     if g.degree(u) % 2 != 0:
         raise PreconditionViolationError(f"vertex {u} has odd degree")
-    carried = None
+    tree = None
     while True:
         loops = [eid for eid in g.incident_edges(u) if g.is_loop(eid)]
         for eid in loops:
@@ -665,7 +631,7 @@ def _drain_vertex(g: Multigraph, u: int) -> list[TraceStep]:
             g.remove_vertex(u)
             steps.append(replace(split, removed=u))
             return steps
-        step, carried = _split_at(g, u, carried)
+        step, tree = _mader_split_inplace(g, u, tree)
         steps.append(step)
     g.remove_vertex(u)
     steps.append(RemoveIsolatedStep(vertex=u))
@@ -715,7 +681,7 @@ def _is_normal_form(g: Multigraph, tset: frozenset[int]) -> bool:
 def _has_twin(g: Multigraph, eid: int) -> bool:
     """Does another edge join the two ends of `eid`?"""
     a, b = g.endpoints(eid)
-    return any(other != eid and g.other_end(other, a) == b for other in g._incidence[a])
+    return any(other != eid and w == b for other, w, _ in g._incidence[a])
 
 
 class _DeletionGuard:
@@ -744,7 +710,7 @@ class _DeletionGuard:
     passes; only then do the new bounds and flows replace the old.  Splits
     and drains keep every pairwise cut among the vertices they leave, so
     they keep the bounds, but they change the edges, so the vertex pass
-    makes the guard forget its flows and network.
+    clears the flows.
     """
 
     def __init__(self, terminals: frozenset[int], start: int, threshold: int):
@@ -752,59 +718,42 @@ class _DeletionGuard:
         self.threshold = threshold
         self.bounds = dict.fromkeys(sorted(terminals - {self.t0}), start)
         self.flows: dict[int, list[int]] = {}
-        self.net: _Residual | None = None
 
-    def forget_flows(self) -> None:
-        self.flows.clear()
-        self.net = None
-
-    def allows(self, g: Multigraph, eid: int, dropped: list[int]) -> bool:
-        """May non-loop edge `eid` go, with the non-terminal ends in
-        `dropped` that it leaves isolated?  Keeps the guard's network in
-        step with a deletion it allows."""
+    def allows(self, g: Multigraph, eid: int, ends: tuple[int, int]) -> bool:
+        """May non-loop edge `eid`, joining `ends`, go?  g is the graph
+        with the edge deleted, and with the non-terminal ends it left
+        isolated removed."""
         if self.threshold <= 0:
             return True  # every λ_T clears it, even a disconnected graph's
-        # With a positive threshold the graph is connected (λ_T reads 0
-        # otherwise, and every edit keeps it so), and stays connected
-        # unless e is a bridge; one with a parallel twin never is.  A
-        # component without terminals would read as λ_T = 0.
-        if not _has_twin(g, eid):
-            kept = min(v for v in g.vertices if v not in dropped)
-            if len(g._component_of(kept, skip=eid)) != g.vertex_count() - len(dropped):
-                return False
-        if self.net is None:
-            self.net = _Residual(g)
-        net, flows, threshold = self.net, self.flows, self.threshold
-        a, b = g.endpoints(eid)
+        # With a positive threshold the graph was connected (reduce_instance
+        # starts by dropping the components without terminals, λ_T reads 0
+        # when the terminals are apart, and every edit keeps it so), and
+        # stays connected unless e was a bridge; one with a parallel twin
+        # never is.  A stranded component would stop every later split.
+        a, b = ends
+        twin = g.has_vertex(a) and b in g.neighbors(a)
+        if not twin and not g.is_connected():
+            return False
+        flows, threshold = self.flows, self.threshold
         bounds: dict[int, int] = {}
         repaired: dict[int, list[int]] = {}
-        tight = []
         for t, bound in self.bounds.items():
             flow = flows.get(t)
             if flow is not None and flow[eid] == 0:
                 continue
             if bound > threshold:
                 bounds[t] = bound - 1
-            else:
-                tight.append(t)
-        saved = net.detach((eid,), {a, b})
-        for t in tight:
-            flow = flows.get(t)
+                continue
             if flow is None:
-                value, flow, _ = net.max_flow(self.t0, t)
+                value, flow, _ = _max_flow(g, self.t0, t)
                 bounds[t] = value
-                holds = value >= threshold
+                if value < threshold:
+                    return False
             else:
-                tail, head = (a, b) if flow[eid] == 1 else (b, a)
-                flow = flow.copy()
-                flow[eid] = 0
-                holds = net.route(flow, {tail: 1}, {head: 1}) is None
-            if not holds:
-                net.arcs.update(saved)
-                return False
+                flow = _reroute(g, flow, ((eid, ends),))
+                if flow is None:
+                    return False
             repaired[t] = flow
-        for v in dropped:
-            del net.arcs[v]
         for t, bound in bounds.items():
             self.bounds[t] = bound
             flows.pop(t, None)
@@ -818,10 +767,11 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
     neighbors while keeping the terminal connectivity at or above
     `threshold`.
 
-    Fixpoint loop: even-degree non-terminals are split to isolation and
-    removed; odd-degree non-terminals above 3 are split down to 3; loops,
-    edges between two non-terminals and parallel edges at a non-terminal
-    are deleted whenever the deleted graph stays connected with terminal
+    The components without terminals are deleted first.  Then a fixpoint
+    loop: even-degree non-terminals are split to isolation and removed;
+    odd-degree non-terminals above 3 are split down to 3; loops, edges
+    between two non-terminals and parallel edges at a non-terminal are
+    deleted whenever the deleted graph stays connected with terminal
     connectivity at or above the threshold.  That check (`_DeletionGuard`)
     keeps a lower bound on each λ(t0, t) that makes up the terminal
     connectivity, and runs residual searches only for terminals whose
@@ -844,6 +794,22 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
     trace = SplitTrace()
     guard = _DeletionGuard(tset, start, threshold)
 
+    # Components without terminals carry no part of a packing.  Deleting
+    # them first leaves a connected graph whenever λ_T > 0, which the
+    # deletion guard and the splits rely on.
+    kept: set[int] = set()
+    for t in sorted(tset):
+        if t not in kept:
+            kept |= work._component_of(t)
+    if len(kept) < work.vertex_count():
+        steps: list[TraceStep] = [DeleteEdgeStep(edge=eid, ends=ends)
+                                  for eid, ends in sorted(work.edges.items())
+                                  if ends[0] not in kept]
+        steps += [RemoveIsolatedStep(vertex=v) for v in sorted(work.vertices - kept)]
+        for step in steps:
+            step.apply(work)
+        trace.extend(steps)
+
     def deletion_candidate(eid: int) -> bool:
         a, b = work.endpoints(eid)
         if a == b:
@@ -864,29 +830,30 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
     while changed:
         changed = False
 
-        # Deletions guarded by the connectivity threshold.  Loops skip the
-        # check (they never lie in a cut).  The guard judges the composite
-        # move including the isolated-vertex cleanup that would follow,
-        # else pruning a pendant non-terminal would read as a disconnect.
+        # Deletions guarded by the connectivity threshold, each applied
+        # and undone when the guard refuses it.  Loops skip the check
+        # (they never lie in a cut).  The guard judges the composite move
+        # including the isolated-vertex cleanup that follows, else pruning
+        # a pendant non-terminal would read as a disconnect.
         for eid in sorted(work.edges):
-            if not work.has_edge(eid):
-                continue
-            if not deletion_candidate(eid):
+            if not work.has_edge(eid) or not deletion_candidate(eid):
                 continue
             ends = work.endpoints(eid)
-            dropped = [v for v in sorted(set(ends))
-                       if v not in tset and work.incident_edges(v) == [eid]]
-            if ends[0] != ends[1] and not guard.allows(work, eid, dropped):
+            steps = [DeleteEdgeStep(edge=eid, ends=ends)]
+            steps[0].apply(work)
+            for v in sorted(set(ends) - tset):
+                if work.degree(v) == 0:
+                    steps.append(RemoveIsolatedStep(vertex=v))
+                    steps[-1].apply(work)
+            if ends[0] != ends[1] and not guard.allows(work, eid, ends):
+                for step in reversed(steps):
+                    step.undo(work)
                 continue
-            steps: list[TraceStep] = [DeleteEdgeStep(edge=eid, ends=ends)]
-            steps.extend(RemoveIsolatedStep(vertex=v) for v in dropped)
-            for step in steps:
-                step.apply(work)
             trace.extend(steps)
             changed = True
 
         # Vertex rules, ascending id for reproducibility.
-        guard.forget_flows()
+        guard.flows.clear()
         for u in sorted(work.vertices - tset):
             if not work.has_vertex(u):
                 continue
@@ -910,10 +877,10 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
                 changed = True
                 continue
             if deg >= 5:
-                carried = None
+                tree = None
                 while work.degree(u) > 3:
                     try:
-                        step, carried = _split_at(work, u, carried)
+                        step, tree = _mader_split_inplace(work, u, tree)
                     except PreconditionViolationError:
                         break
                     trace.append(step)

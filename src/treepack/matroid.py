@@ -102,10 +102,6 @@ class EdgeClassification:
     outer: frozenset[int]
 
     @property
-    def inner_count(self) -> int:
-        return len(self.inner)
-
-    @property
     def outer_count(self) -> int:
         return len(self.outer)
 
@@ -377,10 +373,6 @@ def graphic_matroid(vertices: Iterable[int], edges: Mapping[int, tuple[int, int]
     return GraphicMatroid(vertices, edges)
 
 
-def free_matroid(ground: Iterable[int]) -> Matroid:
-    return Matroid(ground, lambda s: True, name="free")
-
-
 # -- hypergraphs --------------------------------------------------------------
 
 
@@ -580,10 +572,8 @@ class HypergraphicMatroid(Matroid):
     def _indep_query(self, subset: frozenset[int]) -> bool:
         return self.witness(subset) is not None
 
-    def rank_greedy(self, subset: Iterable[int] | None = None) -> int:
+    def rank(self, subset: Iterable[int] | None = None) -> int:
         return len(self._insert({}, self.members(subset), strict=False).reps)
-
-    rank = rank_greedy
 
     def _part_state(self, part: set[int]) -> _RepForest | None:
         """The part's representative forest from `witness`: one exchange
@@ -640,7 +630,7 @@ def hypergraphic_independent(h: Hypergraph, subset: Iterable[int]
 
 def hypergraphic_rank(h: Hypergraph, subset: Iterable[int] | None = None) -> int:
     """Matroid rank of the hyperedge subset via greedy augmentation."""
-    return HypergraphicMatroid(h).rank_greedy(subset)
+    return HypergraphicMatroid(h).rank(subset)
 
 
 def rank_by_partitions(h: Hypergraph, subset: Iterable[int] | None = None,

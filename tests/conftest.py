@@ -317,9 +317,11 @@ def _reference_drain(g: Multigraph, u: int) -> list:
 
 
 def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
-    """The scalar-bound reducer: one lower bound on λ_T, spent one unit per
-    deletion while above the threshold and otherwise replaced by a full
-    steiner_connectivity recount, and a fresh tree split per split.
+    """The scalar-bound reducer: components without terminals deleted
+    first, then one lower bound on λ_T, spent one unit per deletion while
+    above the threshold and otherwise replaced by a full
+    steiner_connectivity recount, a deletion that disconnects the graph
+    refused at a positive threshold, and a fresh tree split per split.
     Returns the reduced graph and the trace steps."""
     from treepack import PreconditionViolationError, split_off, steiner_connectivity
     from treepack.graphcore import DeleteEdgeStep, RemoveIsolatedStep
@@ -327,6 +329,14 @@ def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
     work = g.copy()
     trace = []
     bound = steiner_connectivity(g, tset)
+    reached = {v for v in work.vertices if any(_reachable(work, t, v, set()) for t in tset)}
+    for eid in sorted(work.edges):
+        if work.endpoints(eid)[0] not in reached:
+            trace.append(DeleteEdgeStep(edge=eid, ends=work.endpoints(eid)))
+            work.delete_edge(eid)
+    for v in sorted(work.vertices - reached):
+        trace.append(RemoveIsolatedStep(vertex=v))
+        work.remove_vertex(v)
 
     def candidate(eid):
         a, b = work.endpoints(eid)
@@ -354,7 +364,9 @@ def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
                     probe.remove_vertex(v)
                     steps.append(RemoveIsolatedStep(vertex=v))
             if ends[0] != ends[1]:
-                if bound - 1 >= threshold and probe.is_connected():
+                if threshold > 0 and not probe.is_connected():
+                    continue
+                if bound - 1 >= threshold:
                     bound -= 1
                 else:
                     exact = steiner_connectivity(probe, tset)

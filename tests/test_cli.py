@@ -75,7 +75,8 @@ class TestPack:
         assert code == 0
         assert "outcome packed" in out and "verified yes" in out
         packing = parse_packing(out_path.read_text(encoding="utf-8"))
-        g, _ = parse_instance(open(doubled_triangle_file).read())
+        with open(doubled_triangle_file, encoding="utf-8") as handle:
+            g, _ = parse_instance(handle.read())
         assert verify_packing(g, None, packing).ok
 
     def test_c4_spanning_certificate(self, capsys, c4_file):
@@ -107,6 +108,25 @@ class TestPack:
                             "--k", "1", "--threshold", "fkk", "--out", str(out_path))
         assert code == 0
         g, terminals = parse_instance(inst.read_text(encoding="utf-8"))
+        packing = parse_packing(out_path.read_text(encoding="utf-8"))
+        assert verify_packing(g, terminals, packing).ok
+
+    def test_terminal_free_component_does_not_block_packing(self, capsys, tmp_path):
+        # An isolated non-terminal used to read as terminal connectivity 0,
+        # a cut-too-small certificate with an empty side.
+        inst = tmp_path / "fkk.txt"
+        run_cli(capsys, "gen", "fkk", "--n", "6", "--k", "2", "--seed", "3",
+                "--out", str(inst))
+        g, terminals = parse_instance(inst.read_text(encoding="utf-8"))
+        g.add_vertex(99)
+        inst.write_text(serialize_instance(g, terminals), encoding="utf-8")
+        code, out = run_cli(capsys, "verify-cuts", str(inst), "--k", "2",
+                            "--threshold", "fkk")
+        assert code == 0 and "result pass" in out
+        out_path = tmp_path / "p.txt"
+        code, out = run_cli(capsys, "pack", str(inst), "--mode", "steiner", "--k", "2",
+                            "--threshold", "fkk", "--out", str(out_path))
+        assert code == 0 and "outcome packed" in out
         packing = parse_packing(out_path.read_text(encoding="utf-8"))
         assert verify_packing(g, terminals, packing).ok
 
@@ -188,6 +208,17 @@ class TestGen:
         assert "connectivity=" in joined and "target=8" in joined
         value = int(joined.split("connectivity=")[1].split()[0])
         assert value >= 8
+
+    def test_kriesell_instances_are_connected(self, capsys, tmp_path):
+        # At these seeds an earlier draw has every terminal in one
+        # component and a vertex apart; it is retried, as it was when
+        # such a graph read terminal connectivity 0.
+        inst = tmp_path / "k.txt"
+        for n, seed in ((7, 16), (9, 2), (10, 7)):
+            run_cli(capsys, "gen", "kriesell", "--n", str(n), "--k", "1",
+                    "--seed", str(seed), "--out", str(inst))
+            g, _ = parse_instance(inst.read_text(encoding="utf-8"))
+            assert g.is_connected(), (n, seed)
 
     def test_parse_round_trip_of_generated_instances(self, capsys, tmp_path):
         for model, n in (("nwt", 4), ("fkk", 4), ("kriesell", 3)):

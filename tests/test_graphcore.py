@@ -16,6 +16,7 @@ from treepack import (
     serialize_instance,
     split_off,
     steiner_connectivity,
+    steiner_min_cut,
 )
 import treepack.graphcore
 from treepack.generate import generate, generate_kriesell
@@ -24,7 +25,7 @@ from treepack.graphcore import (
     _drain_vertex,
     _flow_tree,
     _has_incident_cut_edge,
-    _Residual,
+    _max_flow,
     _split_trial,
 )
 from treepack.packing import Thresholds
@@ -84,6 +85,17 @@ class TestMultigraph:
         with pytest.raises(InvalidArgumentError):
             g.remove_vertex(0)
 
+    def test_negative_edge_id_rejected(self):
+        # Flows are lists indexed by edge id: ids -1, 5, -2 on a triangle
+        # read min_cut(g, 0, 2) as 3, and a lone edge -1 raised IndexError.
+        g = graph_from_pairs(3, [])
+        with pytest.raises(InvalidArgumentError, match="negative"):
+            g.add_edge(0, 1, eid=-1)
+        g.add_edge(1, 2, eid=5)
+        with pytest.raises(InvalidArgumentError, match="negative"):
+            g.add_edge(0, 2, eid=-2)
+        assert dict(g.edges) == {5: (1, 2)} and g.next_edge_id == 6
+
 
 class TestMinCut:
     def test_five_parallel_edges(self):
@@ -127,7 +139,7 @@ class TestMinCut:
         g = random_multigraph(seed, max_vertices=6, max_edges=10)
         vs = sorted(g.vertices)
         s, t = vs[seed % len(vs)], vs[(seed + 1) % len(vs)]
-        value, flow, side = _Residual(g).max_flow(s, t)
+        value, flow, side = _max_flow(g, s, t)
         assert value == brute_min_cut(g, s, t)
         assert side == brute_source_side(g, s, t)
         assert is_flow(g, flow, s, t, value)
@@ -150,8 +162,11 @@ class TestSteinerConnectivity:
         assert steiner_connectivity(g, {0, 1, 2}) == 2
 
     def test_disconnected_graph_reports_zero(self):
+        # Terminals in two components read 0, with t0's component as the
+        # side; a component without terminals does not count.
         g = graph_from_pairs(3, [(0, 1)])
-        assert steiner_connectivity(g, {0, 1}) == 0
+        assert steiner_min_cut(g, {0, 2}) == (0, frozenset({0, 1}))
+        assert steiner_connectivity(g, {0, 1}) == 1
 
     def test_single_terminal_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -275,11 +290,14 @@ class TestMaderSplit:
                                   loops=seed % 2 == 0, connected=True)
             if seed % 3 == 0:
                 _doubled(g)
+            before = g.copy()
             for u in _eligible_split_vertices(g):
                 pair, rejected = reference_mader_split(g, u)
                 assert mader_split(g, u) == pair, (seed, u)
                 checked += 1
                 first_rejected += rejected > 0
+            # the trials run on a copy: the input keeps its edges and ids
+            assert g == before and g.next_edge_id == before.next_edge_id
         assert checked >= 300 and first_rejected >= 20
 
     def test_chosen_pair_matches_reference_on_kriesell_graphs(self):
@@ -300,26 +318,27 @@ class TestSplitTrial:
     def test_repaired_verdict_matches_fresh_cuts(self, seed):
         # Every candidate pair at every splittable vertex: the repaired
         # verdict is the fresh min_cut verdict, an accepted pair's flows
-        # are flows of the split graph of the same values, and the shared
-        # network is left as it was.
+        # are flows of the split graph of the same values, and undoing
+        # each trial leaves the graph as it was.
         g = random_multigraph(seed, max_vertices=7, max_edges=12,
                               loops=seed % 2 == 0, connected=True)
         if seed % 3 == 0:
             _doubled(g)
         for u in _eligible_split_vertices(g):
-            net = _Residual(g)
-            tree = _flow_tree(net, sorted(g.vertices - {u}))
+            before = g.copy()
+            tree = _flow_tree(g, sorted(g.vertices - {u}))
             candidates = [e for e in g.incident_edges(u) if not g.is_loop(e)]
             for i, e1 in enumerate(candidates):
                 for e2 in candidates[i + 1:]:
-                    repaired = _split_trial(g, net, tree, u, e1, e2)
-                    assert (repaired is not None) == \
-                        reference_split_verdict(g, u, e1, e2, tree), (seed, u, e1, e2)
-                    if repaired is not None:
-                        trial, _ = split_off(g, u, e1, e2)
+                    verdict = reference_split_verdict(g, u, e1, e2, tree)
+                    found = _split_trial(g, tree, u, e1, e2)
+                    assert (found is not None) == verdict, (seed, u, e1, e2)
+                    if found is not None:
+                        step, repaired = found
                         for x, p, value, flow in repaired:
-                            assert is_flow(trial, flow, x, p, value)
-            assert net.arcs == _Residual(g).arcs
+                            assert is_flow(g, flow, x, p, value)
+                        step.undo(g)
+            assert g == before and g.next_edge_id == before.next_edge_id
 
     def test_every_drain_call_matches_reference(self):
         # A drain hands its flow tree from one split to the next, so each
@@ -370,7 +389,7 @@ class TestFlowTree:
             if seed % 3 == 0:
                 _doubled(g)
             vertices = sorted(g.vertices)
-            tree = _flow_tree(_Residual(g), vertices)
+            tree = _flow_tree(g, vertices)
             assert len(tree) == len(vertices) - 1
             for x, p, value, flow in tree:
                 assert is_flow(g, flow, x, p, value), (seed, x, p)
@@ -519,6 +538,22 @@ class TestReduceInstance:
         assert sorted(rr.graph.edges.values()) == [(0, 1)] * 4
         assert rr.trace.unapply(rr.graph) == g
 
+    def test_terminal_free_components_deleted_first(self):
+        # Terminals 0 and 1 share three edges; {2, 3} (a bridge and a loop)
+        # and the isolated vertex 4 hold no terminal.  Their edges and
+        # vertices go first, logged, and the rest reduces as usual.
+        g = graph_from_pairs(5, [(0, 1)] * 3 + [(2, 3), (3, 3)])
+        rr = reduce_instance(g, {0, 1}, 3)
+        assert rr.trace.steps[:5] == [
+            treepack.graphcore.DeleteEdgeStep(edge=3, ends=(2, 3)),
+            treepack.graphcore.DeleteEdgeStep(edge=4, ends=(3, 3)),
+            treepack.graphcore.RemoveIsolatedStep(vertex=2),
+            treepack.graphcore.RemoveIsolatedStep(vertex=3),
+            treepack.graphcore.RemoveIsolatedStep(vertex=4),
+        ]
+        assert rr.form == "fkk" and rr.graph == graph_from_pairs(2, [(0, 1)] * 3)
+        assert rr.trace.unapply(rr.graph) == g
+
     def test_kriesell_trace_is_pinned(self):
         # Deletions here have slack; accepting one that strands a
         # terminal-free component would change this trace (49 steps -> 48).
@@ -573,14 +608,14 @@ class TestReduceInstance:
         # entry recount (7 paths and a failed search) and the exit recount
         # (λ_T = 6: 6 and 1) search the residual network.
         searches = []
-        route = _Residual.route
+        route = treepack.graphcore._route
 
-        def counted(self, *args):
+        def counted(*args):
             searches.append(1)
-            return route(self, *args)
+            return route(*args)
 
         g = graph_from_pairs(3, [(0, 1)] * 5 + [(0, 2), (0, 2), (1, 2), (1, 2)])
-        monkeypatch.setattr(_Residual, "route", counted)
+        monkeypatch.setattr(treepack.graphcore, "_route", counted)
         rr = reduce_instance(g, {0, 1}, 1)
         assert len(searches) == 8 + 7
         assert len(rr.trace) == 3 and steiner_connectivity(rr.graph, {0, 1}) == 6
@@ -623,14 +658,14 @@ class TestReduceInstance:
         # tree and every tight deletion made 3,164 (each flow's paths plus
         # its one failed search).
         searches = []
-        route = _Residual.route
+        route = treepack.graphcore._route
 
-        def counted(self, *args):
+        def counted(*args):
             searches.append(1)
-            return route(self, *args)
+            return route(*args)
 
         inst = generate("kriesell", 11, 1, 7)
-        monkeypatch.setattr(_Residual, "route", counted)
+        monkeypatch.setattr(treepack.graphcore, "_route", counted)
         rr = reduce_instance(inst.graph, inst.terminals, 8)
         assert (len(inst.terminals), inst.connectivity, len(rr.trace)) == (5, 9, 48)
         assert len(searches) < 1000
@@ -643,7 +678,10 @@ class TestReduceInstance:
         inst = generate_kriesell(n, 1, seed)
         rr = reduce_instance(inst.graph, inst.terminals, min(8, inst.connectivity))
         assert rr.trace.apply(inst.graph) == rr.graph
-        assert rr.trace.unapply(rr.graph) == inst.graph
+        restored = rr.trace.unapply(rr.graph)
+        assert restored == inst.graph
+        # undoing a split hands its child's id back
+        assert restored.next_edge_id == inst.graph.next_edge_id
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -422,7 +422,7 @@ class TestUnionEngine:
         # Seeding the k empty parts is the only witness replay, and each
         # circuit costs one exchange search: no confirming searches, no
         # per-chain rebuilds and no rank pass.  At n=24 the packing makes
-        # 245 searches, and a rank_greedy pass would add 79.
+        # 245 searches, and a rank pass would add 79.
         calls = {"witness": 0, "_augment": 0}
         for name in calls:
             original = getattr(HypergraphicMatroid, name)
