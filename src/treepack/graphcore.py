@@ -665,17 +665,25 @@ class ReduceResult:
     terminals: frozenset[int]
     trace: SplitTrace
     form: str  # "fkk" when every non-terminal is degree-3 with three distinct
-    #            terminal neighbors; "partial" otherwise
+    #            terminal neighbors and no loop is left; "partial" otherwise
 
 
-def _is_normal_form(g: Multigraph, tset: frozenset[int]) -> bool:
-    for u in g.vertices - tset:
-        if g.degree(u) != 3:
-            return False
+def _normal_form_violation(g: Multigraph, tset: frozenset[int]
+                           ) -> tuple[str, int] | None:
+    """What first keeps g from the reduced normal form, or None when g is in
+    it.  The form asks every non-terminal to have degree 3 and three
+    distinct terminal neighbors, and the graph to have no loops.  The
+    report is ("vertex", u) for the least non-terminal that breaks the
+    first rule, else ("loop", eid) for the least loop."""
+    for u in sorted(g.vertices - tset):
         nbrs = g.neighbors(u)
-        if len(nbrs) != 3 or not nbrs <= tset:
-            return False
-    return True
+        if g.degree(u) != 3 or len(nbrs) != 3 or not nbrs <= tset:
+            return "vertex", u
+    for eid in sorted(g.edges):
+        u, v = g.endpoints(eid)
+        if u == v:
+            return "loop", eid
+    return None
 
 
 def _has_twin(g: Multigraph, eid: int) -> bool:
@@ -891,7 +899,7 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
     if final < threshold:
         raise InternalInvariantError(
             f"reduction lowered terminal connectivity to {final} < {threshold}")
-    form = "fkk" if _is_normal_form(work, tset) else "partial"
+    form = "partial" if _normal_form_violation(work, tset) else "fkk"
     return ReduceResult(graph=work, terminals=tset, trace=trace, form=form)
 
 

@@ -15,18 +15,20 @@ chains over the exchange digraph, whose arcs lead from an element y to the
 elements of the fundamental circuit C(I, y) of each part I that y is not in.
 An oracle keeps one state per part (`_part_state`), reads circuits off it
 (`_circuit`) and moves it past each chain that changes the part
-(`_part_update`).  The graphic oracle's state is the part's forest, rooted
-once (`_RootedForest`), and a circuit is the tree path between y's ends.
-The hypergraphic oracle's state is the part's representative forest, rooted
-the same way; a circuit is what one failed exchange search displaces, and
-a chain updates the forest by dropping the representatives of the elements
-that left and inserting the ones that arrived, as in the incremental
-matroid partition of Cunningham (1986) and Gabow-Westermann (1992).  The
-plain `Matroid` probes its predicate once per candidate instead, and is the
-reference both are tested against.  A search that fails leaves its reached
-set behind: every part spans it, and the union of those sets minimises
-|E - A| + k*rank(A), so certificates of deficiency are read off the failed
-searches instead of enumerated.
+(`_part_update`).  Both oracles keep one forest type as that state: a
+`_RootedForest` labelled by element id, rooted once, whose tree paths read
+off as element ids.  The graphic oracle's forest is the part's edges, and
+a circuit is the tree path between y's ends.  The hypergraphic oracle's is
+the part's representative forest, one pair per hyperedge; a circuit is
+what one failed exchange search displaces, and a chain updates the forest
+by dropping the representatives of the elements that left and inserting
+the ones that arrived, as in the incremental matroid partition of
+Cunningham (1986) and Gabow-Westermann (1992).  The plain `Matroid` probes
+its predicate once per candidate instead, and is the reference both are
+tested against.  A search that fails leaves its reached set behind: every
+part spans it, and the union of those sets minimises |E - A| + k*rank(A),
+so certificates of deficiency are read off the failed searches instead of
+enumerated.
 """
 
 from __future__ import annotations
@@ -283,25 +285,26 @@ def graphic_independent(vertices: Iterable[int], edges: Iterable[tuple[int, int]
 
 
 class _RootedForest:
-    """A forest of labelled edges (label, (u, v)), rooted once: each vertex
-    keeps its tree, its depth, its parent and the label of the edge to it.
-    A path query climbs from both ends to their lowest common ancestor, so
-    it costs the length of the path, not a search of the tree.  `acyclic`
-    is False when the edges were not a forest (a loop, or an edge that
-    closes a cycle); paths are then those of a spanning forest of them."""
+    """A forest of labelled edges, rooted once.  `ends` maps each label (an
+    element id: a graph edge, or a hyperedge by its representative pair) to
+    the edge's ends (u, v), and each vertex keeps its tree, its depth, its
+    parent and the label of the edge to it.  A path query climbs from both
+    ends to their lowest common ancestor, so it costs the length of the
+    path, not a search of the tree.  `acyclic` is False when the edges were
+    not a forest (a loop, a repeated pair, or an edge that closes a cycle);
+    paths are then those of a spanning forest of them."""
 
-    __slots__ = ("tree", "depth", "up", "acyclic")
+    __slots__ = ("ends", "tree", "depth", "up", "acyclic")
 
-    def __init__(self, edges: Iterable[tuple[object, Pair]]):
-        adj: dict[int, list[tuple[int, object]]] = {}
-        count = 0
-        for label, (a, b) in edges:
+    def __init__(self, ends: dict[int, Pair]):
+        self.ends = ends
+        adj: dict[int, list[tuple[int, int]]] = {}
+        for label, (a, b) in ends.items():
             adj.setdefault(a, []).append((b, label))
             adj.setdefault(b, []).append((a, label))
-            count += 1
         self.tree: dict[int, int] = {}
         self.depth: dict[int, int] = {}
-        self.up: dict[int, tuple[int, object]] = {}
+        self.up: dict[int, tuple[int, int]] = {}
         for root in adj:
             if root in self.tree:
                 continue
@@ -316,17 +319,17 @@ class _RootedForest:
                         self.depth[y] = self.depth[x] + 1
                         self.up[y] = (x, label)
                         stack.append(y)
-        self.acyclic = len(self.up) == count
+        self.acyclic = len(self.up) == len(ends)
 
-    def path(self, u: int, v: int) -> list | None:
+    def path(self, u: int, v: int) -> list[int] | None:
         """Labels on the path between u and v, listed from v back to u; None
         when u and v lie in different trees."""
         tree = self.tree
         if u != v and (u not in tree or v not in tree or tree[u] != tree[v]):
             return None
         depth, up = self.depth, self.up
-        from_v: list = []
-        from_u: list = []
+        from_v: list[int] = []
+        from_u: list[int] = []
         # The deeper end (v on a tie) is never the common ancestor.
         while u != v:
             if depth[v] >= depth[u]:
@@ -359,7 +362,7 @@ class GraphicMatroid(Matroid):
         return sum(dsu.union(*self.edges[e]) for e in self.members(subset))
 
     def _part_state(self, part: set[int]) -> _RootedForest | None:
-        forest = _RootedForest((e, self.edges[e]) for e in part)
+        forest = _RootedForest({e: self.edges[e] for e in part})
         return forest if forest.acyclic else None
 
     def _circuit(self, part: set[int], state: _RootedForest,
@@ -415,6 +418,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
         kind, *fields = line.split()
         values = [parse_int(x, lineno) for x in fields]
         if kind == "hypergraph":
+            if header is not None:
+                raise InstanceParseError(lineno, "duplicate hypergraph header")
             if len(values) != 2:
                 raise InstanceParseError(lineno, "hypergraph header needs two counts")
             header = (values[0], values[1])
@@ -468,24 +473,11 @@ def serialize_partition(p: Partition) -> str:
 # -- hypergraphic matroid -----------------------------------------------------
 
 
-class _RepForest:
-    """A representative forest: each hyperedge's pair, the hyperedge that
-    holds each pair, and the pairs rooted for path queries.  It is built
-    once per forest and read by every exchange search from that forest."""
-
-    __slots__ = ("reps", "holder", "paths")
-
-    def __init__(self, reps: dict[int, Pair]):
-        self.reps = reps
-        self.holder = {pair: e for e, pair in reps.items()}
-        self.paths = _RootedForest((pair, pair) for pair in self.holder)
-
-
 class HypergraphicMatroid(Matroid):
     """Matroid on hyperedges; independent sets admit a forest of
     representative pairs, one pair chosen inside each hyperedge.  A part's
-    state is its representative forest, which exchange chains update in
-    place of a rebuild."""
+    state is its representative forest, a `_RootedForest` labelled by
+    hyperedge id, which exchange chains update in place of a rebuild."""
 
     def __init__(self, h: Hypergraph):
         self.hypergraph = h
@@ -493,21 +485,22 @@ class HypergraphicMatroid(Matroid):
                        for eid, vs in h.hyperedges.items()}
         super().__init__(h.hyperedges.keys(), self._indep_query, name="hypergraphic")
 
-    def _augment(self, forest: _RepForest, new_eid: int,
+    def _augment(self, forest: _RootedForest, new_eid: int,
                  displaced: set[int] | None = None) -> dict[int, Pair] | None:
         """Insert one hyperedge into `forest` by a shortest exchange chain.
 
         Breadth-first over vertex pairs, starting from new_eid's: a claimed
         pair whose ends the forest joins displaces the hyperedges whose
-        representatives lie on that path, and each displaced hyperedge
-        claims its other pairs not yet claimed.  The first claimed pair whose
-        ends lie in different trees ends the search: the result maps each
-        hyperedge on its chain (new_eid included) to its new pair, for the
-        caller to apply.  On failure the result is None and `displaced`
-        (when given) has gained every hyperedge the search displaced.
-        `forest` is only read, so a failed search leaves nothing to undo."""
-        holder = forest.holder
-        path = forest.paths.path
+        representatives lie on that path (the path's labels), and each
+        displaced hyperedge claims its other pairs not yet claimed.  The
+        first claimed pair whose ends lie in different trees ends the
+        search: the result maps each hyperedge on its chain (new_eid
+        included) to its new pair, for the caller to apply.  On failure the
+        result is None and `displaced` (when given) has gained every
+        hyperedge the search displaced.  `forest` is only read, so a failed
+        search leaves nothing to undo."""
+        ends = forest.ends
+        path = forest.path
         pairs = self._pairs
         claimant: dict[Pair, int] = {}
         parent: dict[Pair, Pair | None] = {}
@@ -526,73 +519,64 @@ class HypergraphicMatroid(Matroid):
                     chain[claimant[cur]] = cur
                     cur = parent[cur]
                 return chain
-            for q in blockers:
-                needy = holder[q]
+            for needy in blockers:
                 if displaced is not None:
                     displaced.add(needy)
                 for p2 in pairs[needy]:
-                    if p2 == q or p2 in claimant:
+                    if p2 == ends[needy] or p2 in claimant:
                         continue
                     claimant[p2] = needy
                     parent[p2] = p
                     queue.append(p2)
         return None
 
-    def _insert(self, reps: dict[int, Pair], ids: Iterable[int],
-                strict: bool) -> _RepForest | None:
-        """The forest `reps` grown by each of `ids` in turn that fits, then
-        checked once; with strict=True, None at the first that does not."""
-        forest = _RepForest(reps)
+    def _insert(self, ends: dict[int, Pair], ids: Iterable[int],
+                strict: bool) -> _RootedForest | None:
+        """The forest `ends` grown by each of `ids` in turn that fits, then
+        checked once by the last build's `acyclic` (pairs are never loops,
+        and a repeated pair counts as a cycle); with strict=True, None at
+        the first that does not fit."""
+        forest = _RootedForest(ends)
         for eid in ids:
             chain = self._augment(forest, eid)
             if chain is not None:
-                forest = _RepForest({**forest.reps, **chain})
+                forest = _RootedForest({**forest.ends, **chain})
             elif strict:
                 return None
-        self._assert_forest(forest.reps)
-        return forest
-
-    def _assert_forest(self, reps: Mapping[int, Pair]) -> None:
-        pairs = list(reps.values())
-        if len(set(pairs)) != len(pairs) or not graphic_independent(
-                self.hypergraph.vertices, pairs):
+        if not forest.acyclic:
             raise InternalInvariantError(
                 "representative exchange produced a non-forest; "
                 "run check_matroid_axioms on the hypergraphic oracle")
+        return forest
 
     def witness(self, subset: Iterable[int]) -> dict[int, Pair] | None:
         """Representative pairs forming a forest, or None when dependent."""
-        ids = sorted(set(subset))
-        unknown = [e for e in ids if e not in self.hypergraph.hyperedges]
-        if unknown:
-            raise InvalidArgumentError(f"unknown hyperedge ids {unknown}")
-        forest = self._insert({}, ids, strict=True)
-        return None if forest is None else forest.reps
+        forest = self._insert({}, self.members(subset), strict=True)
+        return None if forest is None else forest.ends
 
     def _indep_query(self, subset: frozenset[int]) -> bool:
         return self.witness(subset) is not None
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
-        return len(self._insert({}, self.members(subset), strict=False).reps)
+        return len(self._insert({}, self.members(subset), strict=False).ends)
 
-    def _part_state(self, part: set[int]) -> _RepForest | None:
-        """The part's representative forest from `witness`: one exchange
-        search per element.  The engine asks this only of its empty parts;
-        after that, chains update the forest (`_part_update`)."""
-        reps = self.witness(part)
-        return None if reps is None else _RepForest(reps)
+    def _part_state(self, part: set[int]) -> _RootedForest | None:
+        """The part's representative forest as `witness` builds it: one
+        exchange search per element.  The engine asks this only of its
+        empty parts; after that, chains update the forest (`_part_update`)."""
+        return self._insert({}, self.members(part), strict=True)
 
-    def _part_update(self, part: set[int], state: _RepForest, left: set[int],
-                     arrived: set[int]) -> _RepForest | None:
+    def _part_update(self, part: set[int], state: _RootedForest, left: set[int],
+                     arrived: set[int]) -> _RootedForest | None:
         """Drop the representatives of `left` and insert each of `arrived`
         by one exchange search, then check the forest once: |arrived|
         searches where a rebuild takes |part|.  Each set on the way lies
         inside the new part, so while that is independent every insertion
         fits; one that does not reports the part dependent."""
-        kept = {e: pair for e, pair in state.reps.items() if e not in left}
+        kept = {e: pair for e, pair in state.ends.items() if e not in left}
         return self._insert(kept, sorted(arrived), strict=True)
 
-    def _circuit(self, part: set[int], state: _RepForest,
+    def _circuit(self, part: set[int], state: _RootedForest,
                  y: int) -> frozenset[int] | None:
         """One failed search from the part's forest displaces exactly the
         circuit C(part, y) less y.  Write D for its displaced set.

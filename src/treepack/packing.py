@@ -38,6 +38,7 @@ from .graphcore import (
     ReduceResult,
     SplitStep,
     SplitTrace,
+    _normal_form_violation,
     reduce_instance,
     steiner_min_cut,
 )
@@ -381,16 +382,16 @@ def build_steiner_hypergraph(g: Multigraph, terminals: frozenset[int]
     tset = frozenset(terminals)
     origin: dict[int, tuple[str, int]] = {}
     h = Hypergraph(tset)
-    for u in sorted(g.vertices - tset):
-        nbrs = g.neighbors(u)
-        if g.degree(u) != 3 or len(nbrs) != 3 or not nbrs <= tset:
+    violation = _normal_form_violation(g, tset)
+    if violation is not None:
+        kind, ref = violation
+        if kind == "vertex":
             raise InvalidArgumentError(
-                f"vertex {u} breaks the reduced form needed for the hypergraph step")
+                f"vertex {ref} breaks the reduced form needed for the hypergraph step")
+        raise InvalidArgumentError(f"loop {ref} cannot enter the hypergraph")
     next_id = (max(g.edges) + 1) if g.edges else 0
     for eid in sorted(g.edges):
         u, v = g.endpoints(eid)
-        if u == v:
-            raise InvalidArgumentError(f"loop {eid} cannot enter the hypergraph")
         if u in tset and v in tset:
             h.add_hyperedge(eid, (u, v))
             origin[eid] = ("edge", eid)
@@ -461,7 +462,6 @@ def lift_parts(parts: Iterable[frozenset[int]], trace: SplitTrace,
                     part.add(step.e1)
                     part.add(step.e2)
                     if mode == "steiner":
-                        part.intersection_update(g.edges)
                         refreshed = prune_to_terminal_tree(g, terminals, part)
                         part.clear()
                         part.update(refreshed)
@@ -734,6 +734,8 @@ def parse_packing(text: str) -> Packing:
         if not line or line.startswith("#"):
             continue
         if line.startswith("packing"):
+            if mode is not None:
+                raise InstanceParseError(lineno, "duplicate packing header")
             fields = line.split()
             if len(fields) != 3 or fields[1] not in MODES:
                 raise InstanceParseError(lineno, "expected 'packing <mode> <k>'")

@@ -36,9 +36,6 @@ class SplitMix64:
     def chance(self, p: int, q: int) -> bool:
         return self.below(q) < p
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def shuffle(self, items: list) -> None:
         # Fisher-Yates driven by below(); in-place, deterministic.
         for i in range(len(items) - 1, 0, -1):

@@ -325,9 +325,9 @@ class TestUnionEngine:
 
             def _part_update(self, part, state, left, arrived):
                 new = super()._part_update(part, state, left, arrived)
-                assert set(new.reps) == part and self.witness(part) is not None
+                assert set(new.ends) == part and self.witness(part) is not None
                 assert all(set(pair) <= self.hypergraph.hyperedges[e]
-                           for e, pair in new.reps.items())
+                           for e, pair in new.ends.items())
                 Checked.updates += 1
                 return new
 
@@ -350,7 +350,7 @@ class TestUnionEngine:
         # or starts a tree; labels are arbitrary distinct values
         edges = [(100 + i, (order[i], order[rng.below(i)]))
                  for i in range(1, n) if rng.below(4)]
-        forest = _RootedForest(edges)
+        forest = _RootedForest(dict(edges))
         assert forest.acyclic
         for u in range(n + 1):
             for v in range(n + 1):
@@ -358,7 +358,7 @@ class TestUnionEngine:
         # one more edge, perhaps a loop, is a forest exactly when it joins
         # two trees
         extra = edges + [(0, (rng.below(n + 1), rng.below(n + 1)))]
-        assert _RootedForest(extra).acyclic == \
+        assert _RootedForest(dict(extra)).acyclic == \
             graphic_independent(range(n + 1), [ends for _, ends in extra])
 
     def test_reached_set_meets_the_edmonds_identity(self):
@@ -418,12 +418,29 @@ class TestUnionEngine:
         with pytest.raises(InternalInvariantError, match="broke part 0"):
             pack_elements(LyingHypergraphic(h), 1, [0, 1, 2])
 
+    def test_non_forest_exchange_is_reported(self):
+        # An exchange search that "succeeds" where none fits hands back a
+        # chain whose pair closes a cycle; the forest built from it must
+        # be refused, both in `witness` and in a chain update.
+        class Cyclic(HypergraphicMatroid):
+            def _augment(self, forest, new_eid, displaced=None):
+                chain = super()._augment(forest, new_eid, displaced)
+                return {new_eid: self._pairs[new_eid][0]} if chain is None else chain
+
+        triangle_pairs = Hypergraph(range(3), {0: (0, 1), 1: (1, 2), 2: (0, 2)})
+        oracle = Cyclic(triangle_pairs)
+        with pytest.raises(InternalInvariantError, match="produced a non-forest"):
+            oracle.witness([0, 1, 2])
+        with pytest.raises(InternalInvariantError, match="produced a non-forest"):
+            pack_elements(oracle, 1, [0, 1, 2])
+
     def test_work_stays_incremental(self, monkeypatch):
-        # Seeding the k empty parts is the only witness replay, and each
-        # circuit costs one exchange search: no confirming searches, no
-        # per-chain rebuilds and no rank pass.  At n=24 the packing makes
-        # 245 searches, and a rank pass would add 79.
-        calls = {"witness": 0, "_augment": 0}
+        # Seeding the k empty parts is the only build from nothing, no
+        # witness replay runs, and each circuit costs one exchange search:
+        # no confirming searches, no per-chain rebuilds and no rank pass.
+        # At n=24 the packing makes 245 searches, and a rank pass would
+        # add 79.
+        calls = {"witness": 0, "_part_state": 0, "_augment": 0}
         for name in calls:
             original = getattr(HypergraphicMatroid, name)
 
@@ -433,10 +450,10 @@ class TestUnionEngine:
 
             monkeypatch.setattr(HypergraphicMatroid, name, counted)
         for n, k in ((11, 2), (24, 2), (9, 3)):
-            calls.update(witness=0, _augment=0)
+            calls.update(witness=0, _part_state=0, _augment=0)
             oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
             result = pack_bases(oracle, k)
-            assert calls["witness"] == k
+            assert calls["_part_state"] == k and calls["witness"] == 0
             if n == 24:
                 assert calls["_augment"] < 300
             assert result.size == k * oracle.rank()
@@ -517,6 +534,12 @@ class TestTextFormats:
         from treepack import InstanceParseError, parse_hypergraph
         with pytest.raises(InstanceParseError):
             parse_hypergraph("hypergraph 2 2\nh 0 0 1\nh 0 0 1\n")
+
+    def test_hypergraph_duplicate_header_rejected(self):
+        from treepack import InstanceParseError, parse_hypergraph
+        with pytest.raises(InstanceParseError) as err:
+            parse_hypergraph("hypergraph 3 1\nh 0 0 1\nhypergraph 2 1\n")
+        assert err.value.line_number == 3
 
     def test_hypergraph_field_counts_and_integers_checked(self):
         from treepack import InstanceParseError, parse_hypergraph

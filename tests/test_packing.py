@@ -292,13 +292,16 @@ class TestBuildSteinerHypergraph:
         assert all(len(v) == 3 for v in h.hyperedges.values())
 
     def test_rejects_non_reduced_shapes(self):
+        # a hub with a repeated terminal neighbour, and a loop at a terminal
         g = graph_from_pairs(2, [])
         g.add_vertex(2)
         g.add_edge(2, 0)
         g.add_edge(2, 0)
         g.add_edge(2, 1)
-        with pytest.raises(InvalidArgumentError):
-            build_steiner_hypergraph(g, frozenset({0, 1}))
+        looped = graph_from_pairs(2, [(0, 1), (0, 0)])
+        for graph, message in ((g, "vertex 2 breaks"), (looped, "loop 1 cannot")):
+            with pytest.raises(InvalidArgumentError, match=message):
+                build_steiner_hypergraph(graph, frozenset({0, 1}))
 
 
 class TestPackSteinerTrees:
@@ -629,6 +632,13 @@ class TestPackingFormat:
             with pytest.raises(InstanceParseError) as err:
                 parse_packing(f"packing steiner 1\npart 1: 0 {token}\n")
             assert err.value.line_number == 2
+
+    def test_duplicate_header_rejected(self):
+        # A second header must not switch the mode or part count mid-file.
+        from treepack import InstanceParseError
+        with pytest.raises(InstanceParseError) as err:
+            parse_packing("packing steiner 2\npart 1: 1 2\npacking connector 1\n")
+        assert err.value.line_number == 3
 
     def test_out_of_order_parts_rejected(self):
         from treepack import InstanceParseError
