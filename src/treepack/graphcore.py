@@ -797,6 +797,11 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
     if start < threshold:
         raise InvalidArgumentError(
             f"terminal connectivity {start} is below the threshold {threshold}")
+    if _normal_form_violation(g, tset) is None:
+        # Every non-terminal has three distinct terminal neighbours, so
+        # every component holds a terminal, no edge is a deletion
+        # candidate and no vertex rule applies: the reduction is empty.
+        return ReduceResult(graph=g.copy(), terminals=tset, trace=SplitTrace(), form="fkk")
 
     work = g.copy()
     trace = SplitTrace()

@@ -16,19 +16,21 @@ elements of the fundamental circuit C(I, y) of each part I that y is not in.
 An oracle keeps one state per part (`_part_state`), reads circuits off it
 (`_circuit`) and moves it past each chain that changes the part
 (`_part_update`).  Both oracles keep one forest type as that state: a
-`_RootedForest` labelled by element id, rooted once, whose tree paths read
-off as element ids.  The graphic oracle's forest is the part's edges, and
-a circuit is the tree path between y's ends.  The hypergraphic oracle's is
-the part's representative forest, one pair per hyperedge; a circuit is
-what one failed exchange search displaces, and a chain updates the forest
-by dropping the representatives of the elements that left and inserting
-the ones that arrived, as in the incremental matroid partition of
-Cunningham (1986) and Gabow-Westermann (1992).  The plain `Matroid` probes
-its predicate once per candidate instead, and is the reference both are
-tested against.  A search that fails leaves its reached set behind: every
-part spans it, and the union of those sets minimises |E - A| + k*rank(A),
-so certificates of deficiency are read off the failed searches instead of
-enumerated.
+`_RootedForest` labelled by element id, whose tree paths read off as
+element ids, built once per part while the part is empty and from then on
+updated in place, one cut or link per element that leaves or arrives.  The
+graphic oracle's forest is the part's edges, and a circuit is the tree path
+between y's ends.  The hypergraphic oracle's is the part's representative
+forest, one pair per hyperedge; a circuit is what one failed exchange
+search displaces, and a chain updates the forest by dropping the
+representatives of the elements that left and inserting the ones that
+arrived, as in the incremental matroid partition of Cunningham (1986) and
+Gabow-Westermann (1992).  The plain `Matroid` probes its predicate once
+per candidate instead, and is the reference both are tested against.  A
+search that fails leaves its reached set behind.  Every part spans it, so
+no later chain passes through it and later searches skip it; and the
+union of those sets minimises |E - A| + k*rank(A), so certificates of
+deficiency are read off the failed searches instead of enumerated.
 """
 
 from __future__ import annotations
@@ -200,8 +202,9 @@ class Matroid:
                      arrived: set[int]) -> object | None:
         """The state of `part` after an exchange chain took `left` out of it
         and put `arrived` in (`part` already reflects both), from its state
-        before; None when the part is now dependent.  The default derives
-        it afresh, which re-checks the whole part."""
+        before, which an override may update in place; None when the part
+        is now dependent.  The default derives it afresh, which re-checks
+        the whole part."""
         return self._part_state(part)
 
     def _circuit(self, part: set[int], state: object, y: int) -> frozenset[int] | None:
@@ -285,27 +288,36 @@ def graphic_independent(vertices: Iterable[int], edges: Iterable[tuple[int, int]
 
 
 class _RootedForest:
-    """A forest of labelled edges, rooted once.  `ends` maps each label (an
-    element id: a graph edge, or a hyperedge by its representative pair) to
-    the edge's ends (u, v), and each vertex keeps its tree, its depth, its
-    parent and the label of the edge to it.  A path query climbs from both
-    ends to their lowest common ancestor, so it costs the length of the
-    path, not a search of the tree.  `acyclic` is False when the edges were
-    not a forest (a loop, a repeated pair, or an edge that closes a cycle);
-    paths are then those of a spanning forest of them."""
+    """A rooted forest of labelled edges, kept rooted as it changes.
+    `ends` maps each label (an element id: a graph edge, or a hyperedge by
+    its representative pair) to the edge's ends (u, v); `adj` maps each
+    vertex to its linked edges, label -> other end; and each vertex keeps
+    its tree (the root's id), its depth, its parent and the label of the
+    edge to it.  A path query climbs from both ends to their lowest common
+    ancestor, so it costs the length of the path, not a search of the
+    tree.  The paths are a property of the edge set alone, so they do not
+    depend on where the trees are rooted.
 
-    __slots__ = ("ends", "tree", "depth", "up", "acyclic")
+    The constructor roots all the edges at once; `exchange` then moves the
+    forest past a change in place, re-labelling only the side of each cut
+    or link that changes tree.  `acyclic` is False once the edges are not
+    a forest (a loop, a repeated pair, or an edge that closes a cycle);
+    such an edge stays in `ends` unlinked, so paths are then those of a
+    spanning forest of them."""
+
+    __slots__ = ("ends", "adj", "tree", "depth", "up", "acyclic")
 
     def __init__(self, ends: dict[int, Pair]):
         self.ends = ends
-        adj: dict[int, list[tuple[int, int]]] = {}
+        nbrs: dict[int, list[tuple[int, int]]] = {}
         for label, (a, b) in ends.items():
-            adj.setdefault(a, []).append((b, label))
-            adj.setdefault(b, []).append((a, label))
+            nbrs.setdefault(a, []).append((b, label))
+            nbrs.setdefault(b, []).append((a, label))
         self.tree: dict[int, int] = {}
         self.depth: dict[int, int] = {}
         self.up: dict[int, tuple[int, int]] = {}
-        for root in adj:
+        self.adj: dict[int, dict[int, int]] = {v: {} for v in nbrs}
+        for root in nbrs:
             if root in self.tree:
                 continue
             self.tree[root] = root
@@ -313,13 +325,57 @@ class _RootedForest:
             stack = [root]
             while stack:
                 x = stack.pop()
-                for y, label in adj[x]:
+                for y, label in nbrs[x]:
                     if y not in self.tree:
                         self.tree[y] = root
                         self.depth[y] = self.depth[x] + 1
                         self.up[y] = (x, label)
+                        self.adj[x][label] = y
+                        self.adj[y][label] = x
                         stack.append(y)
         self.acyclic = len(self.up) == len(ends)
+
+    def exchange(self, left: Iterable[int], arrived: Mapping[int, Pair]) -> None:
+        """Drop the linked edges labelled `left`, then link each of
+        `arrived` (label -> ends) in turn.  An arrival whose ends one tree
+        already joins is kept unlinked and sets `acyclic` to False; a
+        forest in that state is only read before it is discarded."""
+        ends, adj, tree, depth, up = self.ends, self.adj, self.tree, self.depth, self.up
+        for label in left:
+            a, b = ends.pop(label)
+            del adj[a][label], adj[b][label]
+            # The end below the cut heads a tree of its own.
+            child = b if up.get(b) == (a, label) else a
+            del up[child]
+            self._relabel(child, child, 0)
+        for label, (a, b) in arrived.items():
+            ends[label] = (a, b)
+            if a == b or (a in tree and b in tree and tree[a] == tree[b]):
+                self.acyclic = False
+                continue
+            for v in (a, b):
+                if v not in tree:
+                    tree[v], depth[v], adj[v] = v, 0, {}
+            # b's tree is re-rooted at b and hangs below a.
+            self._relabel(b, tree[a], depth[a] + 1)
+            up[b] = (a, label)
+            adj[a][label] = b
+            adj[b][label] = a
+
+    def _relabel(self, top: int, root: int, top_depth: int) -> None:
+        """Re-root the tree of `top` at `top`, which gets depth `top_depth`:
+        every vertex of it gets the tree `root`, its distance from `top`
+        added to that depth, and a parent link towards `top`."""
+        adj, tree, depth, up = self.adj, self.tree, self.depth, self.up
+        stack = [(top, None, top_depth)]
+        while stack:
+            x, via, d = stack.pop()
+            tree[x] = root
+            depth[x] = d
+            for label, y in adj[x].items():
+                if label != via:
+                    up[y] = (x, label)
+                    stack.append((y, label, d + 1))
 
     def path(self, u: int, v: int) -> list[int] | None:
         """Labels on the path between u and v, listed from v back to u; None
@@ -364,6 +420,14 @@ class GraphicMatroid(Matroid):
     def _part_state(self, part: set[int]) -> _RootedForest | None:
         forest = _RootedForest({e: self.edges[e] for e in part})
         return forest if forest.acyclic else None
+
+    def _part_update(self, part: set[int], state: _RootedForest, left: set[int],
+                     arrived: set[int]) -> _RootedForest | None:
+        """Cut the edges that left the forest and link the ones that
+        arrived, in place.  Each forest on the way lies inside the new
+        part, so while that is a forest no link closes a cycle."""
+        state.exchange(left, {e: self.edges[e] for e in sorted(arrived)})
+        return state if state.acyclic else None
 
     def _circuit(self, part: set[int], state: _RootedForest,
                  y: int) -> frozenset[int] | None:
@@ -530,17 +594,17 @@ class HypergraphicMatroid(Matroid):
                     queue.append(p2)
         return None
 
-    def _insert(self, ends: dict[int, Pair], ids: Iterable[int],
+    def _insert(self, forest: _RootedForest, ids: Iterable[int],
                 strict: bool) -> _RootedForest | None:
-        """The forest `ends` grown by each of `ids` in turn that fits, then
-        checked once by the last build's `acyclic` (pairs are never loops,
-        and a repeated pair counts as a cycle); with strict=True, None at
-        the first that does not fit."""
-        forest = _RootedForest(ends)
+        """Grow `forest` in place by each of `ids` in turn that fits, each
+        applying its exchange chain (the displaced hyperedges' old pairs
+        out, the chain's pairs in), then check it once by `acyclic` (pairs
+        are never loops, and a repeated pair counts as a cycle); with
+        strict=True, None at the first that does not fit."""
         for eid in ids:
             chain = self._augment(forest, eid)
             if chain is not None:
-                forest = _RootedForest({**forest.ends, **chain})
+                forest.exchange([e for e in chain if e in forest.ends], chain)
             elif strict:
                 return None
         if not forest.acyclic:
@@ -551,30 +615,30 @@ class HypergraphicMatroid(Matroid):
 
     def witness(self, subset: Iterable[int]) -> dict[int, Pair] | None:
         """Representative pairs forming a forest, or None when dependent."""
-        forest = self._insert({}, self.members(subset), strict=True)
+        forest = self._insert(_RootedForest({}), self.members(subset), strict=True)
         return None if forest is None else forest.ends
 
     def _indep_query(self, subset: frozenset[int]) -> bool:
         return self.witness(subset) is not None
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
-        return len(self._insert({}, self.members(subset), strict=False).ends)
+        return len(self._insert(_RootedForest({}), self.members(subset), strict=False).ends)
 
     def _part_state(self, part: set[int]) -> _RootedForest | None:
         """The part's representative forest as `witness` builds it: one
         exchange search per element.  The engine asks this only of its
         empty parts; after that, chains update the forest (`_part_update`)."""
-        return self._insert({}, self.members(part), strict=True)
+        return self._insert(_RootedForest({}), self.members(part), strict=True)
 
     def _part_update(self, part: set[int], state: _RootedForest, left: set[int],
                      arrived: set[int]) -> _RootedForest | None:
         """Drop the representatives of `left` and insert each of `arrived`
-        by one exchange search, then check the forest once: |arrived|
-        searches where a rebuild takes |part|.  Each set on the way lies
-        inside the new part, so while that is independent every insertion
-        fits; one that does not reports the part dependent."""
-        kept = {e: pair for e, pair in state.ends.items() if e not in left}
-        return self._insert(kept, sorted(arrived), strict=True)
+        by one exchange search, all in place: |arrived| searches where a
+        rebuild takes |part|.  Each set on the way lies inside the new
+        part, so while that is independent every insertion fits; one that
+        does not reports the part dependent."""
+        state.exchange(left, {})
+        return self._insert(state, sorted(arrived), strict=True)
 
     def _circuit(self, part: set[int], state: _RootedForest,
                  y: int) -> frozenset[int] | None:
@@ -687,10 +751,12 @@ class PackBasesResult:
     """A maximum k-fold packing of the ground set.
 
     `reached` is the union of the element sets that the failed exchange
-    searches reached (Edmonds 1965).  It holds every unplaced element, each
-    part spans it, and size == |ground - reached| + k * rank(reached): it
-    is a minimiser of the matroid-union rank formula, empty when every
-    element was placed.
+    searches reached (Edmonds 1965); each search stops at the part of it
+    that earlier failures had reached, which leaves the union as it would
+    be without that pruning.  It holds every unplaced element, each part
+    spans it, and size == |ground - reached| + k * rank(reached): it is a
+    minimiser of the matroid-union rank formula, empty when every element
+    was placed.
     """
 
     family: UnionBasisFamily
@@ -732,18 +798,33 @@ class _Part:
         return self.circuits[y]
 
 
-def _union_augment(oracle: Matroid, parts: list[_Part],
-                   placement: dict[int, int], x: int) -> frozenset[int] | None:
+def _union_augment(oracle: Matroid, parts: list[_Part], placement: dict[int, int],
+                   x: int, closed: set[int]) -> frozenset[int] | None:
     """Shortest exchange chain inserting x into the part family.
 
     The arcs from y are the circuits of y in the parts y is not in.  A
     successful chain tells each part it changed which elements left it and
     which arrived, and the oracle updates that part's state and re-checks
     it.  Returns None when x was placed; otherwise the elements the search
-    reached.  Every part spans that set: each reached y outside a part has
-    its circuit in that part inside the set.  So no later chain enters it,
-    as arcs from it stay inside and none of its elements fits a part it is
-    not in."""
+    reached outside `closed`.
+
+    Every part spans the set a failed search reaches: each reached y
+    outside a part has its circuit in that part inside the set, and y
+    fits no part it is not in (Edmonds 1965).  `closed` is the union of
+    those sets from earlier failed searches, and the search never enqueues
+    an element of it.  That changes neither result:
+
+    - An element z of `closed` fits no part it is not in, and its circuits
+      lie inside `closed`.  So every search that reaches z reaches from it
+      only elements of `closed`, and none of them ends a chain; no chain
+      moves an element of `closed`, and the parts stay as they were on it,
+      so all of this keeps holding as parts change elsewhere.
+    - Hence an element outside `closed` is enqueued only from elements
+      outside it, which the search dequeues in the same order with or
+      without the pruning: every such element gets the same place in the
+      queue and the same parent, and the chain found is the same.
+    - On a failure, what the pruned search reaches is what the full one
+      reaches less `closed`, so the union of reached sets is the same."""
     parent: dict[int, int | None] = {x: None}
     queue = deque([x])
     while queue:
@@ -774,7 +855,7 @@ def _union_augment(oracle: Matroid, parts: list[_Part],
             circuits.append(circuit)
         for circuit in circuits:
             for z in sorted(circuit):
-                if z not in parent:
+                if z not in parent and z not in closed:
                     parent[z] = y
                     queue.append(z)
     return frozenset(parent)
@@ -791,7 +872,7 @@ def _pack(oracle: Matroid, k: int, elements: Iterable[int]
     unplaced: list[int] = []
     reached: set[int] = set()
     for x in sorted(set(elements)):
-        seen = _union_augment(oracle, parts, placement, x)
+        seen = _union_augment(oracle, parts, placement, x, reached)
         if seen is not None:
             unplaced.append(x)
             reached |= seen
@@ -805,12 +886,14 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     Elements are attempted in ascending id order; each one is inserted by
     the first shortest augmenting chain found, or reported back as
     unplaceable.  The total placed count equals the k-fold union rank of
-    the element set.  Each part keeps the oracle's state and the circuits
-    read off it until a chain changes the part.  Then the oracle updates
-    that state from the elements that left and arrived (`_part_update`)
-    and re-checks the part; the hypergraphic oracle does so with one
-    exchange search per arrival, so the parts' forests are built from
-    nothing only once, empty.
+    the element set.  A search skips the elements that earlier failed
+    searches reached, which hold no augmenting chain (`_union_augment`).
+    Each part keeps the oracle's state and the circuits read off it until
+    a chain changes the part.  Then the oracle updates that state in place
+    from the elements that left and arrived (`_part_update`) and re-checks
+    the part: the graphic oracle cuts and links forest edges, and the
+    hypergraphic one runs one exchange search per arrival.  So the parts'
+    forests are built from nothing only once, empty.
     """
     parts, unplaced, _ = _pack(oracle, k, elements)
     return parts, unplaced

@@ -7,8 +7,9 @@ forest paths by breadth-first search, and convex decomposability by an
 exact rational phase-one simplex.  The reducer's slow paths live here
 too: bridges by one search per edge, split trials by a fresh min_cut per
 tree edge, and the scalar-bound deletion guard that recounts λ_T whenever
-its bound has no slack.  Tests compare the fast implementations against
-these.
+its bound has no slack.  So does the union engine's: the exchange search
+with no pruning, over part states rebuilt after every chain.  Tests
+compare the fast implementations against these.
 """
 
 from __future__ import annotations
@@ -404,6 +405,60 @@ def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
                     trace.append(step)
                     changed = True
     return work, trace
+
+
+def reference_pack(oracle, k: int, elements):
+    """Edmonds' matroid partition with no pruning and no in-place updates:
+    every search runs over the whole exchange digraph, into the sets that
+    earlier failed searches closed as well, and each part a chain changed
+    gets its state anew from `_part_state`.  Returns the parts, the
+    unplaced elements, the union of the failed searches' reached sets and
+    the summed size of those sets."""
+    parts: list[set[int]] = [set() for _ in range(k)]
+    states = [oracle._part_state(part) for part in parts]
+    placement: dict[int, int] = {}
+    unplaced: list[int] = []
+    reached: set[int] = set()
+    reach = 0
+    for x in sorted(set(elements)):
+        parent = {x: None}
+        queue = deque([x])
+        placed = False
+        while queue and not placed:
+            y = queue.popleft()
+            circuits = []
+            for i in range(k):
+                if i == placement.get(y):
+                    continue
+                circuit = oracle._circuit(parts[i], states[i], y)
+                if circuit is None:
+                    changed, target, cur = set(), i, y
+                    while cur is not None:
+                        old = placement.get(cur)
+                        parts[target].add(cur)
+                        placement[cur] = target
+                        changed.add(target)
+                        if old is not None:
+                            parts[old].discard(cur)
+                            changed.add(old)
+                        target, cur = old, parent[cur]
+                    for t in changed:
+                        states[t] = oracle._part_state(parts[t])
+                        assert states[t] is not None
+                    placed = True
+                    break
+                circuits.append(circuit)
+            else:
+                for circuit in circuits:
+                    for z in sorted(circuit):
+                        if z not in parent:
+                            parent[z] = y
+                            queue.append(z)
+        if not placed:
+            unplaced.append(x)
+            reached |= parent.keys()
+            reach += len(parent)
+    return parts, unplaced, frozenset(reached), reach
 
 
 # -- exact rational feasibility ------------------------------------------------

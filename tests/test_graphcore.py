@@ -462,6 +462,29 @@ class TestReduceInstance:
         assert (rr.graph, rr.terminals, len(rr.trace), rr.form) == \
             (inst.graph, inst.terminals, 0, "fkk")
 
+    def test_normal_form_input_returns_at_once(self, monkeypatch):
+        # fkk instances are generated in normal form: no deletion guard is
+        # built, and the trace stays empty.
+        guards = []
+        guard = treepack.graphcore._DeletionGuard
+
+        def counted(*args):
+            guards.append(1)
+            return guard(*args)
+
+        monkeypatch.setattr(treepack.graphcore, "_DeletionGuard", counted)
+        for seed in (1, 2):
+            inst = generate("fkk", 11, 2, seed)
+            rr = reduce_instance(inst.graph, inst.terminals, 3 * 2)
+            assert (rr.graph, len(rr.trace), rr.form) == (inst.graph, 0, "fkk")
+            assert rr.graph is not inst.graph
+        assert guards == []
+        # one step off the normal form and the reducer runs
+        g = doubled_triangle()
+        g.add_edge(0, 0)
+        rr = reduce_instance(g, {0, 1, 2}, 2)
+        assert (len(rr.trace), rr.form, guards) == (1, "fkk", [1])
+
     def test_degree_four_nonterminal_eliminated_and_replayable(self):
         g = graph_from_pairs(3, [(2, 0), (2, 0), (2, 1), (2, 1)])
         rr = reduce_instance(g, {0, 1}, 2)

@@ -20,9 +20,11 @@ from treepack import (
     union_rank,
 )
 from treepack import InternalInvariantError, Matroid, build_steiner_hypergraph
+import treepack.matroid
 from treepack.generate import generate
 from treepack.matroid import (
     GraphicMatroid,
+    _DSU,
     _RootedForest,
     check_matroid_axioms,
     iter_partitions,
@@ -36,6 +38,7 @@ from conftest import (
     forest_path,
     random_hypergraph,
     random_multigraph,
+    reference_pack,
     triangle,
 )
 
@@ -269,6 +272,29 @@ def reference(oracle) -> Matroid:
     return Matroid(oracle.ground, oracle.independent, name="reference")
 
 
+def failing_oracles(seed: int):
+    """Oracles whose packings mostly leave elements unplaced: a multigraph
+    of up to 20 edges, loops and parallel edges among them, on at most 6
+    vertices, a hypergraph of 4 to 13 hyperedges on 3 to 6 vertices, and
+    the probing oracle over each."""
+    rng = SplitMix64(seed)
+    g = random_multigraph(seed, max_vertices=6, max_edges=20)
+    h = random_hypergraph(seed, n=3 + rng.below(4), m=4 + rng.below(10))
+    graphic, hypergraphic = graphic_matroid(g.vertices, g.edges), HypergraphicMatroid(h)
+    return graphic, hypergraphic, reference(graphic), reference(hypergraphic)
+
+
+def assert_pack_matches_reference(oracle, k: int) -> bool:
+    """pack_bases and pack_elements agree with the unpruned search on every
+    output; True when elements were left unplaced."""
+    parts, unplaced, reached, _ = reference_pack(oracle, k, oracle.ground)
+    result = pack_bases(oracle, k)
+    assert [set(p) for p in result.parts] == parts
+    assert (list(result.unplaced), result.reached) == (unplaced, reached)
+    assert pack_elements(oracle, k, oracle.ground) == (parts, unplaced)
+    return bool(unplaced)
+
+
 def assert_circuits_match_probing(oracle, part: set[int]) -> None:
     probe = reference(oracle)
     state = oracle._part_state(part)
@@ -279,6 +305,29 @@ def assert_circuits_match_probing(oracle, part: set[int]) -> None:
         circuit = oracle._circuit(part, state, y)
         assert circuit == probe._circuit(part, part, y)
         assert (circuit is None) == oracle.independent(part | {y})
+
+
+def assert_forest_matches_fresh(forest: _RootedForest, n: int) -> None:
+    """`forest` agrees with a forest built anew from its edges on the trees
+    its edges' ends fall into, on each path's labels and on `acyclic`."""
+    fresh = _RootedForest(dict(forest.ends))
+    assert forest.acyclic == fresh.acyclic
+    touched = {v for ends in forest.ends.values() for v in ends}
+
+    def trees(f):
+        groups: dict[int, set[int]] = {}
+        for v in touched:
+            groups.setdefault(f.tree[v], set()).add(v)
+        return sorted(sorted(g) for g in groups.values())
+
+    assert trees(forest) == trees(fresh)
+    edges = list(forest.ends.items())
+    for u in range(n):
+        for v in range(n):
+            path = forest.path(u, v)
+            assert path == forest_path(edges, u, v)
+            assert (path is None) == (fresh.path(u, v) is None)
+            assert path is None or set(path) == set(fresh.path(u, v))
 
 
 class TestUnionEngine:
@@ -297,6 +346,44 @@ class TestUnionEngine:
             h = reduced_fkk(11, 2, seed)
             for oracle in (graphic_matroid(nwt.vertices, nwt.edges), HypergraphicMatroid(h)):
                 assert pack_bases(oracle, 2) == pack_bases(reference(oracle), 2)
+                assert_pack_matches_reference(oracle, 2)
+
+    def test_pruned_search_matches_unpruned_reference(self):
+        # Skipping the sets earlier failed searches closed changes no
+        # part, no unplaced element and no reached set, on all three
+        # oracles; k runs past the rank, where most elements fail.
+        failed = 0
+        for seed in range(30):
+            for oracle in failing_oracles(seed):
+                for k in sorted({1, 2, oracle.rank() + 1}):
+                    failed += assert_pack_matches_reference(oracle, k)
+        assert failed > 200
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
+    def test_pruned_search_matches_unpruned_reference_property(self, seed, k):
+        for oracle in failing_oracles(seed):
+            assert_pack_matches_reference(oracle, k)
+
+    def test_failed_searches_stay_out_of_closed_sets(self, monkeypatch):
+        # nwt n=24 k=2 is the spanning-nwt benchmark shape.  Its 26 failed
+        # searches reach 72 elements between them; without the pruning
+        # they reach 1,178, nearly all inside sets already closed.
+        reach = []
+        search = treepack.matroid._union_augment
+
+        def counted(*args):
+            seen = search(*args)
+            if seen is not None:
+                reach.append(len(seen))
+            return seen
+
+        monkeypatch.setattr(treepack.matroid, "_union_augment", counted)
+        nwt = generate("nwt", 24, 2, 1).graph
+        oracle = graphic_matroid(nwt.vertices, nwt.edges)
+        result = pack_bases(oracle, 2)
+        assert len(reach) == len(result.unplaced) == 26
+        assert sum(reach) < 100 < 1000 < reference_pack(oracle, 2, oracle.ground)[3]
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -360,6 +447,38 @@ class TestUnionEngine:
         extra = edges + [(0, (rng.below(n + 1), rng.below(n + 1)))]
         assert _RootedForest(dict(extra)).acyclic == \
             graphic_independent(range(n + 1), [ends for _, ends in extra])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_exchanged_forest_matches_a_fresh_one(self, seed):
+        # Random valid exchanges: drop some edges, then link arrivals that
+        # keep a forest (checked by union-find), some of them re-using a
+        # dropped label.  After each, the forest must agree with one built
+        # from its edges on trees, paths and acyclicity.
+        rng = SplitMix64(seed)
+        n = 2 + rng.below(10)
+        forest = _RootedForest({})
+        next_label = 0
+        for _ in range(1 + rng.below(8)):
+            left = [e for e in forest.ends if not rng.below(3)]
+            kept = [ends for e, ends in forest.ends.items() if e not in left]
+            dsu = _DSU()
+            for a, b in kept:
+                dsu.union(a, b)
+            arrived = {}
+            for label in [*left[:rng.below(len(left) + 1)], *range(next_label, next_label + 4)]:
+                a, b = rng.below(n), rng.below(n)
+                if a != b and dsu.union(a, b):
+                    arrived[label] = (a, b)
+            next_label += 4
+            forest.exchange(left, arrived)
+            assert_forest_matches_fresh(forest, n)
+        # an arrival inside one tree, or a loop, closes a cycle
+        a = rng.below(n)
+        same_tree = [b for b in range(n) if b == a or forest.path(a, b) is not None]
+        forest.exchange([], {-1: (a, same_tree[rng.below(len(same_tree))])})
+        assert not forest.acyclic
+        assert not _RootedForest(dict(forest.ends)).acyclic
 
     def test_reached_set_meets_the_edmonds_identity(self):
         # The failed searches reach a set A that holds every unplaced
@@ -435,28 +554,39 @@ class TestUnionEngine:
             pack_elements(oracle, 1, [0, 1, 2])
 
     def test_work_stays_incremental(self, monkeypatch):
-        # Seeding the k empty parts is the only build from nothing, no
-        # witness replay runs, and each circuit costs one exchange search:
-        # no confirming searches, no per-chain rebuilds and no rank pass.
-        # At n=24 the packing makes 245 searches, and a rank pass would
+        # Seeding the k empty parts is the only build from nothing: one
+        # forest per part, which chains then update in place.  No witness
+        # replay runs, and each circuit costs one exchange search: no
+        # confirming searches, no per-chain rebuilds and no rank pass.
+        # At n=24 the packing makes 225 searches, and a rank pass would
         # add 79.
-        calls = {"witness": 0, "_part_state": 0, "_augment": 0}
-        for name in calls:
-            original = getattr(HypergraphicMatroid, name)
+        calls = {"witness": 0, "_part_state": 0, "_augment": 0, "__init__": 0}
+        for owner, name in ((HypergraphicMatroid, "witness"),
+                            (HypergraphicMatroid, "_part_state"),
+                            (HypergraphicMatroid, "_augment"),
+                            (_RootedForest, "__init__")):
+            original = getattr(owner, name)
 
             def counted(self, *args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(self, *args, **kwargs)
 
-            monkeypatch.setattr(HypergraphicMatroid, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         for n, k in ((11, 2), (24, 2), (9, 3)):
-            calls.update(witness=0, _part_state=0, _augment=0)
+            calls.update(witness=0, _part_state=0, _augment=0, __init__=0)
             oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
             result = pack_bases(oracle, k)
             assert calls["_part_state"] == k and calls["witness"] == 0
+            assert calls["__init__"] == k
             if n == 24:
                 assert calls["_augment"] < 300
             assert result.size == k * oracle.rank()
+        # The spanning-nwt benchmark shape: chains update a part's forest
+        # 47 times, and none rebuilds it.
+        calls["__init__"] = 0
+        nwt = generate("nwt", 24, 2, 1).graph
+        assert pack_bases(graphic_matroid(nwt.vertices, nwt.edges), 2).size == 2 * 23
+        assert calls["__init__"] == 2
 
 
 class TestAdjustUnion:
