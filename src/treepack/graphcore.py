@@ -12,7 +12,12 @@ every flow runs over them: flows are lists indexed by edge id, and one
 search (`_route`) sends a unit from supply vertices to demand vertices.
 `min_cut`, `steiner_min_cut`, the flow tree, the split trials and the
 deletion guard all use it, and a flow computed before an edit is repaired
-after it (`_reroute`) instead of being recomputed.  The splitting-off
+after it (`_reroute`) instead of being recomputed.  A flow from zero
+(`_max_flow`) is seeded with its one- and two-edge paths in one pass
+before any search, and a caller that needs only a bound caps it: the
+terminal cut caps each flow at the smallest value so far, and the
+deletion guard and the reducer's exit recount cap theirs at the
+threshold.  The splitting-off
 routines implement the classical degree-lowering operation (replace edges
 uv, uv' at u by a single edge vv') together with a verified search for a
 cut-preserving pair at a vertex, and a reducer that drives all
@@ -352,18 +357,48 @@ def _count_off(counts: dict[int, int], v: int) -> None:
         counts[v] -= 1
 
 
-def _max_flow(g: Multigraph, s: int, t: int) -> tuple[int, list[int], frozenset[int]]:
-    """A maximum s-t flow from zero: its value, the flow, and the set
-    reachable from s in its residual graph."""
+def _max_flow(g: Multigraph, s: int, t: int, limit: int | None = None
+              ) -> tuple[int, list[int], frozenset[int] | None]:
+    """An s-t flow from zero: its value, the flow, and the set reachable
+    from s in its residual graph.
+
+    Without `limit` the flow is maximum.  With it, the flow stops growing
+    once its value reaches `limit`: it is then a valid flow of at least
+    that value and the side is None.  A flow that stops below `limit` is
+    maximum, with its side, as without one.
+
+    One pass over the arcs of s and t first seeds the flow: it saturates
+    every s-t edge and every two-edge path s-w-t whose edges are both
+    still idle, the bulk of a dense multigraph's paths.  Augmenting any
+    feasible flow until a search fails gives a maximum flow, and every
+    maximum flow leaves the same set reachable from s, so the seeding
+    changes neither the value nor the side.
+    """
+    arcs = g._incidence
     flow = [0] * g.next_edge_id
+    into_t: dict[int, list[tuple[int, int]]] = {}
+    for i, w, direction in arcs[t]:
+        if w != t:
+            into_t.setdefault(w, []).append((i, -direction))
+    value = 0
+    for i, w, direction in arcs[s]:
+        if w == t:
+            flow[i] = direction
+            value += 1
+        elif w != s and into_t.get(w):
+            j, last = into_t[w].pop()
+            flow[i], flow[j] = direction, last
+            value += 1
     # Each unit leaves s on its own edge, so one unit more than s has arcs
     # is never all sent and the last search always fails.
-    supply = {s: len(g._incidence[s]) + 1}
-    demand = {t: len(g._incidence[t]) + 1}
-    value = 0
-    while (reached := _route(g, flow, supply, demand)) is None:
+    supply = {s: len(arcs[s]) + 1}
+    demand = {t: len(arcs[t]) + 1}
+    while limit is None or value < limit:
+        reached = _route(g, flow, supply, demand)
+        if reached is not None:
+            return value, flow, frozenset(reached)
         value += 1
-    return value, flow, frozenset(reached)
+    return value, flow, None
 
 
 def _reroute(g: Multigraph, flow: list[int],
@@ -430,21 +465,42 @@ def steiner_connectivity(g: Multigraph, terminals: frozenset[int] | set[int]) ->
 def steiner_min_cut(g: Multigraph, terminals) -> tuple[int, frozenset[int]]:
     """Like steiner_connectivity but also returns one side of a minimum
     terminal-separating cut: the component of t0 = min T when some terminal
-    lies outside it."""
+    lies outside it, else the side of the first t0-t flow, in ascending t,
+    whose value is the minimum.
+
+    Each t0-t flow after the first is capped at the smallest value found
+    so far (see `_terminal_cut`).  A flow that reaches the cap cannot be
+    strictly smaller, so it would not have replaced the side anyway; one
+    that stops below it is exact.  The value and the side are those of the
+    uncapped loop.
+    """
     tset = frozenset(terminals)
     if len(tset) < 2:
         raise InvalidArgumentError("terminal connectivity needs at least two terminals")
     if not tset <= g.vertices:
         raise InvalidArgumentError("terminals must be vertices of the graph")
+    size, side = _terminal_cut(g, tset)
+    assert side is not None
+    return size, side
+
+
+def _terminal_cut(g: Multigraph, tset: frozenset[int], limit: int | None = None
+                  ) -> tuple[int, frozenset[int] | None]:
+    """min over t != t0 = min T of λ(t0, t), with the side of the first
+    t0-t flow that attains it, for a terminal set of at least two vertices
+    of g.  Each flow is capped at the smallest value so far, starting from
+    `limit`, and only a flow that stops below its cap replaces the side.
+    So a result below `limit` is exact, with its side; a result of
+    `limit` says only that the terminal connectivity is at least that, and
+    its side is None unless the terminals are apart."""
     t0 = min(tset)
     component = g._component_of(t0)
     if not tset <= component:
         return 0, frozenset(component)
-    best = None
-    best_side: frozenset[int] = frozenset()
+    best, best_side = limit, None
     for t in sorted(tset - {t0}):
-        size, _, side = _max_flow(g, t0, t)
-        if best is None or size < best:
+        size, _, side = _max_flow(g, t0, t, best)
+        if side is not None:
             best, best_side = size, side
     assert best is not None
     return best, best_side
@@ -698,21 +754,29 @@ class _DeletionGuard:
 
     λ_T is the minimum of λ(t0, t) over the terminals t other than
     t0 = min T, and the guard keeps, for each such t, a lower bound on
-    λ(t0, t) together with a maximum flow of that value once one is known
-    (the bound is then exact).  Deleting a non-loop edge e lowers each
-    λ(t0, t) by at most one, so for each t:
+    λ(t0, t) together with a flow of that value once one is known.
+    Deleting a non-loop edge e lowers each λ(t0, t) by at most one, so for
+    each t:
 
     - a known flow that leaves e idle is still a flow of the same value in
       the smaller graph, so the bound and the flow stand;
     - a bound above the threshold is lowered by one, with no flow, and its
       flow is dropped;
-    - a known flow that uses e drops its unit on e, which leaves one unit
-      to route from e's tail to e's head.  One residual search decides it:
-      if it routes, the repaired flow shows λ(t0, t) kept its value; if
-      not, no flow of that value exists in the smaller graph (the
-      difference of two flows of one value would route it), so λ(t0, t)
-      fell by exactly one, to below the threshold;
-    - any other terminal gets a fresh maximum flow.
+    - a known flow that uses e, whose value is then the threshold, drops
+      its unit on e, which leaves one unit to route from e's tail to e's
+      head.  One residual search decides it: if it routes, the repaired
+      flow shows λ(t0, t) >= threshold still; if not, no flow of that
+      value exists in the smaller graph (the difference of two flows of
+      one value would route it), so λ(t0, t) < threshold;
+    - any other terminal gets a fresh flow capped at the threshold
+      (`_max_flow`'s `limit`), and its bound becomes the flow's value.  A
+      flow that stops below the threshold is maximum, so λ(t0, t) is below
+      it; one that reaches it is a flow of at least that value, which the
+      rule above can repair.
+
+    So every deletion is allowed exactly when the smaller graph keeps
+    λ_T >= threshold, as with exact maximum flows, while a fresh flow stops
+    as soon as it shows that much.
 
     A deletion is kept when the graph stays connected and every terminal
     passes; only then do the new bounds and flows replace the old.  Splits
@@ -753,7 +817,7 @@ class _DeletionGuard:
                 bounds[t] = bound - 1
                 continue
             if flow is None:
-                value, flow, _ = _max_flow(g, self.t0, t)
+                value, flow, _ = _max_flow(g, self.t0, t, threshold)
                 bounds[t] = value
                 if value < threshold:
                     return False
@@ -784,11 +848,17 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
     keeps a lower bound on each λ(t0, t) that makes up the terminal
     connectivity, and runs residual searches only for terminals whose
     bound has no slack left, one search per deletion once it holds a
-    maximum flow.  Every change is logged so the caller can replay or
+    flow.  Every change is logged so the caller can replay or
     invert the whole reduction.  A caller that already knows the terminal
     connectivity of g passes it as `connectivity`, which then is not
     computed again; it must be exact, since it is the bound the first
     deletions spend.
+
+    A non-empty trace is checked at the end by recounting the terminal
+    connectivity of the reduced graph from nothing, independently of the
+    guard's flows, with every flow capped at `threshold`: the check only
+    asks whether it fell below, and the error names the exact value when
+    it did.
     """
     tset = frozenset(terminals)
     if not tset <= g.vertices:
@@ -900,7 +970,7 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
                     changed = True
 
     # An empty trace left the input unchanged, so its connectivity is known.
-    final = steiner_connectivity(work, tset) if trace else start
+    final = _terminal_cut(work, tset, threshold)[0] if trace else start
     if final < threshold:
         raise InternalInvariantError(
             f"reduction lowered terminal connectivity to {final} < {threshold}")

@@ -610,6 +610,11 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
     # affords it; below that (probing regimes) it preserves what was asked.
     reduce_threshold = t_values.fkk if connectivity >= t_values.fkk else threshold
     rr = reduce_instance(g, tset, reduce_threshold, connectivity=connectivity)
+    if rr.form != "fkk" and threshold < reduce_threshold:
+        # Keeping λ_T at 3k can leave no slack for the deletions the
+        # normal form needs; the requested threshold may leave enough.
+        # The stalled trace is dropped, and every packing is verified.
+        rr = reduce_instance(g, tset, threshold, connectivity=connectivity)
 
     def brute_on(target: Multigraph, lift: bool) -> PackResult | None:
         cap = limits.effective(limits.BRUTE_EDGES)
@@ -694,9 +699,12 @@ def pack_steiner_trees(g: Multigraph, terminals, k: int,
     """k edge-disjoint trees each containing every terminal.
 
     Pipeline: threshold check, reduction, hypergraphic base packing,
-    decode, lift, verify.  When the reduction stalls before the normal
-    form, the exhaustive oracle takes over within its capacity; otherwise
-    the caller receives the partially reduced instance as a certificate.
+    decode, lift, verify.  The reduction keeps λ_T at 3k when the instance
+    affords it; when that stalls before the normal form and a lower
+    threshold was asked, it starts again at that threshold.  When the
+    reduction still stalls, the exhaustive oracle takes over within its
+    capacity; otherwise the caller receives the partially reduced instance
+    as a certificate.
     """
     return _pipeline(g, terminals, k, "steiner", threshold, brute_fallback)
 

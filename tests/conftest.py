@@ -6,8 +6,9 @@ bipartitions, hypergraphic independence by full representative products,
 forest paths by breadth-first search, and convex decomposability by an
 exact rational phase-one simplex.  The reducer's slow paths live here
 too: bridges by one search per edge, split trials by a fresh min_cut per
-tree edge, and the scalar-bound deletion guard that recounts λ_T whenever
-its bound has no slack.  So does the union engine's: the exchange search
+tree edge, the terminal cut with every flow run in full, and the
+scalar-bound deletion guard that recounts λ_T whenever its bound has no
+slack.  So does the union engine's: the exchange search
 with no pruning, over part states rebuilt after every chain.  Tests
 compare the fast implementations against these.
 """
@@ -228,6 +229,30 @@ def all_pairwise_cuts(g: Multigraph, vertices) -> dict:
     vs = sorted(vertices)
     return {(x, y): min_cut(g, x, y)[0]
             for i, x in enumerate(vs) for y in vs[i + 1:]}
+
+
+def reference_steiner_min_cut(g: Multigraph, terminals) -> tuple[int, frozenset[int]]:
+    """steiner_min_cut with no cap: a full min_cut from t0 = min T to every
+    other terminal in ascending order, keeping the side of the first strict
+    minimum; t0's component when some terminal lies outside it."""
+    from treepack import min_cut
+    tset = frozenset(terminals)
+    t0 = min(tset)
+    component = {t0}
+    queue = deque([t0])
+    while queue:
+        for y in g.neighbors(queue.popleft()):
+            if y not in component:
+                component.add(y)
+                queue.append(y)
+    if not tset <= component:
+        return 0, frozenset(component)
+    best = None
+    for t in sorted(tset - {t0}):
+        size, side = min_cut(g, t0, t)
+        if best is None or size < best[0]:
+            best = size, side
+    return best
 
 
 def reference_mader_split(g: Multigraph, u: int) -> tuple[tuple[int, int], int]:

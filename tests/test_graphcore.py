@@ -43,6 +43,7 @@ from conftest import (
     reference_mader_split,
     reference_reduce_instance,
     reference_split_verdict,
+    reference_steiner_min_cut,
     triangle,
 )
 
@@ -145,6 +146,24 @@ class TestMinCut:
         assert is_flow(g, flow, s, t, value)
         assert min_cut(g, s, t) == (value, side)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    def test_capped_kernel_stops_at_a_flow_or_is_exact(self, seed, data):
+        # Dense enough for parallel s-t edges and two-edge paths, so the
+        # seeding pass alone can reach the cap.
+        g = random_multigraph(seed, max_vertices=5, max_edges=12)
+        vs = sorted(g.vertices)
+        s, t = vs[seed % len(vs)], vs[(seed + 1) % len(vs)]
+        limit = data.draw(st.integers(min_value=0, max_value=g.degree(s) + 1))
+        value, flow, side = _max_flow(g, s, t, limit)
+        assert is_flow(g, flow, s, t, value)
+        if value >= limit:
+            assert side is None
+            assert limit <= value <= brute_min_cut(g, s, t)
+        else:
+            assert value == brute_min_cut(g, s, t)
+            assert side == brute_source_side(g, s, t)
+
 
 class TestSteinerConnectivity:
     def test_triangle_all_terminals(self):
@@ -179,6 +198,27 @@ class TestSteinerConnectivity:
         terminals = sorted(g.vertices)[:2]
         assert steiner_connectivity(g, terminals) == \
             brute_steiner_connectivity(g, terminals)
+
+    def test_capped_loop_matches_uncapped_reference(self):
+        # Every flow after the first is capped at the best value so far;
+        # value and side must be those of the loop that runs every flow in
+        # full, including which of several minimising terminals gives the
+        # side.  Kriesell instances have many terminals at one value, and
+        # their reductions are sparser graphs with the same terminals.
+        cases = []
+        for seed in range(150):
+            g = random_multigraph(seed, max_vertices=7, max_edges=16)
+            vs = sorted(g.vertices)
+            cases.append((g, vs[:2 + seed % (len(vs) - 1)]))
+        for n in (9, 11, 13):
+            for seed in range(3):
+                inst = generate_kriesell(n, 1 + seed % 2, seed)
+                rr = reduce_instance(inst.graph, inst.terminals, 2)
+                cases += [(inst.graph, inst.terminals), (rr.graph, inst.terminals)]
+                inst = generate("fkk", n, 2, seed)
+                cases.append((inst.graph, inst.terminals))
+        for g, terminals in cases:
+            assert steiner_min_cut(g, terminals) == reference_steiner_min_cut(g, terminals)
 
 
 class TestSplitOff:
@@ -447,16 +487,16 @@ class TestReduceInstance:
 
     def test_empty_trace_skips_the_exit_connectivity_check(self, monkeypatch):
         # With no step taken the reduced graph is the input, so the entry
-        # check's value stands for the exit one: one steiner_min_cut, not two.
+        # check's value stands for the exit one: one terminal cut, not two.
         calls = []
-        counted = treepack.graphcore.steiner_min_cut
+        counted = treepack.graphcore._terminal_cut
 
-        def counting(g, terminals):
+        def counting(*args):
             calls.append(1)
-            return counted(g, terminals)
+            return counted(*args)
 
         inst = generate("fkk", 9, 2, 5)
-        monkeypatch.setattr(treepack.graphcore, "steiner_min_cut", counting)
+        monkeypatch.setattr(treepack.graphcore, "_terminal_cut", counting)
         rr = reduce_instance(inst.graph, inst.terminals, 3 * 2)
         assert len(calls) == 1
         assert (rr.graph, rr.terminals, len(rr.trace), rr.form) == \
@@ -611,16 +651,17 @@ class TestReduceInstance:
 
     def test_guard_runs_no_flow_while_slack_remains(self, monkeypatch):
         # λ_T = 7 at threshold 1: both parallel-edge deletions at the hub
-        # have slack, so only the entry and exit checks run.
+        # have slack, so only the entry and exit checks run a flow, one
+        # each for the one terminal pair.
         calls = []
-        counted = treepack.graphcore.steiner_min_cut
+        counted = treepack.graphcore._max_flow
 
-        def counting(g, terminals):
+        def counting(*args):
             calls.append(1)
-            return counted(g, terminals)
+            return counted(*args)
 
         g = graph_from_pairs(3, [(0, 1)] * 5 + [(0, 2), (0, 2), (1, 2), (1, 2)])
-        monkeypatch.setattr(treepack.graphcore, "steiner_min_cut", counting)
+        monkeypatch.setattr(treepack.graphcore, "_max_flow", counting)
         rr = reduce_instance(g, {0, 1}, 1)
         kinds = [type(step).__name__ for step in rr.trace.steps]
         assert kinds == ["DeleteEdgeStep", "DeleteEdgeStep", "SplitStep"]
@@ -628,8 +669,10 @@ class TestReduceInstance:
 
     def test_guard_runs_no_search_while_slack_remains(self, monkeypatch):
         # The graph of the test above: λ_T = 7 at threshold 1.  Only the
-        # entry recount (7 paths and a failed search) and the exit recount
-        # (λ_T = 6: 6 and 1) search the residual network.
+        # entry recount searches the residual network: its seeding pass
+        # finds all 7 paths (5 direct, 2 through the hub), and one failed
+        # search proves the flow maximum.  The exit recount, capped at the
+        # threshold, is done by its seeding pass alone.
         searches = []
         route = treepack.graphcore._route
 
@@ -640,7 +683,7 @@ class TestReduceInstance:
         g = graph_from_pairs(3, [(0, 1)] * 5 + [(0, 2), (0, 2), (1, 2), (1, 2)])
         monkeypatch.setattr(treepack.graphcore, "_route", counted)
         rr = reduce_instance(g, {0, 1}, 1)
-        assert len(searches) == 8 + 7
+        assert len(searches) == 1
         assert len(rr.trace) == 3 and steiner_connectivity(rr.graph, {0, 1}) == 6
 
     def test_flow_guard_matches_scalar_bound_reference(self):
@@ -676,10 +719,11 @@ class TestReduceInstance:
 
     def test_guard_and_splits_stay_incremental(self, monkeypatch):
         # Kriesell n=11, k=1, seed 7 at threshold 8 (λ_T = 9, five
-        # terminals, a 48-step trace).  The reduction makes 724 residual
-        # searches, entry and exit recounts included; fresh flows for every
-        # tree and every tight deletion made 3,164 (each flow's paths plus
-        # its one failed search).
+        # terminals, a 48-step trace).  The reduction makes 257 residual
+        # searches, entry and exit recounts included.  Flows searched for
+        # every path and run to a failed search even when only a bound was
+        # asked made 721, and fresh flows for every tree and every tight
+        # deletion 3,164.
         searches = []
         route = treepack.graphcore._route
 
@@ -691,7 +735,7 @@ class TestReduceInstance:
         monkeypatch.setattr(treepack.graphcore, "_route", counted)
         rr = reduce_instance(inst.graph, inst.terminals, 8)
         assert (len(inst.terminals), inst.connectivity, len(rr.trace)) == (5, 9, 48)
-        assert len(searches) < 1000
+        assert len(searches) < 280
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=3, max_value=7), st.integers(min_value=0, max_value=10_000))

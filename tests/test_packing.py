@@ -510,6 +510,21 @@ class TestBelowTheoremThresholds:
             agreements += 1
         assert agreements >= 30
 
+    @pytest.mark.parametrize("pack", [pack_steiner_trees, pack_connectors])
+    def test_stalled_reduction_retries_at_the_requested_threshold(self, pack):
+        # λ_T = 6 = 3k leaves the reduction at 3k no slack to delete, and
+        # it stalls off the normal form; at the requested threshold 4 it
+        # reaches it in 18 steps and the hypergraph packs, with no brute
+        # help.  The stalled trace is not the one returned.
+        inst = generate("nwt", 12, 2, 3)
+        terminals = frozenset(v for v in inst.graph.vertices if v % 2 == 0)
+        assert steiner_connectivity(inst.graph, terminals) == 6
+        assert reduce_instance(inst.graph, terminals, 6).form == "partial"
+        result = pack(inst.graph, terminals, 2, threshold=4, brute_fallback=False)
+        assert (result.outcome, result.method, len(result.trace)) == ("packed", "pipeline", 18)
+        assert result.trace.steps == reduce_instance(inst.graph, terminals, 4).trace.steps
+        assert verify_packing(inst.graph, terminals, result.packing).ok
+
 
 class TestVerifyPacking:
     def test_valid_spanning_packing(self):
