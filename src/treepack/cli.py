@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InstanceParseError, InvalidArgumentError, PreconditionViolationError,
-            FileNotFoundError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:

@@ -2,11 +2,12 @@
 
 Every error class maps onto one CLI exit code: input problems (parse errors,
 invalid arguments) exit 2, capacity refusals exit 3, and internal invariant
-breaches are bugs that should never be swallowed.  parse_int is the one
-integer-token reader of every text format.
+breaches are bugs that should never be swallowed.  read_lines is the one
+line reader and parse_int the one integer-token reader of every text format.
 """
 
 import re
+from typing import Iterator
 
 _INTEGER = re.compile(r"-?[0-9]+")
 
@@ -61,3 +62,25 @@ def parse_int(token: str, line_number: int) -> int:
     if _INTEGER.fullmatch(token) is None:
         raise InstanceParseError(line_number, f"expected an integer, got {token!r}")
     return int(token)
+
+
+def read_lines(text: str, header: str | None = None) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield (line number, kind, fields) for every line that is not blank or
+    a '#' comment; the kind is the line's first word, matched whole.
+
+    With a `header` kind, that kind must appear exactly once: a second one
+    is an error at its own line, a missing one an error at line 0.
+    """
+    seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        kind, *fields = line.split()
+        if kind == header:
+            if seen:
+                raise InstanceParseError(lineno, f"duplicate {header} header")
+            seen = True
+        yield lineno, kind, fields
+    if header is not None and not seen:
+        raise InstanceParseError(0, f"missing {header} header")

@@ -28,6 +28,7 @@ from .errors import (
     InvalidArgumentError,
     PreconditionViolationError,
     parse_int,
+    read_lines,
 )
 from .matroid import Hypergraph, Matroid, Partition, iter_partitions
 
@@ -246,15 +247,11 @@ def parse_vector(text: str) -> dict[int, Fraction]:
     """Parse 'x <element-id> <numerator>/<denominator>' lines (a bare
     integer is accepted as numerator/1)."""
     out: dict[int, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] != "x" or len(fields) != 3:
+    for lineno, kind, fields in read_lines(text):
+        if kind != "x" or len(fields) != 2:
             raise InstanceParseError(lineno, "expected 'x <element-id> <num>/<den>'")
-        eid = parse_int(fields[1], lineno)
-        num, slash, den = fields[2].partition("/")
+        eid = parse_int(fields[0], lineno)
+        num, slash, den = fields[1].partition("/")
         numerator = parse_int(num, lineno)
         denominator = parse_int(den, lineno) if slash else 1
         if denominator == 0:

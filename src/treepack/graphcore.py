@@ -50,6 +50,7 @@ from .errors import (
     InvalidArgumentError,
     PreconditionViolationError,
     parse_int,
+    read_lines,
 )
 
 
@@ -990,19 +991,12 @@ def parse_instance(text: str) -> tuple[Multigraph, frozenset[int]]:
     """
     g = Multigraph()
     terminals: set[int] = set()
-    header: tuple[int, int] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, *fields = line.split()
+    for lineno, kind, fields in read_lines(text, "graph"):
         values = [parse_int(x, lineno) for x in fields]
         if kind == "graph":
-            if header is not None:
-                raise InstanceParseError(lineno, "duplicate graph header")
             if len(values) != 2:
                 raise InstanceParseError(lineno, "graph header needs two counts")
-            header = (values[0], values[1])
+            n, m = values
         elif kind == "v":
             if len(values) != 1:
                 raise InstanceParseError(lineno, "vertex line needs one id")
@@ -1025,9 +1019,6 @@ def parse_instance(text: str) -> tuple[Multigraph, frozenset[int]]:
             g.add_edge(u, v, eid=eid)
         else:
             raise InstanceParseError(lineno, f"unknown line kind {kind!r}")
-    if header is None:
-        raise InstanceParseError(0, "missing 'graph <n> <m>' header")
-    n, m = header
     if n != g.vertex_count():
         raise InstanceParseError(
             0, f"header declares {n} vertices but {g.vertex_count()} appear")

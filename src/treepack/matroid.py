@@ -45,6 +45,7 @@ from .errors import (
     InternalInvariantError,
     InvalidArgumentError,
     parse_int,
+    read_lines,
 )
 
 Pair = tuple[int, int]
@@ -474,19 +475,12 @@ class Hypergraph:
 def parse_hypergraph(text: str) -> Hypergraph:
     vertices: set[int] = set()
     edges: dict[int, frozenset[int]] = {}
-    header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, *fields = line.split()
+    for lineno, kind, fields in read_lines(text, "hypergraph"):
         values = [parse_int(x, lineno) for x in fields]
         if kind == "hypergraph":
-            if header is not None:
-                raise InstanceParseError(lineno, "duplicate hypergraph header")
             if len(values) != 2:
                 raise InstanceParseError(lineno, "hypergraph header needs two counts")
-            header = (values[0], values[1])
+            n, m = values
         elif kind == "v":
             if len(values) != 1:
                 raise InstanceParseError(lineno, "vertex line needs one id")
@@ -503,9 +497,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
             edges[eid] = frozenset(members)
         else:
             raise InstanceParseError(lineno, f"unknown line kind {kind!r}")
-    if header is None:
-        raise InstanceParseError(0, "missing 'hypergraph <n> <m>' header")
-    if header[0] != len(vertices) or header[1] != len(edges):
+    if n != len(vertices) or m != len(edges):
         raise InstanceParseError(0, "header counts do not match declarations")
     return Hypergraph(vertices, edges)
 

@@ -28,10 +28,12 @@ from typing import Iterable, Mapping
 
 from . import limits
 from .errors import (
+    CapacityError,
     InstanceParseError,
     InternalInvariantError,
     InvalidArgumentError,
     parse_int,
+    read_lines,
 )
 from .graphcore import (
     Multigraph,
@@ -617,10 +619,10 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
         rr = reduce_instance(g, tset, threshold, connectivity=connectivity)
 
     def brute_on(target: Multigraph, lift: bool) -> PackResult | None:
-        cap = limits.effective(limits.BRUTE_EDGES)
-        if target.edge_count() > cap or k > limits.effective(limits.BRUTE_PARTS):
-            return None
-        brute = brute_force_pack(target, tset, k, mode)
+        try:
+            brute = brute_force_pack(target, tset, k, mode)
+        except CapacityError:
+            return None  # beyond exhaustive reach: no verdict either way
         if brute.packing is not None:
             if lift:
                 packing = _lift_verified(brute.packing.parts, rr, g, mode, "brute-force")
@@ -735,36 +737,28 @@ def serialize_packing(packing: Packing) -> str:
 
 def parse_packing(text: str) -> Packing:
     mode: str | None = None
-    count = 0
     parts: list[frozenset[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("packing"):
-            if mode is not None:
-                raise InstanceParseError(lineno, "duplicate packing header")
-            fields = line.split()
-            if len(fields) != 3 or fields[1] not in MODES:
+    for lineno, kind, fields in read_lines(text, "packing"):
+        if kind == "packing":
+            if len(fields) != 2 or fields[0] not in MODES:
                 raise InstanceParseError(lineno, "expected 'packing <mode> <k>'")
-            mode = fields[1]
-            count = parse_int(fields[2], lineno)
-        elif line.startswith("part"):
+            mode = fields[0]
+            count = parse_int(fields[1], lineno)
+        elif kind == "part":
             if mode is None:
                 raise InstanceParseError(lineno, "part line before packing header")
-            head, _, rest = line.partition(":")
-            fields = head.split()
-            if len(fields) != 2:
+            head, _, rest = " ".join(fields).partition(":")
+            if len(head.split()) != 1:
                 raise InstanceParseError(lineno, "expected 'part <i>: <edge ids>'")
-            index = parse_int(fields[1], lineno)
+            index = parse_int(head.strip(), lineno)
             ids = [parse_int(x, lineno) for x in rest.split()]
             if index != len(parts) + 1:
                 raise InstanceParseError(lineno, f"parts must be numbered in order, got {index}")
+            if len(set(ids)) != len(ids):
+                raise InstanceParseError(lineno, f"part {index} lists an edge id twice")
             parts.append(frozenset(ids))
         else:
-            raise InstanceParseError(lineno, f"unknown line {line!r}")
-    if mode is None:
-        raise InstanceParseError(0, "missing packing header")
+            raise InstanceParseError(lineno, f"unknown line kind {kind!r}")
     if len(parts) != count:
         raise InstanceParseError(0, f"header declares {count} parts but {len(parts)} appear")
     return Packing(mode=mode, parts=tuple(parts))

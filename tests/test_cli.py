@@ -65,6 +65,16 @@ class TestVerifyCuts:
         code, _ = run_cli(capsys, "verify-cuts", "/nonexistent", "--k", "1")
         assert code == 2
 
+    def test_unreadable_instance_exits_2(self, capsys, tmp_path):
+        # Exit 1 means a sound negative, so no read failure may end there.
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("# caf\u00e9\ngraph 0 0\n".encode("latin-1"))
+        for path in (tmp_path, bad):
+            code = main(["verify-cuts", str(path), "--k", "1"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("error ")
+
 
 class TestPack:
     def test_spanning_success_writes_packing(self, capsys, doubled_triangle_file,

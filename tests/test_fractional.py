@@ -189,6 +189,8 @@ class TestVectorFormat:
         text = serialize_vector(x)
         assert parse_vector(text) == x
         assert serialize_vector(parse_vector(text)) == text
+        # Blank lines and '#' comments may stand anywhere.
+        assert parse_vector("# by hand\n\n" + text.replace("\n", "\n  # note\n\n")) == x
 
     def test_plain_integers_accepted(self):
         assert parse_vector("x 3 2\n") == {3: Fraction(2)}

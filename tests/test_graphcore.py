@@ -775,6 +775,9 @@ class TestInstanceFormat:
         g2, t2 = parse_instance(text)
         assert g2 == g and t2 == frozenset({0, 1})
         assert serialize_instance(g2, t2) == text
+        # Blank lines and '#' comments may stand anywhere, around the header too.
+        noisy = serialize_instance(g, {0, 1}, ["by hand"]).replace("\n", "\n\n  # note\n")
+        assert parse_instance(noisy) == (g, frozenset({0, 1}))
 
     def test_duplicate_edge_id_rejected_with_line(self):
         text = "graph 2 2\nt 0\nt 1\ne 0 0 1\ne 0 0 1\n"

@@ -2,9 +2,20 @@
 
 import pytest
 
-from treepack import CapacityError, brute_force_pack
+from treepack import CapacityError, brute_force_pack, pack_steiner_trees
 from treepack import limits
 from conftest import doubled_triangle, graph_from_pairs
+
+
+def hub_instance():
+    """K4 on the terminals 0..3 plus two degree-3 hubs, on {0, 1, 2} and
+    {1, 2, 3}: 12 edges, whose reduced hypergraph has no 3 disjoint bases."""
+    g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
+    for hub, triple in ((4, (0, 1, 2)), (5, (1, 2, 3))):
+        g.add_vertex(hub)
+        for t in triple:
+            g.add_edge(hub, t)
+    return g
 
 
 class TestEffectiveCaps:
@@ -43,6 +54,19 @@ class TestEffectiveCaps:
         assert err.value.bound_name == "brute-edges"
 
 
+class TestBruteFallbackCaps:
+    def test_fallback_runs_within_its_caps_and_is_skipped_above(self, monkeypatch):
+        # The pipeline's search fails, so the exhaustive search decides
+        # within its caps; above them it is skipped, not an error.
+        g = hub_instance()
+        rescued = pack_steiner_trees(g, {0, 1, 2, 3}, 3, threshold=1, brute_fallback=True)
+        assert rescued.outcome == "packed" and rescued.method == "brute-force"
+        monkeypatch.setenv("TREEPACK_CAPACITY", "3")
+        skipped = pack_steiner_trees(g, {0, 1, 2, 3}, 3, threshold=1, brute_fallback=True)
+        assert skipped.outcome == "certificate"
+        assert skipped.certificate.kind == "violating-partition"
+
+
 class TestCliCapacityExit:
     def test_hypergraph_certificate_needs_no_cap(self, monkeypatch, tmp_path, capsys):
         # A reduced hypergraph with 3-vertex hyperedges on four terminals.
@@ -52,11 +76,7 @@ class TestCliCapacityExit:
         from treepack import serialize_instance
         from treepack.cli import main
         monkeypatch.setenv("TREEPACK_CAPACITY", "3")
-        g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
-        for hub, triple in ((4, (0, 1, 2)), (5, (1, 2, 3))):
-            g.add_vertex(hub)
-            for t in triple:
-                g.add_edge(hub, t)
+        g = hub_instance()
         path = tmp_path / "fkk.txt"
         path.write_text(serialize_instance(g, {0, 1, 2, 3}), encoding="utf-8")
         code = main(["pack", str(path), "--mode", "steiner", "--k", "3",

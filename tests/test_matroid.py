@@ -659,6 +659,9 @@ class TestTextFormats:
         h2 = parse_hypergraph(text)
         assert h2.vertices == h.vertices and h2.hyperedges == h.hyperedges
         assert serialize_hypergraph(h2) == text
+        # Blank lines and '#' comments may stand anywhere, around the header too.
+        h3 = parse_hypergraph(serialize_hypergraph(h, ["by hand"]).replace("\n", "\n\n  # note\n"))
+        assert h3.vertices == h.vertices and h3.hyperedges == h.hyperedges
 
     def test_hypergraph_duplicate_id_rejected(self):
         from treepack import InstanceParseError, parse_hypergraph

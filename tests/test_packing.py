@@ -636,6 +636,8 @@ class TestPackingFormat:
         assert text == "packing steiner 2\npart 1: 1 3\npart 2:\n"
         assert parse_packing(text) == packing
         assert serialize_packing(parse_packing(text)) == text
+        # Blank lines and '#' comments may stand anywhere, around the header too.
+        assert parse_packing("# by hand\n\n" + text.replace("\n", "\n  # note\n\n")) == packing
 
     def test_bad_header_rejected(self):
         from treepack import InstanceParseError
