@@ -662,8 +662,9 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
 def _drain_vertex(g: Multigraph, u: int) -> list[TraceStep]:
     """Mutating helper: split/delete at u until it is isolated, then remove.
 
-    Requires even degree.  Loops at u are deleted (they never affect a
-    cut); the final two edge ends are split and logged as a suppression
+    Requires even degree.  Loops at u are deleted first (they never affect
+    a cut, and a split at u joins two other ends, so it never makes one);
+    the final two edge ends are split and logged as a suppression
     (a split step that also removes u).
     A degree-2 split always preserves pairwise min-cuts among the other
     vertices because any path through u uses both of its edges and reroutes
@@ -673,12 +674,11 @@ def _drain_vertex(g: Multigraph, u: int) -> list[TraceStep]:
     steps: list[TraceStep] = []
     if g.degree(u) % 2 != 0:
         raise PreconditionViolationError(f"vertex {u} has odd degree")
+    for eid in [eid for eid in g.incident_edges(u) if g.is_loop(eid)]:
+        steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
+        g.delete_edge(eid)
     tree = None
     while True:
-        loops = [eid for eid in g.incident_edges(u) if g.is_loop(eid)]
-        for eid in loops:
-            steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
-            g.delete_edge(eid)
         deg = g.degree(u)
         if deg == 0:
             break
@@ -942,11 +942,6 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
             if not work.has_vertex(u):
                 continue
             deg = work.degree(u)
-            if deg == 0:
-                work.remove_vertex(u)
-                trace.append(RemoveIsolatedStep(vertex=u))
-                changed = True
-                continue
             if deg % 2 == 0:
                 # Drain on a copy: a cut-edge can appear mid-chain at degree
                 # >= 4 and abort the drain, which must not leave the working

@@ -404,38 +404,31 @@ def build_steiner_hypergraph(g: Multigraph, terminals: frozenset[int]
     return h, origin
 
 
-def _star_edge(g: Multigraph, center: int, leaf: int) -> int:
-    for eid in g.incident_edges(center):
-        if g.other_end(eid, center) == leaf:
-            return eid
-    raise InternalInvariantError(f"no edge between {center} and {leaf}")
+def _decode(g: Multigraph, terminals: frozenset[int], part: frozenset[int],
+            origin: Mapping[int, tuple[str, int]], oracle: HypergraphicMatroid,
+            mode: str) -> frozenset[int]:
+    """The edges of g behind one packed basis.
 
-
-def _decode_steiner_part(g: Multigraph, terminals: frozenset[int],
-                         part: frozenset[int],
-                         origin: Mapping[int, tuple[str, int]]) -> frozenset[int]:
+    A 2-vertex hyperedge is its edge.  A hub's star is kept whole for trees,
+    and the decoded set is pruned to a terminal tree; for connectors only
+    the two star edges to the hyperedge's representative pair are kept, so
+    every used hub has degree 2.
+    """
+    reps = None
+    if mode == "connector":
+        reps = oracle.witness(part)
+        if reps is None:
+            raise InternalInvariantError("a packed basis failed its own witness")
     edges: set[int] = set()
-    for hid in sorted(part):
+    for hid in part:
         kind, ref = origin[hid]
         if kind == "edge":
             edges.add(ref)
         else:
-            edges.update(g.incident_edges(ref))
-    return prune_to_terminal_tree(g, terminals, edges)
-
-
-def _decode_connector_part(g: Multigraph, part: frozenset[int],
-                           origin: Mapping[int, tuple[str, int]],
-                           reps: Mapping[int, tuple[int, int]]) -> frozenset[int]:
-    edges: set[int] = set()
-    for hid in sorted(part):
-        kind, ref = origin[hid]
-        if kind == "edge":
-            edges.add(ref)
-        else:
-            u1, u2 = reps[hid]
-            edges.add(_star_edge(g, ref, u1))
-            edges.add(_star_edge(g, ref, u2))
+            edges.update(eid for eid in g.incident_edges(ref)
+                         if reps is None or g.other_end(eid, ref) in reps[hid])
+    if reps is None:
+        return prune_to_terminal_tree(g, terminals, edges)
     return frozenset(edges)
 
 
@@ -472,13 +465,16 @@ def lift_parts(parts: Iterable[frozenset[int]], trace: SplitTrace,
 
 
 def _lift_verified(parts: Iterable[frozenset[int]], rr: ReduceResult, g: Multigraph,
-                   mode: str, route: str) -> Packing:
-    """Lift reduced-graph parts back to g through the reduction trace and
-    verify the result there; the rewind must restore g exactly."""
-    lifted, original = lift_parts(parts, rr.trace, rr.graph, rr.terminals, mode)
+                   mode: str, route: str) -> tuple[Packing, Packing]:
+    """Verify reduced-graph parts there, lift them back to g through the
+    reduction trace and verify them again on g; the rewind must restore g
+    exactly.  Returns the packing before and after the lift."""
+    pre_lift = _verified(rr.graph, rr.terminals, Packing(mode=mode, parts=tuple(parts)),
+                         f"{route} (reduced graph)")
+    lifted, original = lift_parts(pre_lift.parts, rr.trace, rr.graph, rr.terminals, mode)
     if original != g:
         raise InternalInvariantError("trace rewind did not restore the input graph")
-    return _verified(g, rr.terminals, Packing(mode=mode, parts=tuple(lifted)), route)
+    return pre_lift, _verified(g, rr.terminals, Packing(mode=mode, parts=tuple(lifted)), route)
 
 
 # -- exhaustive oracle --------------------------------------------------------
@@ -581,11 +577,6 @@ def brute_force_pack(g: Multigraph, terminals: frozenset[int] | None, k: int,
 # -- terminal pipelines -------------------------------------------------------
 
 
-def _trivial_single_terminal(mode: str, k: int) -> PackResult:
-    packing = Packing(mode=mode, parts=tuple(frozenset() for _ in range(k)))
-    return PackResult(outcome="packed", packing=packing, method="trivial")
-
-
 def _pipeline(g: Multigraph, terminals, k: int, mode: str,
               threshold: int | None, brute_fallback: bool) -> PackResult:
     tset = frozenset(terminals)
@@ -596,17 +587,23 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
     if not tset <= g.vertices:
         raise InvalidArgumentError("terminals must be vertices of the graph")
     if len(tset) == 1:
-        return _trivial_single_terminal(mode, k)
+        packing = Packing(mode=mode, parts=tuple(frozenset() for _ in range(k)))
+        return PackResult(outcome="packed", packing=packing, method="trivial")
 
     t_values = Thresholds.for_k(k)
     if threshold is None:
         threshold = t_values.f_k if mode == "steiner" else t_values.g_k
     connectivity, side = steiner_min_cut(g, tset)
+    rr: ReduceResult | None = None
+
+    def result(outcome: str, **fields) -> PackResult:
+        return PackResult(outcome=outcome, threshold=threshold, connectivity=connectivity,
+                          trace=rr.trace if rr else None,
+                          reduced_graph=rr.graph if rr else None, **fields)
+
     if connectivity < threshold:
-        cert = Certificate(kind="cut-too-small", cut_side=side,
-                           cut_size=connectivity, threshold=threshold)
-        return PackResult(outcome="certificate", certificate=cert,
-                          threshold=threshold, connectivity=connectivity)
+        return result("certificate", certificate=Certificate(
+            kind="cut-too-small", cut_side=side, cut_size=connectivity, threshold=threshold))
 
     # Reduction runs at the hypergraph-packing threshold when the instance
     # affords it; below that (probing regimes) it preserves what was asked.
@@ -618,81 +615,51 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
         # The stalled trace is dropped, and every packing is verified.
         rr = reduce_instance(g, tset, threshold, connectivity=connectivity)
 
-    def brute_on(target: Multigraph, lift: bool) -> PackResult | None:
-        try:
-            brute = brute_force_pack(target, tset, k, mode)
-        except CapacityError:
-            return None  # beyond exhaustive reach: no verdict either way
-        if brute.packing is not None:
-            if lift:
-                packing = _lift_verified(brute.packing.parts, rr, g, mode, "brute-force")
-            else:
-                packing = _verified(g, tset, brute.packing, "brute-force")
-            return PackResult(outcome="packed", packing=packing, trace=rr.trace,
-                              reduced_graph=rr.graph,
-                              pre_lift=brute.packing if lift else None,
-                              method="brute-force", threshold=threshold,
-                              connectivity=connectivity)
-        if not lift:
-            # Exhaustion on the original graph is a genuine impossibility proof.
-            return PackResult(outcome="infeasible", trace=rr.trace,
-                              reduced_graph=rr.graph, method="brute-force",
-                              threshold=threshold, connectivity=connectivity)
-        return None
+    packed = None
+    if rr.form == "fkk":
+        h, origin = build_steiner_hypergraph(rr.graph, tset)
+        oracle = HypergraphicMatroid(h)
+        packed = pack_bases(oracle, k)
+        if packed.size == k * (len(tset) - 1):
+            decoded = [_decode(rr.graph, tset, part, origin, oracle, mode)
+                       for part in packed.parts]
+            pre_lift, packing = _lift_verified(decoded, rr, g, mode, "pipeline")
+            return result("packed", packing=packing, pre_lift=pre_lift, method="pipeline")
 
-    if rr.form != "fkk":
-        if mode == "steiner" and k == 1 and rr.graph.is_connected():
-            # One tree never needs the hypergraph step: prune the whole
-            # reduced edge set down to a terminal tree and lift it.
-            part = prune_to_terminal_tree(rr.graph, tset, rr.graph.edges)
-            pre_lift = Packing(mode="steiner", parts=(part,))
-            packing = _lift_verified([part], rr, g, mode, "single-tree")
-            return PackResult(outcome="packed", packing=packing, trace=rr.trace,
-                              reduced_graph=rr.graph, pre_lift=pre_lift,
-                              method="pipeline", threshold=threshold,
-                              connectivity=connectivity)
-        if brute_fallback:
-            hit = brute_on(rr.graph, lift=True)
-            if hit is not None:
-                return hit
-            hit = brute_on(g, lift=False)
-            if hit is not None:
-                return hit
+    if mode == "steiner" and k == 1 and rr.graph.is_connected():
+        # One tree needs no hypergraph, which can fall short of it (a lone
+        # hub on three terminals has rank 1 < 2): prune the whole reduced
+        # edge set down to a terminal tree and lift it.
+        part = prune_to_terminal_tree(rr.graph, tset, rr.graph.edges)
+        pre_lift, packing = _lift_verified([part], rr, g, mode, "single-tree")
+        return result("packed", packing=packing, pre_lift=pre_lift, method="pipeline")
+
+    # A stalled reduction is searched first in its reduced graph, whose
+    # packings lift; only exhaustion of the input graph proves infeasibility.
+    if brute_fallback:
+        for target in (g,) if packed is not None else (rr.graph, g):
+            try:
+                brute = brute_force_pack(target, tset, k, mode)
+            except CapacityError:
+                continue  # beyond exhaustive reach: no verdict either way
+            if brute.packing is None:
+                if target is g:
+                    return result("infeasible", method="brute-force")
+                continue
+            if target is g:
+                pre_lift, packing = None, _verified(g, tset, brute.packing, "brute-force")
+            else:
+                pre_lift, packing = _lift_verified(brute.packing.parts, rr, g, mode,
+                                                   "brute-force")
+            return result("packed", packing=packing, pre_lift=pre_lift, method="brute-force")
+
+    if packed is None:
         cert = Certificate(kind="reduction-incomplete", reduced_graph=rr.graph,
                            reduced_form=rr.form)
-        return PackResult(outcome="certificate", certificate=cert, trace=rr.trace,
-                          reduced_graph=rr.graph, threshold=threshold,
-                          connectivity=connectivity)
-
-    h, origin = build_steiner_hypergraph(rr.graph, tset)
-    oracle = HypergraphicMatroid(h)
-    packed = pack_bases(oracle, k)
-    if packed.size != k * (len(tset) - 1):
-        if brute_fallback:
-            hit = brute_on(g, lift=False)
-            if hit is not None:
-                return hit
+    else:
         cert = _violating_partition_certificate(h.vertices, h.hyperedges, k,
                                                 packed.reached, scope="reduced-hypergraph")
-        return PackResult(outcome="certificate", certificate=cert, trace=rr.trace,
-                          reduced_graph=rr.graph, threshold=threshold,
-                          connectivity=connectivity)
-
-    decoded: list[frozenset[int]] = []
-    for part in packed.parts:
-        if mode == "steiner":
-            decoded.append(_decode_steiner_part(rr.graph, tset, part, origin))
-        else:
-            reps = oracle.witness(part)
-            if reps is None:
-                raise InternalInvariantError("a packed basis failed its own witness")
-            decoded.append(_decode_connector_part(rr.graph, part, origin, reps))
-    pre_lift = _verified(rr.graph, tset, Packing(mode=mode, parts=tuple(decoded)), "decoded")
-    packing = _lift_verified(decoded, rr, g, mode, "lifted")
-    return PackResult(outcome="packed", packing=packing, trace=rr.trace,
-                      reduced_graph=rr.graph, pre_lift=pre_lift,
-                      method="pipeline", threshold=threshold,
-                      connectivity=connectivity)
+    return result("certificate", certificate=cert)
 
 
 def pack_steiner_trees(g: Multigraph, terminals, k: int,
@@ -704,9 +671,19 @@ def pack_steiner_trees(g: Multigraph, terminals, k: int,
     decode, lift, verify.  The reduction keeps λ_T at 3k when the instance
     affords it; when that stalls before the normal form and a lower
     threshold was asked, it starts again at that threshold.  When the
-    reduction still stalls, the exhaustive oracle takes over within its
-    capacity; otherwise the caller receives the partially reduced instance
-    as a certificate.
+    hypergraph does not pack or the reduction still stalls, the routes
+    are tried in this order:
+
+    1. the single tree (k=1): the reduced edge set pruned to a terminal
+       tree, lifted;
+    2. with brute_fallback, after a stalled reduction only: the exhaustive
+       search on the reduced graph, lifted;
+    3. with brute_fallback: the exhaustive search on the input graph,
+       whose exhaustion is returned as `infeasible`;
+    4. the certificate: a violating partition of the reduced hypergraph,
+       or the partially reduced instance.
+
+    The exhaustive search is skipped above its caps.
     """
     return _pipeline(g, terminals, k, "steiner", threshold, brute_fallback)
 
@@ -719,7 +696,11 @@ def pack_connectors(g: Multigraph, terminals, k: int,
 
     Decoding differs from trees only at 3-vertex hyperedges: the two edges
     named by the representative pair are kept, so used non-terminals have
-    degree exactly 2 before lifting.
+    degree exactly 2 before lifting.  The routes after the hypergraph or
+    the reduction falls short are those of pack_steiner_trees, without the
+    single tree: the exhaustive search on the reduced graph (stalled
+    reductions only) and then on the input graph, within its caps and with
+    brute_fallback, and otherwise the certificate.
     """
     return _pipeline(g, terminals, k, "connector", threshold, brute_fallback)
 

@@ -161,6 +161,22 @@ class TestPack:
         else:
             assert "certificate_kind" in out
 
+    def test_reduction_incomplete_certificate(self, capsys, tmp_path):
+        # Non-terminals 4 and 5 are adjacent, so the reduction stalls off
+        # the normal form, and without the fallback the partly reduced
+        # graph (here the input) is the certificate.
+        g = graph_from_pairs(6, [(0, 4), (1, 4), (4, 5), (5, 2), (5, 3)])
+        path = tmp_path / "h.txt"
+        path.write_text(serialize_instance(g, {0, 1, 2, 3}), encoding="utf-8")
+        code, out = run_cli(capsys, "pack", str(path), "--mode", "connector",
+                            "--k", "1", "--threshold", "1")
+        assert code == 1
+        lines = out.splitlines()
+        for line in ("outcome certificate", "certificate_kind reduction-incomplete",
+                     "certificate_reduced_form partial", "certificate_reduced_edges 5",
+                     "certificate_reduced_vertices 6"):
+            assert line in lines
+
     def test_packing_printed_when_no_out_file(self, capsys, doubled_triangle_file):
         code, out = run_cli(capsys, "pack", doubled_triangle_file,
                             "--mode", "spanning", "--k", "2")
@@ -276,6 +292,15 @@ class TestSweep:
         for row in out.strip().splitlines()[1:]:
             fields = row.split("\t")
             assert fields[5] == fields[4]  # every seed packed
+
+    def test_certificates_counted(self, capsys):
+        code, out = run_cli(capsys, "sweep", "fkk", "--n", "3", "--k", "1",
+                            "--seeds", "0:2", "--threshold", "99")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        columns = dict(zip(header.split("\t"), row.split("\t")))
+        assert (columns["seeds"], columns["packed"], columns["certificates"],
+                columns["infeasible"]) == ("3", "0", "3", "0")
 
     def test_sweep_deterministic(self, capsys):
         _, first = run_cli(capsys, "sweep", "fkk", "--n", "3:4", "--k", "1",

@@ -526,6 +526,65 @@ class TestBelowTheoremThresholds:
         assert verify_packing(inst.graph, terminals, result.packing).ok
 
 
+def h_graph():
+    """Terminals 0..3 hang in pairs off two adjacent non-terminals 4 and 5.
+    The 4-5 edge keeps the reduction off the normal form, and no connector
+    exists: one needs both 4 and 5 at even degree."""
+    g = graph_from_pairs(6, [(0, 4), (1, 4), (4, 5), (5, 2), (5, 3)])
+    return g, frozenset(range(4))
+
+
+def route(result):
+    return (result.outcome, result.method, len(result.trace),
+            result.pre_lift is not None, result.threshold, result.connectivity)
+
+
+class TestFallbackRoutes:
+    """The routes after the hypergraph fails or the reduction stalls, in
+    order: the single tree, the search on the reduced graph (lifted), the
+    search on the input, the certificate."""
+
+    def test_stalled_steiner_k1_is_the_single_tree(self):
+        g, terminals = h_graph()
+        result = pack_steiner_trees(g, terminals, 1, threshold=1, brute_fallback=False)
+        assert route(result) == ("packed", "pipeline", 0, True, 1, 1)
+        assert verify_packing(g, terminals, result.packing).ok
+
+    def test_stalled_connector_without_fallback_is_reduction_incomplete(self):
+        g, terminals = h_graph()
+        result = pack_connectors(g, terminals, 1, threshold=1, brute_fallback=False)
+        assert route(result) == ("certificate", "", 0, False, 1, 1)
+        cert = result.certificate
+        assert (cert.kind, cert.reduced_form) == ("reduction-incomplete", "partial")
+        assert cert.reduced_graph == result.reduced_graph == g
+
+    def test_exhausted_search_on_the_input_is_infeasible(self):
+        g, terminals = h_graph()
+        result = pack_connectors(g, terminals, 1, threshold=1)
+        assert route(result) == ("infeasible", "brute-force", 0, False, 1, 1)
+        assert result.packing is None and result.certificate is None
+        assert brute_force_pack(g, terminals, 1, "connector").infeasible
+
+    def test_search_on_the_reduced_graph_is_lifted(self):
+        g = graph_from_pairs(7, [(5, 3), (6, 3), (1, 6), (0, 3), (4, 3), (2, 4)])
+        terminals = frozenset({0, 1, 2, 5})
+        result = pack_connectors(g, terminals, 1, threshold=1)
+        assert route(result) == ("packed", "brute-force", 2, True, 1, 1)
+        assert verify_packing(result.reduced_graph, terminals, result.pre_lift).ok
+        assert verify_packing(g, terminals, result.packing).ok
+
+    def test_steiner_k1_packs_where_the_hypergraph_falls_short(self):
+        # The reduction reaches one hub, vertex 2, on the terminals 0, 1
+        # and 4.  Its hyperedge has rank 1 < |T| - 1, so the hypergraph
+        # holds no basis, but the hub's star is a terminal tree.
+        g = graph_from_pairs(7, [(4, 2), (3, 2), (0, 2), (6, 3), (5, 6), (1, 6)])
+        terminals = frozenset({0, 1, 4})
+        result = pack_steiner_trees(g, terminals, 1, threshold=1, brute_fallback=False)
+        assert route(result) == ("packed", "pipeline", 4, True, 1, 1)
+        assert result.reduced_graph.vertices == {0, 1, 2, 4}
+        assert verify_packing(g, terminals, result.packing).ok
+
+
 class TestVerifyPacking:
     def test_valid_spanning_packing(self):
         g = doubled_triangle()
