@@ -211,13 +211,10 @@ def _parse_range(spec: str) -> list[int]:
 def cmd_sweep(args) -> int:
     ns = _parse_range(args.n)
     ks = _parse_range(args.k)
-    seeds = _parse_range(args.seeds) if args.seeds else []
+    seeds = _parse_range(args.seeds)
     mode = "spanning" if args.model == "nwt" else "steiner"
     header = ("model\tn\tk\tthreshold\tseeds\tpacked\tcertificates\tinfeasible"
               "\tbrute_checked\tbrute_agree\tmethod_pipeline\tmethod_brute\tmethod_trivial")
-    if not seeds:
-        print(header)
-        return EXIT_OK
     rows = []
     for n in sorted(ns):
         for k in sorted(ks):
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", choices=MODELS)
     p.add_argument("--n", required=True, help="single value or lo:hi")
     p.add_argument("--k", required=True, help="single value or lo:hi")
-    p.add_argument("--seeds", default="", help="single value or lo:hi")
+    p.add_argument("--seeds", required=True, help="single value or lo:hi")
     p.add_argument("--threshold", default="paper-f")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -30,7 +30,9 @@ per candidate instead, and is the reference both are tested against.  A
 search that fails leaves its reached set behind.  Every part spans it, so
 no later chain passes through it and later searches skip it; and the
 union of those sets minimises |E - A| + k*rank(A), so certificates of
-deficiency are read off the failed searches instead of enumerated.
+deficiency are read off the failed searches instead of enumerated.  Once
+every part holds |V| - 1 elements, each is a basis and nothing more fits,
+so the engine stops searching.
 """
 
 from __future__ import annotations
@@ -158,7 +160,11 @@ class Matroid:
     `_part_state`, `_part_update` and `_circuit` are what the k-fold union
     engine asks of an oracle; the defaults here probe the predicate, and
     subclasses that override them are tested against these defaults.
+    `_rank_bound` is an upper bound on the rank known without a search, or
+    None as here; the engine stops once every part holds that many elements.
     """
+
+    _rank_bound: int | None = None
 
     def __init__(self, ground: Iterable[int], indep: Callable[[frozenset[int]], bool],
                  name: str = "matroid"):
@@ -401,7 +407,9 @@ class _RootedForest:
 
 class GraphicMatroid(Matroid):
     """Cycle matroid of a multigraph (loops are dependent).  A part's state
-    is its forest; the circuit of an edge is the tree path between its ends."""
+    is its forest; the circuit of an edge is the tree path between its ends.
+    A forest on the vertex set has at most |V| - 1 edges, which bounds the
+    rank."""
 
     def __init__(self, vertices: Iterable[int], edges: Mapping[int, tuple[int, int]]):
         self.vertices = frozenset(vertices)
@@ -410,6 +418,7 @@ class GraphicMatroid(Matroid):
             if not set(ends) <= self.vertices:
                 raise InvalidArgumentError(f"edge endpoint outside vertex set: {ends}")
         super().__init__(self.edges.keys(), self._indep_query, name="graphic")
+        self._rank_bound = len(self.vertices) - 1
 
     def _indep_query(self, subset: frozenset[int]) -> bool:
         return graphic_independent(self.vertices, [self.edges[e] for e in subset])
@@ -533,13 +542,15 @@ class HypergraphicMatroid(Matroid):
     """Matroid on hyperedges; independent sets admit a forest of
     representative pairs, one pair chosen inside each hyperedge.  A part's
     state is its representative forest, a `_RootedForest` labelled by
-    hyperedge id, which exchange chains update in place of a rebuild."""
+    hyperedge id, which exchange chains update in place of a rebuild.  That
+    forest has one edge per hyperedge, so |V| - 1 bounds the rank."""
 
     def __init__(self, h: Hypergraph):
         self.hypergraph = h
         self._pairs = {eid: list(itertools.combinations(sorted(vs), 2))
                        for eid, vs in h.hyperedges.items()}
         super().__init__(h.hyperedges.keys(), self._indep_query, name="hypergraphic")
+        self._rank_bound = len(h.vertices) - 1
 
     def _augment(self, forest: _RootedForest, new_eid: int,
                  displaced: set[int] | None = None) -> dict[int, Pair] | None:
@@ -748,7 +759,11 @@ class PackBasesResult:
     be without that pruning.  It holds every unplaced element, each part
     spans it, and size == |ground - reached| + k * rank(reached): it is a
     minimiser of the matroid-union rank formula, empty when every element
-    was placed.
+    was placed and the parts are not full.  Once every part holds as many
+    elements as the oracle's rank bound (|V| - 1 for graphic and
+    hypergraphic oracles), no search runs and `reached` is the whole
+    ground set instead: each part is then a basis, so
+    size == k * rank(ground), which the formula gives at A = ground.
     """
 
     family: UnionBasisFamily
@@ -856,18 +871,33 @@ def _union_augment(oracle: Matroid, parts: list[_Part], placement: dict[int, int
 def _pack(oracle: Matroid, k: int, elements: Iterable[int]
           ) -> tuple[list[set[int]], list[int], frozenset[int]]:
     """The parts, the unplaced elements, and the union of the sets their
-    failed searches reached."""
+    failed searches reached; the whole element set instead once the parts
+    are full.
+
+    The parts are full when each holds `oracle._rank_bound` elements.  Then
+    every part is a basis, and the elements not yet tried are unplaced
+    without a search: an independent part of that size has rank(E) <= bound
+    <= |part| <= rank(E), and k disjoint bases already hold the k-fold union
+    rank k * rank(E), so no chain places another element (Edmonds 1965).
+    The element set E is then a minimiser of |E - A| + k * rank(A), as the
+    packed size k * rank(E) is its value at A = E; each part spans it and
+    it holds every unplaced element."""
     if k < 1:
         raise InvalidArgumentError("k must be at least 1")
     parts = [_Part(oracle, i, set()) for i in range(k)]
+    full = None if oracle._rank_bound is None else k * oracle._rank_bound
     placement: dict[int, int] = {}
     unplaced: list[int] = []
     reached: set[int] = set()
-    for x in sorted(set(elements)):
-        seen = _union_augment(oracle, parts, placement, x, reached)
-        if seen is not None:
+    order = sorted(set(elements))
+    for x in order:
+        if len(placement) == full:
+            unplaced.append(x)
+        elif (seen := _union_augment(oracle, parts, placement, x, reached)) is not None:
             unplaced.append(x)
             reached |= seen
+    if len(placement) == full:
+        reached = set(order)
     return [part.items for part in parts], unplaced, frozenset(reached)
 
 
@@ -885,7 +915,10 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     from the elements that left and arrived (`_part_update`) and re-checks
     the part: the graphic oracle cuts and links forest edges, and the
     hypergraphic one runs one exchange search per arrival.  So the parts'
-    forests are built from nothing only once, empty.
+    forests are built from nothing only once, empty.  Once every part holds
+    |V| - 1 elements (graphic and hypergraphic oracles), the rest are
+    unplaced with no search: each part is then a basis, and k disjoint
+    bases hold the whole k-fold union rank (`_pack`).
     """
     parts, unplaced, _ = _pack(oracle, k, elements)
     return parts, unplaced
@@ -898,7 +931,11 @@ def pack_bases(oracle: Matroid, k: int) -> PackBasesResult:
     `reached` is a set A attaining the minimum of |ground - A| + k * rank(A),
     read off the failed exchange searches.  No rank pass runs: the parts
     are disjoint bases exactly when size == k * rank(ground), and the
-    pipelines test size == k * (|V| - 1), which needs no rank.
+    pipelines test size == k * (|V| - 1), which needs no rank.  At that
+    size the search stops, since each part is a basis and no chain places
+    another element; the rest are unplaced and `reached` is the ground set,
+    a minimiser because size == k * rank(ground).  So it stops only where
+    the pipelines take the packed branch and never read `reached`.
     """
     parts, unplaced, reached = _pack(oracle, k, oracle.ground)
     family = UnionBasisFamily(parts=tuple(frozenset(p) for p in parts))

@@ -636,14 +636,19 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
 
     # A stalled reduction is searched first in its reduced graph, whose
     # packings lift; only exhaustion of the input graph proves infeasibility.
+    # With an empty trace the reduced graph is the input, searched once.
     if brute_fallback:
-        for target in (g,) if packed is not None else (rr.graph, g):
+        if packed is not None:
+            targets = (g,)
+        else:
+            targets = (rr.graph, g) if rr.trace.steps else (rr.graph,)
+        for target in targets:
             try:
                 brute = brute_force_pack(target, tset, k, mode)
             except CapacityError:
                 continue  # beyond exhaustive reach: no verdict either way
             if brute.packing is None:
-                if target is g:
+                if target is targets[-1]:
                     return result("infeasible", method="brute-force")
                 continue
             if target is g:

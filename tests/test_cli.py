@@ -271,13 +271,13 @@ class TestSweep:
             # method_pipeline + method_brute + method_trivial == packed
             assert sum(map(int, fields[10:13])) == int(fields[5])
 
-    def test_empty_seed_list_prints_header_only(self, capsys):
-        code, out = run_cli(capsys, "sweep", "nwt", "--n", "3", "--k", "1")
-        assert code == 0
-        assert out.strip().splitlines() == [
-            "model\tn\tk\tthreshold\tseeds\tpacked\tcertificates\tinfeasible"
-            "\tbrute_checked\tbrute_agree\tmethod_pipeline\tmethod_brute"
-            "\tmethod_trivial"]
+    def test_missing_seed_list_exits_2(self, capsys):
+        # A sweep over no seeds would print a header and no rows.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "nwt", "--n", "3", "--k", "1"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seeds" in captured.err
 
     def test_reversed_or_malformed_range_exits_2(self, capsys):
         for n in ("5:2", "3:", "1_0", "+3", "+1", "\u0663"):

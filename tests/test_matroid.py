@@ -284,15 +284,40 @@ def failing_oracles(seed: int):
     return graphic, hypergraphic, reference(graphic), reference(hypergraphic)
 
 
+def parts_full(oracle, k: int, size: int) -> bool:
+    """Every part holds the oracle's rank bound of elements, where the
+    engine stops searching; never for the probing oracle, which has none."""
+    return oracle._rank_bound is not None and size == k * oracle._rank_bound
+
+
+def expected_reached(oracle, k: int, size: int, reference_reached, elements):
+    """The unpruned search's reached set, or the element set once the parts
+    are full."""
+    return frozenset(elements) if parts_full(oracle, k, size) else reference_reached
+
+
 def assert_pack_matches_reference(oracle, k: int) -> bool:
-    """pack_bases and pack_elements agree with the unpruned search on every
-    output; True when elements were left unplaced."""
+    """pack_bases and pack_elements agree with the unpruned search on the
+    parts and the unplaced elements, and on the reached set unless the
+    parts are full; True when elements were left unplaced."""
     parts, unplaced, reached, _ = reference_pack(oracle, k, oracle.ground)
     result = pack_bases(oracle, k)
     assert [set(p) for p in result.parts] == parts
-    assert (list(result.unplaced), result.reached) == (unplaced, reached)
+    assert list(result.unplaced) == unplaced
+    assert result.reached == expected_reached(oracle, k, result.size, reached, oracle.ground)
     assert pack_elements(oracle, k, oracle.ground) == (parts, unplaced)
     return bool(unplaced)
+
+
+def assert_edmonds_identity(oracle, k: int, elements, parts, unplaced, reached) -> None:
+    """`reached` is a set A inside the elements S that holds every unplaced
+    element and that every part spans, and the union rank formula
+    |S - A| + k * rank(A) attains the packed size at it."""
+    rank = oracle.rank(reached)
+    assert set(unplaced) <= reached <= set(elements)
+    assert sum(len(p) for p in parts) == len(set(elements) - reached) + k * rank
+    for part in parts:
+        assert oracle.rank(part & reached) == rank
 
 
 def assert_circuits_match_probing(oracle, part: set[int]) -> None:
@@ -365,10 +390,9 @@ class TestUnionEngine:
         for oracle in failing_oracles(seed):
             assert_pack_matches_reference(oracle, k)
 
-    def test_failed_searches_stay_out_of_closed_sets(self, monkeypatch):
-        # nwt n=24 k=2 is the spanning-nwt benchmark shape.  Its 26 failed
-        # searches reach 72 elements between them; without the pruning
-        # they reach 1,178, nearly all inside sets already closed.
+    @staticmethod
+    def failed_search_reach(monkeypatch) -> list[int]:
+        """The size of each reached set a failed search returns, from here on."""
         reach = []
         search = treepack.matroid._union_augment
 
@@ -379,11 +403,30 @@ class TestUnionEngine:
             return seen
 
         monkeypatch.setattr(treepack.matroid, "_union_augment", counted)
+        return reach
+
+    def test_failed_searches_stay_out_of_closed_sets(self, monkeypatch):
+        # The spanning-nwt benchmark shape, nwt n=24 k=2, plus an isolated
+        # vertex: |V| - 1 = 24 is above the rank, so the parts never fill
+        # and every search runs.  Its 26 failed searches reach 72 elements
+        # between them; without the pruning they reach 1,178, nearly all
+        # inside sets already closed.
+        reach = self.failed_search_reach(monkeypatch)
         nwt = generate("nwt", 24, 2, 1).graph
-        oracle = graphic_matroid(nwt.vertices, nwt.edges)
+        oracle = graphic_matroid(nwt.vertices | {24}, nwt.edges)
         result = pack_bases(oracle, 2)
         assert len(reach) == len(result.unplaced) == 26
         assert sum(reach) < 100 < 1000 < reference_pack(oracle, 2, oracle.ground)[3]
+
+    def test_full_parts_stop_the_search(self, monkeypatch):
+        # On nwt n=24 k=2 itself both parts are spanning trees after 46
+        # placements, so the other 26 elements are unplaced with no search.
+        reach = self.failed_search_reach(monkeypatch)
+        nwt = generate("nwt", 24, 2, 1).graph
+        oracle = graphic_matroid(nwt.vertices, nwt.edges)
+        result = pack_bases(oracle, 2)
+        assert (len(reach), len(result.unplaced), result.size) == (0, 26, 2 * 23)
+        assert result.reached == frozenset(oracle.ground)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -490,13 +533,13 @@ class TestUnionEngine:
                 for k in (1, 2, 3):
                     result = pack_bases(oracle, k)
                     reached = result.reached
-                    assert set(result.unplaced) <= reached
-                    rank = oracle.rank(reached)
-                    assert result.size == \
-                        len(set(oracle.ground) - reached) + k * rank
-                    for part in result.parts:
-                        assert oracle.rank(part & reached) == rank
-                    assert pack_bases(reference(oracle), k) == result
+                    assert_edmonds_identity(oracle, k, oracle.ground, result.parts,
+                                            result.unplaced, reached)
+                    expected = pack_bases(reference(oracle), k)
+                    assert (result.parts, result.unplaced, result.size) == \
+                        (expected.parts, expected.unplaced, expected.size)
+                    assert reached == expected_reached(oracle, k, result.size,
+                                                       expected.reached, oracle.ground)
                     nonempty += bool(reached)
         assert nonempty > 40
 
@@ -523,17 +566,19 @@ class TestUnionEngine:
             def _circuit(self, part, state, y):
                 return None
 
+        # An isolated fourth vertex keeps the parts from filling before the
+        # third edge is asked about.
         g = triangle()
         with pytest.raises(InternalInvariantError, match="broke part 0"):
-            pack_elements(LyingGraphic(g.vertices, g.edges), 1, g.edges)
+            pack_elements(LyingGraphic(g.vertices | {3}, g.edges), 1, g.edges)
 
         class LyingHypergraphic(HypergraphicMatroid):
             def _circuit(self, part, state, y):
                 return None
 
         # three copies of a triple have rank 2: the chain update cannot
-        # insert the third
-        h = Hypergraph(range(3), {i: (0, 1, 2) for i in range(3)})
+        # insert the third (a fourth vertex, as above)
+        h = Hypergraph(range(4), {i: (0, 1, 2) for i in range(3)})
         with pytest.raises(InternalInvariantError, match="broke part 0"):
             pack_elements(LyingHypergraphic(h), 1, [0, 1, 2])
 
@@ -546,7 +591,8 @@ class TestUnionEngine:
                 chain = super()._augment(forest, new_eid, displaced)
                 return {new_eid: self._pairs[new_eid][0]} if chain is None else chain
 
-        triangle_pairs = Hypergraph(range(3), {0: (0, 1), 1: (1, 2), 2: (0, 2)})
+        # A fourth vertex keeps the part from filling before the third pair.
+        triangle_pairs = Hypergraph(range(4), {0: (0, 1), 1: (1, 2), 2: (0, 2)})
         oracle = Cyclic(triangle_pairs)
         with pytest.raises(InternalInvariantError, match="produced a non-forest"):
             oracle.witness([0, 1, 2])
@@ -558,8 +604,8 @@ class TestUnionEngine:
         # forest per part, which chains then update in place.  No witness
         # replay runs, and each circuit costs one exchange search: no
         # confirming searches, no per-chain rebuilds and no rank pass.
-        # At n=24 the packing makes 225 searches, and a rank pass would
-        # add 79.
+        # At n=24 the packing makes 195 searches, 225 without the stop at
+        # full parts, and a rank pass would add 79.
         calls = {"witness": 0, "_part_state": 0, "_augment": 0, "__init__": 0}
         for owner, name in ((HypergraphicMatroid, "witness"),
                             (HypergraphicMatroid, "_part_state"),
@@ -579,7 +625,7 @@ class TestUnionEngine:
             assert calls["_part_state"] == k and calls["witness"] == 0
             assert calls["__init__"] == k
             if n == 24:
-                assert calls["_augment"] < 300
+                assert calls["_augment"] < 200
             assert result.size == k * oracle.rank()
         # The spanning-nwt benchmark shape: chains update a part's forest
         # 47 times, and none rebuilds it.
@@ -587,6 +633,73 @@ class TestUnionEngine:
         nwt = generate("nwt", 24, 2, 1).graph
         assert pack_bases(graphic_matroid(nwt.vertices, nwt.edges), 2).size == 2 * 23
         assert calls["__init__"] == 2
+
+
+def stop_oracles(seed: int):
+    """Oracles for the stop at full parts, from the seed: a connected
+    multigraph with loops and parallel edges, the same edges with an
+    isolated vertex added, a hypergraph of 4 to 15 hyperedges, and the same
+    hyperedges with an unused vertex added.  The two with the extra vertex
+    have rank below |V| - 1, so their parts never fill."""
+    rng = SplitMix64(seed)
+    g = random_multigraph(seed, max_vertices=6, max_edges=20, connected=True)
+    h = random_hypergraph(seed, n=3 + rng.below(4), m=4 + rng.below(12))
+    spare = len(g.vertices)
+    return (graphic_matroid(g.vertices, g.edges),
+            graphic_matroid(g.vertices | {spare}, g.edges),
+            HypergraphicMatroid(h),
+            HypergraphicMatroid(Hypergraph(range(len(h.vertices) + 1), h.hyperedges)))
+
+
+def assert_stop_matches_reference(seed: int) -> tuple[int, int]:
+    """For every stop oracle of the seed and every k up to its rank + 1, on
+    the ground set and on a proper subset: the engine's parts and unplaced
+    elements equal the unpruned reference's, its reached set equals the
+    reference's unless the parts are full and is the element set when they
+    are, and the Edmonds identity holds.  Returns how many packings stopped
+    with elements left to try, and how many had every part a basis
+    without being full."""
+    rng = SplitMix64(seed)
+    stopped = short_bases = 0
+    for oracle in stop_oracles(seed):
+        rank = oracle.rank()
+        full_rank = rank == oracle._rank_bound
+        subset = [e for e in oracle.ground if rng.below(4)][:-1]
+        for k in range(1, rank + 2):
+            for elements in (oracle.ground, subset):
+                parts, unplaced, reached = treepack.matroid._pack(oracle, k, elements)
+                ref_parts, ref_unplaced, ref_reached, _ = reference_pack(oracle, k, elements)
+                assert (parts, unplaced) == (ref_parts, ref_unplaced)
+                assert pack_elements(oracle, k, elements) == (parts, unplaced)
+                size = sum(len(p) for p in parts)
+                full = parts_full(oracle, k, size)
+                assert full_rank or not full
+                assert reached == expected_reached(oracle, k, size, ref_reached, elements)
+                assert_edmonds_identity(oracle, k, elements, parts, unplaced, reached)
+                last_placed = max(set().union(*parts), default=-1)
+                stopped += full and bool(unplaced) and max(unplaced) > last_placed
+                short_bases += not full_rank and size == k * rank
+    return stopped, short_bases
+
+
+class TestFullPartsStop:
+    """Once every part holds |V| - 1 elements the engine stops searching;
+    that changes no part and no unplaced element."""
+
+    def test_stop_matches_unpruned_reference(self):
+        stopped = short_bases = 0
+        for seed in range(40):
+            s, b = assert_stop_matches_reference(seed)
+            stopped += s
+            short_bases += b
+        # The stop runs often, and parts that are bases below the bound
+        # (rank < |V| - 1) keep searching.
+        assert stopped > 100 and short_bases > 100
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_stop_matches_unpruned_reference_property(self, seed):
+        assert_stop_matches_reference(seed)
 
 
 class TestAdjustUnion:

@@ -24,6 +24,7 @@ from treepack import (
     threshold_value,
     verify_packing,
 )
+import treepack.packing
 from treepack.generate import generate
 from treepack.matroid import iter_partitions, graph_edge_sets
 from treepack.packing import _violating_partition_certificate
@@ -564,6 +565,22 @@ class TestFallbackRoutes:
         assert route(result) == ("infeasible", "brute-force", 0, False, 1, 1)
         assert result.packing is None and result.certificate is None
         assert brute_force_pack(g, terminals, 1, "connector").infeasible
+
+    def test_empty_trace_searches_the_input_once(self, monkeypatch):
+        # The reduction stalls with no step, so the reduced graph is the
+        # input: its exhaustion is the verdict, and no second search runs.
+        calls = []
+        search = treepack.packing.brute_force_pack
+
+        def counted(target, *args):
+            calls.append(target)
+            return search(target, *args)
+
+        monkeypatch.setattr(treepack.packing, "brute_force_pack", counted)
+        g, terminals = h_graph()
+        result = pack_connectors(g, terminals, 1, threshold=1)
+        assert route(result) == ("infeasible", "brute-force", 0, False, 1, 1)
+        assert calls == [g]
 
     def test_search_on_the_reduced_graph_is_lifted(self):
         g = graph_from_pairs(7, [(5, 3), (6, 3), (1, 6), (0, 3), (4, 3), (2, 4)])
