@@ -218,7 +218,10 @@ def cmd_sweep(args) -> int:
     rows = []
     for n in sorted(ns):
         for k in sorted(ks):
+            # Parsed for every model, so a malformed value exits 2, but
+            # spanning trees take no threshold: their column reads "-".
             threshold = threshold_value(args.threshold, k)
+            shown = "-" if mode == "spanning" else threshold
             packed = certs = infeasible = brute_checked = brute_agree = 0
             # Packed instances by the route that produced them.
             methods = dict.fromkeys(SWEEP_METHODS, 0)
@@ -241,7 +244,7 @@ def cmd_sweep(args) -> int:
                 brute_checked += 1
                 if (brute.packing is not None) == (result.outcome == "packed"):
                     brute_agree += 1
-            rows.append(f"{args.model}\t{n}\t{k}\t{threshold}\t{len(seeds)}"
+            rows.append(f"{args.model}\t{n}\t{k}\t{shown}\t{len(seeds)}"
                         f"\t{packed}\t{certs}\t{infeasible}"
                         f"\t{brute_checked}\t{brute_agree}"
                         + "".join(f"\t{methods[m]}" for m in SWEEP_METHODS))

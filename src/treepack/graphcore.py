@@ -10,26 +10,25 @@ Cut routines use unit-capacity augmenting paths; a loop never counts toward
 any cut.  A multigraph's incidence lists are its residual network, and
 every flow runs over them: flows are lists indexed by edge id, and one
 search (`_route`) sends a unit from supply vertices to demand vertices.
-`min_cut`, `steiner_min_cut`, the flow tree, the split trials and the
-deletion guard all use it, and a flow computed before an edit is repaired
-after it (`_reroute`) instead of being recomputed.  A flow from zero
-(`_max_flow`) is seeded with its one- and two-edge paths in one pass
-before any search, and a caller that needs only a bound caps it: the
-terminal cut caps each flow at the smallest value so far, and the
-deletion guard and the reducer's exit recount cap theirs at the
-threshold.  The splitting-off
-routines implement the classical degree-lowering operation (replace edges
-uv, uv' at u by a single edge vv') together with a verified search for a
-cut-preserving pair at a vertex, and a reducer that drives all
+`min_cut`, `steiner_min_cut`, the flow tree and every check of an edit
+use it, and a flow computed before an edit is repaired after it
+(`_reroute`) instead of being recomputed.  A flow from zero (`_max_flow`)
+is seeded with its one- and two-edge paths in one pass before any
+search, and a caller that needs only a bound caps it at exactly that
+value: the terminal cut caps each flow at the smallest value so far, and
+the reducer caps its flows and its exit recount at the threshold.  The
+splitting-off routines implement the classical degree-lowering operation
+(replace edges uv, uv' at u by a single edge vv') together with a
+verified search for a pair at a vertex, and a reducer that drives all
 non-terminals toward the bipartite degree-3 normal form used by the
-hypergraph packing pipeline.  The pair search checks each candidate
-against one Gusfield equivalent-flow tree instead of all pairwise cuts:
-it splits the pair off, repairs the tree's flows (at most two units
-each), and undoes the split when one does not repair; consecutive splits
-at one vertex share the tree.  The reducer's deletion guard keeps a lower
-bound and, once known, a maximum flow for each terminal pair that makes up
-the terminal connectivity: slack is spent without flows, and a flow that
-the deleted edge carried is re-checked by one search.
+hypergraph packing pipeline.  A pair search splits each candidate off,
+repairs a list of flows through it (at most two units each), and undoes
+the split when one does not repair.  The public `mader_split` checks
+against the flows of one Gusfield equivalent-flow tree, which keeps every
+pairwise cut; the reducer checks its edits against one flow per terminal
+pair that makes up the terminal connectivity, each of value exactly the
+threshold, built once and repaired through every deletion and split, so
+it keeps just the terminal connectivity at or above the threshold.
 
 The reducer logs three kinds of step: a split (which, at a degree-2 vertex,
 also removes that vertex), an edge deletion, and an isolated-vertex removal.
@@ -196,8 +195,10 @@ class Multigraph:
         start = min(self._incidence)
         return len(self._component_of(start)) == len(self._incidence)
 
-    def _component_of(self, start: int, skip: int | None = None) -> set[int]:
-        """Vertices reachable from `start`, not crossing edge `skip`."""
+    def _component_of(self, start: int, skip: int | None = None,
+                      goal: int | None = None) -> set[int]:
+        """Vertices reachable from `start`, not crossing edge `skip`; the
+        search stops as soon as it reaches `goal`."""
         seen = {start}
         queue = deque([start])
         while queue:
@@ -205,6 +206,8 @@ class Multigraph:
             for eid, w, _ in self._incidence[v]:
                 if w not in seen and eid != skip:
                     seen.add(w)
+                    if w == goal:
+                        return seen
                     queue.append(w)
         return seen
 
@@ -364,16 +367,17 @@ def _max_flow(g: Multigraph, s: int, t: int, limit: int | None = None
     from s in its residual graph.
 
     Without `limit` the flow is maximum.  With it, the flow stops growing
-    once its value reaches `limit`: it is then a valid flow of at least
-    that value and the side is None.  A flow that stops below `limit` is
-    maximum, with its side, as without one.
+    once its value reaches `limit`, so its value is exactly
+    min(limit, λ(s, t)): at `limit` the side is None, and a flow that
+    stops below `limit` is maximum, with its side, as without one.
 
     One pass over the arcs of s and t first seeds the flow: it saturates
     every s-t edge and every two-edge path s-w-t whose edges are both
-    still idle, the bulk of a dense multigraph's paths.  Augmenting any
-    feasible flow until a search fails gives a maximum flow, and every
-    maximum flow leaves the same set reachable from s, so the seeding
-    changes neither the value nor the side.
+    still idle, the bulk of a dense multigraph's paths, until the value
+    reaches `limit`.  Augmenting any feasible flow until a search fails
+    gives a maximum flow, and every maximum flow leaves the same set
+    reachable from s, so the seeding changes neither the value nor the
+    side.
     """
     arcs = g._incidence
     flow = [0] * g.next_edge_id
@@ -383,6 +387,8 @@ def _max_flow(g: Multigraph, s: int, t: int, limit: int | None = None
             into_t.setdefault(w, []).append((i, -direction))
     value = 0
     for i, w, direction in arcs[s]:
+        if value == limit:
+            break
         if w == t:
             flow[i] = direction
             value += 1
@@ -406,18 +412,21 @@ def _reroute(g: Multigraph, flow: list[int],
              dropped: tuple[tuple[int, tuple[int, int]], ...]) -> list[int] | None:
     """Repair a flow of the graph before an edit into g, the graph after
     it.  `dropped` lists the removed edges as (edge id, ends); edges the
-    edit added start idle.
+    edit added start idle, and so does a removed edge newer than the flow
+    (the child of a split made after it was last routed), whose id lies
+    beyond the flow's end.
 
     The flow's units on the removed edges are dropped, which leaves each
     vertex that sent one a unit to send and each that received one a unit
     to receive; routing that imbalance through g's residual network gives
     a flow of g of the same value.  Returns it (the flow itself when it
     left every removed edge idle, else a copy), or None when the imbalance
-    does not all route.
+    does not all route.  By the transshipment argument of `_split_trial`,
+    it all routes exactly when g still has a flow of that value.
     """
     balance: dict[int, int] = {}
     for eid, (a, b) in dropped:
-        if flow[eid]:
+        if eid < len(flow) and flow[eid]:
             balance[a] = balance.get(a, 0) + flow[eid]
             balance[b] = balance.get(b, 0) - flow[eid]
     if not balance:
@@ -431,6 +440,20 @@ def _reroute(g: Multigraph, flow: list[int],
         if _route(g, flow, supply, demand) is not None:
             return None
     return flow
+
+
+def _repair(g: Multigraph, flows: list[list[int]],
+            dropped: tuple[tuple[int, tuple[int, int]], ...]) -> list[list[int]] | None:
+    """Every flow of `flows` repaired into g through an edit that removed
+    `dropped` (see `_reroute`), or None as soon as one does not repair.
+    The given flows are left as they were."""
+    repaired = []
+    for flow in flows:
+        flow = _reroute(g, flow, dropped)
+        if flow is None:
+            return None
+        repaired.append(flow)
+    return repaired
 
 
 def min_cut(g: Multigraph, s: int, t: int) -> tuple[int, frozenset[int]]:
@@ -540,12 +563,12 @@ def split_off(g: Multigraph, u: int, e1: int, e2: int) -> tuple[Multigraph, Spli
 def _has_incident_cut_edge(g: Multigraph, u: int) -> bool:
     """Is some non-loop edge at u a bridge?  An edge with a parallel twin
     never is, so only a neighbour joined to u by a single edge is tested,
-    by one BFS from u that skips that edge."""
+    by one BFS from u that skips that edge and stops at the neighbour."""
     lone: dict[int, int | None] = {}
     for eid, v, _ in g._incidence[u]:
         if v != u:
             lone[v] = None if v in lone else eid
-    return any(eid is not None and v not in g._component_of(u, skip=eid)
+    return any(eid is not None and v not in g._component_of(u, skip=eid, goal=v)
                for v, eid in lone.items())
 
 
@@ -573,12 +596,19 @@ def _flow_tree(g: Multigraph, vertices: list[int]) -> _FlowTree:
     return tree
 
 
-def _split_trial(g: Multigraph, tree: _FlowTree, u: int, e1: int, e2: int
-                 ) -> tuple[SplitStep, _FlowTree] | None:
+def _all_pairs_flows(g: Multigraph, u: int) -> list[list[int]]:
+    """The flows of an equivalent-flow tree of g on V - u.  A split at u
+    that keeps every one of them keeps every pairwise cut among V - u (see
+    `mader_split`), and the repaired flows are again such a tree's flows."""
+    return [flow for *_, flow in _flow_tree(g, sorted(g.vertices - {u}))]
+
+
+def _split_trial(g: Multigraph, flows: list[list[int]], u: int, e1: int, e2: int
+                 ) -> tuple[SplitStep, list[list[int]]] | None:
     """Split e1 = u v1, e2 = u v2 off at u in g, and keep the split when
-    every tree edge keeps its flow value: returns the step and the tree
-    with each flow repaired into the split graph.  Otherwise undoes the
-    split, leaving g as it was, and returns None.
+    every flow of `flows` keeps its value: returns the step and the flows
+    repaired into the split graph.  Otherwise undoes the split, leaving g
+    as it was, and returns None.
 
     The repair of a flow from x to p (neither is u) drops its units on e1
     and e2 and leaves every other edge as it was.  That unbalances only u,
@@ -588,32 +618,31 @@ def _split_trial(g: Multigraph, tree: _FlowTree, u: int, e1: int, e2: int
     x to p in the split graph differs from the dropped one by exactly such
     a transshipment (edge by edge, the difference of two unit-capacity
     flows fits in the residual capacities), so all of it routes exactly
-    when the split graph still has λ(x, p) >= λ.  A split never raises a
-    pairwise cut, so that is the same as keeping λ(x, p).
+    when the split graph still has λ(x, p) >= λ.  The same holds for any
+    edit that only removes edges, which is how the reducer checks its
+    deletions.
     """
     step = _split_inplace(g, u, e1, e2)
-    dropped = ((e1, step.e1_ends), (e2, step.e2_ends))
-    repaired = []
-    for x, p, value, flow in tree:
-        flow = _reroute(g, flow, dropped)
-        if flow is None:
-            step.undo(g)
-            return None
-        repaired.append((x, p, value, flow))
+    repaired = _repair(g, flows, ((e1, step.e1_ends), (e2, step.e2_ends)))
+    if repaired is None:
+        step.undo(g)
+        return None
     return step, repaired
 
 
-def _mader_split_inplace(g: Multigraph, u: int, tree: _FlowTree | None
-                         ) -> tuple[SplitStep, _FlowTree]:
-    """Mutating mader_split: check its preconditions, find the pair, and
-    split it off in g.  Returns the step and an equivalent-flow tree of the
-    split graph on V - u, which the next call at u takes as `tree` (None
-    builds one).
+def _mader_split_inplace(g: Multigraph, u: int, flows: list[list[int]]
+                         ) -> tuple[SplitStep, list[list[int]]]:
+    """Mutating mader_split: check its preconditions, split off in g the
+    first candidate pair, in ascending edge-id order, that keeps every flow
+    of `flows` (none of which starts or ends at u), and return the step and
+    the flows repaired into the split graph, for the next call.
 
-    The tree stays an equivalent-flow tree of the split graph: the split
-    kept every pairwise cut among V - u, so every tree edge keeps its value
-    and every tree path minimum still equals its pair's cut.  Its repaired
-    flows are maximum flows of the split graph, of those same values.
+    Under the preconditions some pair keeps every λ among V - u (Mader
+    1978), so it keeps each flow's value, and a search that finds no pair
+    signals a flow bug.  `mader_split` passes the flows of an
+    equivalent-flow tree on V - u, and so keeps every pairwise cut; the
+    reducer passes its terminal flows, each of value the threshold, and so
+    keeps the terminal connectivity at or above it.
     """
     if not g.has_vertex(u):
         raise InvalidArgumentError(f"no vertex {u}")
@@ -626,15 +655,13 @@ def _mader_split_inplace(g: Multigraph, u: int, tree: _FlowTree | None
         raise PreconditionViolationError("graph must be connected")
     if _has_incident_cut_edge(g, u):
         raise PreconditionViolationError(f"vertex {u} is incident with a cut-edge")
-    if tree is None:
-        tree = _flow_tree(g, sorted(g.vertices - {u}))
     for i, e1 in enumerate(candidates):
         for e2 in candidates[i + 1:]:
-            found = _split_trial(g, tree, u, e1, e2)
+            found = _split_trial(g, flows, u, e1, e2)
             if found is not None:
                 return found
     raise InternalInvariantError(
-        f"no cut-preserving pair at vertex {u}: flow computation is suspect")
+        f"no flow-preserving pair at vertex {u}: flow computation is suspect")
 
 
 def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
@@ -655,21 +682,24 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
     exhausting the search signals a cut-computation bug.  The trials run on
     a copy of g, which is left unchanged.
     """
-    step, _ = _mader_split_inplace(g.copy(), u, None)
+    step, _ = _mader_split_inplace(g.copy(), u, _all_pairs_flows(g, u))
     return step.e1, step.e2
 
 
-def _drain_vertex(g: Multigraph, u: int) -> list[TraceStep]:
+def _drain_vertex(g: Multigraph, u: int, flows: list[list[int]]
+                  ) -> tuple[list[TraceStep], list[list[int]]]:
     """Mutating helper: split/delete at u until it is isolated, then remove.
+    Every split keeps every flow of `flows` (see `_mader_split_inplace`);
+    returns the steps and the flows repaired into the drained graph.
 
     Requires even degree.  Loops at u are deleted first (they never affect
-    a cut, and a split at u joins two other ends, so it never makes one);
-    the final two edge ends are split and logged as a suppression
-    (a split step that also removes u).
-    A degree-2 split always preserves pairwise min-cuts among the other
-    vertices because any path through u uses both of its edges and reroutes
-    over the child edge, so no search is needed at that stage.  The splits
-    before it hand their flow tree from one to the next.
+    a cut or carry flow, and a split at u joins two other ends, so it never
+    makes one); the final two edge ends are split and logged as a
+    suppression (a split step that also removes u).  A degree-2 split
+    always preserves pairwise min-cuts among the other vertices because
+    any path through u uses both of its edges and reroutes over the child
+    edge, so no pair search is needed at that stage; its repair only moves
+    the flows onto the child edge.
     """
     steps: list[TraceStep] = []
     if g.degree(u) % 2 != 0:
@@ -677,7 +707,6 @@ def _drain_vertex(g: Multigraph, u: int) -> list[TraceStep]:
     for eid in [eid for eid in g.incident_edges(u) if g.is_loop(eid)]:
         steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
         g.delete_edge(eid)
-    tree = None
     while True:
         deg = g.degree(u)
         if deg == 0:
@@ -687,12 +716,16 @@ def _drain_vertex(g: Multigraph, u: int) -> list[TraceStep]:
             split = _split_inplace(g, u, e1, e2)
             g.remove_vertex(u)
             steps.append(replace(split, removed=u))
-            return steps
-        step, tree = _mader_split_inplace(g, u, tree)
+            flows = _repair(g, flows, ((e1, split.e1_ends), (e2, split.e2_ends)))
+            if flows is None:
+                raise InternalInvariantError(
+                    f"suppressing vertex {u} lost a flow: flow computation is suspect")
+            return steps, flows
+        step, flows = _mader_split_inplace(g, u, flows)
         steps.append(step)
     g.remove_vertex(u)
     steps.append(RemoveIsolatedStep(vertex=u))
-    return steps
+    return steps, flows
 
 
 def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigraph, list[TraceStep]]:
@@ -709,7 +742,9 @@ def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigra
     if g.degree(u) % 2 != 0:
         raise PreconditionViolationError(f"vertex {u} has odd degree")
     out = g.copy()
-    steps = _drain_vertex(out, u)
+    # At degree 2 or less no pair search runs, so no flow is needed.
+    flows = _all_pairs_flows(out, u) if out.degree(u) > 2 else []
+    steps, _ = _drain_vertex(out, u, flows)
     return out, steps
 
 
@@ -749,91 +784,6 @@ def _has_twin(g: Multigraph, eid: int) -> bool:
     return any(other != eid and w == b for other, w, _ in g._incidence[a])
 
 
-class _DeletionGuard:
-    """reduce_instance's check that an edge deletion keeps the terminal
-    connectivity at or above the threshold.
-
-    λ_T is the minimum of λ(t0, t) over the terminals t other than
-    t0 = min T, and the guard keeps, for each such t, a lower bound on
-    λ(t0, t) together with a flow of that value once one is known.
-    Deleting a non-loop edge e lowers each λ(t0, t) by at most one, so for
-    each t:
-
-    - a known flow that leaves e idle is still a flow of the same value in
-      the smaller graph, so the bound and the flow stand;
-    - a bound above the threshold is lowered by one, with no flow, and its
-      flow is dropped;
-    - a known flow that uses e, whose value is then the threshold, drops
-      its unit on e, which leaves one unit to route from e's tail to e's
-      head.  One residual search decides it: if it routes, the repaired
-      flow shows λ(t0, t) >= threshold still; if not, no flow of that
-      value exists in the smaller graph (the difference of two flows of
-      one value would route it), so λ(t0, t) < threshold;
-    - any other terminal gets a fresh flow capped at the threshold
-      (`_max_flow`'s `limit`), and its bound becomes the flow's value.  A
-      flow that stops below the threshold is maximum, so λ(t0, t) is below
-      it; one that reaches it is a flow of at least that value, which the
-      rule above can repair.
-
-    So every deletion is allowed exactly when the smaller graph keeps
-    λ_T >= threshold, as with exact maximum flows, while a fresh flow stops
-    as soon as it shows that much.
-
-    A deletion is kept when the graph stays connected and every terminal
-    passes; only then do the new bounds and flows replace the old.  Splits
-    and drains keep every pairwise cut among the vertices they leave, so
-    they keep the bounds, but they change the edges, so the vertex pass
-    clears the flows.
-    """
-
-    def __init__(self, terminals: frozenset[int], start: int, threshold: int):
-        self.t0 = min(terminals)
-        self.threshold = threshold
-        self.bounds = dict.fromkeys(sorted(terminals - {self.t0}), start)
-        self.flows: dict[int, list[int]] = {}
-
-    def allows(self, g: Multigraph, eid: int, ends: tuple[int, int]) -> bool:
-        """May non-loop edge `eid`, joining `ends`, go?  g is the graph
-        with the edge deleted, and with the non-terminal ends it left
-        isolated removed."""
-        if self.threshold <= 0:
-            return True  # every λ_T clears it, even a disconnected graph's
-        # With a positive threshold the graph was connected (reduce_instance
-        # starts by dropping the components without terminals, λ_T reads 0
-        # when the terminals are apart, and every edit keeps it so), and
-        # stays connected unless e was a bridge; one with a parallel twin
-        # never is.  A stranded component would stop every later split.
-        a, b = ends
-        twin = g.has_vertex(a) and b in g.neighbors(a)
-        if not twin and not g.is_connected():
-            return False
-        flows, threshold = self.flows, self.threshold
-        bounds: dict[int, int] = {}
-        repaired: dict[int, list[int]] = {}
-        for t, bound in self.bounds.items():
-            flow = flows.get(t)
-            if flow is not None and flow[eid] == 0:
-                continue
-            if bound > threshold:
-                bounds[t] = bound - 1
-                continue
-            if flow is None:
-                value, flow, _ = _max_flow(g, self.t0, t, threshold)
-                bounds[t] = value
-                if value < threshold:
-                    return False
-            else:
-                flow = _reroute(g, flow, ((eid, ends),))
-                if flow is None:
-                    return False
-            repaired[t] = flow
-        for t, bound in bounds.items():
-            self.bounds[t] = bound
-            flows.pop(t, None)
-        flows.update(repaired)
-        return True
-
-
 def reduce_instance(g: Multigraph, terminals, threshold: int, *,
                     connectivity: int | None = None) -> ReduceResult:
     """Drive every non-terminal toward degree 3 with distinct terminal
@@ -845,19 +795,34 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
     odd-degree non-terminals above 3 are split down to 3; loops, edges
     between two non-terminals and parallel edges at a non-terminal are
     deleted whenever the deleted graph stays connected with terminal
-    connectivity at or above the threshold.  That check (`_DeletionGuard`)
-    keeps a lower bound on each λ(t0, t) that makes up the terminal
-    connectivity, and runs residual searches only for terminals whose
-    bound has no slack left, one search per deletion once it holds a
-    flow.  Every change is logged so the caller can replay or
-    invert the whole reduction.  A caller that already knows the terminal
-    connectivity of g passes it as `connectivity`, which then is not
-    computed again; it must be exact, since it is the bound the first
-    deletions spend.
+    connectivity at or above the threshold.  Every change is logged so the
+    caller can replay or invert the whole reduction.  A caller that
+    already knows the terminal connectivity of g passes it as
+    `connectivity`, which then is not computed again.
+
+    Every edit is checked against one set of flows, built once after the
+    terminal-free components go: for each terminal t other than
+    t0 = min T, a t0-t flow of value exactly `threshold` (none when the
+    threshold is at most 0).  λ_T is the minimum of the λ(t0, t), so an
+    edit keeps λ_T >= threshold exactly when each of these flows repairs
+    through the edges it removes (see `_split_trial`).  A deletion other
+    than a loop's, each split trial and each suppression repair them, and
+    the edit is kept exactly when all of them repair; the repaired flows
+    then replace the old, while a refused deletion or an aborted drain
+    leaves the old flows with the old graph.  A split thus takes the first
+    candidate pair that keeps λ_T at or above the threshold, and some pair
+    always does: at a vertex of degree other than 3 with no incident
+    cut-edge, one keeps every λ among the other vertices (Mader 1978).
+    With a positive threshold a deletion must also leave the graph
+    connected, since a stranded component would stop every later split.
+    The graph was connected (the terminal-free components are gone, and
+    λ_T > 0 keeps the terminals together), so one search from one end of
+    the deleted edge that stops at the other decides it; a pendant
+    non-terminal end goes with its edge and leaves the rest connected.
 
     A non-empty trace is checked at the end by recounting the terminal
     connectivity of the reduced graph from nothing, independently of the
-    guard's flows, with every flow capped at `threshold`: the check only
+    carried flows, with every flow capped at `threshold`: the check only
     asks whether it fell below, and the error names the exact value when
     it did.
     """
@@ -876,11 +841,10 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
 
     work = g.copy()
     trace = SplitTrace()
-    guard = _DeletionGuard(tset, start, threshold)
 
     # Components without terminals carry no part of a packing.  Deleting
     # them first leaves a connected graph whenever λ_T > 0, which the
-    # deletion guard and the splits rely on.
+    # deletion check and the splits rely on.
     kept: set[int] = set()
     for t in sorted(tset):
         if t not in kept:
@@ -893,6 +857,10 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
         for step in steps:
             step.apply(work)
         trace.extend(steps)
+
+    t0 = min(tset)
+    flows = [_max_flow(work, t0, t, threshold)[1]
+             for t in sorted(tset - {t0})] if threshold > 0 else []
 
     def deletion_candidate(eid: int) -> bool:
         a, b = work.endpoints(eid)
@@ -914,30 +882,34 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
     while changed:
         changed = False
 
-        # Deletions guarded by the connectivity threshold, each applied
-        # and undone when the guard refuses it.  Loops skip the check
-        # (they never lie in a cut).  The guard judges the composite move
-        # including the isolated-vertex cleanup that follows, else pruning
-        # a pendant non-terminal would read as a disconnect.
+        # Guarded deletions, each applied and undone when refused.  Loops
+        # skip the check (they never lie in a cut).  The check judges the
+        # composite move including the isolated-vertex cleanup that
+        # follows, else pruning a pendant non-terminal would read as a
+        # disconnect.
         for eid in sorted(work.edges):
             if not work.has_edge(eid) or not deletion_candidate(eid):
                 continue
-            ends = work.endpoints(eid)
+            a, b = ends = work.endpoints(eid)
             steps = [DeleteEdgeStep(edge=eid, ends=ends)]
             steps[0].apply(work)
             for v in sorted(set(ends) - tset):
                 if work.degree(v) == 0:
                     steps.append(RemoveIsolatedStep(vertex=v))
                     steps[-1].apply(work)
-            if ends[0] != ends[1] and not guard.allows(work, eid, ends):
-                for step in reversed(steps):
-                    step.undo(work)
-                continue
+            if a != b and threshold > 0:
+                joined = (not work.has_vertex(a) or not work.has_vertex(b)
+                          or b in work._component_of(a, goal=b))
+                repaired = _repair(work, flows, ((eid, ends),)) if joined else None
+                if repaired is None:
+                    for step in reversed(steps):
+                        step.undo(work)
+                    continue
+                flows = repaired
             trace.extend(steps)
             changed = True
 
         # Vertex rules, ascending id for reproducibility.
-        guard.flows.clear()
         for u in sorted(work.vertices - tset):
             if not work.has_vertex(u):
                 continue
@@ -948,18 +920,17 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
                 # graph half-split.
                 probe = work.copy()
                 try:
-                    steps = _drain_vertex(probe, u)
+                    steps, probe_flows = _drain_vertex(probe, u, flows)
                 except PreconditionViolationError:
                     continue  # not splittable right now; later passes may free it
-                work = probe
+                work, flows = probe, probe_flows
                 trace.extend(steps)
                 changed = True
                 continue
             if deg >= 5:
-                tree = None
                 while work.degree(u) > 3:
                     try:
-                        step, tree = _mader_split_inplace(work, u, tree)
+                        step, flows = _mader_split_inplace(work, u, flows)
                     except PreconditionViolationError:
                         break
                     trace.append(step)

@@ -279,22 +279,6 @@ def reference_has_incident_cut_edge(g: Multigraph, u: int) -> bool:
                for eid in g.incident_edges(u))
 
 
-def reference_flow_tree(g: Multigraph, vertices: list[int]) -> list[tuple[int, int, int]]:
-    """Gusfield's equivalent-flow tree as (x, p, λ(x, p)), one fresh
-    min_cut per edge."""
-    from treepack import min_cut
-    parent = {v: vertices[0] for v in vertices[1:]}
-    tree = []
-    for i, x in enumerate(vertices[1:], start=1):
-        p = parent[x]
-        value, side = min_cut(g, x, p)
-        tree.append((x, p, value))
-        for y in vertices[i + 1:]:
-            if parent[y] == p and y in side:
-                parent[y] = x
-    return tree
-
-
 def reference_split_verdict(g: Multigraph, u: int, e1: int, e2: int, tree) -> bool:
     """Does the split keep every tree edge's value?  A fresh min_cut per
     tree edge in the split graph."""
@@ -303,23 +287,25 @@ def reference_split_verdict(g: Multigraph, u: int, e1: int, e2: int, tree) -> bo
     return all(min_cut(trial, x, p)[0] >= value for x, p, value, *_ in tree)
 
 
-def reference_tree_split(g: Multigraph, u: int) -> tuple[int, int]:
-    """mader_split with a fresh flow tree per call and a fresh min_cut per
-    tree edge per trial, raising PreconditionViolationError where it does."""
-    from treepack import PreconditionViolationError
+def reference_threshold_split(g: Multigraph, u: int, tset, threshold: int) -> tuple[int, int]:
+    """The reducer's split at u: the first candidate pair, in ascending
+    edge-id order, after whose split a fresh steiner_connectivity is still
+    at or above `threshold`, raising PreconditionViolationError where
+    mader_split does."""
+    from treepack import PreconditionViolationError, split_off, steiner_connectivity
     candidates = [e for e in g.incident_edges(u) if not g.is_loop(e)]
     if g.degree(u) == 3 or len(candidates) < 2 or not g.is_connected() \
             or reference_has_incident_cut_edge(g, u):
         raise PreconditionViolationError(f"cannot split at {u}")
-    tree = reference_flow_tree(g, sorted(g.vertices - {u}))
     for i, e1 in enumerate(candidates):
         for e2 in candidates[i + 1:]:
-            if reference_split_verdict(g, u, e1, e2, tree):
+            trial, _ = split_off(g, u, e1, e2)
+            if steiner_connectivity(trial, tset) >= threshold:
                 return e1, e2
-    raise AssertionError(f"no cut-preserving pair at vertex {u}")
+    raise AssertionError(f"no threshold-preserving pair at vertex {u}")
 
 
-def _reference_drain(g: Multigraph, u: int) -> list:
+def _reference_drain(g: Multigraph, u: int, tset, threshold: int) -> list:
     from treepack import split_off
     from treepack.graphcore import DeleteEdgeStep, RemoveIsolatedStep
     steps = []
@@ -334,7 +320,7 @@ def _reference_drain(g: Multigraph, u: int) -> list:
             steps.append(replace(step, removed=u))
             steps[-1].apply(g)
             return steps
-        _, step = split_off(g, u, *reference_tree_split(g, u))
+        _, step = split_off(g, u, *reference_threshold_split(g, u, tset, threshold))
         step.apply(g)
         steps.append(step)
     g.remove_vertex(u)
@@ -347,8 +333,10 @@ def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
     first, then one lower bound on λ_T, spent one unit per deletion while
     above the threshold and otherwise replaced by a full
     steiner_connectivity recount, a deletion that disconnects the graph
-    refused at a positive threshold, and a fresh tree split per split.
-    Returns the reduced graph and the trace steps."""
+    refused at a positive threshold, and per split the first pair that
+    keeps a fresh steiner_connectivity at or above the threshold.  Such a
+    split may lower λ_T by up to 2, so the bound is recounted after each
+    vertex pass.  Returns the reduced graph and the trace steps."""
     from treepack import PreconditionViolationError, split_off, steiner_connectivity
     from treepack.graphcore import DeleteEdgeStep, RemoveIsolatedStep
     tset = frozenset(terminals)
@@ -413,7 +401,7 @@ def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
             elif deg % 2 == 0:
                 probe = work.copy()
                 try:
-                    steps = _reference_drain(probe, u)
+                    steps = _reference_drain(probe, u, tset, threshold)
                 except PreconditionViolationError:
                     continue
                 work = probe
@@ -422,13 +410,14 @@ def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
             elif deg >= 5:
                 while work.degree(u) > 3:
                     try:
-                        pair = reference_tree_split(work, u)
+                        pair = reference_threshold_split(work, u, tset, threshold)
                     except PreconditionViolationError:
                         break
                     _, step = split_off(work, u, *pair)
                     step.apply(work)
                     trace.append(step)
                     changed = True
+        bound = steiner_connectivity(work, tset)
     return work, trace
 
 

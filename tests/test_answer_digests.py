@@ -23,7 +23,7 @@ SEED_1_DIGESTS = {
 SEED_424242_DIGESTS = {
     "spanning-nwt": "a66ce3149bf5bba4",
     "steiner-fkk": "3ae6c05a59639d5b",
-    "connector-kriesell": "ff2b76e5c56b6bc0",
+    "connector-kriesell": "e18ee83d23dff7a5",
     "refute-nwt": "7fcba352bc414679",
 }
 

@@ -266,6 +266,7 @@ class TestSweep:
         assert lines[0].startswith("model\tn\tk")
         for row in lines[1:]:
             fields = row.split("\t")
+            assert fields[3] == "-"  # spanning trees take no threshold
             assert fields[5] == fields[4]  # packed == seeds
             assert fields[9] == fields[8]  # brute agrees wherever checked
             # method_pipeline + method_brute + method_trivial == packed

@@ -22,7 +22,6 @@ import treepack.graphcore
 from treepack.generate import generate, generate_kriesell
 from treepack.graphcore import (
     SplitStep,
-    _drain_vertex,
     _flow_tree,
     _has_incident_cut_edge,
     _max_flow,
@@ -159,7 +158,7 @@ class TestMinCut:
         assert is_flow(g, flow, s, t, value)
         if value >= limit:
             assert side is None
-            assert limit <= value <= brute_min_cut(g, s, t)
+            assert value == limit <= brute_min_cut(g, s, t)
         else:
             assert value == brute_min_cut(g, s, t)
             assert side == brute_source_side(g, s, t)
@@ -367,22 +366,23 @@ class TestSplitTrial:
         for u in _eligible_split_vertices(g):
             before = g.copy()
             tree = _flow_tree(g, sorted(g.vertices - {u}))
+            flows = [flow for *_, flow in tree]
             candidates = [e for e in g.incident_edges(u) if not g.is_loop(e)]
             for i, e1 in enumerate(candidates):
                 for e2 in candidates[i + 1:]:
                     verdict = reference_split_verdict(g, u, e1, e2, tree)
-                    found = _split_trial(g, tree, u, e1, e2)
+                    found = _split_trial(g, flows, u, e1, e2)
                     assert (found is not None) == verdict, (seed, u, e1, e2)
                     if found is not None:
                         step, repaired = found
-                        for x, p, value, flow in repaired:
+                        for (x, p, value, _), flow in zip(tree, repaired, strict=True):
                             assert is_flow(g, flow, x, p, value)
                         step.undo(g)
             assert g == before and g.next_edge_id == before.next_edge_id
 
     def test_every_drain_call_matches_reference(self):
-        # A drain hands its flow tree from one split to the next, so each
-        # of its calls is checked, on the graph that call saw.
+        # A drain hands its flow tree's flows from one split to the next,
+        # so each of its calls is checked, on the graph that call saw.
         graphs = [_doubled(random_multigraph(seed, max_vertices=7, max_edges=11,
                                              connected=True)) for seed in range(40)]
         graphs += [generate_kriesell(n, 1, n).graph for n in range(9, 12)]
@@ -393,7 +393,7 @@ class TestSplitTrial:
                     continue
                 replay = g.copy()
                 calls = 0
-                for step in _drain_vertex(g.copy(), u):
+                for step in isolate_even_nonterminal(g, (), u)[1]:
                     if isinstance(step, SplitStep) and step.removed is None:
                         pair, _ = reference_mader_split(replay, u)
                         assert (step.e1, step.e2) == pair
@@ -503,27 +503,29 @@ class TestReduceInstance:
             (inst.graph, inst.terminals, 0, "fkk")
 
     def test_normal_form_input_returns_at_once(self, monkeypatch):
-        # fkk instances are generated in normal form: no deletion guard is
-        # built, and the trace stays empty.
-        guards = []
-        guard = treepack.graphcore._DeletionGuard
+        # fkk instances are generated in normal form: with the terminal
+        # connectivity given, no flow is built, and the trace stays empty.
+        flows = []
+        counted = treepack.graphcore._max_flow
 
-        def counted(*args):
-            guards.append(1)
-            return guard(*args)
+        def counting(*args):
+            flows.append(1)
+            return counted(*args)
 
-        monkeypatch.setattr(treepack.graphcore, "_DeletionGuard", counted)
-        for seed in (1, 2):
-            inst = generate("fkk", 11, 2, seed)
-            rr = reduce_instance(inst.graph, inst.terminals, 3 * 2)
+        instances = [generate("fkk", 11, 2, seed) for seed in (1, 2)]
+        monkeypatch.setattr(treepack.graphcore, "_max_flow", counting)
+        for inst in instances:
+            rr = reduce_instance(inst.graph, inst.terminals, 3 * 2,
+                                 connectivity=inst.connectivity)
             assert (rr.graph, len(rr.trace), rr.form) == (inst.graph, 0, "fkk")
             assert rr.graph is not inst.graph
-        assert guards == []
-        # one step off the normal form and the reducer runs
+        assert flows == []
+        # one step off the normal form and the reducer runs: one flow per
+        # terminal other than 0, then the exit recount's two
         g = doubled_triangle()
         g.add_edge(0, 0)
-        rr = reduce_instance(g, {0, 1, 2}, 2)
-        assert (len(rr.trace), rr.form, guards) == (1, "fkk", [1])
+        rr = reduce_instance(g, {0, 1, 2}, 2, connectivity=4)
+        assert (len(rr.trace), rr.form, len(flows)) == (1, "fkk", 4)
 
     def test_degree_four_nonterminal_eliminated_and_replayable(self):
         g = graph_from_pairs(3, [(2, 0), (2, 0), (2, 1), (2, 1)])
@@ -650,9 +652,10 @@ class TestReduceInstance:
         assert steiner_connectivity(rr.graph, {0, 1}) == 8
 
     def test_guard_runs_no_flow_while_slack_remains(self, monkeypatch):
-        # λ_T = 7 at threshold 1: both parallel-edge deletions at the hub
-        # have slack, so only the entry and exit checks run a flow, one
-        # each for the one terminal pair.
+        # λ_T = 7 at threshold 1: the reducer builds one flow for the one
+        # terminal pair and repairs it through both parallel-edge deletions
+        # at the hub and the suppression; besides it only the entry and
+        # exit checks run a flow.
         calls = []
         counted = treepack.graphcore._max_flow
 
@@ -665,14 +668,15 @@ class TestReduceInstance:
         rr = reduce_instance(g, {0, 1}, 1)
         kinds = [type(step).__name__ for step in rr.trace.steps]
         assert kinds == ["DeleteEdgeStep", "DeleteEdgeStep", "SplitStep"]
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_guard_runs_no_search_while_slack_remains(self, monkeypatch):
         # The graph of the test above: λ_T = 7 at threshold 1.  Only the
         # entry recount searches the residual network: its seeding pass
         # finds all 7 paths (5 direct, 2 through the hub), and one failed
-        # search proves the flow maximum.  The exit recount, capped at the
-        # threshold, is done by its seeding pass alone.
+        # search proves the flow maximum.  The reducer's flow and the exit
+        # recount, capped at the threshold, are each done by their seeding
+        # pass alone, and no edit drops a unit of that flow.
         searches = []
         route = treepack.graphcore._route
 
@@ -687,8 +691,9 @@ class TestReduceInstance:
         assert len(rr.trace) == 3 and steiner_connectivity(rr.graph, {0, 1}) == 6
 
     def test_flow_guard_matches_scalar_bound_reference(self):
-        # The guard's per-terminal bounds and carried flows decide every
-        # deletion exactly as one scalar bound with full recounts does.
+        # The carried terminal flows decide every deletion exactly as one
+        # scalar bound with full recounts does, and every split exactly as
+        # a fresh terminal connectivity per candidate pair.
         # paper-g is capped at λ_T where the instance falls short of it.
         # Doubling a normal-form fkk instance makes every hub edge a
         # parallel deletion candidate.
@@ -719,23 +724,30 @@ class TestReduceInstance:
 
     def test_guard_and_splits_stay_incremental(self, monkeypatch):
         # Kriesell n=11, k=1, seed 7 at threshold 8 (λ_T = 9, five
-        # terminals, a 48-step trace).  The reduction makes 257 residual
-        # searches, entry and exit recounts included.  Flows searched for
-        # every path and run to a failed search even when only a bound was
-        # asked made 721, and fresh flows for every tree and every tight
-        # deletion 3,164.
+        # terminals, a 48-step trace).  The reduction makes 143 residual
+        # searches, entry and exit recounts included, and builds no flow
+        # tree.  A deletion guard with its own flows and a flow tree per
+        # split vertex made 257, flows searched for every path and run to
+        # a failed search even when only a bound was asked 721, and fresh
+        # flows for every tree and every tight deletion 3,164.
         searches = []
+        trees = []
         route = treepack.graphcore._route
 
         def counted(*args):
             searches.append(1)
             return route(*args)
 
+        def no_tree(*args):
+            trees.append(1)
+            raise AssertionError("the reducer built a flow tree")
+
         inst = generate("kriesell", 11, 1, 7)
         monkeypatch.setattr(treepack.graphcore, "_route", counted)
+        monkeypatch.setattr(treepack.graphcore, "_flow_tree", no_tree)
         rr = reduce_instance(inst.graph, inst.terminals, 8)
         assert (len(inst.terminals), inst.connectivity, len(rr.trace)) == (5, 9, 48)
-        assert len(searches) < 280
+        assert len(searches) < 160 and trees == []
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=3, max_value=7), st.integers(min_value=0, max_value=10_000))

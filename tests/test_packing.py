@@ -485,6 +485,43 @@ class TestLifting:
         assert found_trace
 
 
+# (n, seed) pairs whose kriesell draw has at least four terminals, at least
+# one non-terminal, and reaches the threshold within a few hundred
+# attempts; at paper-g many draws use up the generator's whole retry budget
+# instead.
+THEOREM_CASES = {
+    (1, "steiner"): [(10, 0), (10, 2), (11, 3), (12, 3), (13, 1), (13, 5), (14, 0),
+                     (15, 4), (16, 3), (17, 4), (18, 0), (19, 3), (20, 0)],
+    (1, "connector"): [(12, 5), (13, 0), (13, 1), (14, 0), (15, 5), (16, 3), (17, 2),
+                       (18, 4), (19, 0), (20, 1)],
+    (2, "steiner"): [(10, 1), (12, 4), (13, 1), (14, 5), (15, 5), (17, 4), (18, 4),
+                     (19, 5), (20, 1)],
+    (2, "connector"): [(10, 3), (10, 5), (11, 1), (13, 0), (17, 3), (18, 3), (19, 0),
+                       (20, 1), (20, 5)],
+}
+
+
+class TestPaperTheorem:
+    @pytest.mark.parametrize("k, mode", sorted(THEOREM_CASES))
+    def test_paper_thresholds_pack_by_the_pipeline_alone(self, k, mode):
+        # The theorem: λ_T >= paper-f(k) gives k Steiner trees and
+        # λ_T >= paper-g(k) gives k connectors.  On kriesell multigraphs
+        # with n = 10 to 20 and at least four terminals, the reduction and
+        # the hypergraph packing alone must find them, with no brute help.
+        from treepack.generate import generate_kriesell
+        t = Thresholds.for_k(k)
+        threshold, pack = ((t.f_k, pack_steiner_trees) if mode == "steiner"
+                           else (t.g_k, pack_connectors))
+        for n, seed in THEOREM_CASES[k, mode]:
+            inst = generate_kriesell(n, k, seed, min_connectivity=threshold)
+            assert len(inst.terminals) >= 4 and inst.connectivity >= threshold
+            result = pack(inst.graph, inst.terminals, k, threshold=threshold,
+                          brute_fallback=False)
+            assert (result.outcome, result.method) == ("packed", "pipeline"), (n, seed)
+            assert len(result.trace) > 0, (n, seed)
+            assert verify_packing(inst.graph, inst.terminals, result.packing).ok
+
+
 class TestBelowTheoremThresholds:
     def test_pipeline_agrees_with_brute_force_in_probing_regimes(self):
         # at the conjectured (unproven) bound the pipeline may legitimately
