@@ -16,7 +16,10 @@ use it, and a flow computed before an edit is repaired after it
 is seeded with its one- and two-edge paths in one pass before any
 search, and a caller that needs only a bound caps it at exactly that
 value: the terminal cut caps each flow at the smallest value so far, and
-the reducer caps its flows and its exit recount at the threshold.  The
+the reducer caps its flows and its exit recount at the threshold.  Input
+already in the reduced normal form needs no flow for its terminal
+connectivity: `_normal_form_cut` reads it off maximum-adjacency orderings
+of the hypergraph the non-terminals make on the terminals.  The
 splitting-off routines implement the classical degree-lowering operation
 (replace edges uv, uv' at u by a single edge vv') together with a
 verified search for a pair at a vertex, and a reducer that drives all
@@ -528,6 +531,72 @@ def _terminal_cut(g: Multigraph, tset: frozenset[int], limit: int | None = None
             best, best_side = size, side
     assert best is not None
     return best, best_side
+
+
+def _normal_form_cut(g: Multigraph, tset: frozenset[int]) -> int:
+    """The terminal connectivity of g in the reduced normal form (see
+    `_normal_form_violation`), by maximum-adjacency orderings and no flow.
+
+    In that form λ_T is the global minimum cut of the hypergraph on T whose
+    hyperedges are each non-terminal's three neighbours and each
+    terminal-terminal edge: a cut of g splits a non-terminal's neighbours
+    at most 2-1 and is cheapest with it on its majority side, where it
+    costs 1.  `best` starts at the least terminal degree, since a lone
+    terminal is a T-cut.  Each phase orders the current groups of
+    terminals from the least: the next is one with the largest key, the
+    number of hyperedges that contain it and meet the groups before it.
+    The last group's key is its degree, a cut, and the least cut that
+    separates it from the one before (Klimmek-Wagner 1996; Queyranne
+    1998).  A prefix v_1 ... v_i of the order is such an order of the
+    hypergraph with every hyperedge trimmed to the prefix, where v_i's key
+    is its degree; trimming only shrinks cuts, so key(v_i) <=
+    λ(v_{i-1}, v_i).  After recording the last group's key, the phase
+    merges every consecutive pair whose later key is at least `best`, the
+    last pair included: no cut below `best` separates such a pair, so
+    every cut below `best` survives the merge.  The phases stop when one
+    group is left.  A hyperedge counts once toward each group it meets,
+    however many of its ends that group holds, and not at all once one
+    group holds all of them.
+    """
+    arcs = g._incidence
+    edges: list[tuple[int, ...]] = []
+    for v, inc in arcs.items():
+        if v not in tset:
+            edges.append(tuple([w for _, w, _ in inc]))
+        else:
+            edges.extend((v, w) for _, w, direction in inc if direction == 1 and w in tset)
+    best = min(len(arcs[t]) for t in tset)
+    labels = sorted(tset)
+    while best > 0 and len(labels) > 1:
+        meets: dict[int, list[int]] = {x: [] for x in labels}
+        for i, ends in enumerate(edges):
+            for x in ends:
+                meets[x].append(i)
+        key = dict.fromkeys(labels[1:], 0)
+        v = labels[0]
+        order, attach = [v], [0]
+        counted = [False] * len(edges)
+        while key:
+            for i in meets[v]:
+                if not counted[i]:
+                    counted[i] = True
+                    for x in edges[i]:
+                        if x in key:
+                            key[x] += 1
+            v = max(key, key=key.__getitem__)
+            order.append(v)
+            attach.append(key.pop(v))
+        best = min(best, attach[-1])
+        # Each run of merged pairs becomes the group of its first member.
+        merged = {}
+        for i, x in enumerate(order):
+            if i == 0 or (attach[i] < best and i < len(order) - 1):
+                run = x
+            merged[x] = run
+        edges = [ends for ends in (tuple({merged[x] for x in e}) for e in edges)
+                 if len(ends) > 1]
+        labels = sorted(set(merged.values()))
+    return best
 
 
 # -- splitting-off -----------------------------------------------------------

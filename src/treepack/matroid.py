@@ -778,13 +778,22 @@ class PackBasesResult:
 
 class _Part:
     """One part of a k-fold packing, the oracle's state for it, and the
-    circuits read off that state, by element."""
+    circuits read off that state, by element.
+
+    A memoised circuit C of y stays y's circuit as long as the part holds
+    all of C (and not y, which is never asked of its own part): C + y is
+    then a circuit inside part + y, and fundamental circuits are unique.
+    So a chain that changes the part drops nothing, and a lookup checks
+    C against the part.  Only circuits are memoised: an element that fits
+    the part goes into it at once, so that answer is never asked again
+    while the part stays as it was."""
 
     __slots__ = ("index", "items", "state", "circuits")
 
     def __init__(self, oracle: Matroid, index: int, items: set[int]):
         self.index = index
         self.items = items
+        self.circuits: dict[int, frozenset[int]] = {}
         self._settle(oracle, oracle._part_state(items))
 
     def update(self, oracle: Matroid, left: set[int], arrived: set[int]) -> None:
@@ -797,12 +806,14 @@ class _Part:
                 f"union augmentation broke part {self.index}; "
                 f"run check_matroid_axioms on oracle {oracle.name!r}")
         self.state = state
-        self.circuits: dict[int, frozenset[int] | None] = {}
 
     def circuit(self, oracle: Matroid, y: int) -> frozenset[int] | None:
-        if y not in self.circuits:
-            self.circuits[y] = oracle._circuit(self.items, self.state, y)
-        return self.circuits[y]
+        circuit = self.circuits.get(y)
+        if circuit is None or not circuit <= self.items:
+            circuit = oracle._circuit(self.items, self.state, y)
+            if circuit is not None:
+                self.circuits[y] = circuit
+        return circuit
 
 
 def _union_augment(oracle: Matroid, parts: list[_Part], placement: dict[int, int],
@@ -910,10 +921,11 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     unplaceable.  The total placed count equals the k-fold union rank of
     the element set.  A search skips the elements that earlier failed
     searches reached, which hold no augmenting chain (`_union_augment`).
-    Each part keeps the oracle's state and the circuits read off it until
-    a chain changes the part.  Then the oracle updates that state in place
-    from the elements that left and arrived (`_part_update`) and re-checks
-    the part: the graphic oracle cuts and links forest edges, and the
+    Each part keeps the oracle's state and the circuits read off it, each
+    for as long as the part holds all of it (`_Part`).  A chain that
+    changes the part has the oracle update that state in place from the
+    elements that left and arrived (`_part_update`) and re-check the
+    part: the graphic oracle cuts and links forest edges, and the
     hypergraphic one runs one exchange search per arrival.  So the parts'
     forests are built from nothing only once, empty.  Once every part holds
     |V| - 1 elements (graphic and hypergraphic oracles), the rest are

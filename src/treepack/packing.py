@@ -6,7 +6,9 @@ the requested cut threshold, reduce the instance until non-terminals form
 an independent set of degree-3 vertices, replace every non-terminal by a
 3-vertex hyperedge, pack k disjoint bases of the hypergraphic matroid,
 decode the bases back to edge sets of the reduced graph, and lift the
-result through the reduction trace to the original graph.  Connector
+result through the reduction trace to the original graph.  Input already
+in that normal form has its cut threshold checked without flows and skips
+the reduction and the lift: it is its own reduced graph.  Connector
 decoding keeps only the two edges named by each hyperedge's representative
 pair, so every used non-terminal has degree 2 before lifting and even
 degree after.  When a union packing falls short, both pipelines take the
@@ -40,6 +42,7 @@ from .graphcore import (
     ReduceResult,
     SplitStep,
     SplitTrace,
+    _normal_form_cut,
     _normal_form_violation,
     reduce_instance,
     steiner_min_cut,
@@ -178,22 +181,24 @@ def prune_to_terminal_tree(g: Multigraph, terminals: frozenset[int],
 
     Non-terminal leaves are removed to a fixpoint, then a breadth-first
     spanning tree rooted at the lowest terminal id is taken over what is
-    left, so the output is deterministic.
+    left, so the output is deterministic.  The fixpoint is the largest
+    subset in which no non-terminal has degree 1 (a loop counts 2): the
+    union of two such subsets is one, and no removal takes an edge of it.
+    So one queue of leaves reaches it in any order.
     """
     work = set(edge_ids)
-    while True:
-        deg = _part_degrees(g, work)
-        drop = None
-        for v in sorted(deg):
-            if deg[v] == 1 and v not in terminals:
-                drop = v
-                break
-        if drop is None:
-            break
-        for eid in sorted(work):
-            if drop in g.endpoints(eid):
-                work.discard(eid)
-                break
+    deg = _part_degrees(g, work)
+    leaves = [v for v, d in deg.items() if d == 1 and v not in terminals]
+    while leaves:
+        v = leaves.pop()
+        if deg[v] != 1:
+            continue  # its last edge went with a neighbouring leaf
+        eid = next(e for e in g.incident_edges(v) if e in work)
+        work.discard(eid)
+        w = g.other_end(eid, v)
+        deg[w] -= 1
+        if deg[w] == 1 and w not in terminals:
+            leaves.append(w)
 
     adj: dict[int, list[tuple[int, int]]] = {}
     for eid in sorted(work):
@@ -468,7 +473,11 @@ def _lift_verified(parts: Iterable[frozenset[int]], rr: ReduceResult, g: Multigr
                    mode: str, route: str) -> tuple[Packing, Packing]:
     """Verify reduced-graph parts there, lift them back to g through the
     reduction trace and verify them again on g; the rewind must restore g
-    exactly.  Returns the packing before and after the lift."""
+    exactly.  Returns the packing before and after the lift.  With an empty
+    trace the reduced graph is g, and the parts are verified once, on g."""
+    if not rr.trace.steps:
+        packing = _verified(g, rr.terminals, Packing(mode=mode, parts=tuple(parts)), route)
+        return packing, packing
     pre_lift = _verified(rr.graph, rr.terminals, Packing(mode=mode, parts=tuple(parts)),
                          f"{route} (reduced graph)")
     lifted, original = lift_parts(pre_lift.parts, rr.trace, rr.graph, rr.terminals, mode)
@@ -593,7 +602,13 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
     t_values = Thresholds.for_k(k)
     if threshold is None:
         threshold = t_values.f_k if mode == "steiner" else t_values.g_k
-    connectivity, side = steiner_min_cut(g, tset)
+    # Input already in the normal form needs no flow to find λ_T, and no
+    # reduction: it is its own reduced graph, with an empty trace.
+    normal = _normal_form_violation(g, tset) is None
+    if normal:
+        connectivity, side = _normal_form_cut(g, tset), None
+    else:
+        connectivity, side = steiner_min_cut(g, tset)
     rr: ReduceResult | None = None
 
     def result(outcome: str, **fields) -> PackResult:
@@ -602,18 +617,28 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
                           reduced_graph=rr.graph if rr else None, **fields)
 
     if connectivity < threshold:
+        if side is None:
+            # The certificate reports the flow loop's side on every input.
+            size, side = steiner_min_cut(g, tset)
+            if size != connectivity:
+                raise InternalInvariantError(
+                    f"normal-form cut {connectivity} differs from the flow cut {size}")
         return result("certificate", certificate=Certificate(
             kind="cut-too-small", cut_side=side, cut_size=connectivity, threshold=threshold))
 
-    # Reduction runs at the hypergraph-packing threshold when the instance
-    # affords it; below that (probing regimes) it preserves what was asked.
-    reduce_threshold = t_values.fkk if connectivity >= t_values.fkk else threshold
-    rr = reduce_instance(g, tset, reduce_threshold, connectivity=connectivity)
-    if rr.form != "fkk" and threshold < reduce_threshold:
-        # Keeping λ_T at 3k can leave no slack for the deletions the
-        # normal form needs; the requested threshold may leave enough.
-        # The stalled trace is dropped, and every packing is verified.
-        rr = reduce_instance(g, tset, threshold, connectivity=connectivity)
+    if normal:
+        rr = ReduceResult(graph=g.copy(), terminals=tset, trace=SplitTrace(), form="fkk")
+    else:
+        # Reduction runs at the hypergraph-packing threshold when the
+        # instance affords it; below that (probing regimes) it preserves
+        # what was asked.
+        reduce_threshold = t_values.fkk if connectivity >= t_values.fkk else threshold
+        rr = reduce_instance(g, tset, reduce_threshold, connectivity=connectivity)
+        if rr.form != "fkk" and threshold < reduce_threshold:
+            # Keeping λ_T at 3k can leave no slack for the deletions the
+            # normal form needs; the requested threshold may leave enough.
+            # The stalled trace is dropped, and every packing is verified.
+            rr = reduce_instance(g, tset, threshold, connectivity=connectivity)
 
     packed = None
     if rr.form == "fkk":
@@ -673,7 +698,8 @@ def pack_steiner_trees(g: Multigraph, terminals, k: int,
     """k edge-disjoint trees each containing every terminal.
 
     Pipeline: threshold check, reduction, hypergraphic base packing,
-    decode, lift, verify.  The reduction keeps λ_T at 3k when the instance
+    decode, lift, verify; input already in the normal form skips the
+    reduction and the lift.  The reduction keeps λ_T at 3k when the instance
     affords it; when that stalls before the normal form and a lower
     threshold was asked, it starts again at that threshold.  When the
     hypergraph does not pack or the reduction still stalls, the routes

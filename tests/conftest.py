@@ -9,8 +9,10 @@ too: bridges by one search per edge, split trials by a fresh min_cut per
 tree edge, the terminal cut with every flow run in full, and the
 scalar-bound deletion guard that recounts λ_T whenever its bound has no
 slack.  So does the union engine's: the exchange search
-with no pruning, over part states rebuilt after every chain.  Tests
-compare the fast implementations against these.
+with no pruning, over part states rebuilt after every chain, and a part
+update that forgets every memoised circuit.  So does the leaf pruning
+that rescans the whole edge set per leaf.  Tests compare the fast
+implementations against these.
 """
 
 from __future__ import annotations
@@ -473,6 +475,52 @@ def reference_pack(oracle, k: int, elements):
             reached |= parent.keys()
             reach += len(parent)
     return parts, unplaced, frozenset(reached), reach
+
+
+def reference_prune_to_terminal_tree(g: Multigraph, terminals, edge_ids) -> frozenset[int]:
+    """prune_to_terminal_tree removing one leaf per rescan: each round
+    recounts every degree (a loop counts 2), drops the least-id edge at the
+    least non-terminal leaf, and stops when there is none; then the same
+    breadth-first tree from the least terminal."""
+    from treepack import InternalInvariantError
+    work = set(edge_ids)
+    while True:
+        deg: dict[int, int] = {}
+        for eid in work:
+            for v in g.endpoints(eid):
+                deg[v] = deg.get(v, 0) + 1
+        drop = next((v for v in sorted(deg) if deg[v] == 1 and v not in terminals), None)
+        if drop is None:
+            break
+        work.discard(next(eid for eid in sorted(work) if drop in g.endpoints(eid)))
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for eid in sorted(work):
+        u, v = g.endpoints(eid)
+        adj.setdefault(u, []).append((v, eid))
+        adj.setdefault(v, []).append((u, eid))
+    root = min(terminals)
+    tree: set[int] = set()
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y, eid in sorted(adj.get(x, ())):
+                if y not in seen:
+                    seen.add(y)
+                    tree.add(eid)
+                    nxt.append(y)
+        frontier = nxt
+    if not terminals <= seen:
+        raise InternalInvariantError("pruning disconnected a terminal")
+    return frozenset(tree)
+
+
+def clearing_part_update(part, oracle, left: set[int], arrived: set[int]) -> None:
+    """`_Part.update` that drops every memoised circuit after a chain,
+    valid or not."""
+    part._settle(oracle, oracle._part_update(part.items, part.state, left, arrived))
+    part.circuits.clear()
 
 
 # -- exact rational feasibility ------------------------------------------------

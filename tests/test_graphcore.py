@@ -25,6 +25,8 @@ from treepack.graphcore import (
     _flow_tree,
     _has_incident_cut_edge,
     _max_flow,
+    _normal_form_cut,
+    _normal_form_violation,
     _split_trial,
 )
 from treepack.packing import Thresholds
@@ -218,6 +220,78 @@ class TestSteinerConnectivity:
                 cases.append((inst.graph, inst.terminals))
         for g, terminals in cases:
             assert steiner_min_cut(g, terminals) == reference_steiner_min_cut(g, terminals)
+
+
+@st.composite
+def normal_form_instances(draw):
+    """A multigraph in the reduced normal form on terminals 0 .. n-1, with
+    its hyperedges: each hub's three terminal neighbours and each
+    terminal-terminal edge, triples and pairs both possibly repeated.
+    With `apart` < n no hyperedge meets both 0 .. apart-1 and the rest,
+    so the terminal groups are disconnected; with no hub, T = V."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    apart = draw(st.integers(min_value=1, max_value=n - 1)) if draw(st.booleans()) else n
+    blocks = [b for b in (range(apart), range(apart, n)) if b]
+    g = graph_from_pairs(n, [])
+    hyperedges = []
+    for size, most in ((3, 25), (2, 12)):
+        for _ in range(draw(st.integers(min_value=0, max_value=most))):
+            fits = [b for b in blocks if len(b) >= size]
+            if not fits:
+                break
+            block = draw(st.sampled_from(fits))
+            ends = draw(st.lists(st.sampled_from(block), min_size=size, max_size=size,
+                                 unique=True))
+            hyperedges.append(frozenset(ends))
+            if size == 2:
+                g.add_edge(*ends)
+            else:
+                hub = g.vertex_count()
+                g.add_vertex(hub)
+                for t in ends:
+                    g.add_edge(hub, t)
+    return g, frozenset(range(n)), hyperedges
+
+
+def brute_hypergraph_cut(terminals, hyperedges) -> int:
+    """The least number of hyperedges that meet both sides, over every
+    bipartition of the terminals."""
+    ts = sorted(terminals)
+    return min(sum(bool(e & side) and not e <= side for e in hyperedges)
+               for side in (frozenset(t for i, t in enumerate(ts) if mask >> i & 1)
+                            for mask in range(1, 1 << (len(ts) - 1))))
+
+
+class TestNormalFormCut:
+    """The flow-free terminal cut against the flow loop and the bipartitions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(normal_form_instances())
+    def test_matches_flows_and_bipartitions(self, instance):
+        g, tset, hyperedges = instance
+        assert _normal_form_violation(g, tset) is None
+        value = _normal_form_cut(g, tset)
+        assert value == reference_steiner_min_cut(g, tset)[0]
+        assert value == brute_hypergraph_cut(tset, hyperedges)
+
+    def test_merged_ends_count_once_per_group(self):
+        # Once 1 and 2 share a group, the hub on {0, 1, 2} meets that group
+        # once: counting it once per end reads 2 for the true 1 (the hub
+        # alone crosses {1, 2} | {0, 3}).
+        g = graph_from_pairs(4, [(0, 3), (0, 3), (1, 2)])
+        g.add_vertex(4)
+        for t in (0, 1, 2):
+            g.add_edge(4, t)
+        tset = frozenset(range(4))
+        assert _normal_form_cut(g, tset) == steiner_connectivity(g, tset) == 1
+
+    def test_benchmark_shaped_instances(self):
+        for n, k in ((9, 3), (11, 2), (16, 2)):
+            for seed in range(10):
+                inst = generate("fkk", n, k, seed)
+                assert _normal_form_violation(inst.graph, inst.terminals) is None
+                assert _normal_form_cut(inst.graph, inst.terminals) == \
+                    reference_steiner_min_cut(inst.graph, inst.terminals)[0]
 
 
 class TestSplitOff:

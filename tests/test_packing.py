@@ -27,7 +27,8 @@ from treepack import (
 import treepack.packing
 from treepack.generate import generate
 from treepack.matroid import iter_partitions, graph_edge_sets
-from treepack.packing import _violating_partition_certificate
+from treepack.graphcore import _normal_form_violation
+from treepack.packing import _violating_partition_certificate, prune_to_terminal_tree
 from treepack.rng import SplitMix64
 from conftest import c4, doubled_triangle, graph_from_pairs, k4, random_hypergraph, triangle
 
@@ -344,25 +345,65 @@ class TestPackSteinerTrees:
         assert all(not p for p in result.packing.parts)
 
     def test_entry_connectivity_is_computed_once(self, monkeypatch):
-        # The pipeline's threshold check computes λ_T and hands it to the
-        # reduction, which would otherwise compute it again.
+        # The pipeline's threshold check computes λ_T once: by flows, handed
+        # to the reduction, which would otherwise compute it again; or, on
+        # normal-form input, which skips the reduction, by the flow-free cut.
         import treepack.graphcore
         import treepack.packing
         from treepack.generate import generate
+        calls = []
+
+        def counting(name):
+            original = getattr(treepack.graphcore, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(treepack.graphcore, name, counted)
+            monkeypatch.setattr(treepack.packing, name, counted)
+
+        normal, reducible = generate("fkk", 11, 2, 1), generate("kriesell", 11, 1, 3)
+        counting("steiner_min_cut")
+        counting("_normal_form_cut")
+        result = pack_steiner_trees(normal.graph, normal.terminals, 2, threshold=6,
+                                    brute_fallback=False)
+        assert result.succeeded and len(result.trace) == 0
+        assert calls == ["_normal_form_cut"]
+        calls.clear()
+        result = pack_steiner_trees(reducible.graph, reducible.terminals, 1, threshold=3,
+                                    brute_fallback=False)
+        assert result.succeeded and len(result.trace) > 0
+        assert calls == ["steiner_min_cut"]
+
+    def test_normal_form_certificate_keeps_the_flow_side(self):
+        # Below the threshold, normal-form input still reports the side of
+        # the flow loop, as it did when the loop also gave the value.
+        from conftest import reference_steiner_min_cut
+        inst = generate("fkk", 9, 2, 1)
+        assert _normal_form_violation(inst.graph, inst.terminals) is None
+        result = pack_steiner_trees(inst.graph, inst.terminals, 2, threshold=99)
+        cert = result.certificate
+        assert (cert.kind, cert.cut_size, cert.threshold) == ("cut-too-small", 6, 99)
+        assert cert.cut_side == frozenset(range(29)) - {7}
+        assert (6, cert.cut_side) == reference_steiner_min_cut(inst.graph, inst.terminals)
+
+    def test_normal_form_input_packs_without_flows(self, monkeypatch):
+        import treepack.graphcore
         inst = generate("fkk", 11, 2, 1)
         calls = []
-        original = treepack.graphcore.steiner_min_cut
+        original = treepack.graphcore._max_flow
 
-        def counted(*args):
+        def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(treepack.graphcore, "steiner_min_cut", counted)
-        monkeypatch.setattr(treepack.packing, "steiner_min_cut", counted)
-        result = pack_steiner_trees(inst.graph, inst.terminals, 2, threshold=6,
-                                    brute_fallback=False)
-        assert result.succeeded and len(result.trace) == 0
-        assert len(calls) == 1
+        monkeypatch.setattr(treepack.graphcore, "_max_flow", counting)
+        for pack in (pack_steiner_trees, pack_connectors):
+            result = pack(inst.graph, inst.terminals, 2, threshold=6, brute_fallback=False)
+            assert (result.outcome, result.method, calls) == ("packed", "pipeline", [])
+            assert result.connectivity == 6 and len(result.trace) == 0
+            assert result.reduced_graph == inst.graph and result.pre_lift == result.packing
 
     def test_lift_through_nontrivial_reduction(self):
         # non-terminal chain forces splits before the hypergraph step
@@ -483,6 +524,80 @@ class TestLifting:
             if result.trace is not None and len(result.trace) > 0:
                 found_trace = True
         assert found_trace
+
+
+def recorded_prunes(monkeypatch) -> list:
+    """Every prune_to_terminal_tree call the pipelines make from here on, as
+    (graph copy, terminals, edge set)."""
+    calls = []
+    prune = treepack.packing.prune_to_terminal_tree
+
+    def recording(g, terminals, edge_ids):
+        edge_ids = frozenset(edge_ids)
+        calls.append((g.copy(), terminals, edge_ids))
+        return prune(g, terminals, edge_ids)
+
+    monkeypatch.setattr(treepack.packing, "prune_to_terminal_tree", recording)
+    return calls
+
+
+class TestPruneToTerminalTree:
+    """One queue of leaves against the rescan per leaf (conftest)."""
+
+    @staticmethod
+    def assert_matches_reference(calls) -> None:
+        from conftest import reference_prune_to_terminal_tree
+        for g, terminals, edge_ids in calls:
+            assert prune_to_terminal_tree(g, terminals, edge_ids) == \
+                reference_prune_to_terminal_tree(g, terminals, edge_ids)
+
+    def test_decoded_parts(self, monkeypatch):
+        calls = recorded_prunes(monkeypatch)
+        for n, k in ((9, 3), (11, 2)):
+            for seed in range(20):
+                inst = generate("fkk", n, k, seed)
+                assert pack_steiner_trees(inst.graph, inst.terminals, k, threshold=3 * k,
+                                          brute_fallback=False).succeeded
+        assert len(calls) >= 100
+        self.assert_matches_reference(calls)
+
+    def test_lifted_parts(self, monkeypatch):
+        # Kriesell draws reduce through splits, and each lifted Steiner part
+        # is re-pruned after every swap.
+        from treepack.generate import generate_kriesell
+        calls = recorded_prunes(monkeypatch)
+        for seed in range(20):
+            for n, k in ((11, 1), (13, 2)):
+                inst = generate_kriesell(n, k, seed)
+                result = pack_steiner_trees(inst.graph, inst.terminals, k, threshold=3 * k,
+                                            brute_fallback=False)
+                assert result.succeeded and len(result.trace) > 0
+        assert len(calls) > 70
+        self.assert_matches_reference(calls)
+
+    def test_random_edge_sets(self):
+        # Loops (counting 2 toward their vertex), parallel edges, isolated
+        # terminals and sets that leave a terminal apart, which both reject.
+        from treepack import InternalInvariantError
+        from conftest import random_multigraph, reference_prune_to_terminal_tree
+        rejected = leafy = 0
+        for seed in range(300):
+            rng = SplitMix64(seed)
+            g = random_multigraph(seed, max_vertices=9, max_edges=16)
+            vertices = sorted(g.vertices)
+            terminals = frozenset(rng.sample(vertices, 1 + rng.below(len(vertices))))
+            edge_ids = [eid for eid in sorted(g.edges) if rng.below(4)]
+            leafy += any(d == 1 and v not in terminals
+                         for v, d in treepack.packing._part_degrees(g, edge_ids).items())
+            try:
+                expected = reference_prune_to_terminal_tree(g, terminals, edge_ids)
+            except InternalInvariantError:
+                rejected += 1
+                with pytest.raises(InternalInvariantError):
+                    prune_to_terminal_tree(g, terminals, edge_ids)
+                continue
+            assert prune_to_terminal_tree(g, terminals, edge_ids) == expected
+        assert 50 < rejected < 250 and leafy > 50
 
 
 # (n, seed) pairs whose kriesell draw has at least four terminals, at least
