@@ -30,9 +30,11 @@ per candidate instead, and is the reference both are tested against.  A
 search that fails leaves its reached set behind.  Every part spans it, so
 no later chain passes through it and later searches skip it; and the
 union of those sets minimises |E - A| + k*rank(A), so certificates of
-deficiency are read off the failed searches instead of enumerated.  Once
-every part holds |V| - 1 elements, each is a basis and nothing more fits,
-so the engine stops searching.
+deficiency are read off the failed searches instead of enumerated.  A part
+that holds |V| - 1 elements is a basis and takes nothing, so a search asks
+such full parts last; once every part is full, the engine stops searching.
+A hypergraphic search that finds an element fits a part keeps its chain on
+the part's forest, and the chain update applies it with no second search.
 """
 
 from __future__ import annotations
@@ -310,12 +312,17 @@ class _RootedForest:
     or link that changes tree.  `acyclic` is False once the edges are not
     a forest (a loop, a repeated pair, or an edge that closes a cycle);
     such an edge stays in `ends` unlinked, so paths are then those of a
-    spanning forest of them."""
+    spanning forest of them.
 
-    __slots__ = ("ends", "adj", "tree", "depth", "up", "acyclic")
+    `found` is one slot for a reader that has searched the forest: a label
+    and the exchange chain found for it, or None.  Every `exchange` clears
+    it, so a chain read back from it was found on the forest as it is."""
+
+    __slots__ = ("ends", "adj", "tree", "depth", "up", "acyclic", "found")
 
     def __init__(self, ends: dict[int, Pair]):
         self.ends = ends
+        self.found: tuple[int, dict[int, Pair]] | None = None
         nbrs: dict[int, list[tuple[int, int]]] = {}
         for label, (a, b) in ends.items():
             nbrs.setdefault(a, []).append((b, label))
@@ -347,6 +354,7 @@ class _RootedForest:
         `arrived` (label -> ends) in turn.  An arrival whose ends one tree
         already joins is kept unlinked and sets `acyclic` to False; a
         forest in that state is only read before it is discarded."""
+        self.found = None
         ends, adj, tree, depth, up = self.ends, self.adj, self.tree, self.depth, self.up
         for label in left:
             a, b = ends.pop(label)
@@ -603,9 +611,13 @@ class HypergraphicMatroid(Matroid):
         applying its exchange chain (the displaced hyperedges' old pairs
         out, the chain's pairs in), then check it once by `acyclic` (pairs
         are never loops, and a repeated pair counts as a cycle); with
-        strict=True, None at the first that does not fit."""
+        strict=True, None at the first that does not fit.  A chain that
+        `_circuit` found for the hyperedge on the forest as it is (its
+        `found` slot) is applied without a second search: the search is
+        deterministic, so that is the chain a new one would find."""
         for eid in ids:
-            chain = self._augment(forest, eid)
+            found = forest.found
+            chain = found[1] if found and found[0] == eid else self._augment(forest, eid)
             if chain is not None:
                 forest.exchange([e for e in chain if e in forest.ends], chain)
             elif strict:
@@ -639,8 +651,10 @@ class HypergraphicMatroid(Matroid):
         by one exchange search, all in place: |arrived| searches where a
         rebuild takes |part|.  Each set on the way lies inside the new
         part, so while that is independent every insertion fits; one that
-        does not reports the part dependent."""
-        state.exchange(left, {})
+        does not reports the part dependent.  When nothing left, the
+        forest is unchanged, so `_insert` keeps the chain `_circuit` found."""
+        if left:
+            state.exchange(left, {})
         return self._insert(state, sorted(arrived), strict=True)
 
     def _circuit(self, part: set[int], state: _RootedForest,
@@ -665,9 +679,15 @@ class HypergraphicMatroid(Matroid):
         forest of part - z, where the last pair joins two trees, the chain
         is a shortest augmenting path, and applying it gives a
         representative forest of part - z + y (the shortest-path lemma of
-        matroid intersection)."""
+        matroid intersection).
+
+        When y fits, the chain found is kept in the forest's `found` slot
+        for `_insert`; collecting D does not steer the search, so it is
+        the chain a search without D finds."""
         displaced: set[int] = set()
-        if self._augment(state, y, displaced) is not None:
+        chain = self._augment(state, y, displaced)
+        if chain is not None:
+            state.found = (y, chain)
             return None
         return frozenset(displaced)
 
@@ -786,7 +806,9 @@ class _Part:
     So a chain that changes the part drops nothing, and a lookup checks
     C against the part.  Only circuits are memoised: an element that fits
     the part goes into it at once, so that answer is never asked again
-    while the part stays as it was."""
+    while the part stays as it was.  The oracle may keep in the state what
+    it found while answering that an element fits (the hypergraphic oracle
+    keeps the exchange chain), for the update that follows at once."""
 
     __slots__ = ("index", "items", "state", "circuits")
 
@@ -816,8 +838,9 @@ class _Part:
         return circuit
 
 
-def _union_augment(oracle: Matroid, parts: list[_Part], placement: dict[int, int],
-                   x: int, closed: set[int]) -> frozenset[int] | None:
+def _union_augment(oracle: Matroid, parts: list[_Part], asked: list[_Part],
+                   placement: dict[int, int], x: int,
+                   closed: set[int]) -> frozenset[int] | None:
     """Shortest exchange chain inserting x into the part family.
 
     The arcs from y are the circuits of y in the parts y is not in.  A
@@ -842,20 +865,29 @@ def _union_augment(oracle: Matroid, parts: list[_Part], placement: dict[int, int
       without the pruning: every such element gets the same place in the
       queue and the same parent, and the chain found is the same.
     - On a failure, what the pruned search reaches is what the full one
-      reaches less `closed`, so the union of reached sets is the same."""
+      reaches less `closed`, so the union of reached sets is the same.
+
+    A part that holds `oracle._rank_bound` elements is full: it is a
+    basis, so it takes no y.  `asked` holds the parts, those not full
+    first and in index order, so a full part reads a circuit only when
+    every other part y is not in has refused y.  The part that takes y is
+    then the first in index order that does, and the circuits are enqueued
+    in index order, so the chain and the reached set are those of asking
+    every part in index order.  Only the part a chain ends in grows, so
+    when it fills it moves to the end of `asked`."""
     parent: dict[int, int | None] = {x: None}
     queue = deque([x])
     while queue:
         y = queue.popleft()
         y_at = placement.get(y)
-        circuits = []
-        for i, part in enumerate(parts):
-            if i == y_at:
+        circuits: list[Iterable[int]] = [()] * len(parts)
+        for part in asked:
+            if part.index == y_at:
                 continue
             circuit = part.circuit(oracle, y)
             if circuit is None:
                 moves: dict[int, tuple[set[int], set[int]]] = {}
-                target: int | None = i
+                target: int | None = part.index
                 cur: int | None = y
                 while cur is not None:
                     old = placement.get(cur)
@@ -869,8 +901,11 @@ def _union_augment(oracle: Matroid, parts: list[_Part], placement: dict[int, int
                     cur = parent[cur]
                 for t in sorted(moves):
                     parts[t].update(oracle, *moves[t])
+                if len(part.items) == oracle._rank_bound:
+                    asked.remove(part)
+                    asked.append(part)
                 return None
-            circuits.append(circuit)
+            circuits[part.index] = circuit
         for circuit in circuits:
             for z in sorted(circuit):
                 if z not in parent and z not in closed:
@@ -896,6 +931,7 @@ def _pack(oracle: Matroid, k: int, elements: Iterable[int]
     if k < 1:
         raise InvalidArgumentError("k must be at least 1")
     parts = [_Part(oracle, i, set()) for i in range(k)]
+    asked = list(parts)
     full = None if oracle._rank_bound is None else k * oracle._rank_bound
     placement: dict[int, int] = {}
     unplaced: list[int] = []
@@ -904,7 +940,7 @@ def _pack(oracle: Matroid, k: int, elements: Iterable[int]
     for x in order:
         if len(placement) == full:
             unplaced.append(x)
-        elif (seen := _union_augment(oracle, parts, placement, x, reached)) is not None:
+        elif (seen := _union_augment(oracle, parts, asked, placement, x, reached)) is not None:
             unplaced.append(x)
             reached |= seen
     if len(placement) == full:
@@ -926,11 +962,14 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     changes the part has the oracle update that state in place from the
     elements that left and arrived (`_part_update`) and re-check the
     part: the graphic oracle cuts and links forest edges, and the
-    hypergraphic one runs one exchange search per arrival.  So the parts'
-    forests are built from nothing only once, empty.  Once every part holds
-    |V| - 1 elements (graphic and hypergraphic oracles), the rest are
-    unplaced with no search: each part is then a basis, and k disjoint
-    bases hold the whole k-fold union rank (`_pack`).
+    hypergraphic one runs one exchange search per arrival, except that
+    the element the chain placed takes the chain its circuit search found.
+    So the parts' forests are built from nothing only once, empty.  A part
+    that holds |V| - 1 elements (graphic and hypergraphic oracles) is a
+    basis and takes no element, so each step asks it only after every
+    other part has refused (`_union_augment`).  Once every part holds that
+    many, the rest are unplaced with no search: k disjoint bases hold the
+    whole k-fold union rank (`_pack`).
     """
     parts, unplaced, _ = _pack(oracle, k, elements)
     return parts, unplaced

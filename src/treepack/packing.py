@@ -387,8 +387,6 @@ def build_steiner_hypergraph(g: Multigraph, terminals: frozenset[int]
     ("vertex", non-terminal-id) for decoding packings back to edges.
     """
     tset = frozenset(terminals)
-    origin: dict[int, tuple[str, int]] = {}
-    h = Hypergraph(tset)
     violation = _normal_form_violation(g, tset)
     if violation is not None:
         kind, ref = violation
@@ -396,6 +394,15 @@ def build_steiner_hypergraph(g: Multigraph, terminals: frozenset[int]
             raise InvalidArgumentError(
                 f"vertex {ref} breaks the reduced form needed for the hypergraph step")
         raise InvalidArgumentError(f"loop {ref} cannot enter the hypergraph")
+    return _build_steiner_hypergraph(g, tset)
+
+
+def _build_steiner_hypergraph(g: Multigraph, tset: frozenset[int]
+                              ) -> tuple[Hypergraph, dict[int, tuple[str, int]]]:
+    """`build_steiner_hypergraph` for a graph the caller already knows to
+    be in the reduced normal form."""
+    origin: dict[int, tuple[str, int]] = {}
+    h = Hypergraph(tset)
     next_id = (max(g.edges) + 1) if g.edges else 0
     for eid in sorted(g.edges):
         u, v = g.endpoints(eid)
@@ -642,7 +649,9 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
 
     packed = None
     if rr.form == "fkk":
-        h, origin = build_steiner_hypergraph(rr.graph, tset)
+        # The form was tested at entry or by the reduction, so it is not
+        # tested again.
+        h, origin = _build_steiner_hypergraph(rr.graph, tset)
         oracle = HypergraphicMatroid(h)
         packed = pack_bases(oracle, k)
         if packed.size == k * (len(tset) - 1):

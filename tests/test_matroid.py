@@ -26,6 +26,7 @@ from treepack.generate import generate
 from treepack.matroid import (
     GraphicMatroid,
     _DSU,
+    _Part,
     _RootedForest,
     check_matroid_axioms,
     iter_partitions,
@@ -668,13 +669,18 @@ class TestUnionEngine:
         # Seeding the k empty parts is the only build from nothing: one
         # forest per part, which chains then update in place.  No witness
         # replay runs, and each circuit costs one exchange search: no
-        # confirming searches, no per-chain rebuilds and no rank pass.
-        # At n=24 the packing makes 195 searches, 225 without the stop at
-        # full parts, and a rank pass would add 79.
-        calls = {"witness": 0, "_part_state": 0, "_augment": 0, "__init__": 0}
+        # confirming searches, no per-chain rebuilds and no rank pass.  A
+        # placement applies the chain its circuit search found, and full
+        # parts are asked only when no other part takes the element.  At
+        # n=24 the packing makes 130 searches; searching again for each
+        # found chain and asking full parts in index order made 183, and a
+        # rank pass would add 79.  At n=9, k=3 those made 72 searches, 48
+        # of them for circuits.
+        calls = {"witness": 0, "_part_state": 0, "_augment": 0, "_circuit": 0, "__init__": 0}
         for owner, name in ((HypergraphicMatroid, "witness"),
                             (HypergraphicMatroid, "_part_state"),
                             (HypergraphicMatroid, "_augment"),
+                            (HypergraphicMatroid, "_circuit"),
                             (_RootedForest, "__init__")):
             original = getattr(owner, name)
 
@@ -684,13 +690,15 @@ class TestUnionEngine:
 
             monkeypatch.setattr(owner, name, counted)
         for n, k in ((11, 2), (24, 2), (9, 3)):
-            calls.update(witness=0, _part_state=0, _augment=0, __init__=0)
+            calls.update(witness=0, _part_state=0, _augment=0, _circuit=0, __init__=0)
             oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
             result = pack_bases(oracle, k)
             assert calls["_part_state"] == k and calls["witness"] == 0
             assert calls["__init__"] == k
             if n == 24:
-                assert calls["_augment"] < 200
+                assert calls["_augment"] < 140
+            if n == 9:
+                assert (calls["_augment"], calls["_circuit"]) == (25, 25)
             assert result.size == k * oracle.rank()
         # The spanning-nwt benchmark shape: chains update a part's forest
         # 47 times, and none rebuilds it.
@@ -765,6 +773,153 @@ class TestFullPartsStop:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_stop_matches_unpruned_reference_property(self, seed):
         assert_stop_matches_reference(seed)
+
+
+def filling_oracles(seed: int, k: int):
+    """A graphic oracle on a connected multigraph and a hypergraphic one,
+    each with about k * (|V| - 1) elements, so that the k parts fill one
+    after another and chains often pass through a part twice."""
+    rng = SplitMix64(seed)
+    n = 6 + rng.below(7)
+    g = random_multigraph(seed, max_vertices=n, max_edges=k * (n - 1) + rng.below(5),
+                          connected=True)
+    h = random_hypergraph(seed, n=n, m=k * (n - 1) + rng.below(6))
+    return graphic_matroid(g.vertices, g.edges), HypergraphicMatroid(h)
+
+
+class EngineSpy:
+    """Watches the parts of every packing run while it is installed.
+
+    `steps` holds, per element y the search dequeued, y's own part,
+    whether another part was full, and the parts asked about y in order,
+    each as (index, full, fits);
+    `kept` and `dropped` count the chain updates of a part whose forest
+    holds a found chain, with nothing left (the chain is applied) and with
+    something left (a new search runs)."""
+
+    def __init__(self, monkeypatch):
+        self.parts: list = []
+        self.steps: list[tuple[int, int | None, bool, list[tuple[int, bool, bool]]]] = []
+        self.kept = self.dropped = 0
+        part_init, circuit, update = _Part.__init__, _Part.circuit, _Part.update
+        spy = self
+
+        def init(part, oracle, index, items):
+            if index == 0:
+                spy.parts = []
+                spy.steps.append((None, None, False, []))  # no step spans two packings
+            spy.parts.append(part)
+            part_init(part, oracle, index, items)
+
+        def asked(part, oracle, y):
+            answer = circuit(part, oracle, y)
+            if spy.steps[-1][0] != y:
+                y_at = next((p.index for p in spy.parts if y in p.items), None)
+                spy.steps.append((y, y_at, any(
+                    len(p.items) == oracle._rank_bound for p in spy.parts if p.index != y_at), []))
+            full = len(part.items) == oracle._rank_bound
+            spy.steps[-1][3].append((part.index, full, answer is None))
+            return answer
+
+        def updated(part, oracle, left, arrived):
+            if getattr(part.state, "found", None) is not None:
+                spy.dropped += bool(left)
+                spy.kept += not left
+            update(part, oracle, left, arrived)
+
+        monkeypatch.setattr(_Part, "__init__", init)
+        monkeypatch.setattr(_Part, "circuit", asked)
+        monkeypatch.setattr(_Part, "update", updated)
+
+    def check_steps(self, k: int) -> tuple[int, int]:
+        """Each step asks the parts y is not in, full ones last, stops at the
+        first that takes y, asks a full part only once every part that is
+        not full has refused y, and asks every part when none takes y.
+        Returns how many steps asked a full part and how many found y a
+        place without asking the full parts they had."""
+        full_asked = full_skipped = 0
+        for _, y_at, had_full, answers in self.steps:
+            if not answers:
+                continue
+            indices = [i for i, _, _ in answers]
+            assert y_at not in indices and len(set(indices)) == len(indices)
+            fits = [fit for _, _, fit in answers]
+            assert not any(fits[:-1])
+            if not fits[-1]:
+                assert len(answers) == k - (y_at is not None)
+            fulls = [full for _, full, _ in answers]
+            assert fulls == sorted(fulls)
+            assert not any(fit for _, full, fit in answers if full)
+            full_asked += any(fulls)
+            full_skipped += had_full and fits[-1] and not any(fulls)
+        return full_asked, full_skipped
+
+
+class TestOneSearchPerPlacement:
+    """Full parts are asked last, and a chain found by `_circuit` is
+    applied, not searched for again; parts, unplaced elements and reached
+    sets stay those of the unpruned reference."""
+
+    @staticmethod
+    def assert_matches_reference(spy: EngineSpy, seed: int) -> None:
+        for k in (2, 3, 4):
+            for oracle in filling_oracles(seed, k):
+                assert_pack_matches_reference(oracle, k)
+            spy.check_steps(k)
+            spy.steps.clear()
+
+    def test_matches_reference_as_parts_fill(self, monkeypatch):
+        # A found chain is dropped only when the chain also takes an
+        # element out of the part it ends in: 32 times here, against
+        # 14,434 chains applied as found.
+        spy = EngineSpy(monkeypatch)
+        for seed in range(100):
+            self.assert_matches_reference(spy, seed)
+        assert spy.kept > 10_000 and spy.dropped > 20
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_matches_reference_as_parts_fill_property(self, seed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_matches_reference(EngineSpy(monkeypatch), seed)
+
+    def test_found_chain_equals_a_new_search(self):
+        # For every y that fits a part: inserting y applies the chain
+        # `_circuit` found, which must be the one a new search finds; and
+        # after an exchange takes an element out of the part, inserting y
+        # must search again.  On 54 of the 307 insertions here the old
+        # chain would leave another forest, for one by putting back a
+        # displaced element that has left.
+        checked = 0
+        for seed in range(200):
+            rng = SplitMix64(seed)
+            oracle = HypergraphicMatroid(shared_pair_hypergraph(seed))
+            part = set(oracle.greedy_basis([e for e in oracle.ground if rng.below(3)]))
+            for y in sorted(set(oracle.ground) - part):
+                for left in ([], *([z] for z in sorted(part))):
+                    forest = oracle._part_state(part)
+                    if oracle._circuit(part, forest, y) is not None:
+                        break
+                    if left:
+                        forest.exchange(left, {})
+                    fresh = oracle._insert(_RootedForest(dict(forest.ends)), [y], strict=True)
+                    assert oracle._insert(forest, [y], strict=True).ends == fresh.ends
+                    checked += 1
+        assert checked > 300
+
+    def test_full_parts_are_asked_last(self, monkeypatch):
+        spy = EngineSpy(monkeypatch)
+        full_asked = full_skipped = 0
+        for seed in range(40):
+            for k in (2, 3, 4):
+                for oracle in filling_oracles(seed, k):
+                    pack_bases(oracle, k)
+                asked, skipped = spy.check_steps(k)
+                full_asked, full_skipped = full_asked + asked, full_skipped + skipped
+                spy.steps.clear()
+        # 1,180 steps ask a full part, and 2,027 place y without asking
+        # the full parts.
+        assert full_asked > 1000 and full_skipped > 1000
 
 
 class TestAdjustUnion:

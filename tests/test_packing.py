@@ -376,6 +376,25 @@ class TestPackSteinerTrees:
         assert result.succeeded and len(result.trace) > 0
         assert calls == ["steiner_min_cut"]
 
+    def test_normal_form_is_tested_once(self, monkeypatch):
+        # The pipeline tests the form at entry and builds the hypergraph
+        # from what it found, without a second test.
+        import treepack.graphcore
+        inst = generate("fkk", 11, 2, 1)
+        calls = []
+        original = treepack.graphcore._normal_form_violation
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(treepack.graphcore, "_normal_form_violation", counting)
+        monkeypatch.setattr(treepack.packing, "_normal_form_violation", counting)
+        for pack in (pack_steiner_trees, pack_connectors):
+            calls.clear()
+            result = pack(inst.graph, inst.terminals, 2, threshold=6, brute_fallback=False)
+            assert (result.outcome, result.method, len(calls)) == ("packed", "pipeline", 1)
+
     def test_normal_form_certificate_keeps_the_flow_side(self):
         # Below the threshold, normal-form input still reports the side of
         # the flow loop, as it did when the loop also gave the value.
