@@ -35,6 +35,9 @@ that holds |V| - 1 elements is a basis and takes nothing, so a search asks
 such full parts last; once every part is full, the engine stops searching.
 A hypergraphic search that finds an element fits a part keeps its chain on
 the part's forest, and the chain update applies it with no second search.
+Most elements fit a part at once; those cost one arrival at that part, and
+the exchange search's state is built only for an element that every part
+refuses.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import (
     InstanceParseError,
@@ -92,11 +95,18 @@ class Partition:
 
     def classify(self, edge_sets: Mapping[int, frozenset[int]],
                  subset: Iterable[int] | None = None) -> "EdgeClassification":
+        """Split the edges (default: all of `edge_sets`) into those inside
+        one block and the rest, in one pass over their vertices.  An edge
+        with a vertex in no block is outer."""
         ids = sorted(edge_sets) if subset is None else sorted(subset)
+        unknown = [eid for eid in ids if eid not in edge_sets]
+        if unknown:
+            raise InvalidArgumentError(f"unknown edge ids {unknown}")
+        home = {v: i for i, block in enumerate(self.blocks) for v in block}
         inner, outer = [], []
         for eid in ids:
-            vs = edge_sets[eid]
-            if any(vs <= block for block in self.blocks):
+            homes = set(map(home.get, edge_sets[eid]))
+            if len(homes) == 1 and None not in homes:
                 inner.append(eid)
             else:
                 outer.append(eid)
@@ -207,8 +217,8 @@ class Matroid:
         or None when the part is dependent."""
         return part if self.independent(part) else None
 
-    def _part_update(self, part: set[int], state: object, left: set[int],
-                     arrived: set[int]) -> object | None:
+    def _part_update(self, part: set[int], state: object, left: Collection[int],
+                     arrived: Collection[int]) -> object | None:
         """The state of `part` after an exchange chain took `left` out of it
         and put `arrived` in (`part` already reflects both), from its state
         before, which an override may update in place; None when the part
@@ -420,10 +430,11 @@ class GraphicMatroid(Matroid):
     rank."""
 
     def __init__(self, vertices: Iterable[int], edges: Mapping[int, tuple[int, int]]):
-        self.vertices = frozenset(vertices)
+        self.vertices = vset = frozenset(vertices)
         self.edges = dict(edges)
         for ends in self.edges.values():
-            if not set(ends) <= self.vertices:
+            u, v = ends
+            if u not in vset or v not in vset:
                 raise InvalidArgumentError(f"edge endpoint outside vertex set: {ends}")
         super().__init__(self.edges.keys(), self._indep_query, name="graphic")
         self._rank_bound = len(self.vertices) - 1
@@ -439,12 +450,15 @@ class GraphicMatroid(Matroid):
         forest = _RootedForest({e: self.edges[e] for e in part})
         return forest if forest.acyclic else None
 
-    def _part_update(self, part: set[int], state: _RootedForest, left: set[int],
-                     arrived: set[int]) -> _RootedForest | None:
+    def _part_update(self, part: set[int], state: _RootedForest, left: Collection[int],
+                     arrived: Collection[int]) -> _RootedForest | None:
         """Cut the edges that left the forest and link the ones that
         arrived, in place.  Each forest on the way lies inside the new
-        part, so while that is a forest no link closes a cycle."""
-        state.exchange(left, {e: self.edges[e] for e in sorted(arrived)})
+        part, so while that is a forest no link closes a cycle.  A single
+        arrival, the common case, is linked with no sort."""
+        edges = self.edges
+        order = arrived if len(arrived) == 1 else sorted(arrived)
+        state.exchange(left, {e: edges[e] for e in order})
         return state if state.acyclic else None
 
     def _circuit(self, part: set[int], state: _RootedForest,
@@ -645,8 +659,8 @@ class HypergraphicMatroid(Matroid):
         empty parts; after that, chains update the forest (`_part_update`)."""
         return self._insert(_RootedForest({}), self.members(part), strict=True)
 
-    def _part_update(self, part: set[int], state: _RootedForest, left: set[int],
-                     arrived: set[int]) -> _RootedForest | None:
+    def _part_update(self, part: set[int], state: _RootedForest, left: Collection[int],
+                     arrived: Collection[int]) -> _RootedForest | None:
         """Drop the representatives of `left` and insert each of `arrived`
         by one exchange search, all in place: |arrived| searches where a
         rebuild takes |part|.  Each set on the way lies inside the new
@@ -808,7 +822,8 @@ class _Part:
     the part goes into it at once, so that answer is never asked again
     while the part stays as it was.  The oracle may keep in the state what
     it found while answering that an element fits (the hypergraphic oracle
-    keeps the exchange chain), for the update that follows at once."""
+    keeps the exchange chain), for the update that follows at once.  An
+    element placed with no exchange arrives alone, as `((), (x,))`."""
 
     __slots__ = ("index", "items", "state", "circuits")
 
@@ -818,8 +833,10 @@ class _Part:
         self.circuits: dict[int, frozenset[int]] = {}
         self._settle(oracle, oracle._part_state(items))
 
-    def update(self, oracle: Matroid, left: set[int], arrived: set[int]) -> None:
-        """Move the state past a chain that changed `items` by these sets."""
+    def update(self, oracle: Matroid, left: Collection[int],
+               arrived: Collection[int]) -> None:
+        """Move the state past a chain that took `left` out of `items` and
+        put `arrived` in; `items` already reflects both."""
         self._settle(oracle, oracle._part_update(self.items, self.state, left, arrived))
 
     def _settle(self, oracle: Matroid, state: object | None) -> None:
@@ -874,18 +891,34 @@ def _union_augment(oracle: Matroid, parts: list[_Part], asked: list[_Part],
     then the first in index order that does, and the circuits are enqueued
     in index order, so the chain and the reached set are those of asking
     every part in index order.  Only the part a chain ends in grows, so
-    when it fills it moves to the end of `asked`."""
-    parent: dict[int, int | None] = {x: None}
-    queue = deque([x])
-    while queue:
-        y = queue.popleft()
+    when it fills it moves to the end of `asked`.
+
+    Most elements fit a part at once (all 27 edges of an nwt graph on 9
+    vertices at k=4, for one).  So the search state, the parent map, the
+    queue and the circuits by part, is built only once every part has
+    refused x, and x's circuits seed it in index order as above; a part
+    that takes x at once gets it as a single arrival, with no chain to
+    walk."""
+    parent: dict[int, int | None] | None = None
+    queue: deque[int] | None = None
+    y = x
+    while True:
         y_at = placement.get(y)
-        circuits: list[Iterable[int]] = [()] * len(parts)
+        circuits: list[Iterable[int]] | None = None
         for part in asked:
             if part.index == y_at:
                 continue
             circuit = part.circuit(oracle, y)
-            if circuit is None:
+            if circuit is not None:
+                if circuits is None:
+                    circuits = [()] * len(parts)
+                circuits[part.index] = circuit
+                continue
+            if parent is None:
+                part.items.add(x)
+                placement[x] = part.index
+                part.update(oracle, (), (x,))
+            else:
                 moves: dict[int, tuple[set[int], set[int]]] = {}
                 target: int | None = part.index
                 cur: int | None = y
@@ -901,17 +934,20 @@ def _union_augment(oracle: Matroid, parts: list[_Part], asked: list[_Part],
                     cur = parent[cur]
                 for t in sorted(moves):
                     parts[t].update(oracle, *moves[t])
-                if len(part.items) == oracle._rank_bound:
-                    asked.remove(part)
-                    asked.append(part)
-                return None
-            circuits[part.index] = circuit
-        for circuit in circuits:
+            if len(part.items) == oracle._rank_bound:
+                asked.remove(part)
+                asked.append(part)
+            return None
+        if parent is None:
+            parent, queue = {x: None}, deque()
+        for circuit in circuits or ():
             for z in sorted(circuit):
                 if z not in parent and z not in closed:
                     parent[z] = y
                     queue.append(z)
-    return frozenset(parent)
+        if not queue:
+            return frozenset(parent)
+        y = queue.popleft()
 
 
 def _pack(oracle: Matroid, k: int, elements: Iterable[int]

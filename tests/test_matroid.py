@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from treepack import (
     Hypergraph,
     HypergraphicMatroid,
     InvalidArgumentError,
+    Partition,
     UnionBasisFamily,
     adjust_union,
     graphic_independent,
@@ -91,6 +93,37 @@ class TestPartitions:
         assert cls.inner == frozenset({0, 2})
         assert cls.outer == frozenset({1})
 
+    def test_classification_matches_a_scan_of_every_block(self):
+        # The one-pass map from vertex to block gives what testing the
+        # edge against every block gave: a loop at a vertex of a block is
+        # inner, and an edge with a vertex in no block is outer.
+        loops = strays = 0
+        for seed in range(300):
+            rng = SplitMix64(seed)
+            n = 1 + rng.below(8)
+            vertices = list(range(n))
+            rng.shuffle(vertices)
+            blocks: dict[int, set[int]] = {}
+            for v in vertices[:1 + rng.below(n)]:
+                blocks.setdefault(rng.below(4), set()).add(v)
+            p = Partition(tuple(frozenset(b) for b in blocks.values()))
+            edge_sets = {eid: frozenset(rng.sample(range(n), 1 + rng.below(min(3, n))))
+                         for eid in range(rng.below(12))}
+            for ids in (None, [e for e in edge_sets if rng.below(2)]):
+                chosen = sorted(edge_sets) if ids is None else ids
+                inner = frozenset(e for e in chosen
+                                  if any(edge_sets[e] <= b for b in p.blocks))
+                cls = p.classify(edge_sets, ids)
+                assert (cls.inner, cls.outer) == (inner, frozenset(chosen) - inner)
+                loops += sum(len(edge_sets[e]) == 1 for e in inner)
+                strays += sum(not edge_sets[e] <= set().union(*p.blocks) for e in chosen)
+        assert loops > 100 and strays > 100
+
+    def test_classification_rejects_unknown_edge_ids(self):
+        p = Partition((frozenset({0, 1}), frozenset({2})))
+        with pytest.raises(InvalidArgumentError, match=r"unknown edge ids \[5, 7\]"):
+            p.classify({0: frozenset({0, 1}), 1: frozenset({1, 2})}, [7, 0, 5])
+
 
 class TestGraphicIndependence:
     def test_two_triangle_edges(self):
@@ -101,6 +134,11 @@ class TestGraphicIndependence:
 
     def test_loop_is_dependent(self):
         assert not graphic_independent(range(2), [(0, 0)])
+
+    def test_oracle_rejects_an_end_outside_the_vertex_set(self):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"edge endpoint outside vertex set: \(3, 1\)"):
+            graphic_matroid(range(3), {0: (0, 1), 1: (3, 1)})
 
     def test_repeated_pair_is_dependent(self):
         assert not graphic_independent(range(3), [(0, 1), (0, 1)])
@@ -920,6 +958,79 @@ class TestOneSearchPerPlacement:
         # 1,180 steps ask a full part, and 2,027 place y without asking
         # the full parts.
         assert full_asked > 1000 and full_skipped > 1000
+
+
+class SearchSpy:
+    """Watches every `_union_augment` call while it is installed.
+
+    Before each call it asks the probing predicate whether x fits some part
+    as the parts stand; it counts the exchange-search queues the call
+    builds (a `deque` made by `_union_augment` itself, not by a
+    hypergraphic `_augment`) and checks that the call builds one exactly
+    when x fits no part.  `direct` and `searched` count the calls of each
+    kind."""
+
+    def __init__(self, monkeypatch):
+        self.direct = self.searched = 0
+        augment = treepack.matroid._union_augment
+        make_deque = treepack.matroid.deque
+        builds = [0]
+        spy = self
+
+        def counted_deque(*args):
+            builds[0] += sys._getframe(1).f_code is augment.__code__
+            return make_deque(*args)
+
+        def spied(oracle, parts, asked, placement, x, closed):
+            fits = any(oracle.independent(part.items | {x}) for part in parts)
+            before = builds[0]
+            seen = augment(oracle, parts, asked, placement, x, closed)
+            assert builds[0] - before == (not fits)
+            assert seen is None or not fits
+            spy.direct += fits
+            spy.searched += not fits
+            return seen
+
+        monkeypatch.setattr(treepack.matroid, "deque", counted_deque)
+        monkeypatch.setattr(treepack.matroid, "_union_augment", spied)
+
+
+class TestSearchStateOnDemand:
+    """An element that a part takes at once is placed with no search state;
+    the search starts only once every part has refused it.  Parts, unplaced
+    elements and reached sets stay those of the unpruned reference."""
+
+    @staticmethod
+    def assert_matches_reference(seed: int, ks) -> None:
+        for k in ks:
+            for oracle in (*failing_oracles(seed), *filling_oracles(seed, k)):
+                assert_pack_matches_reference(oracle, k)
+
+    def test_matches_reference_with_searches_on_demand(self, monkeypatch):
+        spy = SearchSpy(monkeypatch)
+        for seed in range(40):
+            self.assert_matches_reference(seed, (1, 2, 3, 4))
+        assert spy.direct > 5_000 and spy.searched > 2_000
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
+    def test_matches_reference_with_searches_on_demand_property(self, seed, k):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            SearchSpy(monkeypatch)
+            self.assert_matches_reference(seed, (k,))
+
+    def test_benchmark_shapes_place_without_searching(self, monkeypatch):
+        # The refute-nwt shape (nwt n=9, k=4): each of the 27 edges goes
+        # into a part at once, and no search state is built; building it
+        # for every element built 27.  The spanning-nwt shape (n=24, k=2):
+        # one of 46 placements needs a search, where 46 were built.  The
+        # other 26 edges meet full parts and are not tried.
+        spy = SearchSpy(monkeypatch)
+        for n, k, size, searched in ((9, 4, 27, 0), (24, 2, 46, 1)):
+            spy.direct = spy.searched = 0
+            nwt = generate("nwt", n, 2, 1).graph
+            assert pack_bases(graphic_matroid(nwt.vertices, nwt.edges), k).size == size
+            assert (spy.direct, spy.searched) == (size - searched, searched)
 
 
 class TestAdjustUnion:
