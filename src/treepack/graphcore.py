@@ -768,30 +768,37 @@ def _drain_vertex(g: Multigraph, u: int, flows: list[list[int]]
     always preserves pairwise min-cuts among the other vertices because
     any path through u uses both of its edges and reroutes over the child
     edge, so no pair search is needed at that stage; its repair only moves
-    the flows onto the child edge.
+    the flows onto the child edge.  A split precondition can stop the
+    drain mid-chain (a cut-edge at u); its loop deletions and splits are
+    then undone, last first, so g and the given flows fit again.
     """
-    steps: list[TraceStep] = []
     if g.degree(u) % 2 != 0:
         raise PreconditionViolationError(f"vertex {u} has odd degree")
-    for eid in [eid for eid in g.incident_edges(u) if g.is_loop(eid)]:
-        steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
-        g.delete_edge(eid)
-    while True:
-        deg = g.degree(u)
-        if deg == 0:
-            break
-        if deg == 2:
-            e1, e2 = g.incident_edges(u)
-            split = _split_inplace(g, u, e1, e2)
-            g.remove_vertex(u)
-            steps.append(replace(split, removed=u))
-            flows = _repair(g, flows, ((e1, split.e1_ends), (e2, split.e2_ends)))
-            if flows is None:
-                raise InternalInvariantError(
-                    f"suppressing vertex {u} lost a flow: flow computation is suspect")
-            return steps, flows
-        step, flows = _mader_split_inplace(g, u, flows)
-        steps.append(step)
+    steps: list[TraceStep] = []
+    try:
+        for eid in [eid for eid in g.incident_edges(u) if g.is_loop(eid)]:
+            steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
+            g.delete_edge(eid)
+        while True:
+            deg = g.degree(u)
+            if deg == 0:
+                break
+            if deg == 2:
+                e1, e2 = g.incident_edges(u)
+                split = _split_inplace(g, u, e1, e2)
+                g.remove_vertex(u)
+                steps.append(replace(split, removed=u))
+                flows = _repair(g, flows, ((e1, split.e1_ends), (e2, split.e2_ends)))
+                if flows is None:
+                    raise InternalInvariantError(
+                        f"suppressing vertex {u} lost a flow: flow computation is suspect")
+                return steps, flows
+            step, flows = _mader_split_inplace(g, u, flows)
+            steps.append(step)
+    except PreconditionViolationError:
+        for step in reversed(steps):
+            step.undo(g)
+        raise
     g.remove_vertex(u)
     steps.append(RemoveIsolatedStep(vertex=u))
     return steps, flows
@@ -853,8 +860,7 @@ def _has_twin(g: Multigraph, eid: int) -> bool:
     return any(other != eid and w == b for other, w, _ in g._incidence[a])
 
 
-def reduce_instance(g: Multigraph, terminals, threshold: int, *,
-                    connectivity: int | None = None) -> ReduceResult:
+def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
     """Drive every non-terminal toward degree 3 with distinct terminal
     neighbors while keeping the terminal connectivity at or above
     `threshold`.
@@ -865,15 +871,14 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
     between two non-terminals and parallel edges at a non-terminal are
     deleted whenever the deleted graph stays connected with terminal
     connectivity at or above the threshold.  Every change is logged so the
-    caller can replay or invert the whole reduction.  A caller that
-    already knows the terminal connectivity of g passes it as
-    `connectivity`, which then is not computed again.
+    caller can replay or invert the whole reduction.
 
     Every edit is checked against one set of flows, built once after the
     terminal-free components go: for each terminal t other than
-    t0 = min T, a t0-t flow of value exactly `threshold` (none when the
-    threshold is at most 0).  λ_T is the minimum of the λ(t0, t), so an
-    edit keeps λ_T >= threshold exactly when each of these flows repairs
+    t0 = min T, a t0-t flow capped at `threshold` (none when the
+    threshold is at most 0).  λ_T is the minimum of the λ(t0, t), so a
+    flow short of the cap has value λ_T, and the input is refused; else
+    an edit keeps λ_T >= threshold exactly when each flow repairs
     through the edges it removes (see `_split_trial`).  A deletion other
     than a loop's, each split trial and each suppression repair them, and
     the edit is kept exactly when all of them repair; the repaired flows
@@ -898,16 +903,8 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
     tset = frozenset(terminals)
     if not tset <= g.vertices:
         raise InvalidArgumentError("terminals must be vertices of the graph")
-    start = steiner_connectivity(g, tset) if connectivity is None else connectivity
-    if start < threshold:
-        raise InvalidArgumentError(
-            f"terminal connectivity {start} is below the threshold {threshold}")
-    if _normal_form_violation(g, tset) is None:
-        # Every non-terminal has three distinct terminal neighbours, so
-        # every component holds a terminal, no edge is a deletion
-        # candidate and no vertex rule applies: the reduction is empty.
-        return ReduceResult(graph=g.copy(), terminals=tset, trace=SplitTrace(), form="fkk")
-
+    if len(tset) < 2:
+        raise InvalidArgumentError("terminal connectivity needs at least two terminals")
     work = g.copy()
     trace = SplitTrace()
 
@@ -928,8 +925,12 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
         trace.extend(steps)
 
     t0 = min(tset)
-    flows = [_max_flow(work, t0, t, threshold)[1]
-             for t in sorted(tset - {t0})] if threshold > 0 else []
+    capped = [_max_flow(work, t0, t, threshold)
+              for t in sorted(tset - {t0})] if threshold > 0 else []
+    if capped and (lowest := min(value for value, *_ in capped)) < threshold:
+        raise InvalidArgumentError(
+            f"terminal connectivity {lowest} is below the threshold {threshold}")
+    flows = [flow for _, flow, _ in capped]
 
     def deletion_candidate(eid: int) -> bool:
         a, b = work.endpoints(eid)
@@ -984,15 +985,10 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
                 continue
             deg = work.degree(u)
             if deg % 2 == 0:
-                # Drain on a copy: a cut-edge can appear mid-chain at degree
-                # >= 4 and abort the drain, which must not leave the working
-                # graph half-split.
-                probe = work.copy()
                 try:
-                    steps, probe_flows = _drain_vertex(probe, u, flows)
+                    steps, flows = _drain_vertex(work, u, flows)
                 except PreconditionViolationError:
-                    continue  # not splittable right now; later passes may free it
-                work, flows = probe, probe_flows
+                    continue  # undone; later passes may free it
                 trace.extend(steps)
                 changed = True
                 continue
@@ -1005,9 +1001,8 @@ def reduce_instance(g: Multigraph, terminals, threshold: int, *,
                     trace.append(step)
                     changed = True
 
-    # An empty trace left the input unchanged, so its connectivity is known.
-    final = _terminal_cut(work, tset, threshold)[0] if trace else start
-    if final < threshold:
+    # An empty trace left the input unchanged, and the flows measured it.
+    if trace and (final := _terminal_cut(work, tset, threshold)[0]) < threshold:
         raise InternalInvariantError(
             f"reduction lowered terminal connectivity to {final} < {threshold}")
     form = "partial" if _normal_form_violation(work, tset) else "fkk"
@@ -1022,25 +1017,25 @@ def parse_instance(text: str) -> tuple[Multigraph, frozenset[int]]:
 
     Lines: '# ...' comments; 'graph <n> <m>' header; 'v <id>' vertex,
     't <id>' terminal, 'e <id> <u> <v>' edge.  Edge endpoints implicitly
-    declare vertices.  The header counts must match what was declared.
+    declare vertices; a vertex has at most one 'v' or 't' line.  The header
+    counts must match what was declared.
     """
     g = Multigraph()
-    terminals: set[int] = set()
+    declared: dict[int, str] = {}  # by 'v' and 't' lines, to their kind
     for lineno, kind, fields in read_lines(text, "graph"):
         values = [parse_int(x, lineno) for x in fields]
         if kind == "graph":
             if len(values) != 2:
                 raise InstanceParseError(lineno, "graph header needs two counts")
             n, m = values
-        elif kind == "v":
+        elif kind in ("v", "t"):
             if len(values) != 1:
-                raise InstanceParseError(lineno, "vertex line needs one id")
+                what = "vertex" if kind == "v" else "terminal"
+                raise InstanceParseError(lineno, f"{what} line needs one id")
+            if values[0] in declared:
+                raise InstanceParseError(lineno, f"vertex {values[0]} declared twice")
+            declared[values[0]] = kind
             g.add_vertex(values[0])
-        elif kind == "t":
-            if len(values) != 1:
-                raise InstanceParseError(lineno, "terminal line needs one id")
-            g.add_vertex(values[0])
-            terminals.add(values[0])
         elif kind == "e":
             if len(values) != 3:
                 raise InstanceParseError(lineno, "edge line needs id and two endpoints")
@@ -1060,7 +1055,7 @@ def parse_instance(text: str) -> tuple[Multigraph, frozenset[int]]:
     if m != g.edge_count():
         raise InstanceParseError(
             0, f"header declares {m} edges but {g.edge_count()} appear")
-    return g, frozenset(terminals)
+    return g, frozenset(v for v, kind in declared.items() if kind == "t")
 
 
 def serialize_instance(g: Multigraph, terminals, comments: list[str] | None = None) -> str:

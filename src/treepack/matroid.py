@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InstanceParseError,
@@ -505,6 +505,7 @@ class Hypergraph:
 
 def parse_hypergraph(text: str) -> Hypergraph:
     vertices: set[int] = set()
+    declared: set[int] = set()  # by 'v' lines; hyperedges declare theirs too
     edges: dict[int, frozenset[int]] = {}
     for lineno, kind, fields in read_lines(text, "hypergraph"):
         values = [parse_int(x, lineno) for x in fields]
@@ -515,6 +516,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
         elif kind == "v":
             if len(values) != 1:
                 raise InstanceParseError(lineno, "vertex line needs one id")
+            if values[0] in declared:
+                raise InstanceParseError(lineno, f"vertex {values[0]} declared twice")
+            declared.add(values[0])
             vertices.add(values[0])
         elif kind == "h":
             if len(values) not in (3, 4):
@@ -748,10 +752,8 @@ def union_rank(h: Hypergraph, subset: Iterable[int] | None, k: int) -> int:
     maximum packing of the subset into k independent parts.
     rank_by_partitions computes the same value by the partition formula.
     """
-    if k < 1:
-        raise InvalidArgumentError("k must be at least 1")
     oracle = HypergraphicMatroid(h)
-    parts, _ = pack_elements(oracle, k, oracle.members(subset))
+    parts, _, _ = _pack(oracle, k, oracle.members(subset))
     return sum(len(p) for p in parts)
 
 
@@ -950,11 +952,11 @@ def _union_augment(oracle: Matroid, parts: list[_Part], asked: list[_Part],
         y = queue.popleft()
 
 
-def _pack(oracle: Matroid, k: int, elements: Iterable[int]
+def _pack(oracle: Matroid, k: int, order: Sequence[int]
           ) -> tuple[list[set[int]], list[int], frozenset[int]]:
     """The parts, the unplaced elements, and the union of the sets their
     failed searches reached; the whole element set instead once the parts
-    are full.
+    are full, for `order`, distinct ground-set elements in ascending order.
 
     The parts are full when each holds `oracle._rank_bound` elements.  Then
     every part is a basis, and the elements not yet tried are unplaced
@@ -972,7 +974,6 @@ def _pack(oracle: Matroid, k: int, elements: Iterable[int]
     placement: dict[int, int] = {}
     unplaced: list[int] = []
     reached: set[int] = set()
-    order = sorted(set(elements))
     for x in order:
         if len(placement) == full:
             unplaced.append(x)
@@ -1007,7 +1008,7 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     many, the rest are unplaced with no search: k disjoint bases hold the
     whole k-fold union rank (`_pack`).
     """
-    parts, unplaced, _ = _pack(oracle, k, elements)
+    parts, unplaced, _ = _pack(oracle, k, oracle.members(elements))
     return parts, unplaced
 
 

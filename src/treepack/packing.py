@@ -186,6 +186,8 @@ def prune_to_terminal_tree(g: Multigraph, terminals: frozenset[int],
     union of two such subsets is one, and no removal takes an edge of it.
     So one queue of leaves reaches it in any order.
     """
+    if not terminals:
+        raise InvalidArgumentError("pruning needs at least one terminal")
     work = set(edge_ids)
     deg = _part_degrees(g, work)
     leaves = [v for v, d in deg.items() if d == 1 and v not in terminals]
@@ -640,12 +642,12 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
         # instance affords it; below that (probing regimes) it preserves
         # what was asked.
         reduce_threshold = t_values.fkk if connectivity >= t_values.fkk else threshold
-        rr = reduce_instance(g, tset, reduce_threshold, connectivity=connectivity)
+        rr = reduce_instance(g, tset, reduce_threshold)
         if rr.form != "fkk" and threshold < reduce_threshold:
             # Keeping λ_T at 3k can leave no slack for the deletions the
             # normal form needs; the requested threshold may leave enough.
             # The stalled trace is dropped, and every packing is verified.
-            rr = reduce_instance(g, tset, threshold, connectivity=connectivity)
+            rr = reduce_instance(g, tset, threshold)
 
     packed = None
     if rr.form == "fkk":

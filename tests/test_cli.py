@@ -53,6 +53,17 @@ class TestVerifyCuts:
         code, _ = run_cli(capsys, "verify-cuts", str(path), "--k", "1")
         assert code == 2
 
+    def test_vertex_declared_twice_exits_2(self, capsys, tmp_path):
+        # 'v 1' then 't 1' once made vertex 1 a terminal without a word.
+        path = tmp_path / "bad.txt"
+        path.write_text("graph 2 1\nv 1\nt 0\nt 1\ne 0 0 1\n", encoding="utf-8")
+        for command in (["verify-cuts", str(path), "--k", "1"],
+                        ["pack", str(path), "--mode", "steiner", "--k", "1"]):
+            code = main(command)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "line 4" in captured.err and "vertex 1 declared twice" in captured.err
+
     def test_malformed_integer_threshold_exits_2(self, capsys, doubled_triangle_file):
         for token in ("1_0", "+1", "\u0663"):
             code = main(["verify-cuts", doubled_triangle_file,

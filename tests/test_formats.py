@@ -24,9 +24,15 @@ MALFORMED = [
     ("instance", "graphs 2 1\nt 0\nt 1\ne 0 0 1\n", 1, "unknown line kind 'graphs'"),
     ("instance", "graph 2 1\nt 0\nt 1\ne 0 0 1\ngraph 2 1\n", 5, "duplicate graph header"),
     ("instance", "# no header\nt 0\nt 1\ne 0 0 1\n", 0, "missing graph header"),
+    ("instance", "graph 2 1\nv 1\nt 0\nt 1\ne 0 0 1\n", 4, "vertex 1 declared twice"),
+    ("instance", "graph 2 1\nt 0\nt 1\n# again\nt 0\ne 0 0 1\n", 5,
+     "vertex 0 declared twice"),
+    ("instance", "graph 2 1\nt 1\nv 1\nt 0\ne 0 0 1\n", 3, "vertex 1 declared twice"),
     ("hypergraph", "hypergraphX 2 0\nv 0\nv 1\n", 1, "unknown line kind 'hypergraphX'"),
     ("hypergraph", "hypergraph 2 0\n\nhypergraph 2 0\n", 3, "duplicate hypergraph header"),
     ("hypergraph", "v 0\nv 1\nh 0 0 1\n", 0, "missing hypergraph header"),
+    ("hypergraph", "hypergraph 2 1\nv 0\nv 1\nv 0\nh 0 0 1\n", 4,
+     "vertex 0 declared twice"),
     ("packing", "packingX steiner 1\npart 1: 2\n", 1, "unknown line kind 'packingX'"),
     ("packing", "packing steiner 1\npartY 1: 2\n", 2, "unknown line kind 'partY'"),
     ("packing", "packing steiner 1\npart 1: 2\npacking steiner 1\n", 3,
@@ -46,6 +52,15 @@ def test_malformed_input_names_its_line(fmt, text, line, message):
         PARSERS[fmt](text)
     assert err.value.line_number == line
     assert message in str(err.value)
+
+
+def test_edges_still_declare_their_ends():
+    # Only a second 'v' or 't' line is a repeat: an edge or hyperedge may
+    # name a vertex before or after its one declaration.
+    g, terminals = parse_instance("graph 3 1\ne 0 1 2\nt 1\nv 2\nt 0\n")
+    assert (sorted(g.vertices), terminals) == ([0, 1, 2], frozenset({0, 1}))
+    h = parse_hypergraph("hypergraph 3 1\nh 0 0 1 2\nv 1\n")
+    assert sorted(h.vertices) == [0, 1, 2]
 
 
 # Per format: a well-formed first line, and the kinds its lines may start with.

@@ -551,6 +551,50 @@ class TestIsolateEvenNonterminal:
             isolate_even_nonterminal(triangle(), {0, 1, 2}, 0)
 
 
+def generated(model, n, k, seed):
+    inst = generate(model, n, k, seed)
+    return inst.graph, inst.terminals
+
+
+class TestDrainVertex:
+    def test_stopped_drain_restores_the_graph(self, monkeypatch):
+        # Hub 2 has two edges to the non-terminal 3 and two to each of the
+        # terminals 0 and 1, which one more edge joins.  The first split
+        # takes both edges to 3 (the terminal flow does not use them) and
+        # leaves 3 alone with a loop, so the next split's precondition
+        # fails: the drain undoes its split and the graph is as before.
+        g = graph_from_pairs(4, [(2, 3), (2, 3), (2, 0), (2, 0), (2, 1), (2, 1), (0, 1)])
+        flows = [_max_flow(g, 0, 1, 2)[1]]
+        kept = [list(flow) for flow in flows]
+        before = g.copy()
+        arcs = {v: sorted(a) for v, a in g._incidence.items()}
+        splits = []
+        split = treepack.graphcore._split_inplace
+
+        def counted(*args):
+            splits.append(split(*args))
+            return splits[-1]
+
+        monkeypatch.setattr(treepack.graphcore, "_split_inplace", counted)
+        with pytest.raises(PreconditionViolationError, match="connected"):
+            treepack.graphcore._drain_vertex(g, 2, flows)
+        assert [(step.e1, step.e2, step.child) for step in splits] == [(0, 1, 7)]
+        assert g == before and dict(g.edges) == dict(before.edges)
+        assert g.vertices == before.vertices
+        assert g.next_edge_id == before.next_edge_id == 7
+        assert {v: sorted(a) for v, a in g._incidence.items()} == arcs
+        assert flows == kept and is_flow(g, flows[0], 0, 1, 2)
+
+    def test_stopped_drain_undoes_its_loop_deletions(self):
+        # A loop at the hub goes first; the stop brings it back, id and all.
+        g = graph_from_pairs(4, [(2, 3), (2, 3), (2, 0), (2, 0), (2, 1), (2, 1), (0, 1),
+                                 (2, 2)])
+        before = g.copy()
+        with pytest.raises(PreconditionViolationError):
+            treepack.graphcore._drain_vertex(g, 2, [])
+        assert g == before and g.next_edge_id == 8 and g.edges[7] == (2, 2)
+
+
 class TestReduceInstance:
     def test_all_terminals_is_already_normal(self):
         g = doubled_triangle()
@@ -560,8 +604,8 @@ class TestReduceInstance:
         assert len(rr.trace) == 0
 
     def test_empty_trace_skips_the_exit_connectivity_check(self, monkeypatch):
-        # With no step taken the reduced graph is the input, so the entry
-        # check's value stands for the exit one: one terminal cut, not two.
+        # With no step taken the reduced graph is the input, which the
+        # reducer's own capped flows measured: no terminal cut runs at all.
         calls = []
         counted = treepack.graphcore._terminal_cut
 
@@ -572,13 +616,14 @@ class TestReduceInstance:
         inst = generate("fkk", 9, 2, 5)
         monkeypatch.setattr(treepack.graphcore, "_terminal_cut", counting)
         rr = reduce_instance(inst.graph, inst.terminals, 3 * 2)
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert (rr.graph, rr.terminals, len(rr.trace), rr.form) == \
             (inst.graph, inst.terminals, 0, "fkk")
 
     def test_normal_form_input_returns_at_once(self, monkeypatch):
-        # fkk instances are generated in normal form: with the terminal
-        # connectivity given, no flow is built, and the trace stays empty.
+        # fkk instances are generated in normal form: the reducer builds its
+        # |T| - 1 capped flows, makes no edit, runs no exit recount, and
+        # returns a copy with an empty trace.
         flows = []
         counted = treepack.graphcore._max_flow
 
@@ -589,17 +634,18 @@ class TestReduceInstance:
         instances = [generate("fkk", 11, 2, seed) for seed in (1, 2)]
         monkeypatch.setattr(treepack.graphcore, "_max_flow", counting)
         for inst in instances:
-            rr = reduce_instance(inst.graph, inst.terminals, 3 * 2,
-                                 connectivity=inst.connectivity)
+            before = len(flows)
+            rr = reduce_instance(inst.graph, inst.terminals, 3 * 2)
             assert (rr.graph, len(rr.trace), rr.form) == (inst.graph, 0, "fkk")
             assert rr.graph is not inst.graph
-        assert flows == []
-        # one step off the normal form and the reducer runs: one flow per
-        # terminal other than 0, then the exit recount's two
+            assert len(flows) - before == len(inst.terminals) - 1
+        # one step off the normal form: the same flow per terminal other
+        # than 0, then the exit recount's two
         g = doubled_triangle()
         g.add_edge(0, 0)
-        rr = reduce_instance(g, {0, 1, 2}, 2, connectivity=4)
-        assert (len(rr.trace), rr.form, len(flows)) == (1, "fkk", 4)
+        before = len(flows)
+        rr = reduce_instance(g, {0, 1, 2}, 2)
+        assert (len(rr.trace), rr.form, len(flows) - before) == (1, "fkk", 4)
 
     def test_degree_four_nonterminal_eliminated_and_replayable(self):
         g = graph_from_pairs(3, [(2, 0), (2, 0), (2, 1), (2, 1)])
@@ -658,6 +704,31 @@ class TestReduceInstance:
     def test_precondition_checked(self):
         with pytest.raises(InvalidArgumentError):
             reduce_instance(triangle(), {0, 1, 2}, 5)
+        for terminals in ({0}, set()):
+            with pytest.raises(InvalidArgumentError, match="at least two terminals"):
+                reduce_instance(triangle(), terminals, 1)
+
+    @pytest.mark.parametrize("make, threshold, connectivity", [
+        (lambda: generated("fkk", 9, 2, 1), 9, 6),
+        (lambda: (doubled_triangle(), {0, 1, 2}), 6, 4),
+        (lambda: generated("kriesell", 11, 1, 3), 10, 8),
+        (lambda: (graph_from_pairs(4, [(0, 1), (2, 3)] * 2), {0, 2}), 1, 0),
+        (lambda: (graph_from_pairs(4, [(0, 1), (2, 3)] * 2), {0, 2}), 5, 0),
+    ], ids=["fkk-n9-k2-seed1", "doubled-triangle", "kriesell-n11-k1-seed3",
+            "terminals-apart-1", "terminals-apart-5"])
+    def test_short_threshold_names_the_exact_connectivity(self, make, threshold,
+                                                          connectivity):
+        # The reducer's own flows, capped at the threshold, are its only
+        # measure of λ_T: the smallest falls short of the cap exactly when
+        # λ_T does, and then it is λ_T.
+        g, terminals = make()
+        assert steiner_connectivity(g, terminals) == connectivity
+        before = g.copy()
+        with pytest.raises(InvalidArgumentError) as err:
+            reduce_instance(g, terminals, threshold)
+        assert str(err.value) == (f"terminal connectivity {connectivity} "
+                                  f"is below the threshold {threshold}")
+        assert g == before
 
     def test_deletion_stranding_a_terminal_free_component_is_refused(self):
         # Terminals 0 and 1 share four edges (λ_T = 4, threshold 2, so
@@ -727,9 +798,9 @@ class TestReduceInstance:
 
     def test_guard_runs_no_flow_while_slack_remains(self, monkeypatch):
         # λ_T = 7 at threshold 1: the reducer builds one flow for the one
-        # terminal pair and repairs it through both parallel-edge deletions
-        # at the hub and the suppression; besides it only the entry and
-        # exit checks run a flow.
+        # terminal pair, which is also its entry check, and repairs it
+        # through both parallel-edge deletions at the hub and the
+        # suppression; besides it only the exit recount runs a flow.
         calls = []
         counted = treepack.graphcore._max_flow
 
@@ -742,13 +813,11 @@ class TestReduceInstance:
         rr = reduce_instance(g, {0, 1}, 1)
         kinds = [type(step).__name__ for step in rr.trace.steps]
         assert kinds == ["DeleteEdgeStep", "DeleteEdgeStep", "SplitStep"]
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_guard_runs_no_search_while_slack_remains(self, monkeypatch):
-        # The graph of the test above: λ_T = 7 at threshold 1.  Only the
-        # entry recount searches the residual network: its seeding pass
-        # finds all 7 paths (5 direct, 2 through the hub), and one failed
-        # search proves the flow maximum.  The reducer's flow and the exit
+        # The graph of the test above: λ_T = 7 at threshold 1.  Nothing
+        # searches the residual network: the reducer's flow and the exit
         # recount, capped at the threshold, are each done by their seeding
         # pass alone, and no edit drops a unit of that flow.
         searches = []
@@ -761,7 +830,7 @@ class TestReduceInstance:
         g = graph_from_pairs(3, [(0, 1)] * 5 + [(0, 2), (0, 2), (1, 2), (1, 2)])
         monkeypatch.setattr(treepack.graphcore, "_route", counted)
         rr = reduce_instance(g, {0, 1}, 1)
-        assert len(searches) == 1
+        assert len(searches) == 0
         assert len(rr.trace) == 3 and steiner_connectivity(rr.graph, {0, 1}) == 6
 
     def test_flow_guard_matches_scalar_bound_reference(self):

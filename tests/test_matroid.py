@@ -657,6 +657,19 @@ class TestUnionEngine:
                 with pytest.raises(InvalidArgumentError):
                     oracle.rank([max(oracle.ground, default=0) + 1])
 
+    def test_element_outside_the_ground_set_is_refused(self):
+        # Every oracle kind names the stray element, before any search.
+        g = triangle()
+        h = Hypergraph(range(3), {0: (0, 1, 2), 1: (0, 1)})
+        oracles = [Matroid(range(3), lambda s: len(s) <= 1),
+                   GraphicMatroid(g.vertices, g.edges),
+                   HypergraphicMatroid(h)]
+        for oracle in oracles:
+            for k in (1, 2):
+                with pytest.raises(InvalidArgumentError, match=r"\[7\] are not in"):
+                    pack_elements(oracle, k, [0, 7])
+            assert pack_elements(oracle, 1, [1, 0, 1]) == pack_elements(oracle, 1, [0, 1])
+
     def test_dependent_part_after_a_chain_is_reported(self):
         class Lying(Matroid):
             def _circuit(self, part, state, y):

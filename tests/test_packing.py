@@ -618,6 +618,12 @@ class TestPruneToTerminalTree:
             assert prune_to_terminal_tree(g, terminals, edge_ids) == expected
         assert 50 < rejected < 250 and leafy > 50
 
+    def test_empty_terminal_set_is_refused(self):
+        g = doubled_triangle()
+        for edge_ids in (g.edges, ()):
+            with pytest.raises(InvalidArgumentError, match="at least one terminal"):
+                prune_to_terminal_tree(g, frozenset(), edge_ids)
+
 
 # (n, seed) pairs whose kriesell draw has at least four terminals, at least
 # one non-terminal, and reaches the threshold within a few hundred
