@@ -24,14 +24,15 @@ splitting-off routines implement the classical degree-lowering operation
 (replace edges uv, uv' at u by a single edge vv') together with a
 verified search for a pair at a vertex, and a reducer that drives all
 non-terminals toward the bipartite degree-3 normal form used by the
-hypergraph packing pipeline.  A pair search splits each candidate off,
-repairs a list of flows through it (at most two units each), and undoes
-the split when one does not repair.  The public `mader_split` checks
-against the flows of one Gusfield equivalent-flow tree, which keeps every
-pairwise cut; the reducer checks its edits against one flow per terminal
-pair that makes up the terminal connectivity, each of value exactly the
-threshold, built once and repaired through every deletion and split, so
-it keeps just the terminal connectivity at or above the threshold.
+hypergraph packing pipeline, by one splitting-off rule at every
+non-terminal.  A pair search splits each candidate off, repairs a list
+of flows through it (at most two units each), and undoes the split when
+one does not repair.  The public `mader_split` checks against the flows
+of one Gusfield equivalent-flow tree, which keeps every pairwise cut;
+the reducer checks its edits against one flow per terminal pair that
+makes up the terminal connectivity, each of value exactly the threshold,
+built once and repaired through every deletion and split, so it keeps
+just the terminal connectivity at or above the threshold.
 
 The reducer logs three kinds of step: a split (which, at a degree-2 vertex,
 also removes that vertex), an edge deletion, and an isolated-vertex removal.
@@ -755,60 +756,50 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
     return step.e1, step.e2
 
 
-def _drain_vertex(g: Multigraph, u: int, flows: list[list[int]]
-                  ) -> tuple[list[TraceStep], list[list[int]]]:
-    """Mutating helper: split/delete at u until it is isolated, then remove.
-    Every split keeps every flow of `flows` (see `_mader_split_inplace`);
-    returns the steps and the flows repaired into the drained graph.
+def _reduce_vertex(g: Multigraph, u: int, steps: list[TraceStep],
+                   flows: list[list[int]]) -> None:
+    """Mutating: split off at the non-terminal u toward its normal-form
+    degree, appending each step to `steps` and replacing the contents of
+    `flows` by the flows repaired through it.
 
-    Requires even degree.  Loops at u are deleted first (they never affect
-    a cut or carry flow, and a split at u joins two other ends, so it never
-    makes one); the final two edge ends are split and logged as a
-    suppression (a split step that also removes u).  A degree-2 split
-    always preserves pairwise min-cuts among the other vertices because
-    any path through u uses both of its edges and reroutes over the child
-    edge, so no pair search is needed at that stage; its repair only moves
-    the flows onto the child edge.  A split precondition can stop the
-    drain mid-chain (a cut-edge at u); its loop deletions and splits are
-    then undone, last first, so g and the given flows fit again.
+    At even degree u's loops are deleted first (they never affect a cut
+    or carry flow, and a split at u joins two other ends, so it never
+    makes one).  Pairs are then split off while deg(u) > 3, each keeping
+    every flow (`_mader_split_inplace`), so an odd u ends at degree 3 or
+    1 and an even one at 2 or 0.  At 2 the last two edges are split and
+    logged as a suppression (a split step that also removes u): any path
+    through u uses both and reroutes over the child edge, so no pair
+    search is needed.  At 0, u is removed.  A split precondition (a
+    cut-edge at u, say) stops the helper with its error, and every step
+    made so far stays in g, `steps` and `flows`, each already checked.
     """
-    if g.degree(u) % 2 != 0:
-        raise PreconditionViolationError(f"vertex {u} has odd degree")
-    steps: list[TraceStep] = []
-    try:
+    if g.degree(u) % 2 == 0:
         for eid in [eid for eid in g.incident_edges(u) if g.is_loop(eid)]:
             steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
             g.delete_edge(eid)
-        while True:
-            deg = g.degree(u)
-            if deg == 0:
-                break
-            if deg == 2:
-                e1, e2 = g.incident_edges(u)
-                split = _split_inplace(g, u, e1, e2)
-                g.remove_vertex(u)
-                steps.append(replace(split, removed=u))
-                flows = _repair(g, flows, ((e1, split.e1_ends), (e2, split.e2_ends)))
-                if flows is None:
-                    raise InternalInvariantError(
-                        f"suppressing vertex {u} lost a flow: flow computation is suspect")
-                return steps, flows
-            step, flows = _mader_split_inplace(g, u, flows)
-            steps.append(step)
-    except PreconditionViolationError:
-        for step in reversed(steps):
-            step.undo(g)
-        raise
-    g.remove_vertex(u)
-    steps.append(RemoveIsolatedStep(vertex=u))
-    return steps, flows
+    while g.degree(u) > 3:
+        step, flows[:] = _mader_split_inplace(g, u, flows)
+        steps.append(step)
+    if g.degree(u) == 2:
+        found = _split_trial(g, flows, u, *g.incident_edges(u))
+        if found is None:
+            raise InternalInvariantError(
+                f"suppressing vertex {u} lost a flow: flow computation is suspect")
+        split, flows[:] = found
+        g.remove_vertex(u)
+        steps.append(replace(split, removed=u))
+    elif g.degree(u) == 0:
+        g.remove_vertex(u)
+        steps.append(RemoveIsolatedStep(vertex=u))
 
 
 def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigraph, list[TraceStep]]:
     """Split an even-degree non-terminal down to degree 0 and remove it.
 
     All pairwise min-cuts among the remaining vertices are preserved, so in
-    particular the terminal connectivity is unchanged.
+    particular the terminal connectivity is unchanged.  The splits run on
+    a copy, so a split precondition that stops them (a cut-edge at u, say)
+    raises its PreconditionViolationError and leaves g as it was.
     """
     tset = frozenset(terminals)
     if u in tset:
@@ -820,7 +811,8 @@ def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigra
     out = g.copy()
     # At degree 2 or less no pair search runs, so no flow is needed.
     flows = _all_pairs_flows(out, u) if out.degree(u) > 2 else []
-    steps, _ = _drain_vertex(out, u, flows)
+    steps: list[TraceStep] = []
+    _reduce_vertex(out, u, steps, flows)
     return out, steps
 
 
@@ -866,12 +858,13 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
     `threshold`.
 
     The components without terminals are deleted first.  Then a fixpoint
-    loop: even-degree non-terminals are split to isolation and removed;
-    odd-degree non-terminals above 3 are split down to 3; loops, edges
-    between two non-terminals and parallel edges at a non-terminal are
-    deleted whenever the deleted graph stays connected with terminal
-    connectivity at or above the threshold.  Every change is logged so the
-    caller can replay or invert the whole reduction.
+    loop: loops, edges between two non-terminals and parallel edges at a
+    non-terminal are deleted whenever the deleted graph stays connected
+    with terminal connectivity at or above the threshold; then one rule
+    splits off at every non-terminal (`_reduce_vertex`): an even one is
+    split to isolation and removed, an odd one above 3 split down to 3.
+    Every change is logged so the caller can replay or invert the whole
+    reduction.
 
     Every edit is checked against one set of flows, built once after the
     terminal-free components go: for each terminal t other than
@@ -882,11 +875,13 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
     through the edges it removes (see `_split_trial`).  A deletion other
     than a loop's, each split trial and each suppression repair them, and
     the edit is kept exactly when all of them repair; the repaired flows
-    then replace the old, while a refused deletion or an aborted drain
-    leaves the old flows with the old graph.  A split thus takes the first
-    candidate pair that keeps λ_T at or above the threshold, and some pair
-    always does: at a vertex of degree other than 3 with no incident
-    cut-edge, one keeps every λ among the other vertices (Mader 1978).
+    then replace the old, while a refused deletion leaves the old flows
+    with the old graph.  A split thus takes the first candidate pair that
+    keeps λ_T at or above the threshold, and some pair always does: at a
+    vertex of degree other than 3 with no incident cut-edge, one keeps
+    every λ among the other vertices (Mader 1978).  When a split
+    precondition stops the rule at a vertex, the steps it made there stay,
+    each already checked, and a later pass may go on.
     With a positive threshold a deletion must also leave the graph
     connected, since a stranded component would stop every later split.
     The graph was connected (the terminal-free components are gone, and
@@ -983,23 +978,12 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
         for u in sorted(work.vertices - tset):
             if not work.has_vertex(u):
                 continue
-            deg = work.degree(u)
-            if deg % 2 == 0:
-                try:
-                    steps, flows = _drain_vertex(work, u, flows)
-                except PreconditionViolationError:
-                    continue  # undone; later passes may free it
-                trace.extend(steps)
-                changed = True
-                continue
-            if deg >= 5:
-                while work.degree(u) > 3:
-                    try:
-                        step, flows = _mader_split_inplace(work, u, flows)
-                    except PreconditionViolationError:
-                        break
-                    trace.append(step)
-                    changed = True
+            made = len(trace)
+            try:
+                _reduce_vertex(work, u, trace.steps, flows)
+            except PreconditionViolationError:
+                pass  # the steps made stay; later passes may go on
+            changed = changed or len(trace) > made
 
     # An empty trace left the input unchanged, and the flows measured it.
     if trace and (final := _terminal_cut(work, tset, threshold)[0]) < threshold:

@@ -813,26 +813,19 @@ class PackBasesResult:
 
 
 class _Part:
-    """One part of a k-fold packing, the oracle's state for it, and the
-    circuits read off that state, by element.
+    """One part of a k-fold packing and the oracle's state for it.
 
-    A memoised circuit C of y stays y's circuit as long as the part holds
-    all of C (and not y, which is never asked of its own part): C + y is
-    then a circuit inside part + y, and fundamental circuits are unique.
-    So a chain that changes the part drops nothing, and a lookup checks
-    C against the part.  Only circuits are memoised: an element that fits
-    the part goes into it at once, so that answer is never asked again
-    while the part stays as it was.  The oracle may keep in the state what
-    it found while answering that an element fits (the hypergraphic oracle
-    keeps the exchange chain), for the update that follows at once.  An
-    element placed with no exchange arrives alone, as `((), (x,))`."""
+    An element that fits the part goes into it at once, so the oracle may
+    keep in the state what it found while answering that an element fits
+    (the hypergraphic oracle keeps the exchange chain), for the update
+    that follows.  An element placed with no exchange arrives alone, as
+    `((), (x,))`."""
 
-    __slots__ = ("index", "items", "state", "circuits")
+    __slots__ = ("index", "items", "state")
 
     def __init__(self, oracle: Matroid, index: int, items: set[int]):
         self.index = index
         self.items = items
-        self.circuits: dict[int, frozenset[int]] = {}
         self._settle(oracle, oracle._part_state(items))
 
     def update(self, oracle: Matroid, left: Collection[int],
@@ -849,12 +842,7 @@ class _Part:
         self.state = state
 
     def circuit(self, oracle: Matroid, y: int) -> frozenset[int] | None:
-        circuit = self.circuits.get(y)
-        if circuit is None or not circuit <= self.items:
-            circuit = oracle._circuit(self.items, self.state, y)
-            if circuit is not None:
-                self.circuits[y] = circuit
-        return circuit
+        return oracle._circuit(self.items, self.state, y)
 
 
 def _union_augment(oracle: Matroid, parts: list[_Part], asked: list[_Part],
@@ -994,13 +982,13 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     unplaceable.  The total placed count equals the k-fold union rank of
     the element set.  A search skips the elements that earlier failed
     searches reached, which hold no augmenting chain (`_union_augment`).
-    Each part keeps the oracle's state and the circuits read off it, each
-    for as long as the part holds all of it (`_Part`).  A chain that
-    changes the part has the oracle update that state in place from the
-    elements that left and arrived (`_part_update`) and re-check the
-    part: the graphic oracle cuts and links forest edges, and the
-    hypergraphic one runs one exchange search per arrival, except that
-    the element the chain placed takes the chain its circuit search found.
+    Each part keeps the oracle's state (`_Part`), from which its circuits
+    are read.  A chain that changes the part has the oracle update that
+    state in place from the elements that left and arrived
+    (`_part_update`) and re-check the part: the graphic oracle cuts and
+    links forest edges, and the hypergraphic one runs one exchange search
+    per arrival, except that the element the chain placed takes the chain
+    its circuit search found.
     So the parts' forests are built from nothing only once, empty.  A part
     that holds |V| - 1 elements (graphic and hypergraphic oracles) is a
     basis and takes no element, so each step asks it only after every

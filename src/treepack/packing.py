@@ -761,6 +761,7 @@ def serialize_packing(packing: Packing) -> str:
 def parse_packing(text: str) -> Packing:
     mode: str | None = None
     parts: list[frozenset[int]] = []
+    listed: set[int] = set()
     for lineno, kind, fields in read_lines(text, "packing"):
         if kind == "packing":
             if len(fields) != 2 or fields[0] not in MODES:
@@ -779,6 +780,10 @@ def parse_packing(text: str) -> Packing:
                 raise InstanceParseError(lineno, f"parts must be numbered in order, got {index}")
             if len(set(ids)) != len(ids):
                 raise InstanceParseError(lineno, f"part {index} lists an edge id twice")
+            if repeat := listed.intersection(ids):
+                raise InstanceParseError(
+                    lineno, f"part {index} repeats edge {min(repeat)} of an earlier part")
+            listed.update(ids)
             parts.append(frozenset(ids))
         else:
             raise InstanceParseError(lineno, f"unknown line kind {kind!r}")

@@ -8,9 +8,8 @@ exact rational phase-one simplex.  The reducer's slow paths live here
 too: bridges by one search per edge, split trials by a fresh min_cut per
 tree edge, the terminal cut with every flow run in full, and the
 scalar-bound deletion guard that recounts λ_T whenever its bound has no
-slack.  So does the union engine's: the exchange search
-with no pruning, over part states rebuilt after every chain, and a part
-update that forgets every memoised circuit.  So does the leaf pruning
+slack.  So does the union engine's: the exchange search with no pruning,
+over part states rebuilt after every chain.  So does the leaf pruning
 that rescans the whole edge set per leaf.  Tests compare the fast
 implementations against these.
 """
@@ -307,10 +306,12 @@ def reference_threshold_split(g: Multigraph, u: int, tset, threshold: int) -> tu
     raise AssertionError(f"no threshold-preserving pair at vertex {u}")
 
 
-def _reference_drain(g: Multigraph, u: int, tset, threshold: int) -> list:
+def _reference_drain(g: Multigraph, u: int, tset, threshold: int, steps: list) -> None:
+    """Split the even non-terminal u of g to isolation and remove it,
+    appending each step to `steps`; a split precondition stops it with
+    the steps made so far kept."""
     from treepack import split_off
     from treepack.graphcore import DeleteEdgeStep, RemoveIsolatedStep
-    steps = []
     while True:
         for eid in [e for e in g.incident_edges(u) if g.is_loop(e)]:
             steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
@@ -321,13 +322,12 @@ def _reference_drain(g: Multigraph, u: int, tset, threshold: int) -> list:
             _, step = split_off(g, u, *g.incident_edges(u))
             steps.append(replace(step, removed=u))
             steps[-1].apply(g)
-            return steps
+            return
         _, step = split_off(g, u, *reference_threshold_split(g, u, tset, threshold))
         step.apply(g)
         steps.append(step)
     g.remove_vertex(u)
     steps.append(RemoveIsolatedStep(vertex=u))
-    return steps
 
 
 def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
@@ -336,8 +336,9 @@ def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
     above the threshold and otherwise replaced by a full
     steiner_connectivity recount, a deletion that disconnects the graph
     refused at a positive threshold, and per split the first pair that
-    keeps a fresh steiner_connectivity at or above the threshold.  Such a
-    split may lower λ_T by up to 2, so the bound is recounted after each
+    keeps a fresh steiner_connectivity at or above the threshold; a split
+    precondition stops the splits at a vertex, and those made stay.  Such
+    a split may lower λ_T by up to 2, so the bound is recounted after each
     vertex pass.  Returns the reduced graph and the trace steps."""
     from treepack import PreconditionViolationError, split_off, steiner_connectivity
     from treepack.graphcore import DeleteEdgeStep, RemoveIsolatedStep
@@ -401,14 +402,12 @@ def reference_reduce_instance(g: Multigraph, terminals, threshold: int):
                 trace.append(RemoveIsolatedStep(vertex=u))
                 changed = True
             elif deg % 2 == 0:
-                probe = work.copy()
+                made = len(trace)
                 try:
-                    steps = _reference_drain(probe, u, tset, threshold)
+                    _reference_drain(work, u, tset, threshold, trace)
                 except PreconditionViolationError:
-                    continue
-                work = probe
-                trace.extend(steps)
-                changed = True
+                    pass  # the splits made so far stay, as in the odd branch
+                changed = changed or len(trace) > made
             elif deg >= 5:
                 while work.degree(u) > 3:
                     try:
@@ -514,13 +513,6 @@ def reference_prune_to_terminal_tree(g: Multigraph, terminals, edge_ids) -> froz
     if not terminals <= seen:
         raise InternalInvariantError("pruning disconnected a terminal")
     return frozenset(tree)
-
-
-def clearing_part_update(part, oracle, left: set[int], arrived: set[int]) -> None:
-    """`_Part.update` that drops every memoised circuit after a chain,
-    valid or not."""
-    part._settle(oracle, oracle._part_update(part.items, part.state, left, arrived))
-    part.circuits.clear()
 
 
 # -- exact rational feasibility ------------------------------------------------

@@ -42,6 +42,8 @@ MALFORMED = [
     ("packing", "packing steiner 1\npart 1: 3 3\n", 2, "part 1 lists an edge id twice"),
     ("packing", "packing steiner 2\npart 1: 0\n# x\npart 2: 3 3 4\n", 4,
      "part 2 lists an edge id twice"),
+    ("packing", "packing steiner 2\npart 1: 0 5\n# x\npart 2: 3 5\n", 4,
+     "part 2 repeats edge 5 of an earlier part"),
     ("vector", "x 0 1/2\nxx 1 1/2\n", 2, "expected 'x <element-id>"),
 ]
 

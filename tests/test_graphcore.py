@@ -27,6 +27,7 @@ from treepack.graphcore import (
     _max_flow,
     _normal_form_cut,
     _normal_form_violation,
+    _reduce_vertex,
     _split_trial,
 )
 from treepack.packing import Thresholds
@@ -556,43 +557,37 @@ def generated(model, n, k, seed):
     return inst.graph, inst.terminals
 
 
-class TestDrainVertex:
-    def test_stopped_drain_restores_the_graph(self, monkeypatch):
+class TestReduceVertex:
+    def test_stop_keeps_the_split_made_before_it(self):
         # Hub 2 has two edges to the non-terminal 3 and two to each of the
         # terminals 0 and 1, which one more edge joins.  The first split
         # takes both edges to 3 (the terminal flow does not use them) and
         # leaves 3 alone with a loop, so the next split's precondition
-        # fails: the drain undoes its split and the graph is as before.
+        # fails.  The split was checked, so it stays, with the flow
+        # repaired through it.
         g = graph_from_pairs(4, [(2, 3), (2, 3), (2, 0), (2, 0), (2, 1), (2, 1), (0, 1)])
+        before = g.copy()
         flows = [_max_flow(g, 0, 1, 2)[1]]
-        kept = [list(flow) for flow in flows]
-        before = g.copy()
-        arcs = {v: sorted(a) for v, a in g._incidence.items()}
-        splits = []
-        split = treepack.graphcore._split_inplace
-
-        def counted(*args):
-            splits.append(split(*args))
-            return splits[-1]
-
-        monkeypatch.setattr(treepack.graphcore, "_split_inplace", counted)
+        steps = []
         with pytest.raises(PreconditionViolationError, match="connected"):
-            treepack.graphcore._drain_vertex(g, 2, flows)
-        assert [(step.e1, step.e2, step.child) for step in splits] == [(0, 1, 7)]
-        assert g == before and dict(g.edges) == dict(before.edges)
-        assert g.vertices == before.vertices
-        assert g.next_edge_id == before.next_edge_id == 7
-        assert {v: sorted(a) for v, a in g._incidence.items()} == arcs
-        assert flows == kept and is_flow(g, flows[0], 0, 1, 2)
+            _reduce_vertex(g, 2, steps, flows)
+        assert [(step.e1, step.e2, step.child, step.removed) for step in steps] == \
+            [(0, 1, 7, None)]
+        replay = before.copy()
+        for step in steps:
+            step.apply(replay)
+        assert replay == g and replay.next_edge_id == g.next_edge_id == 8
+        assert len(flows) == 1 and is_flow(g, flows[0], 0, 1, 2)
 
-    def test_stopped_drain_undoes_its_loop_deletions(self):
-        # A loop at the hub goes first; the stop brings it back, id and all.
-        g = graph_from_pairs(4, [(2, 3), (2, 3), (2, 0), (2, 0), (2, 1), (2, 1), (0, 1),
-                                 (2, 2)])
+    def test_isolate_even_nonterminal_raises_and_keeps_its_input(self):
+        # Hub 2 meets the terminal 1 by a cut-edge, so its first split's
+        # precondition fails with that message.
+        g = graph_from_pairs(3, [(2, 0), (2, 0), (2, 0), (2, 1)])
         before = g.copy()
-        with pytest.raises(PreconditionViolationError):
-            treepack.graphcore._drain_vertex(g, 2, [])
-        assert g == before and g.next_edge_id == 8 and g.edges[7] == (2, 2)
+        with pytest.raises(PreconditionViolationError,
+                           match="^vertex 2 is incident with a cut-edge$"):
+            isolate_even_nonterminal(g, {0, 1}, 2)
+        assert g == before and g.next_edge_id == before.next_edge_id == 4
 
 
 class TestReduceInstance:

@@ -1,6 +1,5 @@
 """Matroid oracles, ranks, union packing and the pinning exchange."""
 
-import contextlib
 import itertools
 import sys
 
@@ -38,7 +37,6 @@ from treepack.rng import SplitMix64
 from conftest import (
     brute_hypergraphic_independent,
     c4,
-    clearing_part_update,
     doubled_triangle,
     forest_path,
     random_hypergraph,
@@ -396,45 +394,6 @@ def assert_forest_matches_fresh(forest: _RootedForest, n: int) -> None:
             assert path is None or set(path) == set(fresh.path(u, v))
 
 
-def circuit_calls(oracle, k: int):
-    """`_pack`'s result on the whole ground set and the number of circuits
-    it asked the oracle for."""
-    calls = []
-    circuit = oracle._circuit
-
-    def counted(*args):
-        calls.append(args)
-        return circuit(*args)
-
-    oracle._circuit = counted
-    try:
-        return treepack.matroid._pack(oracle, k, oracle.ground), len(calls)
-    finally:
-        del oracle._circuit
-
-
-@contextlib.contextmanager
-def circuits_cleared_by_every_chain():
-    keeping = treepack.matroid._Part.update
-    treepack.matroid._Part.update = clearing_part_update
-    try:
-        yield
-    finally:
-        treepack.matroid._Part.update = keeping
-
-
-def assert_kept_circuits_match_clearing(oracle, k: int) -> tuple[int, int]:
-    """Keeping the circuits a chain leaves valid changes no part, unplaced
-    element or reached set, and asks for no more circuits than forgetting
-    them all; returns both counts."""
-    kept, kept_calls = circuit_calls(oracle, k)
-    with circuits_cleared_by_every_chain():
-        cleared, cleared_calls = circuit_calls(oracle, k)
-    assert kept == cleared
-    assert kept_calls <= cleared_calls
-    return kept_calls, cleared_calls
-
-
 class TestUnionEngine:
     def test_pack_elements_matches_probing_reference(self):
         for seed in range(40):
@@ -469,30 +428,6 @@ class TestUnionEngine:
     def test_pruned_search_matches_unpruned_reference_property(self, seed, k):
         for oracle in failing_oracles(seed):
             assert_pack_matches_reference(oracle, k)
-
-    def test_kept_circuits_match_clearing_on_seeded_pools(self):
-        # The spanning-nwt and steiner-fkk shapes, where the kept entries
-        # save searches, and the failing pools, where most elements fail
-        # and a stale circuit would show (at seed 12, k=2, for one).
-        shapes = []
-        for seed in range(1, 4):
-            nwt = generate("nwt", 24, 2, seed).graph
-            shapes += [(graphic_matroid(nwt.vertices, nwt.edges), 2),
-                       (HypergraphicMatroid(reduced_fkk(11, 2, seed)), 2),
-                       (HypergraphicMatroid(reduced_fkk(9, 3, seed)), 3)]
-        for seed in range(30):
-            shapes += [(oracle, k) for oracle in failing_oracles(seed) for k in (1, 2, 3)]
-        kept = cleared = 0
-        for oracle, k in shapes:
-            calls = assert_kept_circuits_match_clearing(oracle, k)
-            kept, cleared = kept + calls[0], cleared + calls[1]
-        assert kept < cleared
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
-    def test_kept_circuits_match_clearing_property(self, seed, k):
-        for oracle in (*engine_oracles(seed), *failing_oracles(seed)):
-            assert_kept_circuits_match_clearing(oracle, k)
 
     @staticmethod
     def failed_search_reach(monkeypatch) -> list[int]:
