@@ -700,6 +700,23 @@ def _split_trial(g: Multigraph, flows: list[list[int]], u: int, e1: int, e2: int
     return step, repaired
 
 
+def _split_candidates(g: Multigraph, u: int) -> list[int]:
+    """The non-loop edges at u, once mader_split's preconditions hold; the
+    first that fails raises.  Loops affect none but the degree check."""
+    if not g.has_vertex(u):
+        raise InvalidArgumentError(f"no vertex {u}")
+    if g.degree(u) == 3:
+        raise PreconditionViolationError("cannot split at a degree-3 vertex")
+    candidates = [eid for eid in g.incident_edges(u) if not g.is_loop(eid)]
+    if len(candidates) < 2:
+        raise PreconditionViolationError("need at least two non-loop edges at the vertex")
+    if not g.is_connected():
+        raise PreconditionViolationError("graph must be connected")
+    if _has_incident_cut_edge(g, u):
+        raise PreconditionViolationError(f"vertex {u} is incident with a cut-edge")
+    return candidates
+
+
 def _mader_split_inplace(g: Multigraph, u: int, flows: list[list[int]]
                          ) -> tuple[SplitStep, list[list[int]]]:
     """Mutating mader_split: check its preconditions, split off in g the
@@ -714,17 +731,7 @@ def _mader_split_inplace(g: Multigraph, u: int, flows: list[list[int]]
     reducer passes its terminal flows, each of value the threshold, and so
     keeps the terminal connectivity at or above it.
     """
-    if not g.has_vertex(u):
-        raise InvalidArgumentError(f"no vertex {u}")
-    if g.degree(u) == 3:
-        raise PreconditionViolationError("cannot split at a degree-3 vertex")
-    candidates = [eid for eid in g.incident_edges(u) if not g.is_loop(eid)]
-    if len(candidates) < 2:
-        raise PreconditionViolationError("need at least two non-loop edges at the vertex")
-    if not g.is_connected():
-        raise PreconditionViolationError("graph must be connected")
-    if _has_incident_cut_edge(g, u):
-        raise PreconditionViolationError(f"vertex {u} is incident with a cut-edge")
+    candidates = _split_candidates(g, u)
     for i, e1 in enumerate(candidates):
         for e2 in candidates[i + 1:]:
             found = _split_trial(g, flows, u, e1, e2)
@@ -749,9 +756,11 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
     flow does not repair.
     Such a pair always exists when deg(u) != 3, u meets at least two
     non-loop edges and no cut-edge, and the graph is connected, so
-    exhausting the search signals a cut-computation bug.  The trials run on
-    a copy of g, which is left unchanged.
+    exhausting the search signals a cut-computation bug.  The preconditions
+    are checked before any flow is built.  The trials run on a copy of g,
+    which is left unchanged.
     """
+    _split_candidates(g, u)
     step, _ = _mader_split_inplace(g.copy(), u, _all_pairs_flows(g, u))
     return step.e1, step.e2
 
@@ -799,7 +808,11 @@ def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigra
     All pairwise min-cuts among the remaining vertices are preserved, so in
     particular the terminal connectivity is unchanged.  The splits run on
     a copy, so a split precondition that stops them (a cut-edge at u, say)
-    raises its PreconditionViolationError and leaves g as it was.
+    raises its PreconditionViolationError and leaves g as it was.  Flows
+    are built only when a pair search will run, at four or more non-loop
+    edges, and only once the split preconditions hold in g: loops affect
+    neither its connectivity nor its cut-edges, so the check can precede
+    their deletion.
     """
     tset = frozenset(terminals)
     if u in tset:
@@ -808,9 +821,11 @@ def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigra
         raise InvalidArgumentError(f"no vertex {u}")
     if g.degree(u) % 2 != 0:
         raise PreconditionViolationError(f"vertex {u} has odd degree")
+    flows: list[list[int]] = []
+    if sum(not g.is_loop(eid) for eid in g.incident_edges(u)) > 2:
+        _split_candidates(g, u)
+        flows = _all_pairs_flows(g, u)
     out = g.copy()
-    # At degree 2 or less no pair search runs, so no flow is needed.
-    flows = _all_pairs_flows(out, u) if out.degree(u) > 2 else []
     steps: list[TraceStep] = []
     _reduce_vertex(out, u, steps, flows)
     return out, steps

@@ -17,8 +17,8 @@ An oracle keeps one state per part (`_part_state`), reads circuits off it
 (`_circuit`) and moves it past each chain that changes the part
 (`_part_update`).  Both oracles keep one forest type as that state: a
 `_RootedForest` labelled by element id, whose tree paths read off as
-element ids, built once per part while the part is empty and from then on
-updated in place, one cut or link per element that leaves or arrives.  The
+element ids, which starts empty and changes only in place, one cut or
+link per element that leaves or arrives (`_RootedForest.exchange`).  The
 graphic oracle's forest is the part's edges, and a circuit is the tree path
 between y's ends.  The hypergraphic oracle's is the part's representative
 forest, one pair per hyperedge; a circuit is what one failed exchange
@@ -86,12 +86,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, v: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if v in block:
-                return i
-        raise InvalidArgumentError(f"vertex {v} is in no block")
 
     def classify(self, edge_sets: Mapping[int, frozenset[int]],
                  subset: Iterable[int] | None = None) -> "EdgeClassification":
@@ -317,10 +311,10 @@ class _RootedForest:
     tree.  The paths are a property of the edge set alone, so they do not
     depend on where the trees are rooted.
 
-    The constructor roots all the edges at once; `exchange` then moves the
-    forest past a change in place, re-labelling only the side of each cut
-    or link that changes tree.  `acyclic` is False once the edges are not
-    a forest (a loop, a repeated pair, or an edge that closes a cycle);
+    A forest starts empty, and `exchange` is the only change to it: it
+    cuts and links in place, re-labelling only the side of each cut or
+    link that changes tree.  `acyclic` is False once the edges are not a
+    forest (a loop, a repeated pair, or an edge that closes a cycle);
     such an edge stays in `ends` unlinked, so paths are then those of a
     spanning forest of them.
 
@@ -330,34 +324,14 @@ class _RootedForest:
 
     __slots__ = ("ends", "adj", "tree", "depth", "up", "acyclic", "found")
 
-    def __init__(self, ends: dict[int, Pair]):
-        self.ends = ends
-        self.found: tuple[int, dict[int, Pair]] | None = None
-        nbrs: dict[int, list[tuple[int, int]]] = {}
-        for label, (a, b) in ends.items():
-            nbrs.setdefault(a, []).append((b, label))
-            nbrs.setdefault(b, []).append((a, label))
+    def __init__(self):
+        self.ends: dict[int, Pair] = {}
+        self.adj: dict[int, dict[int, int]] = {}
         self.tree: dict[int, int] = {}
         self.depth: dict[int, int] = {}
         self.up: dict[int, tuple[int, int]] = {}
-        self.adj: dict[int, dict[int, int]] = {v: {} for v in nbrs}
-        for root in nbrs:
-            if root in self.tree:
-                continue
-            self.tree[root] = root
-            self.depth[root] = 0
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for y, label in nbrs[x]:
-                    if y not in self.tree:
-                        self.tree[y] = root
-                        self.depth[y] = self.depth[x] + 1
-                        self.up[y] = (x, label)
-                        self.adj[x][label] = y
-                        self.adj[y][label] = x
-                        stack.append(y)
-        self.acyclic = len(self.up) == len(ends)
+        self.acyclic = True
+        self.found: tuple[int, dict[int, Pair]] | None = None
 
     def exchange(self, left: Iterable[int], arrived: Mapping[int, Pair]) -> None:
         """Drop the linked edges labelled `left`, then link each of
@@ -447,18 +421,18 @@ class GraphicMatroid(Matroid):
         return sum(dsu.union(*self.edges[e]) for e in self.members(subset))
 
     def _part_state(self, part: set[int]) -> _RootedForest | None:
-        forest = _RootedForest({e: self.edges[e] for e in part})
-        return forest if forest.acyclic else None
+        return self._part_update(part, _RootedForest(), (), part)
 
     def _part_update(self, part: set[int], state: _RootedForest, left: Collection[int],
                      arrived: Collection[int]) -> _RootedForest | None:
         """Cut the edges that left the forest and link the ones that
         arrived, in place.  Each forest on the way lies inside the new
-        part, so while that is a forest no link closes a cycle.  A single
-        arrival, the common case, is linked with no sort."""
+        part, so while that is a forest no link closes a cycle.  The
+        arrivals are linked in the order given: that order moves only the
+        roots, while `acyclic` and every path are properties of the edge
+        set alone."""
         edges = self.edges
-        order = arrived if len(arrived) == 1 else sorted(arrived)
-        state.exchange(left, {e: edges[e] for e in order})
+        state.exchange(left, {e: edges[e] for e in arrived})
         return state if state.acyclic else None
 
     def _circuit(self, part: set[int], state: _RootedForest,
@@ -648,20 +622,21 @@ class HypergraphicMatroid(Matroid):
 
     def witness(self, subset: Iterable[int]) -> dict[int, Pair] | None:
         """Representative pairs forming a forest, or None when dependent."""
-        forest = self._insert(_RootedForest({}), self.members(subset), strict=True)
+        forest = self._part_state(subset)
         return None if forest is None else forest.ends
 
     def _indep_query(self, subset: frozenset[int]) -> bool:
-        return self.witness(subset) is not None
+        return self._part_state(subset) is not None
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
-        return len(self._insert(_RootedForest({}), self.members(subset), strict=False).ends)
+        return len(self._insert(_RootedForest(), self.members(subset), strict=False).ends)
 
-    def _part_state(self, part: set[int]) -> _RootedForest | None:
-        """The part's representative forest as `witness` builds it: one
-        exchange search per element.  The engine asks this only of its
-        empty parts; after that, chains update the forest (`_part_update`)."""
-        return self._insert(_RootedForest({}), self.members(part), strict=True)
+    def _part_state(self, part: Iterable[int]) -> _RootedForest | None:
+        """The representative forest of `part`, one exchange search per
+        element in ascending order, or None when it is dependent.  The
+        engine asks this only of its empty parts; after that, chains
+        update the forest (`_part_update`)."""
+        return self._insert(_RootedForest(), self.members(part), strict=True)
 
     def _part_update(self, part: set[int], state: _RootedForest, left: Collection[int],
                      arrived: Collection[int]) -> _RootedForest | None:
@@ -795,11 +770,9 @@ class PackBasesResult:
     be without that pruning.  It holds every unplaced element, each part
     spans it, and size == |ground - reached| + k * rank(reached): it is a
     minimiser of the matroid-union rank formula, empty when every element
-    was placed and the parts are not full.  Once every part holds as many
-    elements as the oracle's rank bound (|V| - 1 for graphic and
-    hypergraphic oracles), no search runs and `reached` is the whole
-    ground set instead: each part is then a basis, so
-    size == k * rank(ground), which the formula gives at A = ground.
+    was placed and the parts are not full.  Once the parts are full, the
+    search stops and `reached` is the whole ground set, which is then
+    such a minimiser too (`_pack`).
     """
 
     family: UnionBasisFamily
@@ -943,17 +916,19 @@ def _union_augment(oracle: Matroid, parts: list[_Part], asked: list[_Part],
 def _pack(oracle: Matroid, k: int, order: Sequence[int]
           ) -> tuple[list[set[int]], list[int], frozenset[int]]:
     """The parts, the unplaced elements, and the union of the sets their
-    failed searches reached; the whole element set instead once the parts
-    are full, for `order`, distinct ground-set elements in ascending order.
+    failed searches reached, for `order`, distinct ground-set elements in
+    ascending order; once the parts are full, the element set E = `order`
+    instead of that union.
 
-    The parts are full when each holds `oracle._rank_bound` elements.  Then
-    every part is a basis, and the elements not yet tried are unplaced
-    without a search: an independent part of that size has rank(E) <= bound
-    <= |part| <= rank(E), and k disjoint bases already hold the k-fold union
-    rank k * rank(E), so no chain places another element (Edmonds 1965).
-    The element set E is then a minimiser of |E - A| + k * rank(A), as the
-    packed size k * rank(E) is its value at A = E; each part spans it and
-    it holds every unplaced element."""
+    The parts are full when each holds `oracle._rank_bound` elements (|V| - 1
+    for the graphic and hypergraphic oracles), and then the search stops:
+    the elements not yet tried are unplaced with no search.  That loses no
+    element.  An independent part of that size has rank(E) <= bound <=
+    |part| <= rank(E), so every part is a basis of E, and k disjoint bases
+    already hold the k-fold union rank k * rank(E) (Edmonds 1965), so no
+    chain places another element.  E is then a minimiser of
+    |E - A| + k * rank(A), as the packed size k * rank(E) is its value at
+    A = E; each part spans it and it holds every unplaced element."""
     if k < 1:
         raise InvalidArgumentError("k must be at least 1")
     parts = [_Part(oracle, i, set()) for i in range(k)]
@@ -989,12 +964,11 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     links forest edges, and the hypergraphic one runs one exchange search
     per arrival, except that the element the chain placed takes the chain
     its circuit search found.
-    So the parts' forests are built from nothing only once, empty.  A part
-    that holds |V| - 1 elements (graphic and hypergraphic oracles) is a
-    basis and takes no element, so each step asks it only after every
-    other part has refused (`_union_augment`).  Once every part holds that
-    many, the rest are unplaced with no search: k disjoint bases hold the
-    whole k-fold union rank (`_pack`).
+    So each part's forest starts empty and changes only along chains.  A
+    part that holds |V| - 1 elements (graphic and hypergraphic oracles) is
+    a basis and takes no element, so each step asks it only after every
+    other part has refused (`_union_augment`).  Once every part is full,
+    the rest are unplaced with no search (`_pack`).
     """
     parts, unplaced, _ = _pack(oracle, k, oracle.members(elements))
     return parts, unplaced
@@ -1005,13 +979,12 @@ def pack_bases(oracle: Matroid, k: int) -> PackBasesResult:
 
     The family plus its achieved size is the deficiency certificate, and
     `reached` is a set A attaining the minimum of |ground - A| + k * rank(A),
-    read off the failed exchange searches.  No rank pass runs: the parts
-    are disjoint bases exactly when size == k * rank(ground), and the
-    pipelines test size == k * (|V| - 1), which needs no rank.  At that
-    size the search stops, since each part is a basis and no chain places
-    another element; the rest are unplaced and `reached` is the ground set,
-    a minimiser because size == k * rank(ground).  So it stops only where
-    the pipelines take the packed branch and never read `reached`.
+    read off the failed exchange searches, or the ground set once the
+    parts are full and the search stops (`_pack`).  No rank pass runs: the
+    parts are disjoint bases exactly when size == k * rank(ground), and the
+    pipelines test size == k * (|V| - 1), which needs no rank.  That size
+    is where the parts are full, so the pipelines then take the packed
+    branch and never read `reached`.
     """
     parts, unplaced, reached = _pack(oracle, k, oracle.ground)
     family = UnionBasisFamily(parts=tuple(frozenset(p) for p in parts))

@@ -382,6 +382,45 @@ class TestMaderSplit:
         g.add_edge(0, 3)  # nor is an edge with a parallel copy
         assert not any(_has_incident_cut_edge(g, u) for u in range(4))
 
+    def test_no_flow_before_a_pair_search_can_run(self, monkeypatch):
+        # A pendant edge at the non-terminal 0 of a kriesell graph (degree
+        # 10, even) is a cut-edge at 0; an isolated vertex as well
+        # disconnects the graph, which is checked first.  Both functions
+        # refuse either graph with the message of the split's own check,
+        # and build no flow first: they used to build the 11 of an
+        # equivalent-flow tree on V - 0.
+        inst = generate("kriesell", 12, 1, 3)
+        pendant = inst.graph.copy()
+        pendant.add_vertex(99)
+        pendant.add_edge(0, 99)
+        apart = pendant.copy()
+        apart.add_vertex(98)
+        assert 0 not in inst.terminals and pendant.degree(0) == 10
+        flows = []
+        counted = treepack.graphcore._max_flow
+
+        def counting(*args):
+            flows.append(1)
+            return counted(*args)
+
+        monkeypatch.setattr(treepack.graphcore, "_max_flow", counting)
+        for g, message in ((pendant, "^vertex 0 is incident with a cut-edge$"),
+                           (apart, "^graph must be connected$")):
+            with pytest.raises(PreconditionViolationError, match=message):
+                mader_split(g, 0)
+            with pytest.raises(PreconditionViolationError, match=message):
+                isolate_even_nonterminal(g, inst.terminals, 0)
+        # Two non-loop edges and a loop at 99 take no pair search, only a
+        # loop deletion and a suppression, so no flow either: the degree
+        # with the loop, 4, used to build 11.
+        suppressed = pendant.copy()
+        suppressed.add_edge(99, 1)
+        suppressed.add_edge(99, 99)
+        out, steps = isolate_even_nonterminal(suppressed, inst.terminals, 99)
+        assert [type(step).__name__ for step in steps] == ["DeleteEdgeStep", "SplitStep"]
+        assert not out.has_vertex(99)
+        assert flows == []
+
     def test_incident_cut_edge_matches_per_edge_search(self):
         bridged = spared_by_twin = 0
         for seed in range(200):

@@ -371,27 +371,31 @@ def assert_circuits_match_probing(oracle, part: set[int]) -> None:
         assert (circuit is None) == oracle.independent(part | {y})
 
 
-def assert_forest_matches_fresh(forest: _RootedForest, n: int) -> None:
-    """`forest` agrees with a forest built anew from its edges on the trees
-    its edges' ends fall into, on each path's labels and on `acyclic`."""
-    fresh = _RootedForest(dict(forest.ends))
-    assert forest.acyclic == fresh.acyclic
+def assert_forest_matches_edges(forest: _RootedForest, n: int) -> None:
+    """`forest` agrees with its edges on vertices 0..n-1: `acyclic` with
+    `graphic_independent`, the trees their ends fall into with union-find
+    components, and each path's labels with a breadth-first search of the
+    edges it has linked, which span the same components."""
+    assert forest.acyclic == graphic_independent(range(n), forest.ends.values())
+    dsu = _DSU()
+    for a, b in forest.ends.values():
+        dsu.union(a, b)
     touched = {v for ends in forest.ends.values() for v in ends}
 
-    def trees(f):
+    def trees(tree_of):
         groups: dict[int, set[int]] = {}
         for v in touched:
-            groups.setdefault(f.tree[v], set()).add(v)
+            groups.setdefault(tree_of(v), set()).add(v)
         return sorted(sorted(g) for g in groups.values())
 
-    assert trees(forest) == trees(fresh)
-    edges = list(forest.ends.items())
+    # the end of a loop that no edge links is in no tree of `forest`
+    assert trees(lambda v: forest.tree.get(v, v)) == trees(dsu.find)
+    labels = {label for nbrs in forest.adj.values() for label in nbrs}
+    edges = [(label, ends) for label, ends in forest.ends.items() if label in labels]
+    assert forest.acyclic == (len(edges) == len(forest.ends))
     for u in range(n):
         for v in range(n):
-            path = forest.path(u, v)
-            assert path == forest_path(edges, u, v)
-            assert (path is None) == (fresh.path(u, v) is None)
-            assert path is None or set(path) == set(fresh.path(u, v))
+            assert forest.path(u, v) == forest_path(edges, u, v)
 
 
 class TestUnionEngine:
@@ -519,27 +523,65 @@ class TestUnionEngine:
         # or starts a tree; labels are arbitrary distinct values
         edges = [(100 + i, (order[i], order[rng.below(i)]))
                  for i in range(1, n) if rng.below(4)]
-        forest = _RootedForest(dict(edges))
+        forest = _RootedForest()
+        forest.exchange([], dict(edges))
         assert forest.acyclic
         for u in range(n + 1):
             for v in range(n + 1):
                 assert forest.path(u, v) == forest_path(edges, u, v)
         # one more edge, perhaps a loop, is a forest exactly when it joins
         # two trees
-        extra = edges + [(0, (rng.below(n + 1), rng.below(n + 1)))]
-        assert _RootedForest(dict(extra)).acyclic == \
-            graphic_independent(range(n + 1), [ends for _, ends in extra])
+        extra = (rng.below(n + 1), rng.below(n + 1))
+        forest.exchange([], {0: extra})
+        assert forest.acyclic == \
+            graphic_independent(range(n + 1), [ends for _, ends in edges] + [extra])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_arrival_order_moves_no_path(self, seed):
+        # One random edge set, with a loop and an edge that closes a cycle,
+        # linked by `exchange` in several shuffled orders and batches: every
+        # build of the forest among them is acyclic, every build of the
+        # whole set is not, and every path is the one a breadth-first
+        # search finds, so the order the graphic oracle links its
+        # arrivals in changes no circuit.
+        rng = SplitMix64(seed)
+        n = 2 + rng.below(10)
+        order = list(range(n))
+        rng.shuffle(order)
+        tree_edges = [(i, (order[i], order[rng.below(i)]))
+                      for i in range(1, n) if rng.below(4)]
+        # the loop sits at an end of a tree edge, and the closing edge
+        # joins it to another vertex of its tree
+        a = tree_edges[rng.below(len(tree_edges))][1][0] if tree_edges else order[0]
+        joined = [b for b in range(n)
+                  if b != a and forest_path(tree_edges, a, b) is not None]
+        extras = [(n, (a, a))]
+        if joined:
+            extras.append((n + 1, (a, joined[rng.below(len(joined))])))
+        for edges, acyclic in ((tree_edges, True), (tree_edges + extras, False)):
+            for _ in range(4):
+                shuffled = list(edges)
+                rng.shuffle(shuffled)
+                forest = _RootedForest()
+                while shuffled:
+                    batch = 1 + rng.below(len(shuffled))
+                    forest.exchange([], dict(shuffled[:batch]))
+                    shuffled = shuffled[batch:]
+                assert forest.acyclic is acyclic
+                assert sorted(forest.ends.items()) == sorted(edges)
+                assert_forest_matches_edges(forest, n)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_exchanged_forest_matches_a_fresh_one(self, seed):
         # Random valid exchanges: drop some edges, then link arrivals that
         # keep a forest (checked by union-find), some of them re-using a
-        # dropped label.  After each, the forest must agree with one built
-        # from its edges on trees, paths and acyclicity.
+        # dropped label.  After each, the forest must agree with its edges
+        # on trees, paths and acyclicity.
         rng = SplitMix64(seed)
         n = 2 + rng.below(10)
-        forest = _RootedForest({})
+        forest = _RootedForest()
         next_label = 0
         for _ in range(1 + rng.below(8)):
             left = [e for e in forest.ends if not rng.below(3)]
@@ -554,13 +596,13 @@ class TestUnionEngine:
                     arrived[label] = (a, b)
             next_label += 4
             forest.exchange(left, arrived)
-            assert_forest_matches_fresh(forest, n)
+            assert_forest_matches_edges(forest, n)
         # an arrival inside one tree, or a loop, closes a cycle
         a = rng.below(n)
         same_tree = [b for b in range(n) if b == a or forest.path(a, b) is not None]
         forest.exchange([], {-1: (a, same_tree[rng.below(len(same_tree))])})
         assert not forest.acyclic
-        assert not _RootedForest(dict(forest.ends)).acyclic
+        assert not graphic_independent(range(n), forest.ends.values())
 
     def test_reached_set_meets_the_edmonds_identity(self):
         # The failed searches reach a set A that holds every unplaced
@@ -888,7 +930,9 @@ class TestOneSearchPerPlacement:
                         break
                     if left:
                         forest.exchange(left, {})
-                    fresh = oracle._insert(_RootedForest(dict(forest.ends)), [y], strict=True)
+                    fresh = _RootedForest()
+                    fresh.exchange([], dict(forest.ends))
+                    fresh = oracle._insert(fresh, [y], strict=True)
                     assert oracle._insert(forest, [y], strict=True).ends == fresh.ends
                     checked += 1
         assert checked > 300
