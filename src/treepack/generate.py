@@ -21,6 +21,7 @@ Models:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import GenerationFailureError, InvalidArgumentError
 from .graphcore import Multigraph, steiner_connectivity
@@ -55,76 +56,84 @@ def generate(model: str, n: int, k: int, seed: int) -> GeneratedInstance:
     raise InvalidArgumentError(f"unknown model {model!r}")
 
 
-def generate_nwt(n: int, k: int, seed: int) -> GeneratedInstance:
-    if n < 2 or k < 1:
-        raise InvalidArgumentError("nwt model needs n >= 2 and k >= 1")
+def _verified(model: str, n: int, k: int, seed: int, target: int,
+              draw: Callable[[Multigraph, SplitMix64], frozenset[int] | None],
+              detail: str = "") -> GeneratedInstance:
+    """The first of RETRY_BUDGET draws whose terminal connectivity reaches
+    `target`.  Each draw takes the seed's generator, adds edges (and
+    non-terminals) to an empty graph on range(n) and returns its
+    terminals, or None to reject it unchecked; `detail` ends the failure
+    message."""
     rng = SplitMix64(seed)
-    target = 2 * k
     for attempt in range(1, RETRY_BUDGET + 1):
         g = Multigraph()
         for v in range(n):
             g.add_vertex(v)
+        terminals = draw(g, rng)
+        if terminals is None:
+            continue
+        conn = steiner_connectivity(g, terminals)
+        if conn >= target:
+            return GeneratedInstance(model=model, n=n, k=k, seed=seed, graph=g,
+                                     terminals=terminals, connectivity=conn,
+                                     target=target, attempts=attempt)
+    raise GenerationFailureError(
+        f"{model} model failed to reach connectivity {target} after "
+        f"{RETRY_BUDGET} attempts{detail}")
+
+
+def generate_nwt(n: int, k: int, seed: int) -> GeneratedInstance:
+    if n < 2 or k < 1:
+        raise InvalidArgumentError("nwt model needs n >= 2 and k >= 1")
+
+    def draw(g: Multigraph, rng: SplitMix64) -> frozenset[int]:
         for _ in range(k + 1):
             order = list(range(n))
             rng.shuffle(order)
             for i in range(n):
                 g.add_edge(order[i], order[(i + 1) % n])
-        conn = steiner_connectivity(g, frozenset(range(n)))
-        if conn >= target:
-            return GeneratedInstance(model="nwt", n=n, k=k, seed=seed, graph=g,
-                                     terminals=frozenset(range(n)),
-                                     connectivity=conn, target=target,
-                                     attempts=attempt)
-    raise GenerationFailureError(
-        f"nwt model failed to reach connectivity {target} after {RETRY_BUDGET} attempts")
+        return frozenset(range(n))
+
+    return _verified("nwt", n, k, seed, 2 * k, draw)
 
 
 def generate_fkk(n: int, k: int, seed: int) -> GeneratedInstance:
     """Bipartite instance whose reduction is already in normal form."""
     if n < 2 or k < 1:
         raise InvalidArgumentError("fkk model needs n >= 2 and k >= 1")
-    rng = SplitMix64(seed)
-    terminals = frozenset(range(n))
     target = 3 * k
-    for attempt in range(1, RETRY_BUDGET + 1):
-        g = Multigraph()
-        for v in range(n):
-            g.add_vertex(v)
+
+    def draw(g: Multigraph, rng: SplitMix64) -> frozenset[int]:
         if n == 2:
             # No room for triples; a parallel bundle is the degenerate shape.
             for _ in range(target):
                 g.add_edge(0, 1)
-        else:
-            next_vertex = n
-            hubs = k * (n - 1) + rng.below(3)
-            for _ in range(hubs):
-                triple = rng.sample(range(n), 3)
-                g.add_vertex(next_vertex)
-                for t in triple:
-                    g.add_edge(next_vertex, t)
-                next_vertex += 1
-            for _ in range(rng.below(n)):
-                a = rng.below(n)
-                b = rng.below(n)
-                if a != b:
-                    g.add_edge(a, b)
-            while True:
-                degrees = sorted((g.degree(t), t) for t in range(n))
-                if degrees[0][0] >= target:
-                    break
-                low = degrees[0][1]
-                others = rng.sample([t for t in range(n) if t != low], 2)
-                g.add_vertex(next_vertex)
-                for t in [low, *others]:
-                    g.add_edge(next_vertex, t)
-                next_vertex += 1
-        conn = steiner_connectivity(g, terminals)
-        if conn >= target:
-            return GeneratedInstance(model="fkk", n=n, k=k, seed=seed, graph=g,
-                                     terminals=terminals, connectivity=conn,
-                                     target=target, attempts=attempt)
-    raise GenerationFailureError(
-        f"fkk model failed to reach connectivity {target} after {RETRY_BUDGET} attempts")
+            return frozenset(range(n))
+        next_vertex = n
+        hubs = k * (n - 1) + rng.below(3)
+        for _ in range(hubs):
+            triple = rng.sample(range(n), 3)
+            g.add_vertex(next_vertex)
+            for t in triple:
+                g.add_edge(next_vertex, t)
+            next_vertex += 1
+        for _ in range(rng.below(n)):
+            a = rng.below(n)
+            b = rng.below(n)
+            if a != b:
+                g.add_edge(a, b)
+        while True:
+            degrees = sorted((g.degree(t), t) for t in range(n))
+            if degrees[0][0] >= target:
+                return frozenset(range(n))
+            low = degrees[0][1]
+            others = rng.sample([t for t in range(n) if t != low], 2)
+            g.add_vertex(next_vertex)
+            for t in [low, *others]:
+                g.add_edge(next_vertex, t)
+            next_vertex += 1
+
+    return _verified("fkk", n, k, seed, target, draw)
 
 
 def generate_kriesell(n: int, k: int, seed: int,
@@ -132,7 +141,6 @@ def generate_kriesell(n: int, k: int, seed: int,
                       max_edges: int | None = None) -> GeneratedInstance:
     if n < 2 or k < 1:
         raise InvalidArgumentError("kriesell model needs n >= 2 and k >= 1")
-    rng = SplitMix64(seed)
     target = Thresholds.for_k(k).f_k if min_connectivity is None else min_connectivity
     pair_count = n * (n - 1) // 2
     mean = max(1, (target + 2) // max(1, n - 1))
@@ -140,10 +148,8 @@ def generate_kriesell(n: int, k: int, seed: int,
         mean = max(1, min(mean, max_edges // pair_count + 1))
     cont_num, cont_den = mean, mean + 1  # geometric: keep going with chance mean/(mean+1)
     cap = target + 2
-    for attempt in range(1, RETRY_BUDGET + 1):
-        g = Multigraph()
-        for v in range(n):
-            g.add_vertex(v)
+
+    def draw(g: Multigraph, rng: SplitMix64) -> frozenset[int] | None:
         t_count = 2 + (rng.below(n - 1) if n > 2 else 0)
         terminals = frozenset(rng.sample(range(n), t_count))
         for u in range(n):
@@ -154,15 +160,10 @@ def generate_kriesell(n: int, k: int, seed: int,
                 for _ in range(mult):
                     g.add_edge(u, v)
         if max_edges is not None and g.edge_count() > max_edges:
-            continue
+            return None
         if not g.is_connected():
-            continue  # its terminals may still share a component
-        conn = steiner_connectivity(g, terminals)
-        if conn >= target:
-            return GeneratedInstance(model="kriesell", n=n, k=k, seed=seed,
-                                     graph=g, terminals=terminals,
-                                     connectivity=conn, target=target,
-                                     attempts=attempt)
-    raise GenerationFailureError(
-        f"kriesell model failed to reach connectivity {target} after "
-        f"{RETRY_BUDGET} attempts (n={n}, k={k}, max_edges={max_edges})")
+            return None  # its terminals may still share a component
+        return terminals
+
+    return _verified("kriesell", n, k, seed, target, draw,
+                     f" (n={n}, k={k}, max_edges={max_edges})")

@@ -717,12 +717,13 @@ def _split_candidates(g: Multigraph, u: int) -> list[int]:
     return candidates
 
 
-def _mader_split_inplace(g: Multigraph, u: int, flows: list[list[int]]
-                         ) -> tuple[SplitStep, list[list[int]]]:
-    """Mutating mader_split: check its preconditions, split off in g the
-    first candidate pair, in ascending edge-id order, that keeps every flow
-    of `flows` (none of which starts or ends at u), and return the step and
-    the flows repaired into the split graph, for the next call.
+def _mader_split_inplace(g: Multigraph, u: int, candidates: list[int],
+                         flows: list[list[int]]) -> tuple[SplitStep, list[list[int]]]:
+    """Mutating mader_split: split off in g the first pair of `candidates`
+    (what `_split_candidates` returned for u in g), in ascending edge-id
+    order, that keeps every flow of `flows` (none of which starts or ends
+    at u), and return the step and the flows repaired into the split
+    graph, for the next call.
 
     Under the preconditions some pair keeps every λ among V - u (Mader
     1978), so it keeps each flow's value, and a search that finds no pair
@@ -731,7 +732,6 @@ def _mader_split_inplace(g: Multigraph, u: int, flows: list[list[int]]
     reducer passes its terminal flows, each of value the threshold, and so
     keeps the terminal connectivity at or above it.
     """
-    candidates = _split_candidates(g, u)
     for i, e1 in enumerate(candidates):
         for e2 in candidates[i + 1:]:
             found = _split_trial(g, flows, u, e1, e2)
@@ -760,8 +760,8 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
     are checked before any flow is built.  The trials run on a copy of g,
     which is left unchanged.
     """
-    _split_candidates(g, u)
-    step, _ = _mader_split_inplace(g.copy(), u, _all_pairs_flows(g, u))
+    candidates = _split_candidates(g, u)
+    step, _ = _mader_split_inplace(g.copy(), u, candidates, _all_pairs_flows(g, u))
     return step.e1, step.e2
 
 
@@ -787,7 +787,7 @@ def _reduce_vertex(g: Multigraph, u: int, steps: list[TraceStep],
             steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
             g.delete_edge(eid)
     while g.degree(u) > 3:
-        step, flows[:] = _mader_split_inplace(g, u, flows)
+        step, flows[:] = _mader_split_inplace(g, u, _split_candidates(g, u), flows)
         steps.append(step)
     if g.degree(u) == 2:
         found = _split_trial(g, flows, u, *g.incident_edges(u))

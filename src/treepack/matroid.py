@@ -4,10 +4,10 @@ A hypergraph here carries edges of size 2 or 3.  A set of hyperedges is
 independent when each hyperedge can be assigned an internal vertex pair so
 the chosen pairs form a forest; independence is decided incrementally by a
 breadth-first search over representative reassignments (insert one
-hyperedge, displace blockers along a shortest exchange chain).  Rank has a
-second, enumeration-based route: minimize rank(P) + crossing-edge-count
-over all vertex partitions, which doubles as the verification oracle for
-the incremental path.
+hyperedge, displace blockers along a shortest exchange chain).  Every
+oracle's rank is the size of a maximum packing into one part by the union
+engine below; the partition formula, minimising rank(P) plus the count of
+crossing edges over all vertex partitions, is its enumeration check.
 
 The k-fold union engine (`pack_elements`) is Edmonds' matroid partition: it
 packs elements into k disjoint independent parts by shortest augmenting
@@ -197,7 +197,9 @@ class Matroid:
         return self._indep(key)
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
-        return len(self.greedy_basis(subset))
+        """The size of a maximum packing of the subset into one part
+        (`_pack`); `greedy_basis` is the probing reference."""
+        return sum(map(len, _pack(self, 1, self.members(subset))[0]))
 
     def greedy_basis(self, subset: Iterable[int] | None = None) -> frozenset[int]:
         picked: set[int] = set()
@@ -416,10 +418,6 @@ class GraphicMatroid(Matroid):
     def _indep_query(self, subset: frozenset[int]) -> bool:
         return graphic_independent(self.vertices, [self.edges[e] for e in subset])
 
-    def rank(self, subset: Iterable[int] | None = None) -> int:
-        dsu = _DSU()
-        return sum(dsu.union(*self.edges[e]) for e in self.members(subset))
-
     def _part_state(self, part: set[int]) -> _RootedForest | None:
         return self._part_update(part, _RootedForest(), (), part)
 
@@ -597,29 +595,6 @@ class HypergraphicMatroid(Matroid):
                     queue.append(p2)
         return None
 
-    def _insert(self, forest: _RootedForest, ids: Iterable[int],
-                strict: bool) -> _RootedForest | None:
-        """Grow `forest` in place by each of `ids` in turn that fits, each
-        applying its exchange chain (the displaced hyperedges' old pairs
-        out, the chain's pairs in), then check it once by `acyclic` (pairs
-        are never loops, and a repeated pair counts as a cycle); with
-        strict=True, None at the first that does not fit.  A chain that
-        `_circuit` found for the hyperedge on the forest as it is (its
-        `found` slot) is applied without a second search: the search is
-        deterministic, so that is the chain a new one would find."""
-        for eid in ids:
-            found = forest.found
-            chain = found[1] if found and found[0] == eid else self._augment(forest, eid)
-            if chain is not None:
-                forest.exchange([e for e in chain if e in forest.ends], chain)
-            elif strict:
-                return None
-        if not forest.acyclic:
-            raise InternalInvariantError(
-                "representative exchange produced a non-forest; "
-                "run check_matroid_axioms on the hypergraphic oracle")
-        return forest
-
     def witness(self, subset: Iterable[int]) -> dict[int, Pair] | None:
         """Representative pairs forming a forest, or None when dependent."""
         forest = self._part_state(subset)
@@ -628,27 +603,37 @@ class HypergraphicMatroid(Matroid):
     def _indep_query(self, subset: frozenset[int]) -> bool:
         return self._part_state(subset) is not None
 
-    def rank(self, subset: Iterable[int] | None = None) -> int:
-        return len(self._insert(_RootedForest(), self.members(subset), strict=False).ends)
-
     def _part_state(self, part: Iterable[int]) -> _RootedForest | None:
-        """The representative forest of `part`, one exchange search per
-        element in ascending order, or None when it is dependent.  The
-        engine asks this only of its empty parts; after that, chains
-        update the forest (`_part_update`)."""
-        return self._insert(_RootedForest(), self.members(part), strict=True)
+        """The representative forest of `part`, grown from an empty one by
+        `_part_update`, or None when `part` is dependent."""
+        return self._part_update(part, _RootedForest(), (), self.members(part))
 
-    def _part_update(self, part: set[int], state: _RootedForest, left: Collection[int],
+    def _part_update(self, part: Iterable[int], state: _RootedForest, left: Collection[int],
                      arrived: Collection[int]) -> _RootedForest | None:
-        """Drop the representatives of `left` and insert each of `arrived`
-        by one exchange search, all in place: |arrived| searches where a
-        rebuild takes |part|.  Each set on the way lies inside the new
-        part, so while that is independent every insertion fits; one that
-        does not reports the part dependent.  When nothing left, the
-        forest is unchanged, so `_insert` keeps the chain `_circuit` found."""
+        """Drop the representatives of `left`, then insert each of
+        `arrived` in ascending order by one exchange search, applying its
+        chain (the displaced hyperedges' old pairs out, the chain's pairs
+        in), all in place: |arrived| searches where a rebuild takes |part|.
+        Each set on the way lies inside the new part, so while that is
+        independent every insertion fits; the first that does not reports
+        the part dependent.  A chain that `_circuit` found for the arrival
+        on the forest as it is (its `found` slot) is applied without a
+        second search: the search is deterministic, so that is the chain a
+        new one would find.  The result is checked once by `acyclic`
+        (pairs are never loops, and a repeated pair counts as a cycle)."""
         if left:
             state.exchange(left, {})
-        return self._insert(state, sorted(arrived), strict=True)
+        for eid in sorted(arrived):
+            found = state.found
+            chain = found[1] if found and found[0] == eid else self._augment(state, eid)
+            if chain is None:
+                return None
+            state.exchange([e for e in chain if e in state.ends], chain)
+        if not state.acyclic:
+            raise InternalInvariantError(
+                "representative exchange produced a non-forest; "
+                "run check_matroid_axioms on the hypergraphic oracle")
+        return state
 
     def _circuit(self, part: set[int], state: _RootedForest,
                  y: int) -> frozenset[int] | None:
@@ -675,8 +660,8 @@ class HypergraphicMatroid(Matroid):
         matroid intersection).
 
         When y fits, the chain found is kept in the forest's `found` slot
-        for `_insert`; collecting D does not steer the search, so it is
-        the chain a search without D finds."""
+        for `_part_update`; collecting D does not steer the search, so it
+        is the chain a search without D finds."""
         displaced: set[int] = set()
         chain = self._augment(state, y, displaced)
         if chain is not None:
@@ -693,7 +678,7 @@ def hypergraphic_independent(h: Hypergraph, subset: Iterable[int]
 
 
 def hypergraphic_rank(h: Hypergraph, subset: Iterable[int] | None = None) -> int:
-    """Matroid rank of the hyperedge subset via greedy augmentation."""
+    """Matroid rank of the hyperedge subset: a one-part packing."""
     return HypergraphicMatroid(h).rank(subset)
 
 
@@ -955,20 +940,8 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     Elements are attempted in ascending id order; each one is inserted by
     the first shortest augmenting chain found, or reported back as
     unplaceable.  The total placed count equals the k-fold union rank of
-    the element set.  A search skips the elements that earlier failed
-    searches reached, which hold no augmenting chain (`_union_augment`).
-    Each part keeps the oracle's state (`_Part`), from which its circuits
-    are read.  A chain that changes the part has the oracle update that
-    state in place from the elements that left and arrived
-    (`_part_update`) and re-check the part: the graphic oracle cuts and
-    links forest edges, and the hypergraphic one runs one exchange search
-    per arrival, except that the element the chain placed takes the chain
-    its circuit search found.
-    So each part's forest starts empty and changes only along chains.  A
-    part that holds |V| - 1 elements (graphic and hypergraphic oracles) is
-    a basis and takes no element, so each step asks it only after every
-    other part has refused (`_union_augment`).  Once every part is full,
-    the rest are unplaced with no search (`_pack`).
+    the element set.  How a search runs and how it moves the parts'
+    states is `_union_augment`'s; when the search stops, `_pack`'s.
     """
     parts, unplaced, _ = _pack(oracle, k, oracle.members(elements))
     return parts, unplaced

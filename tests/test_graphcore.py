@@ -421,6 +421,28 @@ class TestMaderSplit:
         assert not out.has_vertex(99)
         assert flows == []
 
+    def test_preconditions_are_checked_once_per_call(self, monkeypatch):
+        # One call at the largest-degree vertex of a kriesell graph checks
+        # the split preconditions once, in g before its first flow, and
+        # not again on the copy it splits: one `_split_candidates` and
+        # one cut-edge search.
+        g = generate("kriesell", 9, 1, 3).graph
+        u = max(sorted(g.vertices), key=g.degree)
+        events = []
+        for name in ("_split_candidates", "_has_incident_cut_edge", "_max_flow"):
+            original = getattr(treepack.graphcore, name)
+
+            def spy(*args, _name=name, _original=original):
+                events.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(treepack.graphcore, name, spy)
+        e1, e2 = mader_split(g, u)
+        assert {e1, e2} <= set(g.incident_edges(u))
+        assert events[:3] == ["_split_candidates", "_has_incident_cut_edge", "_max_flow"]
+        assert events.count("_split_candidates") == 1
+        assert events.count("_has_incident_cut_edge") == 1
+
     def test_incident_cut_edge_matches_per_edge_search(self):
         bridged = spared_by_twin = 0
         for seed in range(200):

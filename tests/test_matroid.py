@@ -492,13 +492,15 @@ class TestUnionEngine:
 
     def test_chain_updates_keep_a_forest_of_the_part(self):
         # The state a chain update leaves must be a representative forest
-        # of exactly the part, as `witness` would find one.
+        # of exactly the part, as `witness` would find one.  `witness` and
+        # the probing reference come from a plain oracle: the override
+        # below also grows every forest of `Checked`'s own `witness`.
         class Checked(HypergraphicMatroid):
             updates = 0
 
             def _part_update(self, part, state, left, arrived):
                 new = super()._part_update(part, state, left, arrived)
-                assert set(new.ends) == part and self.witness(part) is not None
+                assert set(new.ends) == part and plain.witness(part) is not None
                 assert all(set(pair) <= self.hypergraph.hyperedges[e]
                            for e, pair in new.ends.items())
                 Checked.updates += 1
@@ -506,10 +508,11 @@ class TestUnionEngine:
 
         for seed in range(40):
             h = engine_oracles(seed)[1].hypergraph
+            plain = HypergraphicMatroid(h)
             for k in (1, 2, 3):
                 checked = Checked(h)
                 assert pack_elements(checked, k, checked.ground) == \
-                    pack_elements(reference(checked), k, checked.ground)
+                    pack_elements(reference(plain), k, plain.ground)
         assert Checked.updates > 200
 
     @settings(max_examples=80, deadline=None)
@@ -633,6 +636,26 @@ class TestUnionEngine:
                 assert oracle.rank(subset) == len(oracle.greedy_basis(subset))
                 with pytest.raises(InvalidArgumentError):
                     oracle.rank([max(oracle.ground, default=0) + 1])
+
+    def test_hypergraphic_rank_stops_at_a_full_part(self, monkeypatch):
+        # Rank is a one-part packing, so it stops once the part holds
+        # |V| - 1 hyperedges: 19, 29 and 9 exchange searches here, where
+        # one search per hyperedge makes 33, 79 and 35.
+        calls = 0
+        augment = HypergraphicMatroid._augment
+
+        def counted(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return augment(self, *args, **kwargs)
+
+        monkeypatch.setattr(HypergraphicMatroid, "_augment", counted)
+        for (n, k), searches in {(11, 2): 19, (24, 2): 29, (9, 3): 9}.items():
+            oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
+            calls = 0
+            rank = oracle.rank()
+            assert (rank, calls) == (n - 1, searches)
+            assert rank == len(oracle.greedy_basis())
 
     def test_element_outside_the_ground_set_is_refused(self):
         # Every oracle kind names the stray element, before any search.
@@ -912,12 +935,12 @@ class TestOneSearchPerPlacement:
             self.assert_matches_reference(EngineSpy(monkeypatch), seed)
 
     def test_found_chain_equals_a_new_search(self):
-        # For every y that fits a part: inserting y applies the chain
-        # `_circuit` found, which must be the one a new search finds; and
-        # after an exchange takes an element out of the part, inserting y
-        # must search again.  On 54 of the 307 insertions here the old
-        # chain would leave another forest, for one by putting back a
-        # displaced element that has left.
+        # For every y that fits a part: inserting y by `_part_update`
+        # applies the chain `_circuit` found, which must be the one a new
+        # search finds; and when the update also takes an element out of
+        # the part, inserting y must search again.  On 54 of the 307
+        # insertions here the old chain would leave another forest, for
+        # one by putting back a displaced element that has left.
         checked = 0
         for seed in range(200):
             rng = SplitMix64(seed)
@@ -928,12 +951,12 @@ class TestOneSearchPerPlacement:
                     forest = oracle._part_state(part)
                     if oracle._circuit(part, forest, y) is not None:
                         break
-                    if left:
-                        forest.exchange(left, {})
+                    after = (part - set(left)) | {y}
                     fresh = _RootedForest()
-                    fresh.exchange([], dict(forest.ends))
-                    fresh = oracle._insert(fresh, [y], strict=True)
-                    assert oracle._insert(forest, [y], strict=True).ends == fresh.ends
+                    fresh.exchange([], {e: pair for e, pair in forest.ends.items()
+                                        if e not in left})
+                    fresh = oracle._part_update(after, fresh, (), [y])
+                    assert oracle._part_update(after, forest, left, [y]).ends == fresh.ends
                     checked += 1
         assert checked > 300
 
