@@ -57,13 +57,12 @@ def generate(model: str, n: int, k: int, seed: int) -> GeneratedInstance:
 
 
 def _verified(model: str, n: int, k: int, seed: int, target: int,
-              draw: Callable[[Multigraph, SplitMix64], frozenset[int] | None],
-              detail: str = "") -> GeneratedInstance:
+              draw: Callable[[Multigraph, SplitMix64], frozenset[int] | None]
+              ) -> GeneratedInstance:
     """The first of RETRY_BUDGET draws whose terminal connectivity reaches
     `target`.  Each draw takes the seed's generator, adds edges (and
     non-terminals) to an empty graph on range(n) and returns its
-    terminals, or None to reject it unchecked; `detail` ends the failure
-    message."""
+    terminals, or None to reject it unchecked."""
     rng = SplitMix64(seed)
     for attempt in range(1, RETRY_BUDGET + 1):
         g = Multigraph()
@@ -79,7 +78,7 @@ def _verified(model: str, n: int, k: int, seed: int, target: int,
                                      target=target, attempts=attempt)
     raise GenerationFailureError(
         f"{model} model failed to reach connectivity {target} after "
-        f"{RETRY_BUDGET} attempts{detail}")
+        f"{RETRY_BUDGET} attempts")
 
 
 def generate_nwt(n: int, k: int, seed: int) -> GeneratedInstance:
@@ -165,5 +164,7 @@ def generate_kriesell(n: int, k: int, seed: int,
             return None  # its terminals may still share a component
         return terminals
 
-    return _verified("kriesell", n, k, seed, target, draw,
-                     f" (n={n}, k={k}, max_edges={max_edges})")
+    try:
+        return _verified("kriesell", n, k, seed, target, draw)
+    except GenerationFailureError as e:
+        raise GenerationFailureError(f"{e} (n={n}, k={k}, max_edges={max_edges})") from None

@@ -197,9 +197,9 @@ class Matroid:
         return self._indep(key)
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
-        """The size of a maximum packing of the subset into one part
-        (`_pack`); `greedy_basis` is the probing reference."""
-        return sum(map(len, _pack(self, 1, self.members(subset))[0]))
+        """The size of a maximum packing of the subset into one part;
+        `greedy_basis` is the probing reference."""
+        return _packed_size(self, 1, subset)
 
     def greedy_basis(self, subset: Iterable[int] | None = None) -> frozenset[int]:
         picked: set[int] = set()
@@ -712,9 +712,7 @@ def union_rank(h: Hypergraph, subset: Iterable[int] | None, k: int) -> int:
     maximum packing of the subset into k independent parts.
     rank_by_partitions computes the same value by the partition formula.
     """
-    oracle = HypergraphicMatroid(h)
-    parts, _, _ = _pack(oracle, k, oracle.members(subset))
-    return sum(len(p) for p in parts)
+    return _packed_size(HypergraphicMatroid(h), k, subset)
 
 
 # -- k-fold union packing -----------------------------------------------------
@@ -931,6 +929,12 @@ def _pack(oracle: Matroid, k: int, order: Sequence[int]
     if len(placement) == full:
         reached = set(order)
     return [part.items for part in parts], unplaced, frozenset(reached)
+
+
+def _packed_size(oracle: Matroid, k: int, subset: Iterable[int] | None) -> int:
+    """The size of a maximum packing of the subset (default: the ground
+    set) into k parts: the k-fold union rank."""
+    return sum(map(len, _pack(oracle, k, oracle.members(subset))[0]))
 
 
 def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]

@@ -242,7 +242,7 @@ def test_criterion_7_degree_bounded_rounding():
             family = ConstraintFamily(
                 sets=tuple(frozenset(s) for s in members), max_membership=d)
             base = kls_round(oracle, x, family)
-            assert oracle.independent(base) and len(base) == oracle.rank()
+            assert oracle.independent(base) and len(base) == len(oracle.greedy_basis())
             for fs in family.sets:
                 x_f = sum((x[e] for e in fs), Fraction(0))
                 assert len(base & fs) <= ceil_fraction(x_f) + d - 1

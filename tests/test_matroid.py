@@ -228,7 +228,8 @@ class TestUnionRank:
         for seed in range(25):
             rng = SplitMix64(seed)
             h = random_hypergraph(seed, n=3 + rng.below(3), m=1 + rng.below(6))
-            assert union_rank(h, None, 1) == hypergraphic_rank(h)
+            assert union_rank(h, None, 1) == hypergraphic_rank(h) == \
+                len(HypergraphicMatroid(h).greedy_basis())
 
     def test_formula_matches_packed_size(self):
         for seed in range(25):
@@ -268,21 +269,21 @@ class TestPackBases:
         g = doubled_triangle()
         oracle = graphic_matroid(g.vertices, g.edges)
         result = pack_bases(oracle, 2)
-        assert result.size == 2 * oracle.rank()
+        assert result.size == 2 * len(oracle.greedy_basis())
         assert sorted(len(p) for p in result.parts) == [2, 2]
 
     def test_hypergraphic_four_copies(self):
         h = Hypergraph(range(3), {i: (0, 1, 2) for i in range(4)})
         oracle = HypergraphicMatroid(h)
         result = pack_bases(oracle, 2)
-        assert result.size == 2 * oracle.rank()
+        assert result.size == 2 * len(oracle.greedy_basis())
         assert sorted(len(p) for p in result.parts) == [2, 2]
 
     def test_c4_deficiency(self):
         g = c4()
         oracle = graphic_matroid(g.vertices, g.edges)
         result = pack_bases(oracle, 2)
-        assert result.size != 2 * oracle.rank()
+        assert result.size != 2 * len(oracle.greedy_basis())
         assert result.size == 4  # below 2 * 3
 
     def test_parts_independent_and_size_is_union_rank(self):
@@ -351,12 +352,13 @@ def assert_pack_matches_reference(oracle, k: int) -> bool:
 def assert_edmonds_identity(oracle, k: int, elements, parts, unplaced, reached) -> None:
     """`reached` is a set A inside the elements S that holds every unplaced
     element and that every part spans, and the union rank formula
-    |S - A| + k * rank(A) attains the packed size at it."""
-    rank = oracle.rank(reached)
+    |S - A| + k * rank(A) attains the packed size at it.  Ranks are the
+    probing reference's, since `rank` itself packs."""
+    rank = len(oracle.greedy_basis(reached))
     assert set(unplaced) <= reached <= set(elements)
     assert sum(len(p) for p in parts) == len(set(elements) - reached) + k * rank
     for part in parts:
-        assert oracle.rank(part & reached) == rank
+        assert len(oracle.greedy_basis(part & reached)) == rank
 
 
 def assert_circuits_match_probing(oracle, part: set[int]) -> None:
@@ -423,7 +425,7 @@ class TestUnionEngine:
         failed = 0
         for seed in range(30):
             for oracle in failing_oracles(seed):
-                for k in sorted({1, 2, oracle.rank() + 1}):
+                for k in sorted({1, 2, len(oracle.greedy_basis()) + 1}):
                     failed += assert_pack_matches_reference(oracle, k)
         assert failed > 200
 
@@ -494,7 +496,8 @@ class TestUnionEngine:
         # The state a chain update leaves must be a representative forest
         # of exactly the part, as `witness` would find one.  `witness` and
         # the probing reference come from a plain oracle: the override
-        # below also grows every forest of `Checked`'s own `witness`.
+        # below also grows every forest of `Checked`'s own `witness`.  Only
+        # chain updates count: a part built empty has no arrival.
         class Checked(HypergraphicMatroid):
             updates = 0
 
@@ -503,7 +506,7 @@ class TestUnionEngine:
                 assert set(new.ends) == part and plain.witness(part) is not None
                 assert all(set(pair) <= self.hypergraph.hyperedges[e]
                            for e, pair in new.ends.items())
-                Checked.updates += 1
+                Checked.updates += bool(arrived)
                 return new
 
         for seed in range(40):
@@ -750,7 +753,7 @@ class TestUnionEngine:
                 assert calls["_augment"] < 140
             if n == 9:
                 assert (calls["_augment"], calls["_circuit"]) == (25, 25)
-            assert result.size == k * oracle.rank()
+            assert result.size == k * len(oracle.greedy_basis())
         # The spanning-nwt benchmark shape: chains update a part's forest
         # 47 times, and none rebuilds it.
         calls["__init__"] = 0
@@ -786,7 +789,7 @@ def assert_stop_matches_reference(seed: int) -> tuple[int, int]:
     rng = SplitMix64(seed)
     stopped = short_bases = 0
     for oracle in stop_oracles(seed):
-        rank = oracle.rank()
+        rank = len(oracle.greedy_basis())
         full_rank = rank == oracle._rank_bound
         subset = [e for e in oracle.ground if rng.below(4)][:-1]
         for k in range(1, rank + 2):
