@@ -87,19 +87,14 @@ class Partition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def classify(self, edge_sets: Mapping[int, frozenset[int]],
-                 subset: Iterable[int] | None = None) -> "EdgeClassification":
-        """Split the edges (default: all of `edge_sets`) into those inside
-        one block and the rest, in one pass over their vertices.  An edge
-        with a vertex in no block is outer."""
-        ids = sorted(edge_sets) if subset is None else sorted(subset)
-        unknown = [eid for eid in ids if eid not in edge_sets]
-        if unknown:
-            raise InvalidArgumentError(f"unknown edge ids {unknown}")
+    def classify(self, edge_sets: Mapping[int, frozenset[int]]) -> "EdgeClassification":
+        """Split the edges of `edge_sets` into those inside one block and
+        the rest, in one pass over their vertices.  An edge with a vertex
+        in no block is outer."""
         home = {v: i for i, block in enumerate(self.blocks) for v in block}
         inner, outer = [], []
-        for eid in ids:
-            homes = set(map(home.get, edge_sets[eid]))
+        for eid, ends in edge_sets.items():
+            homes = set(map(home.get, ends))
             if len(homes) == 1 and None not in homes:
                 inner.append(eid)
             else:

@@ -21,17 +21,8 @@ from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
-import pytest
-
 from treepack import Hypergraph, Multigraph
 from treepack.rng import SplitMix64
-
-
-@pytest.fixture(autouse=True)
-def _default_capacity_caps(monkeypatch):
-    """Run every test at the default enumeration caps: the exhaustive
-    oracles need them.  Tests of TREEPACK_CAPACITY set it themselves."""
-    monkeypatch.delenv("TREEPACK_CAPACITY", raising=False)
 
 
 # -- builders ----------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Capacity caps and the TREEPACK_CAPACITY override."""
+"""Enumeration capacity caps: constants in treepack.limits.
+
+Each cap is read at call time, so a test lowers one by patching the
+module attribute."""
 
 import pytest
 
@@ -18,30 +21,14 @@ def hub_instance():
     return g
 
 
+def lower_every_cap_to_3(monkeypatch):
+    for name in ("SUBSET_ELEMENTS", "PARTITION_VERTICES", "BRUTE_EDGES", "BRUTE_PARTS"):
+        monkeypatch.setattr(limits, name, 3)
+
+
 class TestEffectiveCaps:
-    def test_defaults_apply_without_env(self, monkeypatch):
-        monkeypatch.delenv("TREEPACK_CAPACITY", raising=False)
-        assert limits.effective(limits.BRUTE_EDGES) == 16
-        assert limits.effective(limits.SUBSET_ELEMENTS) == 18
-
-    def test_env_lowers_cap(self, monkeypatch):
-        monkeypatch.setenv("TREEPACK_CAPACITY", "4")
-        assert limits.effective(limits.BRUTE_EDGES) == 4
-        assert limits.effective(limits.PARTITION_VERTICES) == 4
-
-    def test_env_never_raises_cap(self, monkeypatch):
-        monkeypatch.setenv("TREEPACK_CAPACITY", "999")
-        assert limits.effective(limits.BRUTE_EDGES) == 16
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        # int() would read "+3", "1_0", "\u0663" and " 5 " as 3, 10, 3 and 5
-        for raw in ("lots", "+3", "1_0", "\u0663", " 5 ", "5.0", "", "-1"):
-            monkeypatch.setenv("TREEPACK_CAPACITY", raw)
-            assert limits.effective(limits.BRUTE_EDGES) == 16, raw
-            assert limits.effective(limits.PARTITION_VERTICES) == 10, raw
-
     def test_lowered_cap_rejects_brute_force(self, monkeypatch):
-        monkeypatch.setenv("TREEPACK_CAPACITY", "4")
+        monkeypatch.setattr(limits, "BRUTE_EDGES", 4)
         g = doubled_triangle()  # six edges
         with pytest.raises(CapacityError) as err:
             brute_force_pack(g, None, 2, "spanning")
@@ -53,6 +40,13 @@ class TestEffectiveCaps:
             brute_force_pack(g, None, 1, "spanning")
         assert err.value.bound_name == "brute-edges"
 
+    def test_environment_sets_no_cap(self, monkeypatch):
+        # The caps are constants: a TREEPACK_CAPACITY in the environment
+        # lowers none of them.
+        monkeypatch.setenv("TREEPACK_CAPACITY", "4")
+        res = brute_force_pack(doubled_triangle(), None, 2, "spanning")
+        assert res.packing is not None and len(res.packing.parts) == 2
+
 
 class TestBruteFallbackCaps:
     def test_fallback_runs_within_its_caps_and_is_skipped_above(self, monkeypatch):
@@ -61,7 +55,7 @@ class TestBruteFallbackCaps:
         g = hub_instance()
         rescued = pack_steiner_trees(g, {0, 1, 2, 3}, 3, threshold=1, brute_fallback=True)
         assert rescued.outcome == "packed" and rescued.method == "brute-force"
-        monkeypatch.setenv("TREEPACK_CAPACITY", "3")
+        lower_every_cap_to_3(monkeypatch)
         skipped = pack_steiner_trees(g, {0, 1, 2, 3}, 3, threshold=1, brute_fallback=True)
         assert skipped.outcome == "certificate"
         assert skipped.certificate.kind == "violating-partition"
@@ -75,7 +69,7 @@ class TestCliCapacityExit:
         # produced, and its counts survive a recount.
         from treepack import serialize_instance
         from treepack.cli import main
-        monkeypatch.setenv("TREEPACK_CAPACITY", "3")
+        lower_every_cap_to_3(monkeypatch)
         g = hub_instance()
         path = tmp_path / "fkk.txt"
         path.write_text(serialize_instance(g, {0, 1, 2, 3}), encoding="utf-8")
@@ -104,7 +98,7 @@ class TestCliCapacityExit:
         # it is produced, and its counts survive a recount.
         from treepack import serialize_instance
         from treepack.cli import main
-        monkeypatch.setenv("TREEPACK_CAPACITY", "3")
+        lower_every_cap_to_3(monkeypatch)
         pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
         g = graph_from_pairs(5, pairs)
         path = tmp_path / "c5.txt"

@@ -111,16 +111,11 @@ class TestPartitions:
                 chosen = sorted(edge_sets) if ids is None else ids
                 inner = frozenset(e for e in chosen
                                   if any(edge_sets[e] <= b for b in p.blocks))
-                cls = p.classify(edge_sets, ids)
+                cls = p.classify({e: edge_sets[e] for e in chosen})
                 assert (cls.inner, cls.outer) == (inner, frozenset(chosen) - inner)
                 loops += sum(len(edge_sets[e]) == 1 for e in inner)
                 strays += sum(not edge_sets[e] <= set().union(*p.blocks) for e in chosen)
         assert loops > 100 and strays > 100
-
-    def test_classification_rejects_unknown_edge_ids(self):
-        p = Partition((frozenset({0, 1}), frozenset({2})))
-        with pytest.raises(InvalidArgumentError, match=r"unknown edge ids \[5, 7\]"):
-            p.classify({0: frozenset({0, 1}), 1: frozenset({1, 2})}, [7, 0, 5])
 
 
 class TestGraphicIndependence:
