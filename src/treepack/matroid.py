@@ -37,14 +37,15 @@ A hypergraphic search that finds an element fits a part keeps its chain on
 the part's forest, and the chain update applies it with no second search.
 Most elements fit a part at once; those cost one arrival at that part, and
 the exchange search's state is built only for an element that every part
-refuses.
+refuses.  `pack_bases` hands back each part's final state, so a
+hypergraphic basis comes with its representative forest.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -751,12 +752,17 @@ class PackBasesResult:
     was placed and the parts are not full.  Once the parts are full, the
     search stops and `reached` is the whole ground set, which is then
     such a minimiser too (`_pack`).
+
+    `states` holds each part's final oracle state, in part order, outside
+    equality: for the hypergraphic oracle, the part's representative forest,
+    whose `ends` maps each hyperedge of the part to its pair.
     """
 
     family: UnionBasisFamily
     size: int
     unplaced: tuple[int, ...]
     reached: frozenset[int]
+    states: tuple[object, ...] = field(compare=False)
 
     @property
     def parts(self) -> tuple[frozenset[int], ...]:
@@ -892,11 +898,11 @@ def _union_augment(oracle: Matroid, parts: list[_Part], asked: list[_Part],
 
 
 def _pack(oracle: Matroid, k: int, order: Sequence[int]
-          ) -> tuple[list[set[int]], list[int], frozenset[int]]:
-    """The parts, the unplaced elements, and the union of the sets their
-    failed searches reached, for `order`, distinct ground-set elements in
-    ascending order; once the parts are full, the element set E = `order`
-    instead of that union.
+          ) -> tuple[list[_Part], list[int], frozenset[int]]:
+    """The parts, each with its oracle state, the unplaced elements, and
+    the union of the sets their failed searches reached, for `order`,
+    distinct ground-set elements in ascending order; once the parts are
+    full, the element set E = `order` instead of that union.
 
     The parts are full when each holds `oracle._rank_bound` elements (|V| - 1
     for the graphic and hypergraphic oracles), and then the search stops:
@@ -923,13 +929,13 @@ def _pack(oracle: Matroid, k: int, order: Sequence[int]
             reached |= seen
     if len(placement) == full:
         reached = set(order)
-    return [part.items for part in parts], unplaced, frozenset(reached)
+    return parts, unplaced, frozenset(reached)
 
 
 def _packed_size(oracle: Matroid, k: int, subset: Iterable[int] | None) -> int:
     """The size of a maximum packing of the subset (default: the ground
     set) into k parts: the k-fold union rank."""
-    return sum(map(len, _pack(oracle, k, oracle.members(subset))[0]))
+    return sum(len(part.items) for part in _pack(oracle, k, oracle.members(subset))[0])
 
 
 def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
@@ -943,7 +949,7 @@ def pack_elements(oracle: Matroid, k: int, elements: Iterable[int]
     states is `_union_augment`'s; when the search stops, `_pack`'s.
     """
     parts, unplaced, _ = _pack(oracle, k, oracle.members(elements))
-    return parts, unplaced
+    return [part.items for part in parts], unplaced
 
 
 def pack_bases(oracle: Matroid, k: int) -> PackBasesResult:
@@ -952,16 +958,17 @@ def pack_bases(oracle: Matroid, k: int) -> PackBasesResult:
     The family plus its achieved size is the deficiency certificate, and
     `reached` is a set A attaining the minimum of |ground - A| + k * rank(A),
     read off the failed exchange searches, or the ground set once the
-    parts are full and the search stops (`_pack`).  No rank pass runs: the
-    parts are disjoint bases exactly when size == k * rank(ground), and the
-    pipelines test size == k * (|V| - 1), which needs no rank.  That size
-    is where the parts are full, so the pipelines then take the packed
-    branch and never read `reached`.
+    parts are full and the search stops (`_pack`); `states` carries each
+    part's representative forest, so no caller grows it again.  No rank
+    pass runs: the parts are disjoint bases exactly when
+    size == k * rank(ground), and the pipelines test size == k * (|V| - 1),
+    which needs no rank.  That size is where the parts are full, so the
+    pipelines then take the packed branch and never read `reached`.
     """
     parts, unplaced, reached = _pack(oracle, k, oracle.ground)
-    family = UnionBasisFamily(parts=tuple(frozenset(p) for p in parts))
-    return PackBasesResult(family=family, size=family.size,
-                           unplaced=tuple(unplaced), reached=reached)
+    family = UnionBasisFamily(parts=tuple(frozenset(part.items) for part in parts))
+    return PackBasesResult(family=family, size=family.size, unplaced=tuple(unplaced),
+                           reached=reached, states=tuple(part.state for part in parts))
 
 
 def adjust_union(oracle: Matroid, family: UnionBasisFamily,

@@ -8,13 +8,14 @@ an independent set of degree-3 vertices, replace every non-terminal by a
 decode the bases back to edge sets of the reduced graph, and lift the
 result through the reduction trace to the original graph.  Input already
 in that normal form has its cut threshold checked without flows and skips
-the reduction and the lift: it is its own reduced graph.  Connector
-decoding keeps only the two edges named by each hyperedge's representative
-pair, so every used non-terminal has degree 2 before lifting and even
-degree after.  When a union packing falls short, both pipelines take the
-same certificate off the failed search: the components of the edges or
-hyperedges it reached form a vertex partition with too few crossing
-elements, found without enumerating partitions.
+the reduction and the lift: it is its own reduced graph.  Both modes decode
+a basis from the representative forest the packing left for it, a tree on
+the terminals, with each hub's pair as the path through that hub
+(Frank-Kiraly-Kriesell 2003); the lift only swaps edges, and a lifted
+Steiner part is pruned once.  When a union packing falls short, both
+pipelines take the same certificate off the failed search: the components
+of the edges or hyperedges it reached form a vertex partition with too few
+crossing elements, found without enumerating partitions.
 
 Every packing any pipeline hands back has already passed verify_packing;
 a verification failure after a claimed success raises an internal error
@@ -177,51 +178,37 @@ def _part_degrees(g: Multigraph, edge_ids: Iterable[int]) -> dict[int, int]:
 
 def prune_to_terminal_tree(g: Multigraph, terminals: frozenset[int],
                            edge_ids: Iterable[int]) -> frozenset[int]:
-    """Shrink a connected terminal-spanning edge set to a tree.
-
-    Non-terminal leaves are removed to a fixpoint, then a breadth-first
-    spanning tree rooted at the lowest terminal id is taken over what is
-    left, so the output is deterministic.  The fixpoint is the largest
-    subset in which no non-terminal has degree 1 (a loop counts 2): the
-    union of two such subsets is one, and no removal takes an edge of it.
-    So one queue of leaves reaches it in any order.
+    """Shrink a connected terminal-spanning edge set to a tree whose leaves
+    are all terminals: a breadth-first spanning tree rooted at the lowest
+    terminal id, over the edges in id order, with its non-terminal leaves
+    peeled.  Peeling in any order ends in the smallest subtree holding every
+    terminal, so one pass up from the deepest vertex keeps a vertex's edge
+    to its parent exactly when the vertex is a terminal or keeps a child.
     """
     if not terminals:
         raise InvalidArgumentError("pruning needs at least one terminal")
-    work = set(edge_ids)
-    deg = _part_degrees(g, work)
-    leaves = [v for v, d in deg.items() if d == 1 and v not in terminals]
-    while leaves:
-        v = leaves.pop()
-        if deg[v] != 1:
-            continue  # its last edge went with a neighbouring leaf
-        eid = next(e for e in g.incident_edges(v) if e in work)
-        work.discard(eid)
-        w = g.other_end(eid, v)
-        deg[w] -= 1
-        if deg[w] == 1 and w not in terminals:
-            leaves.append(w)
-
     adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in sorted(work):
+    for eid in sorted(edge_ids):
         u, v = g.endpoints(eid)
         adj.setdefault(u, []).append((v, eid))
         adj.setdefault(v, []).append((u, eid))
     root = min(terminals)
-    tree: set[int] = set()
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y, eid in sorted(adj.get(x, ())):
-                if y not in seen:
-                    seen.add(y)
-                    tree.add(eid)
-                    nxt.append(y)
-        frontier = nxt
-    if not terminals <= seen:
+    up: dict[int, tuple[int, int] | None] = {root: None}  # vertex -> (parent, edge to it)
+    order = [root]  # the breadth-first queue, read as it grows
+    for x in order:
+        for y, eid in sorted(adj.get(x, ())):
+            if y not in up:
+                up[y] = (x, eid)
+                order.append(y)
+    if not terminals <= up.keys():
         raise InternalInvariantError("pruning disconnected a terminal")
+    kept = set(terminals)
+    tree: set[int] = set()
+    for y in reversed(order[1:]):
+        if y in kept:
+            x, eid = up[y]
+            kept.add(x)
+            tree.add(eid)
     return frozenset(tree)
 
 
@@ -418,31 +405,21 @@ def _build_steiner_hypergraph(g: Multigraph, tset: frozenset[int]
     return h, origin
 
 
-def _decode(g: Multigraph, terminals: frozenset[int], part: frozenset[int],
-            origin: Mapping[int, tuple[str, int]], oracle: HypergraphicMatroid,
-            mode: str) -> frozenset[int]:
-    """The edges of g behind one packed basis.
-
-    A 2-vertex hyperedge is its edge.  A hub's star is kept whole for trees,
-    and the decoded set is pruned to a terminal tree; for connectors only
-    the two star edges to the hyperedge's representative pair are kept, so
-    every used hub has degree 2.
+def _decode(g: Multigraph, reps: Mapping[int, tuple[int, int]],
+            origin: Mapping[int, tuple[str, int]]) -> frozenset[int]:
+    """The edges of g behind one packed basis, given by its representative
+    forest `reps` (`PackBasesResult.states[i].ends`): a 2-vertex hyperedge
+    is its edge, and a hub gives the two star edges to its pair.  The pairs
+    form a tree on the terminals, so the result is a tree in which every
+    hub it uses has degree 2, a canonical connector that needs no pruning.
     """
-    reps = None
-    if mode == "connector":
-        reps = oracle.witness(part)
-        if reps is None:
-            raise InternalInvariantError("a packed basis failed its own witness")
     edges: set[int] = set()
-    for hid in part:
+    for hid, pair in reps.items():
         kind, ref = origin[hid]
         if kind == "edge":
             edges.add(ref)
         else:
-            edges.update(eid for eid in g.incident_edges(ref)
-                         if reps is None or g.other_end(eid, ref) in reps[hid])
-    if reps is None:
-        return prune_to_terminal_tree(g, terminals, edges)
+            edges.update(eid for eid in g.incident_edges(ref) if g.other_end(eid, ref) in pair)
     return frozenset(edges)
 
 
@@ -450,15 +427,14 @@ def _decode(g: Multigraph, terminals: frozenset[int], part: frozenset[int],
 
 
 def lift_parts(parts: Iterable[frozenset[int]], trace: SplitTrace,
-               reduced: Multigraph, terminals: frozenset[int],
-               mode: str) -> tuple[list[frozenset[int]], Multigraph]:
+               reduced: Multigraph) -> tuple[list[frozenset[int]], Multigraph]:
     """Walk the reduction trace backwards, swapping each used child edge
     for its two parent edges.
 
-    Steiner parts are re-pruned to a tree after every swap (the swap can
-    close a cycle when the split vertex already carries part edges);
-    connector parts keep everything, which preserves even degrees.
-    Returns the lifted parts plus the reconstructed original graph.
+    A swap keeps a part connected and its degrees' parities, but can close
+    a cycle where the split vertex already carries part edges; Steiner
+    parts are pruned after the walk (`_lift_verified`).  Returns the lifted
+    parts plus the reconstructed original graph.
     """
     g = reduced.copy()
     work = [set(p) for p in parts]
@@ -470,10 +446,6 @@ def lift_parts(parts: Iterable[frozenset[int]], trace: SplitTrace,
                     part.discard(step.child)
                     part.add(step.e1)
                     part.add(step.e2)
-                    if mode == "steiner":
-                        refreshed = prune_to_terminal_tree(g, terminals, part)
-                        part.clear()
-                        part.update(refreshed)
                     break
     return [frozenset(p) for p in work], g
 
@@ -481,17 +453,20 @@ def lift_parts(parts: Iterable[frozenset[int]], trace: SplitTrace,
 def _lift_verified(parts: Iterable[frozenset[int]], rr: ReduceResult, g: Multigraph,
                    mode: str, route: str) -> tuple[Packing, Packing]:
     """Verify reduced-graph parts there, lift them back to g through the
-    reduction trace and verify them again on g; the rewind must restore g
-    exactly.  Returns the packing before and after the lift.  With an empty
-    trace the reduced graph is g, and the parts are verified once, on g."""
+    reduction trace, prune Steiner parts, and verify them again on g; the
+    rewind must restore g exactly.  Returns the packing before and after
+    the lift.  With an empty trace the reduced graph is g, and the parts
+    are verified once, on g."""
     if not rr.trace.steps:
         packing = _verified(g, rr.terminals, Packing(mode=mode, parts=tuple(parts)), route)
         return packing, packing
     pre_lift = _verified(rr.graph, rr.terminals, Packing(mode=mode, parts=tuple(parts)),
                          f"{route} (reduced graph)")
-    lifted, original = lift_parts(pre_lift.parts, rr.trace, rr.graph, rr.terminals, mode)
+    lifted, original = lift_parts(pre_lift.parts, rr.trace, rr.graph)
     if original != g:
         raise InternalInvariantError("trace rewind did not restore the input graph")
+    if mode == "steiner":
+        lifted = [prune_to_terminal_tree(g, rr.terminals, part) for part in lifted]
     return pre_lift, _verified(g, rr.terminals, Packing(mode=mode, parts=tuple(lifted)), route)
 
 
@@ -654,11 +629,9 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
         # The form was tested at entry or by the reduction, so it is not
         # tested again.
         h, origin = _build_steiner_hypergraph(rr.graph, tset)
-        oracle = HypergraphicMatroid(h)
-        packed = pack_bases(oracle, k)
+        packed = pack_bases(HypergraphicMatroid(h), k)
         if packed.size == k * (len(tset) - 1):
-            decoded = [_decode(rr.graph, tset, part, origin, oracle, mode)
-                       for part in packed.parts]
+            decoded = [_decode(rr.graph, state.ends, origin) for state in packed.states]
             pre_lift, packing = _lift_verified(decoded, rr, g, mode, "pipeline")
             return result("packed", packing=packing, pre_lift=pre_lift, method="pipeline")
 
@@ -736,13 +709,12 @@ def pack_connectors(g: Multigraph, terminals, k: int,
     """k edge-disjoint connectors: connected subgraphs containing every
     terminal whose non-terminals all have even degree.
 
-    Decoding differs from trees only at 3-vertex hyperedges: the two edges
-    named by the representative pair are kept, so used non-terminals have
-    degree exactly 2 before lifting.  The routes after the hypergraph or
-    the reduction falls short are those of pack_steiner_trees, without the
-    single tree: the exhaustive search on the reduced graph (stalled
-    reductions only) and then on the input graph, within its caps and with
-    brute_fallback, and otherwise the certificate.
+    Bases decode as for trees, so used non-terminals have degree exactly 2
+    before lifting, and lifted parts are not pruned.  The routes after the
+    hypergraph or the reduction falls short are those of pack_steiner_trees,
+    without the single tree: the exhaustive search on the reduced graph
+    (stalled reductions only) and then on the input graph, within its caps
+    and with brute_fallback, and otherwise the certificate.
     """
     return _pipeline(g, terminals, k, "connector", threshold, brute_fallback)
 

@@ -468,23 +468,13 @@ def reference_pack(oracle, k: int, elements):
 
 
 def reference_prune_to_terminal_tree(g: Multigraph, terminals, edge_ids) -> frozenset[int]:
-    """prune_to_terminal_tree removing one leaf per rescan: each round
-    recounts every degree (a loop counts 2), drops the least-id edge at the
-    least non-terminal leaf, and stops when there is none; then the same
-    breadth-first tree from the least terminal."""
+    """prune_to_terminal_tree removing one leaf per rescan: the same
+    breadth-first tree from the least terminal, then rounds that each
+    recount every degree of the tree, drop the edge at its least
+    non-terminal leaf, and stop when there is none."""
     from treepack import InternalInvariantError
-    work = set(edge_ids)
-    while True:
-        deg: dict[int, int] = {}
-        for eid in work:
-            for v in g.endpoints(eid):
-                deg[v] = deg.get(v, 0) + 1
-        drop = next((v for v in sorted(deg) if deg[v] == 1 and v not in terminals), None)
-        if drop is None:
-            break
-        work.discard(next(eid for eid in sorted(work) if drop in g.endpoints(eid)))
     adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in sorted(work):
+    for eid in sorted(edge_ids):
         u, v = g.endpoints(eid)
         adj.setdefault(u, []).append((v, eid))
         adj.setdefault(v, []).append((u, eid))
@@ -503,7 +493,15 @@ def reference_prune_to_terminal_tree(g: Multigraph, terminals, edge_ids) -> froz
         frontier = nxt
     if not terminals <= seen:
         raise InternalInvariantError("pruning disconnected a terminal")
-    return frozenset(tree)
+    while True:
+        deg: dict[int, int] = {}
+        for eid in tree:
+            for v in g.endpoints(eid):
+                deg[v] = deg.get(v, 0) + 1
+        drop = next((v for v in sorted(deg) if deg[v] == 1 and v not in terminals), None)
+        if drop is None:
+            return frozenset(tree)
+        tree.discard(next(eid for eid in tree if drop in g.endpoints(eid)))
 
 
 # -- exact rational feasibility ------------------------------------------------

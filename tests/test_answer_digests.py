@@ -15,14 +15,14 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 SEED_1_DIGESTS = {
     "spanning-nwt": "f9beea6f4942de82",
-    "steiner-fkk": "e6fa3adf2640a76e",
+    "steiner-fkk": "9c33e76b8d974306",
     "connector-kriesell": "ef67309d2a7e9ac8",
     "refute-nwt": "7fcba352bc414679",
 }
 
 SEED_424242_DIGESTS = {
     "spanning-nwt": "a66ce3149bf5bba4",
-    "steiner-fkk": "3ae6c05a59639d5b",
+    "steiner-fkk": "92acac048635c88e",
     "connector-kriesell": "e18ee83d23dff7a5",
     "refute-nwt": "7fcba352bc414679",
 }

@@ -789,7 +789,8 @@ def assert_stop_matches_reference(seed: int) -> tuple[int, int]:
         subset = [e for e in oracle.ground if rng.below(4)][:-1]
         for k in range(1, rank + 2):
             for elements in (oracle.ground, subset):
-                parts, unplaced, reached = treepack.matroid._pack(oracle, k, elements)
+                packed, unplaced, reached = treepack.matroid._pack(oracle, k, elements)
+                parts = [part.items for part in packed]
                 ref_parts, ref_unplaced, ref_reached, _ = reference_pack(oracle, k, elements)
                 assert (parts, unplaced) == (ref_parts, ref_unplaced)
                 assert pack_elements(oracle, k, elements) == (parts, unplaced)

@@ -27,7 +27,7 @@ from treepack import (
 import treepack.packing
 from treepack.generate import generate
 from treepack.matroid import iter_partitions, graph_edge_sets
-from treepack.graphcore import _normal_form_violation
+from treepack.graphcore import ReduceResult, _normal_form_violation
 from treepack.packing import _violating_partition_certificate, prune_to_terminal_tree
 from treepack.rng import SplitMix64
 from conftest import c4, doubled_triangle, graph_from_pairs, k4, random_hypergraph, triangle
@@ -512,24 +512,34 @@ class TestLifting:
         part = frozenset({5, 4, 6})  # edges 0-1, 0-2, 2-3: a terminal tree
         assert verify_packing(reduced, terminals,
                               Packing(mode="steiner", parts=(part,))).ok
-        lifted, rebuilt = lift_parts([part], trace, reduced, terminals, "steiner")
+        lifted, rebuilt = lift_parts([part], trace, reduced)
         assert rebuilt == original
-        packing = Packing(mode="steiner", parts=tuple(lifted))
+        # The lift only swaps edges, so the cycle stays until the pipeline
+        # prunes the lifted part once.
+        assert lifted == [frozenset({0, 1, 2, 3, 4})]
+        assert verify_packing(original, terminals, Packing(mode="steiner", parts=tuple(
+            lifted))).reason == "part has a cycle"
+        rr = ReduceResult(graph=reduced, terminals=terminals, trace=trace, form="fkk")
+        pre_lift, packing = treepack.packing._lift_verified([part], rr, original, "steiner",
+                                                            "test")
+        assert pre_lift.parts == (part,)
+        assert packing.parts == (prune_to_terminal_tree(original, terminals, lifted[0]),)
         assert verify_packing(original, terminals, packing).ok
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=3, max_value=7), st.integers(min_value=0, max_value=10_000))
     def test_lift_rebuilds_the_original_graph(self, n, seed):
         from treepack.generate import generate_kriesell
-        from treepack.packing import lift_parts, prune_to_terminal_tree
+        from treepack.packing import lift_parts
         inst = generate_kriesell(n, 1, seed)
         tset = inst.terminals
         rr = reduce_instance(inst.graph, tset, min(8, inst.connectivity))
         part = prune_to_terminal_tree(rr.graph, tset, rr.graph.edges)
-        lifted, rebuilt = lift_parts([part], rr.trace, rr.graph, tset, "steiner")
+        lifted, rebuilt = lift_parts([part], rr.trace, rr.graph)
         assert rebuilt == inst.graph
-        assert verify_packing(inst.graph, tset,
-                              Packing(mode="steiner", parts=tuple(lifted))).ok
+        pruned = prune_to_terminal_tree(inst.graph, tset, lifted[0])
+        assert pruned <= lifted[0]
+        assert verify_packing(inst.graph, tset, Packing(mode="steiner", parts=(pruned,))).ok
 
     def test_connector_k2_through_nontrivial_reduction(self):
         from treepack.generate import generate_kriesell
@@ -543,6 +553,46 @@ class TestLifting:
             if result.trace is not None and len(result.trace) > 0:
                 found_trace = True
         assert found_trace
+
+
+def nonterminal_degrees(g, terminals, part) -> list[int]:
+    return [d for v, d in treepack.packing._part_degrees(g, part).items() if v not in terminals]
+
+
+class TestPackBasesStates:
+    """`pack_bases` hands back each hypergraphic part's representative
+    forest, which the pipelines decode."""
+
+    @staticmethod
+    def assert_representative_forests(h, k) -> None:
+        from treepack.matroid import graphic_independent
+        oracle = HypergraphicMatroid(h)
+        packed = pack_bases(oracle, k)
+        assert len(packed.states) == k
+        for part, state in zip(packed.parts, packed.states):
+            assert state.ends.keys() == part
+            for hid, pair in state.ends.items():
+                assert len(set(pair)) == 2 and set(pair) <= h.hyperedges[hid]
+            assert graphic_independent(h.vertices, state.ends.values())
+        # The states are the packing's own objects and take no part in equality.
+        assert pack_bases(oracle, k) == packed
+
+    def test_fkk_draws(self):
+        for n, k in ((9, 3), (11, 2)):
+            for seed in range(20):
+                inst = generate("fkk", n, k, seed)
+                h, _ = build_steiner_hypergraph(inst.graph, inst.terminals)
+                self.assert_representative_forests(h, k)
+
+    def test_reduced_kriesell_hypergraphs(self):
+        from treepack.generate import generate_kriesell
+        for seed in range(20):
+            for n, k in ((11, 1), (13, 2)):
+                inst = generate_kriesell(n, k, seed)
+                rr = reduce_instance(inst.graph, inst.terminals, 3 * k)
+                assert rr.form == "fkk" and len(rr.trace) > 0
+                h, _ = build_steiner_hypergraph(rr.graph, rr.terminals)
+                self.assert_representative_forests(h, k)
 
 
 def recorded_prunes(monkeypatch) -> list:
@@ -561,7 +611,8 @@ def recorded_prunes(monkeypatch) -> list:
 
 
 class TestPruneToTerminalTree:
-    """One queue of leaves against the rescan per leaf (conftest)."""
+    """One bottom-up pass over the breadth-first tree against a rescan per
+    leaf (conftest)."""
 
     @staticmethod
     def assert_matches_reference(calls) -> None:
@@ -571,27 +622,43 @@ class TestPruneToTerminalTree:
                 reference_prune_to_terminal_tree(g, terminals, edge_ids)
 
     def test_decoded_parts(self, monkeypatch):
+        # A decoded normal-form part is its basis's representative tree with
+        # each hub's pair made a path through the hub: every hub it uses has
+        # degree 2, the pipeline prunes none, and pruning one gives it back.
         calls = recorded_prunes(monkeypatch)
+        parts = []
         for n, k in ((9, 3), (11, 2)):
             for seed in range(20):
                 inst = generate("fkk", n, k, seed)
-                assert pack_steiner_trees(inst.graph, inst.terminals, k, threshold=3 * k,
-                                          brute_fallback=False).succeeded
-        assert len(calls) >= 100
-        self.assert_matches_reference(calls)
+                result = pack_steiner_trees(inst.graph, inst.terminals, k, threshold=3 * k,
+                                            brute_fallback=False)
+                assert result.succeeded and len(result.trace) == 0
+                parts += [(inst.graph, inst.terminals, part) for part in result.packing.parts]
+        assert calls == [] and len(parts) == 100
+        hubs = [nonterminal_degrees(*item) for item in parts]
+        assert all(set(degrees) <= {2} for degrees in hubs) and sum(map(len, hubs)) > 200
+        for g, terminals, part in parts:
+            assert prune_to_terminal_tree(g, terminals, part) == part
+        self.assert_matches_reference(parts)
 
     def test_lifted_parts(self, monkeypatch):
         # Kriesell draws reduce through splits, and each lifted Steiner part
-        # is re-pruned after every swap.
+        # is pruned once, after the whole lift.
         from treepack.generate import generate_kriesell
         calls = recorded_prunes(monkeypatch)
+        lifted = 0
         for seed in range(20):
             for n, k in ((11, 1), (13, 2)):
                 inst = generate_kriesell(n, k, seed)
                 result = pack_steiner_trees(inst.graph, inst.terminals, k, threshold=3 * k,
                                             brute_fallback=False)
                 assert result.succeeded and len(result.trace) > 0
-        assert len(calls) > 70
+                assert result.packing.parts == tuple(
+                    prune_to_terminal_tree(*call) for call in calls[lifted:])
+                for part in result.packing.parts:
+                    assert 1 not in nonterminal_degrees(inst.graph, inst.terminals, part)
+                lifted += k
+        assert len(calls) == lifted == 60
         self.assert_matches_reference(calls)
 
     def test_random_edge_sets(self):
