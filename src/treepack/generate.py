@@ -15,7 +15,9 @@ Models:
             reaches 3k, then verified to 3k terminal connectivity.
   kriesell  random multigraph with geometric edge multiplicities over a
             seeded terminal subset, verified to the requested threshold
-            (the 5k-range packing threshold by default).
+            (the 5k-range packing threshold by default).  A draw in which
+            some terminal has fewer edge ends than the threshold is refused
+            before its graph is built.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ def _verified(model: str, n: int, k: int, seed: int, target: int,
     """The first of RETRY_BUDGET draws whose terminal connectivity reaches
     `target`.  Each draw takes the seed's generator, adds edges (and
     non-terminals) to an empty graph on range(n) and returns its
-    terminals, or None to reject it unchecked."""
+    terminals, or None to reject it unchecked: a draw may reject itself by
+    a necessary condition on its connectivity, as long as it draws the
+    same numbers from the generator either way."""
     rng = SplitMix64(seed)
     for attempt in range(1, RETRY_BUDGET + 1):
         g = Multigraph()
@@ -138,6 +142,15 @@ def generate_fkk(n: int, k: int, seed: int) -> GeneratedInstance:
 def generate_kriesell(n: int, k: int, seed: int,
                       min_connectivity: int | None = None,
                       max_edges: int | None = None) -> GeneratedInstance:
+    """Random multigraph whose terminal connectivity reaches
+    `min_connectivity` (default the packing threshold f_k).
+
+    Each draw takes the terminals and every pair's multiplicity before it
+    adds an edge.  It is refused unbuilt when the edges exceed `max_edges`
+    or a terminal has fewer than the target edge ends (a lone terminal is a
+    T-cut), refused built when disconnected, and otherwise measured by the
+    exact terminal flows.
+    """
     if n < 2 or k < 1:
         raise InvalidArgumentError("kriesell model needs n >= 2 and k >= 1")
     target = Thresholds.for_k(k).f_k if min_connectivity is None else min_connectivity
@@ -151,15 +164,26 @@ def generate_kriesell(n: int, k: int, seed: int,
     def draw(g: Multigraph, rng: SplitMix64) -> frozenset[int] | None:
         t_count = 2 + (rng.below(n - 1) if n > 2 else 0)
         terminals = frozenset(rng.sample(range(n), t_count))
+        mults = {}
+        degree = [0] * n
         for u in range(n):
             for v in range(u + 1, n):
                 mult = 0
                 while mult < cap and rng.chance(cont_num, cont_den):
                     mult += 1
-                for _ in range(mult):
-                    g.add_edge(u, v)
-        if max_edges is not None and g.edge_count() > max_edges:
+                if mult:
+                    mults[u, v] = mult
+                    degree[u] += mult
+                    degree[v] += mult
+        # Every multiplicity is drawn first, so a rejection leaves the stream
+        # where the full draw would.
+        if max_edges is not None and sum(mults.values()) > max_edges:
             return None
+        if min(degree[t] for t in terminals) < target:
+            return None
+        for (u, v), mult in mults.items():
+            for _ in range(mult):
+                g.add_edge(u, v)
         if not g.is_connected():
             return None  # its terminals may still share a component
         return terminals

@@ -10,8 +10,9 @@ tree edge, the terminal cut with every flow run in full, and the
 scalar-bound deletion guard that recounts λ_T whenever its bound has no
 slack.  So does the union engine's: the exchange search with no pruning,
 over part states rebuilt after every chain.  So does the leaf pruning
-that rescans the whole edge set per leaf.  Tests compare the fast
-implementations against these.
+that rescans the whole edge set per leaf.  So does the kriesell model's
+draw that builds every graph and runs the flows before rejecting it.
+Tests compare the fast implementations against these.
 """
 
 from __future__ import annotations
@@ -502,6 +503,44 @@ def reference_prune_to_terminal_tree(g: Multigraph, terminals, edge_ids) -> froz
         if drop is None:
             return frozenset(tree)
         tree.discard(next(eid for eid in tree if drop in g.endpoints(eid)))
+
+
+def reference_generate_kriesell(n: int, k: int, seed: int,
+                                min_connectivity: int | None = None,
+                                max_edges: int | None = None):
+    """generate_kriesell with no early rejection: every draw adds its edges,
+    then is refused over `max_edges`, refused when disconnected, and
+    otherwise measured by the exact terminal flows."""
+    from treepack import GenerationFailureError, Thresholds, steiner_connectivity
+    from treepack.generate import RETRY_BUDGET, GeneratedInstance
+    target = Thresholds.for_k(k).f_k if min_connectivity is None else min_connectivity
+    pair_count = n * (n - 1) // 2
+    mean = max(1, (target + 2) // max(1, n - 1))
+    if max_edges is not None:
+        mean = max(1, min(mean, max_edges // pair_count + 1))
+    rng = SplitMix64(seed)
+    for attempt in range(1, RETRY_BUDGET + 1):
+        g = graph_from_pairs(n, [])
+        t_count = 2 + (rng.below(n - 1) if n > 2 else 0)
+        terminals = frozenset(rng.sample(range(n), t_count))
+        for u, v in itertools.combinations(range(n), 2):
+            mult = 0
+            while mult < target + 2 and rng.chance(mean, mean + 1):
+                mult += 1
+            for _ in range(mult):
+                g.add_edge(u, v)
+        if max_edges is not None and g.edge_count() > max_edges:
+            continue
+        if not g.is_connected():
+            continue
+        conn = steiner_connectivity(g, terminals)
+        if conn >= target:
+            return GeneratedInstance(model="kriesell", n=n, k=k, seed=seed, graph=g,
+                                     terminals=terminals, connectivity=conn,
+                                     target=target, attempts=attempt)
+    raise GenerationFailureError(
+        f"kriesell model failed to reach connectivity {target} after "
+        f"{RETRY_BUDGET} attempts (n={n}, k={k}, max_edges={max_edges})")
 
 
 # -- exact rational feasibility ------------------------------------------------
