@@ -37,6 +37,7 @@ from .packing import (
     Certificate,
     PackResult,
     brute_force_pack,
+    connectivity_cap,
     pack_connectors,
     pack_spanning_trees,
     pack_steiner_trees,
@@ -146,7 +147,9 @@ def cmd_pack(args) -> int:
     if result.method:
         lines.append(f"method {result.method}")
     if result.connectivity is not None:
-        lines.append(f"steiner_connectivity {result.connectivity}")
+        # At the cap the pipeline stopped measuring: λ_T is at least that.
+        bound = result.connectivity == connectivity_cap(args.k, result.threshold)
+        lines.append(f"steiner_connectivity {'>=' if bound else ''}{result.connectivity}")
     exit_code = EXIT_NEGATIVE
     if result.outcome == "packed":
         check = verify_packing(g, terminals if args.mode != "spanning" else None,

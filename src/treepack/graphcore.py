@@ -15,14 +15,20 @@ use it, and a flow computed before an edit is repaired after it
 (`_reroute`) instead of being recomputed.  A flow from zero (`_max_flow`)
 is seeded with its one- and two-edge paths in one pass before any
 search, and a caller that needs only a bound caps it at exactly that
-value: the terminal cut caps each flow at the smallest value so far, and
-the reducer caps its flows and its exit recount at the threshold.  Input
+value: the terminal cut (`_terminal_cut`) caps each flow at the smallest
+value so far, starting from a cap its caller may give, so below that cap
+its value and side are exact and at it the value only bounds λ_T from
+below.  The public `steiner_min_cut` gives no cap and is exact; the
+packing pipeline caps its entry cut at the most it decides on, and the
+reducer caps its flows and its exit recount at the threshold.  Input
 already in the reduced normal form needs no flow for its terminal
 connectivity: `_normal_form_cut` reads it off maximum-adjacency orderings
 of the hypergraph the non-terminals make on the terminals.  The
 splitting-off routines implement the classical degree-lowering operation
 (replace edges uv, uv' at u by a single edge vv') together with a
-verified search for a pair at a vertex, and a reducer that drives all
+verified search for a pair at a vertex, whose preconditions (a connected
+graph, no cut-edge at the vertex) take one search of G - u
+(`_split_candidates`), and a reducer that drives all
 non-terminals toward the bipartite degree-3 normal form used by the
 hypergraph packing pipeline, by one splitting-off rule at every
 non-terminal.  A pair search splits each candidate off, repairs a list
@@ -199,16 +205,15 @@ class Multigraph:
         start = min(self._incidence)
         return len(self._component_of(start)) == len(self._incidence)
 
-    def _component_of(self, start: int, skip: int | None = None,
-                      goal: int | None = None) -> set[int]:
-        """Vertices reachable from `start`, not crossing edge `skip`; the
-        search stops as soon as it reaches `goal`."""
+    def _component_of(self, start: int, goal: int | None = None) -> set[int]:
+        """Vertices reachable from `start`; the search stops as soon as it
+        reaches `goal`."""
         seen = {start}
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for eid, w, _ in self._incidence[v]:
-                if w not in seen and eid != skip:
+            for _, w, _ in self._incidence[v]:
+                if w not in seen:
                     seen.add(w)
                     if w == goal:
                         return seen
@@ -218,8 +223,10 @@ class Multigraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multigraph):
             return NotImplemented
+        # Raw maps first: a rewound trace restores each edge's orientation.
         return (self._incidence.keys() == other._incidence.keys()
-                and self._normalized() == other._normalized())
+                and (self._edges == other._edges
+                     or self._normalized() == other._normalized()))
 
     def _normalized(self) -> dict[int, tuple[int, int]]:
         return {eid: (min(u, v), max(u, v)) for eid, (u, v) in self._edges.items()}
@@ -630,18 +637,6 @@ def split_off(g: Multigraph, u: int, e1: int, e2: int) -> tuple[Multigraph, Spli
     return out, step
 
 
-def _has_incident_cut_edge(g: Multigraph, u: int) -> bool:
-    """Is some non-loop edge at u a bridge?  An edge with a parallel twin
-    never is, so only a neighbour joined to u by a single edge is tested,
-    by one BFS from u that skips that edge and stops at the neighbour."""
-    lone: dict[int, int | None] = {}
-    for eid, v, _ in g._incidence[u]:
-        if v != u:
-            lone[v] = None if v in lone else eid
-    return any(eid is not None and v not in g._component_of(u, skip=eid, goal=v)
-               for v, eid in lone.items())
-
-
 _FlowTree = list[tuple[int, int, int, list[int]]]
 
 
@@ -702,7 +697,16 @@ def _split_trial(g: Multigraph, flows: list[list[int]], u: int, e1: int, e2: int
 
 def _split_candidates(g: Multigraph, u: int) -> list[int]:
     """The non-loop edges at u, once mader_split's preconditions hold; the
-    first that fails raises.  Loops affect none but the degree check."""
+    first that fails raises.  Loops affect none but the degree check.
+
+    Connectivity and the cut-edges at u take one search of G - u, started
+    from each neighbour of u that no earlier start reached: it labels every
+    vertex it reaches with the neighbour that found it, one label per
+    component, and counts u's non-loop edges into each component.  Every
+    vertex of u's component other than u lies in one of them, so a vertex
+    left unlabelled means g is disconnected; and an edge uv is a cut-edge
+    exactly when it is u's only edge into v's component.
+    """
     if not g.has_vertex(u):
         raise InvalidArgumentError(f"no vertex {u}")
     if g.degree(u) == 3:
@@ -710,9 +714,24 @@ def _split_candidates(g: Multigraph, u: int) -> list[int]:
     candidates = [eid for eid in g.incident_edges(u) if not g.is_loop(eid)]
     if len(candidates) < 2:
         raise PreconditionViolationError("need at least two non-loop edges at the vertex")
-    if not g.is_connected():
+    arcs = g._incidence
+    label = {u: u}
+    joins: dict[int, int] = {}
+    for _, v, _ in arcs[u]:
+        if v == u:
+            continue
+        if v not in label:
+            label[v] = v
+            queue = [v]
+            for x in queue:
+                for _, y, _ in arcs[x]:
+                    if y not in label:
+                        label[y] = v
+                        queue.append(y)
+        joins[label[v]] = joins.get(label[v], 0) + 1
+    if len(label) < len(arcs):
         raise PreconditionViolationError("graph must be connected")
-    if _has_incident_cut_edge(g, u):
+    if 1 in joins.values():
         raise PreconditionViolationError(f"vertex {u} is incident with a cut-edge")
     return candidates
 
@@ -766,10 +785,12 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
 
 
 def _reduce_vertex(g: Multigraph, u: int, steps: list[TraceStep],
-                   flows: list[list[int]]) -> None:
+                   flows: list[list[int]], candidates: list[int] | None = None) -> None:
     """Mutating: split off at the non-terminal u toward its normal-form
     degree, appending each step to `steps` and replacing the contents of
-    `flows` by the flows repaired through it.
+    `flows` by the flows repaired through it.  `candidates`, when given, is
+    what `_split_candidates` already returned for u in g, and serves the
+    first pair search in place of a second check.
 
     At even degree u's loops are deleted first (they never affect a cut
     or carry flow, and a split at u joins two other ends, so it never
@@ -787,8 +808,10 @@ def _reduce_vertex(g: Multigraph, u: int, steps: list[TraceStep],
             steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
             g.delete_edge(eid)
     while g.degree(u) > 3:
-        step, flows[:] = _mader_split_inplace(g, u, _split_candidates(g, u), flows)
+        step, flows[:] = _mader_split_inplace(
+            g, u, candidates or _split_candidates(g, u), flows)
         steps.append(step)
+        candidates = None
     if g.degree(u) == 2:
         found = _split_trial(g, flows, u, *g.incident_edges(u))
         if found is None:
@@ -812,7 +835,8 @@ def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigra
     are built only when a pair search will run, at four or more non-loop
     edges, and only once the split preconditions hold in g: loops affect
     neither its connectivity nor its cut-edges, so the check can precede
-    their deletion.
+    their deletion, and it serves the first split, which is not checked
+    again.
     """
     tset = frozenset(terminals)
     if u in tset:
@@ -822,12 +846,13 @@ def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigra
     if g.degree(u) % 2 != 0:
         raise PreconditionViolationError(f"vertex {u} has odd degree")
     flows: list[list[int]] = []
+    candidates = None
     if sum(not g.is_loop(eid) for eid in g.incident_edges(u)) > 2:
-        _split_candidates(g, u)
+        candidates = _split_candidates(g, u)
         flows = _all_pairs_flows(g, u)
     out = g.copy()
     steps: list[TraceStep] = []
-    _reduce_vertex(out, u, steps, flows)
+    _reduce_vertex(out, u, steps, flows, candidates)
     return out, steps
 
 

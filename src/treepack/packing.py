@@ -45,8 +45,9 @@ from .graphcore import (
     SplitTrace,
     _normal_form_cut,
     _normal_form_violation,
+    _terminal_cut,
     reduce_instance,
-    steiner_min_cut,
+    steiner_min_cut,  # unused here, but bench/tracing.py wraps packing.steiner_min_cut
 )
 from .matroid import (
     _DSU,
@@ -78,6 +79,12 @@ class Thresholds:
             raise InvalidArgumentError("k must be at least 1")
         f_k = 2 * ((5 * k + 4) // 2)
         return cls(k=k, f_k=f_k, g_k=6 * k + 6, nwt=2 * k, fkk=3 * k)
+
+
+def connectivity_cap(k: int, threshold: int) -> int:
+    """max(threshold, 3k), the most a terminal pipeline measures of λ_T
+    (see `PackResult`)."""
+    return max(threshold, Thresholds.for_k(k).fkk)
 
 
 def threshold_value(name: str, k: int) -> int:
@@ -142,6 +149,16 @@ class VerifyResult:
 
 @dataclass
 class PackResult:
+    """What a pipeline returns.
+
+    `connectivity` is what the terminal pipelines measured of the terminal
+    connectivity λ_T: min(λ_T, `connectivity_cap(k, threshold)`), exact
+    below the cap and a lower bound at it, since λ_T decides only whether
+    it is below the threshold and whether it reaches 3k.  It is None for
+    spanning trees and for a single terminal.  `steiner_connectivity`
+    gives λ_T exactly.
+    """
+
     outcome: str  # "packed" | "certificate" | "infeasible"
     packing: Packing | None = None
     certificate: Certificate | None = None
@@ -586,13 +603,15 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
     t_values = Thresholds.for_k(k)
     if threshold is None:
         threshold = t_values.f_k if mode == "steiner" else t_values.g_k
+    # λ_T is measured up to the cap, with the flow loop's side below it.
     # Input already in the normal form needs no flow to find λ_T, and no
     # reduction: it is its own reduced graph, with an empty trace.
+    cap = connectivity_cap(k, threshold)
     normal = _normal_form_violation(g, tset) is None
     if normal:
-        connectivity, side = _normal_form_cut(g, tset), None
+        connectivity, side = min(_normal_form_cut(g, tset), cap), None
     else:
-        connectivity, side = steiner_min_cut(g, tset)
+        connectivity, side = _terminal_cut(g, tset, cap)
     rr: ReduceResult | None = None
 
     def result(outcome: str, **fields) -> PackResult:
@@ -603,7 +622,7 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
     if connectivity < threshold:
         if side is None:
             # The certificate reports the flow loop's side on every input.
-            size, side = steiner_min_cut(g, tset)
+            size, side = _terminal_cut(g, tset, cap)
             if size != connectivity:
                 raise InternalInvariantError(
                     f"normal-form cut {connectivity} differs from the flow cut {size}")

@@ -45,6 +45,7 @@ from conftest import (
     graph_from_pairs,
     random_hypergraph,
     random_multigraph,
+    reference_has_incident_cut_edge,
 )
 
 
@@ -308,10 +309,9 @@ def test_criterion_9_cut_preserving_splits():
                     g.add_edge(u, v)
             if not g.is_connected():
                 continue
-            from treepack.graphcore import _has_incident_cut_edge
             for u in sorted(g.vertices):
                 deg = g.degree(u)
-                if deg == 3 or deg < 2 or _has_incident_cut_edge(g, u):
+                if deg == 3 or deg < 2 or reference_has_incident_cut_edge(g, u):
                     continue
                 others = g.vertices - {u}
                 before = all_pairwise_cuts(g, others)

@@ -156,6 +156,22 @@ class TestPack:
         assert code == 1
         assert "certificate_kind cut-too-small" in out
 
+    def test_connectivity_at_the_cap_is_a_bound(self, capsys, tmp_path):
+        # λ_T = 14 here.  pack measures it only up to max(threshold, 3k),
+        # and at that cap reports a lower bound; below it, the exact value.
+        # verify-cuts always reports it exactly.
+        inst = str(tmp_path / "k.txt")
+        run_cli(capsys, "gen", "kriesell", "--n", "9", "--k", "1", "--seed", "3",
+                "--out", inst)
+        code, out = run_cli(capsys, "pack", inst, "--mode", "connector", "--k", "1",
+                            "--threshold", "8")
+        assert code == 0 and "steiner_connectivity >=8" in out.splitlines()
+        code, out = run_cli(capsys, "pack", inst, "--mode", "connector", "--k", "1",
+                            "--threshold", "15")
+        assert code == 1 and "steiner_connectivity 14" in out.splitlines()
+        code, out = run_cli(capsys, "verify-cuts", inst, "--k", "1", "--threshold", "8")
+        assert code == 0 and "steiner_connectivity 14" in out.splitlines()
+
     def test_connector_mode_end_to_end(self, capsys, tmp_path):
         inst = tmp_path / "k.txt"
         run_cli(capsys, "gen", "kriesell", "--n", "3", "--k", "1", "--seed", "2",

@@ -1,5 +1,7 @@
 """Multigraph, cut, splitting-off and reduction behavior."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,11 +25,11 @@ from treepack.generate import generate, generate_kriesell
 from treepack.graphcore import (
     SplitStep,
     _flow_tree,
-    _has_incident_cut_edge,
     _max_flow,
     _normal_form_cut,
     _normal_form_violation,
     _reduce_vertex,
+    _split_candidates,
     _split_trial,
 )
 from treepack.packing import Thresholds
@@ -56,7 +58,22 @@ def _eligible_split_vertices(g):
         return []
     return [u for u in sorted(g.vertices)
             if g.degree(u) != 3 and g.degree(u) >= 2
-            and not _has_incident_cut_edge(g, u)]
+            and not reference_has_incident_cut_edge(g, u)]
+
+
+def _spy(monkeypatch, *names):
+    """A list to which each call of one of graphcore's `names` appends
+    that name."""
+    events = []
+    for name in names:
+        original = getattr(treepack.graphcore, name)
+
+        def spy(*args, _name=name, _original=original):
+            events.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(treepack.graphcore, name, spy)
+    return events
 
 
 def _doubled(g):
@@ -72,6 +89,18 @@ class TestMultigraph:
         g.add_vertex(0)
         g.add_edge(0, 0)
         assert g.degree(0) == 2
+
+    def test_equality_ignores_endpoint_order(self):
+        # Equal up to the order of each edge's ends, the raw edge maps
+        # differ and the normalised ones decide; edge ids and the vertex
+        # set still count.
+        g = graph_from_pairs(3, [(0, 1), (1, 2), (2, 2)])
+        flipped = graph_from_pairs(3, [(1, 0), (2, 1), (2, 2)])
+        assert g.edges != flipped.edges and g == flipped and g.copy() == g
+        relabelled = graph_from_pairs(3, [(1, 2), (0, 1), (2, 2)])
+        assert g != relabelled
+        flipped.add_vertex(3)
+        assert g != flipped
 
     def test_edge_ids_never_reused(self):
         g = graph_from_pairs(2, [(0, 1)])
@@ -373,14 +402,18 @@ class TestMaderSplit:
 
     def test_cut_edge_rejected(self):
         g = graph_from_pairs(4, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 3)])
-        # vertex 3 has degree 4 via its loop but hangs on a bridge
+        # vertex 3 hangs on a bridge, but its loop makes its degree 3
         with pytest.raises(PreconditionViolationError):
             mader_split(g, 3)
-        from treepack.graphcore import _has_incident_cut_edge
         g.add_edge(1, 1)  # a loop is never a bridge
-        assert [u for u in range(4) if _has_incident_cut_edge(g, u)] == [0, 3]
+        assert _split_candidates(g, 1) == [0, 2]
+        g.add_edge(0, 2)
+        with pytest.raises(PreconditionViolationError,
+                           match="^vertex 0 is incident with a cut-edge$"):
+            mader_split(g, 0)
         g.add_edge(0, 3)  # nor is an edge with a parallel copy
-        assert not any(_has_incident_cut_edge(g, u) for u in range(4))
+        assert _split_candidates(g, 3) == [3, 7]
+        assert _split_candidates(g, 0) == [0, 1, 3, 6, 7]
 
     def test_no_flow_before_a_pair_search_can_run(self, monkeypatch):
         # A pendant edge at the non-terminal 0 of a kriesell graph (degree
@@ -396,14 +429,7 @@ class TestMaderSplit:
         apart = pendant.copy()
         apart.add_vertex(98)
         assert 0 not in inst.terminals and pendant.degree(0) == 10
-        flows = []
-        counted = treepack.graphcore._max_flow
-
-        def counting(*args):
-            flows.append(1)
-            return counted(*args)
-
-        monkeypatch.setattr(treepack.graphcore, "_max_flow", counting)
+        flows = _spy(monkeypatch, "_max_flow")
         for g, message in ((pendant, "^vertex 0 is incident with a cut-edge$"),
                            (apart, "^graph must be connected$")):
             with pytest.raises(PreconditionViolationError, match=message):
@@ -424,39 +450,73 @@ class TestMaderSplit:
     def test_preconditions_are_checked_once_per_call(self, monkeypatch):
         # One call at the largest-degree vertex of a kriesell graph checks
         # the split preconditions once, in g before its first flow, and
-        # not again on the copy it splits: one `_split_candidates` and
-        # one cut-edge search.
+        # not again on the copy it splits: one `_split_candidates`, whose
+        # one search of G - u stands in for `is_connected` and a search
+        # per lone neighbour.
         g = generate("kriesell", 9, 1, 3).graph
         u = max(sorted(g.vertices), key=g.degree)
-        events = []
-        for name in ("_split_candidates", "_has_incident_cut_edge", "_max_flow"):
-            original = getattr(treepack.graphcore, name)
+        events = _spy(monkeypatch, "_split_candidates", "_max_flow")
+        original = Multigraph.is_connected
 
-            def spy(*args, _name=name, _original=original):
-                events.append(_name)
-                return _original(*args)
+        def is_connected(self):
+            events.append("is_connected")
+            return original(self)
 
-            monkeypatch.setattr(treepack.graphcore, name, spy)
+        monkeypatch.setattr(Multigraph, "is_connected", is_connected)
         e1, e2 = mader_split(g, u)
         assert {e1, e2} <= set(g.incident_edges(u))
-        assert events[:3] == ["_split_candidates", "_has_incident_cut_edge", "_max_flow"]
+        assert events[:2] == ["_split_candidates", "_max_flow"]
         assert events.count("_split_candidates") == 1
-        assert events.count("_has_incident_cut_edge") == 1
+        assert "is_connected" not in events
+
+    def test_drain_checks_preconditions_once_per_split(self, monkeypatch):
+        # isolate_even_nonterminal checks the preconditions in g before it
+        # builds a flow, and that check serves its first split: at the
+        # degree-18 non-terminal 2 of this kriesell graph, 8 splits take a
+        # pair search, and each is checked once (the check at degree 18
+        # used to run twice).
+        inst = generate("kriesell", 12, 1, 1)
+        assert 2 not in inst.terminals and inst.graph.degree(2) == 18
+        events = _spy(monkeypatch, "_split_candidates", "_max_flow")
+        out, steps = isolate_even_nonterminal(inst.graph, inst.terminals, 2)
+        assert not out.has_vertex(2)
+        assert [type(step).__name__ for step in steps] == ["SplitStep"] * 9
+        assert events[0] == "_split_candidates" and events[1] == "_max_flow"
+        assert events.count("_split_candidates") == 8
 
     def test_incident_cut_edge_matches_per_edge_search(self):
-        bridged = spared_by_twin = 0
-        for seed in range(200):
+        # The one search of G - u gives the verdict and the message of
+        # `is_connected` followed by a search per non-loop edge at u, at
+        # every vertex of connected and disconnected graphs, with loops
+        # and with doubled edges.
+        verdicts: Counter = Counter()
+        for seed in range(240):
             g = random_multigraph(seed, max_vertices=7, max_edges=10,
-                                  connected=seed % 2 == 0)
+                                  loops=seed % 4 != 1, connected=seed % 2 == 0)
             if seed % 3 == 0:
                 for eid, (a, b) in sorted(g.edges.items())[::2]:
                     g.add_edge(a, b)
             for u in sorted(g.vertices):
-                expected = reference_has_incident_cut_edge(g, u)
-                assert _has_incident_cut_edge(g, u) == expected, (seed, u)
-                bridged += expected
-                spared_by_twin += seed % 3 == 0 and not expected
-        assert bridged >= 300 and spared_by_twin >= 150
+                candidates = [e for e in g.incident_edges(u) if not g.is_loop(e)]
+                if g.degree(u) == 3 or len(candidates) < 2:
+                    continue
+                if not g.is_connected():
+                    expected = "graph must be connected"
+                elif reference_has_incident_cut_edge(g, u):
+                    expected = f"vertex {u} is incident with a cut-edge"
+                else:
+                    expected = None
+                try:
+                    got = _split_candidates(g, u)
+                except PreconditionViolationError as exc:
+                    got = str(exc)
+                else:
+                    assert got == candidates, (seed, u)
+                    got = None
+                assert got == expected, (seed, u)
+                kind = "ok" if expected is None else expected.split()[0]
+                verdicts[kind, "doubled" if seed % 3 == 0 else "plain"] += 1
+        assert len(verdicts) == 6 and min(verdicts.values()) >= 20, verdicts
 
     def test_chosen_pair_matches_reference_on_seeded_multigraphs(self):
         checked = first_rejected = 0

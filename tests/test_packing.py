@@ -345,36 +345,39 @@ class TestPackSteinerTrees:
         assert all(not p for p in result.packing.parts)
 
     def test_entry_connectivity_is_computed_once(self, monkeypatch):
-        # The pipeline's threshold check computes λ_T once: by flows, handed
-        # to the reduction, which would otherwise compute it again; or, on
-        # normal-form input, which skips the reduction, by the flow-free cut.
+        # The pipeline's threshold check computes λ_T once, capped at
+        # max(threshold, 3k): by flows, whose value decides the reduction's
+        # threshold; or, on normal-form input, which skips the reduction,
+        # by the flow-free cut.  The reduction's own terminal cut is its
+        # exit recount, an independent check of the reduced graph.
         import treepack.graphcore
-        import treepack.packing
         from treepack.generate import generate
         calls = []
 
         def counting(name):
-            original = getattr(treepack.graphcore, name)
+            for module in (treepack.graphcore, treepack.packing):
+                original = getattr(module, name)
 
-            def counted(*args):
-                calls.append(name)
-                return original(*args)
+                def counted(*args, _where=module.__name__.split(".")[1],
+                            _original=original):
+                    calls.append((_where, name, args[2:]))
+                    return _original(*args)
 
-            monkeypatch.setattr(treepack.graphcore, name, counted)
-            monkeypatch.setattr(treepack.packing, name, counted)
+                monkeypatch.setattr(module, name, counted)
 
         normal, reducible = generate("fkk", 11, 2, 1), generate("kriesell", 11, 1, 3)
-        counting("steiner_min_cut")
-        counting("_normal_form_cut")
+        for name in ("steiner_min_cut", "_terminal_cut", "_normal_form_cut"):
+            counting(name)
         result = pack_steiner_trees(normal.graph, normal.terminals, 2, threshold=6,
                                     brute_fallback=False)
         assert result.succeeded and len(result.trace) == 0
-        assert calls == ["_normal_form_cut"]
+        assert [call[:2] for call in calls] == [("packing", "_normal_form_cut")]
         calls.clear()
         result = pack_steiner_trees(reducible.graph, reducible.terminals, 1, threshold=3,
                                     brute_fallback=False)
         assert result.succeeded and len(result.trace) > 0
-        assert calls == ["steiner_min_cut"]
+        assert calls == [("packing", "_terminal_cut", (3,)),
+                         ("graphcore", "_terminal_cut", (3,))]
 
     def test_normal_form_is_tested_once(self, monkeypatch):
         # The pipeline tests the form at entry and builds the hypergraph
@@ -436,6 +439,70 @@ class TestPackSteinerTrees:
         assert result.succeeded
         assert len(result.trace) > 0
         assert verify_packing(g, terminals, result.packing).ok
+
+
+def _entry_cut_cases():
+    """(graph, terminals, k, threshold) on seeded kriesell draws, which
+    the pipelines reduce, and fkk draws, already in the normal form, at
+    thresholds below, at and above λ_T, with the cap max(threshold, 3k)
+    both above and below λ_T."""
+    from treepack.generate import generate_kriesell
+    cases = []
+    for seed in range(8):
+        inst = generate_kriesell(9 + seed % 4, 1, seed)
+        lam = steiner_connectivity(inst.graph, inst.terminals)
+        for k, threshold in ((1, 2), (2, lam - 1), (1, lam), (1, lam + 1), (2, 99)):
+            cases.append((inst.graph, inst.terminals, k, threshold))
+    for seed in range(3):
+        inst = generate("fkk", 9, 2, seed)
+        lam = steiner_connectivity(inst.graph, inst.terminals)
+        for k, threshold in ((1, 1), (2, lam), (1, lam + 1), (3, 99)):
+            cases.append((inst.graph, inst.terminals, k, threshold))
+    return cases
+
+
+class TestEntryCut:
+    def test_connectivity_is_lambda_up_to_the_cap(self):
+        # PackResult.connectivity is min(λ_T, max(threshold, 3k)) on every
+        # route, and a cut-too-small certificate carries the side and size
+        # of the exact steiner_min_cut.
+        from conftest import reference_steiner_min_cut
+        from treepack import steiner_min_cut
+        seen = {"capped": 0, "exact": 0, "cut-too-small": 0}
+        for g, terminals, k, threshold in _entry_cut_cases():
+            lam, _ = reference_steiner_min_cut(g, terminals)
+            cap = max(threshold, 3 * k)
+            for pack in (pack_steiner_trees, pack_connectors):
+                result = pack(g, terminals, k, threshold=threshold, brute_fallback=False)
+                assert result.connectivity == min(lam, cap), (threshold, k)
+                seen["capped" if lam >= cap else "exact"] += 1
+                if result.certificate and result.certificate.kind == "cut-too-small":
+                    cert = result.certificate
+                    assert (cert.cut_size, cert.cut_side) == steiner_min_cut(g, terminals)
+                    seen["cut-too-small"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_pipelines_run_no_uncapped_flow(self, monkeypatch):
+        # Every flow either terminal pipeline runs stops at a limit: the
+        # entry cut at max(threshold, 3k), the reduction's at its
+        # threshold.  Only the public cut functions run flows to the end.
+        import treepack.graphcore
+        cases = _entry_cut_cases()
+        uncapped = []
+        original = treepack.graphcore._max_flow
+
+        def capped_only(g, s, t, limit=None):
+            if limit is None:
+                uncapped.append((s, t))
+            return original(g, s, t, limit)
+
+        monkeypatch.setattr(treepack.graphcore, "_max_flow", capped_only)
+        for g, terminals, k, threshold in cases:
+            for pack in (pack_steiner_trees, pack_connectors):
+                pack(g, terminals, k, threshold=threshold, brute_fallback=False)
+        assert uncapped == []
+        treepack.graphcore.steiner_min_cut(g, terminals)
+        assert uncapped  # the spy sees the public, exact cut's flows
 
 
 class TestPackConnectors:
