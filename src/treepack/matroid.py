@@ -21,8 +21,9 @@ element ids, which starts empty and changes only in place, one cut or
 link per element that leaves or arrives (`_RootedForest.exchange`).  The
 graphic oracle's forest is the part's edges, and a circuit is the tree path
 between y's ends.  The hypergraphic oracle's is the part's representative
-forest, one pair per hyperedge; a circuit is what one failed exchange
-search displaces, and a chain updates the forest by dropping the
+forest, one pair per hyperedge; a circuit less y is the least tight set of
+the part that holds y's vertices, closed along forest paths with no
+exchange search, and a chain updates the forest by dropping the
 representatives of the elements that left and inserting the ones that
 arrived, as in the incremental matroid partition of Cunningham (1986) and
 Gabow-Westermann (1992).  The plain `Matroid` probes its predicate once
@@ -541,13 +542,13 @@ class HypergraphicMatroid(Matroid):
 
     def __init__(self, h: Hypergraph):
         self.hypergraph = h
-        self._pairs = {eid: list(itertools.combinations(sorted(vs), 2))
-                       for eid, vs in h.hyperedges.items()}
+        self._vertices = {eid: tuple(sorted(vs)) for eid, vs in h.hyperedges.items()}
+        self._pairs = {eid: list(itertools.combinations(vs, 2))
+                       for eid, vs in self._vertices.items()}
         super().__init__(h.hyperedges.keys(), self._indep_query, name="hypergraphic")
         self._rank_bound = len(h.vertices) - 1
 
-    def _augment(self, forest: _RootedForest, new_eid: int,
-                 displaced: set[int] | None = None) -> dict[int, Pair] | None:
+    def _augment(self, forest: _RootedForest, new_eid: int) -> dict[int, Pair] | None:
         """Insert one hyperedge into `forest` by a shortest exchange chain.
 
         Breadth-first over vertex pairs, starting from new_eid's: a claimed
@@ -556,10 +557,15 @@ class HypergraphicMatroid(Matroid):
         displaced hyperedge claims its other pairs not yet claimed.  The
         first claimed pair whose ends lie in different trees ends the
         search: the result maps each hyperedge on its chain (new_eid
-        included) to its new pair, for the caller to apply.  On failure the
-        result is None and `displaced` (when given) has gained every
-        hyperedge the search displaced.  `forest` is only read, so a failed
-        search leaves nothing to undo."""
+        included) to its new pair, for the caller to apply, or is None when
+        no chain exists.  new_eid's own pairs head the queue, so when one
+        of them already joins two trees the first such pair is the chain,
+        and it is returned before any search state is built.  `forest` is
+        only read, so a failed search leaves nothing to undo."""
+        tree = forest.tree
+        for a, b in self._pairs[new_eid]:
+            if a not in tree or b not in tree or tree[a] != tree[b]:
+                return {new_eid: (a, b)}
         ends = forest.ends
         path = forest.path
         pairs = self._pairs
@@ -581,8 +587,6 @@ class HypergraphicMatroid(Matroid):
                     cur = parent[cur]
                 return chain
             for needy in blockers:
-                if displaced is not None:
-                    displaced.add(needy)
                 for p2 in pairs[needy]:
                     if p2 == ends[needy] or p2 in claimant:
                         continue
@@ -633,37 +637,60 @@ class HypergraphicMatroid(Matroid):
 
     def _circuit(self, part: set[int], state: _RootedForest,
                  y: int) -> frozenset[int] | None:
-        """One failed search from the part's forest displaces exactly the
-        circuit C(part, y) less y.  Write D for its displaced set.
+        """The circuit C(part, y) less y, by the closure of tight sets
+        (Lorea 1975; Frank-Kiraly-Kriesell 2003).
 
-        C - y is inside D: when the search fails, every pair of y and of
-        each hyperedge in D has its ends joined by forest paths made of
-        representatives of D (they are what those paths displaced).  So
-        D + y lies inside the trees that D's |D| representatives form, more
-        hyperedges than the rank there, and y is spanned by D.
+        A set S of hyperedges is tight when |S| = |V(S)| - 1.  A subset of
+        the independent part is tight exactly when its representatives
+        form one tree on V(S), a subtree of the part's forest, so the
+        forest path between two vertices of V(S) is made of S.  C - y is
+        the least tight subset of the part whose vertices hold V(y): part
+        + y is dependent exactly when some X inside the part has
+        |X + y| > |V(X + y)| - 1, and as X is independent that makes X
+        tight with V(y) inside V(X); X + y then holds the unique circuit,
+        so C - y lies inside every such X, and is one itself.
 
-        D is inside C - y: take z in D and follow the parent links from the
-        pair that first displaced z back to a pair of y.  That is a chain
-        that alternately claims a pair and displaces the hyperedge whose
-        representative blocks it, one search level per step.  It has no
-        shortcut, since a pair whose path held the representative of a
-        later hyperedge on the chain would have displaced it at an earlier
-        level; and its last pair is its only one whose path held rep(z),
-        since an earlier one would have displaced z sooner.  So in the
-        forest of part - z, where the last pair joins two trees, the chain
-        is a shortest augmenting path, and applying it gives a
-        representative forest of part - z + y (the shortest-path lemma of
-        matroid intersection).
+        The closure starts at one vertex of y and joins each other vertex
+        of y to the subtree held so far by its forest path, up to the first
+        vertex already joined; then it does the same for each vertex of
+        every hyperedge whose representative it has taken in.  Every
+        tight set that holds V(y) holds each path taken, by induction; and
+        at the fixpoint the labels held form one tree on the joined
+        vertices, which are their vertex set, so they are tight.  They are
+        C - y.  The joined vertices are a subtree whose top, its vertex
+        nearest the root, is the only one a path from outside can enter
+        from above: a climb from a vertex below the top meets the subtree,
+        and one from elsewhere meets the top's climb at their common
+        ancestor, the new top.  So each vertex joins once, with one step up
+        the forest.
 
-        When y fits, the chain found is kept in the forest's `found` slot
-        for `_part_update`; collecting D does not steer the search, so it
-        is the chain a search without D finds."""
-        displaced: set[int] = set()
-        chain = self._augment(state, y, displaced)
-        if chain is not None:
-            state.found = (y, chain)
-            return None
-        return frozenset(displaced)
+        A vertex in another tree, or outside the forest, is in no tight
+        set with V(y), so y fits: only then does `_augment` run, and its
+        chain is kept in the forest's `found` slot for `_part_update`."""
+        tree, depth, up = state.tree, state.depth, state.up
+        vertices = self._vertices
+        first, *todo = vertices[y]
+        root = tree.get(first)
+        joined = {first}
+        top = first
+        held: set[int] = set()
+        while todo:
+            a = todo.pop()
+            if a in joined:
+                continue
+            if root is None or tree.get(a) != root:
+                state.found = (y, self._augment(state, y))
+                return None
+            while a not in joined:
+                if depth[a] >= depth[top]:
+                    joined.add(a)
+                    a, label = up[a]
+                else:
+                    top, label = up[top]
+                    joined.add(top)
+                held.add(label)
+                todo.extend(vertices[label])
+        return frozenset(held)
 
 
 def hypergraphic_independent(h: Hypergraph, subset: Iterable[int]

@@ -9,7 +9,8 @@ too: bridges by one search per edge, split trials by a fresh min_cut per
 tree edge, the terminal cut with every flow run in full, and the
 scalar-bound deletion guard that recounts λ_T whenever its bound has no
 slack.  So does the union engine's: the exchange search with no pruning,
-over part states rebuilt after every chain.  So does the leaf pruning
+over part states rebuilt after every chain, and the hypergraphic circuit
+as what one failed exchange search displaces.  So does the leaf pruning
 that rescans the whole edge set per leaf.  So does the kriesell model's
 draw that builds every graph and runs the flows before rejecting it.
 Tests compare the fast implementations against these.
@@ -466,6 +467,53 @@ def reference_pack(oracle, k: int, elements):
             reached |= parent.keys()
             reach += len(parent)
     return parts, unplaced, frozenset(reached), reach
+
+
+def reference_hypergraphic_circuit(oracle, forest, y: int):
+    """The hypergraphic circuit C(part, y) less y as the set one failed
+    exchange search displaces, or None when y fits the part, whose
+    representative forest is `forest`; then the chain found is kept in
+    `forest.found`, as `HypergraphicMatroid._circuit` keeps it.
+
+    Breadth-first over vertex pairs from y's: a claimed pair whose ends
+    the forest joins displaces the hyperedges whose representatives lie on
+    that path, and each displaced hyperedge claims its other pairs not yet
+    claimed.  The first claimed pair whose ends lie in different trees ends
+    the search with a chain.  When none does, the displaced set is C - y:
+    every pair of y and of each displaced hyperedge is joined by paths of
+    displaced representatives, so y is spanned by them; and a displaced z
+    heads a shortest augmenting chain in the forest of part - z, so part -
+    z + y is independent."""
+    ends = forest.ends
+    pairs = oracle._pairs
+    claimant = {}
+    parent = {}
+    queue = deque()
+    displaced = set()
+    for p in pairs[y]:
+        claimant[p] = y
+        parent[p] = None
+        queue.append(p)
+    while queue:
+        p = queue.popleft()
+        blockers = forest.path(*p)
+        if blockers is None:
+            chain = {}
+            cur = p
+            while cur is not None:
+                chain[claimant[cur]] = cur
+                cur = parent[cur]
+            forest.found = (y, chain)
+            return None
+        for needy in blockers:
+            displaced.add(needy)
+            for p2 in pairs[needy]:
+                if p2 == ends[needy] or p2 in claimant:
+                    continue
+                claimant[p2] = needy
+                parent[p2] = p
+                queue.append(p2)
+    return frozenset(displaced)
 
 
 def reference_prune_to_terminal_tree(g: Multigraph, terminals, edge_ids) -> frozenset[int]:

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from treepack import (
 )
 from treepack import InternalInvariantError, Matroid, build_steiner_hypergraph
 import treepack.matroid
+import treepack.packing
 from treepack.generate import generate
 from treepack.matroid import (
     GraphicMatroid,
@@ -41,9 +43,12 @@ from conftest import (
     forest_path,
     random_hypergraph,
     random_multigraph,
+    reference_hypergraphic_circuit,
     reference_pack,
     triangle,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def bell(n: int) -> int:
@@ -637,8 +642,9 @@ class TestUnionEngine:
 
     def test_hypergraphic_rank_stops_at_a_full_part(self, monkeypatch):
         # Rank is a one-part packing, so it stops once the part holds
-        # |V| - 1 hyperedges: 19, 29 and 9 exchange searches here, where
-        # one search per hyperedge makes 33, 79 and 35.
+        # |V| - 1 hyperedges, and a refused hyperedge costs no exchange
+        # search: 10, 23 and 8 searches here, one per placement, where one
+        # search per hyperedge makes 33, 79 and 35.
         calls = 0
         augment = HypergraphicMatroid._augment
 
@@ -648,7 +654,7 @@ class TestUnionEngine:
             return augment(self, *args, **kwargs)
 
         monkeypatch.setattr(HypergraphicMatroid, "_augment", counted)
-        for (n, k), searches in {(11, 2): 19, (24, 2): 29, (9, 3): 9}.items():
+        for (n, k), searches in {(11, 2): 10, (24, 2): 23, (9, 3): 8}.items():
             oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
             calls = 0
             rank = oracle.rank()
@@ -700,31 +706,39 @@ class TestUnionEngine:
     def test_non_forest_exchange_is_reported(self):
         # An exchange search that "succeeds" where none fits hands back a
         # chain whose pair closes a cycle; the forest built from it must
-        # be refused, both in `witness` and in a chain update.
+        # be refused, both in `witness` and in a chain update.  A refused
+        # circuit query runs no search, so in the packing the circuit
+        # query lies too: it claims every element fits, and the chain
+        # update's own search hands back the cycle.
         class Cyclic(HypergraphicMatroid):
-            def _augment(self, forest, new_eid, displaced=None):
-                chain = super()._augment(forest, new_eid, displaced)
+            def _augment(self, forest, new_eid):
+                chain = super()._augment(forest, new_eid)
                 return {new_eid: self._pairs[new_eid][0]} if chain is None else chain
+
+        class CyclicFit(Cyclic):
+            def _circuit(self, part, state, y):
+                return None
 
         # A fourth vertex keeps the part from filling before the third pair.
         triangle_pairs = Hypergraph(range(4), {0: (0, 1), 1: (1, 2), 2: (0, 2)})
-        oracle = Cyclic(triangle_pairs)
         with pytest.raises(InternalInvariantError, match="produced a non-forest"):
-            oracle.witness([0, 1, 2])
+            Cyclic(triangle_pairs).witness([0, 1, 2])
         with pytest.raises(InternalInvariantError, match="produced a non-forest"):
-            pack_elements(oracle, 1, [0, 1, 2])
+            pack_elements(CyclicFit(triangle_pairs), 1, [0, 1, 2])
 
     def test_work_stays_incremental(self, monkeypatch):
         # Seeding the k empty parts is the only build from nothing: one
         # forest per part, which chains then update in place.  No witness
-        # replay runs, and each circuit costs one exchange search: no
-        # confirming searches, no per-chain rebuilds and no rank pass.  A
-        # placement applies the chain its circuit search found, and full
-        # parts are asked only when no other part takes the element.  At
-        # n=24 the packing makes 130 searches; searching again for each
-        # found chain and asking full parts in index order made 183, and a
-        # rank pass would add 79.  At n=9, k=3 those made 72 searches, 48
-        # of them for circuits.
+        # replay runs, and a refused circuit query costs no exchange
+        # search: no confirming searches, no per-chain rebuilds and no rank
+        # pass.  A placement applies the chain its circuit query found,
+        # and full parts are asked only when no other part takes the
+        # element.  Searches and circuit queries: (20, 55) at n=11,
+        # (47, 135) at n=24, one search again for a chain that also took
+        # an element out of its part, and (24, 25) at n=9, k=3.  A failed
+        # search per refusal made 55, 136 and 25 searches; searching again
+        # for each found chain and asking full parts in index order made
+        # 183 at n=24, and a rank pass would add 79.
         calls = {"witness": 0, "_part_state": 0, "_augment": 0, "_circuit": 0, "__init__": 0}
         for owner, name in ((HypergraphicMatroid, "witness"),
                             (HypergraphicMatroid, "_part_state"),
@@ -738,16 +752,13 @@ class TestUnionEngine:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
-        for n, k in ((11, 2), (24, 2), (9, 3)):
+        for (n, k), work in {(11, 2): (20, 55), (24, 2): (47, 135), (9, 3): (24, 25)}.items():
             calls.update(witness=0, _part_state=0, _augment=0, _circuit=0, __init__=0)
             oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
             result = pack_bases(oracle, k)
             assert calls["_part_state"] == k and calls["witness"] == 0
             assert calls["__init__"] == k
-            if n == 24:
-                assert calls["_augment"] < 140
-            if n == 9:
-                assert (calls["_augment"], calls["_circuit"]) == (25, 25)
+            assert (calls["_augment"], calls["_circuit"]) == work
             assert result.size == k * len(oracle.greedy_basis())
         # The spanning-nwt benchmark shape: chains update a part's forest
         # 47 times, and none rebuilds it.
@@ -755,6 +766,184 @@ class TestUnionEngine:
         nwt = generate("nwt", 24, 2, 1).graph
         assert pack_bases(graphic_matroid(nwt.vertices, nwt.edges), 2).size == 2 * 23
         assert calls["__init__"] == 2
+
+
+def several_trees_hypergraph(seed: int) -> tuple[Hypergraph, list[int]]:
+    """A hypergraph and the hyperedges of a part whose forest has several
+    trees and isolated vertices.  Each vertex gets one of four blocks, and
+    the part's hyperedges lie inside blocks 1 to 3, as many in each as it
+    has vertices and up to two more; block 0's vertices meet none of them.
+    The other hyperedges meet any vertices."""
+    rng = SplitMix64(seed)
+    n = 4 + rng.below(9)
+    home = [rng.below(4) for _ in range(n)]
+    h = Hypergraph(range(n))
+    for b in (1, 2, 3):
+        block = [v for v in range(n) if home[v] == b]
+        for _ in range(len(block) + rng.below(3) if len(block) > 1 else 0):
+            h.add_hyperedge(len(h.hyperedges),
+                            rng.sample(block, min(len(block), 2 + rng.below(2))))
+    inner = list(h.hyperedges)
+    for _ in range(3 + rng.below(8)):
+        h.add_hyperedge(len(h.hyperedges), rng.sample(range(n), 2 + rng.below(2)))
+    return h, inner
+
+
+def parallel_hypergraph(seed: int) -> Hypergraph:
+    """Hyperedges of 2 vertices, with 3-vertex ones among them, each drawn
+    again as a parallel copy with probability 1/3."""
+    rng = SplitMix64(seed)
+    n = 3 + rng.below(6)
+    h = Hypergraph(range(n))
+    drawn: list[list[int]] = []
+    for eid in range(2 + rng.below(12)):
+        if drawn and not rng.below(3):
+            members = drawn[rng.below(len(drawn))]
+        else:
+            members = rng.sample(range(n), 2 if rng.below(4) else 3)
+        drawn.append(members)
+        h.add_hyperedge(eid, members)
+    return h
+
+
+def closure_inputs(seed: int):
+    """(oracle, part) pairs of every small kind from the seed: the
+    hypergraphic engine oracle, shared pairs, several trees and parallel
+    hyperedges, each part a greedy basis of a random pool (for several
+    trees, of the hyperedges inside blocks)."""
+    rng = SplitMix64(seed)
+    h, inner = several_trees_hypergraph(seed)
+    pools = ((engine_oracles(seed)[1], None),
+             (HypergraphicMatroid(shared_pair_hypergraph(seed)), None),
+             (HypergraphicMatroid(h), inner),
+             (HypergraphicMatroid(parallel_hypergraph(seed)), None))
+    for oracle, pool in pools:
+        pool = [e for e in oracle.ground if rng.below(3)] if pool is None else pool
+        yield oracle, set(oracle.greedy_basis(pool))
+
+
+def assert_closure_matches_references(oracle: HypergraphicMatroid, part, state=None,
+                                      probe: bool = True) -> tuple[int, int]:
+    """For every hyperedge y outside `part`, the tight-set closure's answer
+    equals the set one failed exchange search displaces
+    (`reference_hypergraphic_circuit`, on the same forest) and, with
+    `probe`, the probing reference's, None included; when y fits, the
+    chain the closure keeps is the one that search finds.  `state` is the
+    part's forest, grown by `_part_state` when not given.  Returns how many
+    circuits and how many fits were compared."""
+    forest = oracle._part_state(part) if state is None else state
+    prober = reference(oracle)
+    circuits = fits = 0
+    for y in oracle.ground:
+        if y in part:
+            continue
+        circuit = oracle._circuit(part, forest, y)
+        found = forest.found
+        assert reference_hypergraphic_circuit(oracle, forest, y) == circuit
+        if probe:
+            assert prober._circuit(part, part, y) == circuit
+        if circuit is None:
+            assert found == forest.found
+        circuits += circuit is not None
+        fits += circuit is None
+    return circuits, fits
+
+
+def augment_results(monkeypatch) -> list:
+    """The result of every hypergraphic `_augment` call made inside
+    `pack_bases`, from here on."""
+    results = []
+    inside = [False]
+    augment, pack = HypergraphicMatroid._augment, treepack.matroid.pack_bases
+
+    def spied_augment(self, *args, **kwargs):
+        chain = augment(self, *args, **kwargs)
+        if inside[0]:
+            results.append(chain)
+        return chain
+
+    def spied_pack(oracle, k):
+        inside[0] = True
+        try:
+            return pack(oracle, k)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(HypergraphicMatroid, "_augment", spied_augment)
+    monkeypatch.setattr(treepack.matroid, "pack_bases", spied_pack)
+    monkeypatch.setattr(treepack.packing, "pack_bases", spied_pack)
+    return results
+
+
+class TestTightSetClosure:
+    """A hypergraphic circuit is closed along forest paths from y's
+    vertices; it must equal the set a failed exchange search displaces and
+    the probing reference's circuit, and a fit must keep the chain that
+    search finds."""
+
+    def test_matches_references_on_small_kinds(self):
+        # Every kind gives circuits and fits: parts from random pools of
+        # the engine oracles and of shared pairs, forests of several trees
+        # with isolated vertices, and 2-vertex and parallel hyperedges.
+        # 84 of the forests of the third kind have two trees or more and
+        # an isolated vertex.
+        counts = [[0, 0] for _ in range(4)]
+        shapes = 0
+        for seed in range(150):
+            for kind, (oracle, part) in enumerate(closure_inputs(seed)):
+                forest = oracle._part_state(part)
+                circuits, fits = assert_closure_matches_references(oracle, part, forest)
+                counts[kind][0] += circuits
+                counts[kind][1] += fits
+                if kind == 2:
+                    roots = {forest.tree[v] for ends in forest.ends.values() for v in ends}
+                    isolated = oracle.hypergraph.vertices - set(forest.tree)
+                    shapes += len(roots) >= 2 and bool(isolated)
+        assert all(circuits > 200 and fits > 50 for circuits, fits in counts)
+        assert shapes > 50
+
+    def test_matches_references_on_reduced_fkk_parts(self):
+        # Every part of each packing, with the forest `pack_bases` hands
+        # back; the probing reference runs up to n=24, where it takes a
+        # second; at n=48 it takes 13.
+        for n in (11, 24, 48, 96):
+            for k in (2, 3):
+                oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
+                result = pack_bases(oracle, k)
+                assert result.size == k * (n - 1)
+                for part, state in zip(result.parts, result.states):
+                    circuits, _ = assert_closure_matches_references(
+                        oracle, part, state, probe=n <= 24)
+                    assert circuits > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_found_chain_is_a_fresh_search_property(self, seed):
+        # For each y that fits, the chain kept in `found` is the one a new
+        # search finds from a forest grown afresh for the part.
+        for oracle, part in closure_inputs(seed):
+            forest = oracle._part_state(part)
+            for y in sorted(set(oracle.ground) - part):
+                if oracle._circuit(part, forest, y) is None:
+                    assert forest.found == (y, oracle._augment(oracle._part_state(part), y))
+            assert_closure_matches_references(oracle, part, forest)
+
+    def test_every_search_in_a_packing_finds_a_chain(self, monkeypatch):
+        # A refused circuit query runs no exchange search, so every search
+        # `pack_bases` runs places a hyperedge: on reduced fkk, and on the
+        # connector-kriesell benchmark pool at seed 1, where each instance
+        # refuses 15.5 circuit queries on average.
+        results = augment_results(monkeypatch)
+        for n, k in ((24, 2), (9, 3)):
+            oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
+            assert treepack.matroid.pack_bases(oracle, k).size == k * (n - 1)
+        assert None not in results and len(results) == 47 + 24
+        results.clear()
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+        for inst in workloads.build_pool("connector-kriesell", 1):
+            assert workloads.solve(inst).outcome == "packed"
+        assert None not in results and len(results) == 751
 
 
 def stop_oracles(seed: int):
