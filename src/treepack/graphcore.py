@@ -27,18 +27,19 @@ of the hypergraph the non-terminals make on the terminals.  The
 splitting-off routines implement the classical degree-lowering operation
 (replace edges uv, uv' at u by a single edge vv') together with a
 verified search for a pair at a vertex, whose preconditions (a connected
-graph, no cut-edge at the vertex) take one search of G - u
-(`_split_candidates`), and a reducer that drives all
-non-terminals toward the bipartite degree-3 normal form used by the
-hypergraph packing pipeline, by one splitting-off rule at every
+graph, no cut-edge at the vertex) take one search of G - u, kept up to
+date through every split of a drain at u (`_Drain`), and a reducer that
+drives all non-terminals toward the bipartite degree-3 normal form used
+by the hypergraph packing pipeline, by one splitting-off rule at every
 non-terminal.  A pair search splits each candidate off, repairs a list
 of flows through it (at most two units each), and undoes the split when
 one does not repair.  The public `mader_split` checks against the flows
 of one Gusfield equivalent-flow tree, which keeps every pairwise cut;
 the reducer checks its edits against one flow per terminal pair that
 makes up the terminal connectivity, each of value exactly the threshold,
-built once and repaired through every deletion and split, so it keeps
-just the terminal connectivity at or above the threshold.
+built once and repaired through every split and once through each pass
+of deletions, so it keeps just the terminal connectivity at or above the
+threshold.
 
 The reducer logs three kinds of step: a split (which, at a degree-2 vertex,
 also removes that vertex), an edge deletion, and an isolated-vertex removal.
@@ -430,18 +431,16 @@ def _reroute(g: Multigraph, flow: list[int],
     The flow's units on the removed edges are dropped, which leaves each
     vertex that sent one a unit to send and each that received one a unit
     to receive; routing that imbalance through g's residual network gives
-    a flow of g of the same value.  Returns it (the flow itself when it
-    left every removed edge idle, else a copy), or None when the imbalance
-    does not all route.  By the transshipment argument of `_split_trial`,
-    it all routes exactly when g still has a flow of that value.
+    a flow of g of the same value.  Returns it, a copy, or None when the
+    imbalance does not all route.  By the transshipment argument of
+    `_split_trial`, it all routes exactly when g still has a flow of that
+    value.
     """
     balance: dict[int, int] = {}
     for eid, (a, b) in dropped:
         if eid < len(flow) and flow[eid]:
             balance[a] = balance.get(a, 0) + flow[eid]
             balance[b] = balance.get(b, 0) - flow[eid]
-    if not balance:
-        return flow
     flow = flow + [0] * (g.next_edge_id - len(flow))
     for eid, _ in dropped:
         flow[eid] = 0
@@ -457,12 +456,15 @@ def _repair(g: Multigraph, flows: list[list[int]],
             dropped: tuple[tuple[int, tuple[int, int]], ...]) -> list[list[int]] | None:
     """Every flow of `flows` repaired into g through an edit that removed
     `dropped` (see `_reroute`), or None as soon as one does not repair.
-    The given flows are left as they were."""
+    A flow with no unit on the removed edges is still a flow of g and is
+    kept as it is, with no `_reroute`; the others are repaired into
+    copies, so the given flows are left as they were."""
     repaired = []
     for flow in flows:
-        flow = _reroute(g, flow, dropped)
-        if flow is None:
-            return None
+        if any(eid < len(flow) and flow[eid] for eid, _ in dropped):
+            flow = _reroute(g, flow, dropped)
+            if flow is None:
+                return None
         repaired.append(flow)
     return repaired
 
@@ -695,51 +697,96 @@ def _split_trial(g: Multigraph, flows: list[list[int]], u: int, e1: int, e2: int
     return step, repaired
 
 
+class _Drain:
+    """The split preconditions at u in g, from one search of G - u, kept
+    up to date through the splits made at u by `split`.
+
+    The search starts from each neighbour of u that no earlier start
+    reached: it labels every vertex it reaches with the neighbour that
+    found it, one label per component, and counts u's non-loop edges into
+    each component (`joins`).  Every vertex of u's component other than u
+    lies in one of them, so a vertex left unlabelled means g is
+    disconnected; and an edge uv is a cut-edge exactly when it is u's only
+    edge into v's component.  Loops affect neither.
+
+    A split at u only adds the child edge v1 v2 to G - u, so the
+    components of G - u can only merge: the split joins the components of
+    v1 and v2 (a label then names the label it was merged into, and
+    `_root` follows those names), and each loses one of u's edges.  A
+    component left with none has no path back to u, so g is disconnected.
+    """
+
+    __slots__ = ("g", "u", "edges", "_label", "_joins", "_apart")
+
+    def __init__(self, g: Multigraph, u: int):
+        arcs = g._incidence
+        label = {u: u}
+        joins: dict[int, int] = {}
+        for _, v, _ in arcs[u]:
+            if v == u:
+                continue
+            if v not in label:
+                label[v] = v
+                queue = [v]
+                for x in queue:
+                    for _, y, _ in arcs[x]:
+                        if y not in label:
+                            label[y] = v
+                            queue.append(y)
+            joins[label[v]] = joins.get(label[v], 0) + 1
+        self.g, self.u = g, u
+        self.edges = [eid for eid in g.incident_edges(u) if not g.is_loop(eid)]
+        self._label, self._joins = label, joins
+        self._apart = len(label) < len(arcs)
+
+    def check(self) -> list[int]:
+        """The non-loop edges at u once the preconditions of a split hold
+        there, other than the degree; the first that fails raises."""
+        if len(self.edges) < 2:
+            raise PreconditionViolationError("need at least two non-loop edges at the vertex")
+        if self._apart or 0 in self._joins.values():
+            raise PreconditionViolationError("graph must be connected")
+        if 1 in self._joins.values():
+            raise PreconditionViolationError(f"vertex {self.u} is incident with a cut-edge")
+        return self.edges
+
+    def split(self, flows: list[list[int]]) -> tuple[SplitStep, list[list[int]]]:
+        """`_mader_split_inplace` at u once the preconditions hold, with
+        the state updated through the split it makes."""
+        step, flows = _mader_split_inplace(self.g, self.u, self.check(), flows)
+        self.edges = [eid for eid in self.edges if eid not in (step.e1, step.e2)]
+        a, b = (self._root(v) for v in step.child_ends)
+        self._joins[a] -= 1
+        self._joins[b] -= 1
+        if a != b:
+            self._joins[a] += self._joins.pop(b)
+            self._label[b] = a
+        return step, flows
+
+    def _root(self, v: int) -> int:
+        label = self._label
+        v = label[v]
+        while label[v] != v:
+            v = label[v]
+        return v
+
+
 def _split_candidates(g: Multigraph, u: int) -> list[int]:
     """The non-loop edges at u, once mader_split's preconditions hold; the
-    first that fails raises.  Loops affect none but the degree check.
-
-    Connectivity and the cut-edges at u take one search of G - u, started
-    from each neighbour of u that no earlier start reached: it labels every
-    vertex it reaches with the neighbour that found it, one label per
-    component, and counts u's non-loop edges into each component.  Every
-    vertex of u's component other than u lies in one of them, so a vertex
-    left unlabelled means g is disconnected; and an edge uv is a cut-edge
-    exactly when it is u's only edge into v's component.
-    """
+    first that fails raises.  Loops affect none but the degree check, and
+    one search of G - u answers the others (see `_Drain`)."""
     if not g.has_vertex(u):
         raise InvalidArgumentError(f"no vertex {u}")
     if g.degree(u) == 3:
         raise PreconditionViolationError("cannot split at a degree-3 vertex")
-    candidates = [eid for eid in g.incident_edges(u) if not g.is_loop(eid)]
-    if len(candidates) < 2:
-        raise PreconditionViolationError("need at least two non-loop edges at the vertex")
-    arcs = g._incidence
-    label = {u: u}
-    joins: dict[int, int] = {}
-    for _, v, _ in arcs[u]:
-        if v == u:
-            continue
-        if v not in label:
-            label[v] = v
-            queue = [v]
-            for x in queue:
-                for _, y, _ in arcs[x]:
-                    if y not in label:
-                        label[y] = v
-                        queue.append(y)
-        joins[label[v]] = joins.get(label[v], 0) + 1
-    if len(label) < len(arcs):
-        raise PreconditionViolationError("graph must be connected")
-    if 1 in joins.values():
-        raise PreconditionViolationError(f"vertex {u} is incident with a cut-edge")
-    return candidates
+    return _Drain(g, u).check()
 
 
 def _mader_split_inplace(g: Multigraph, u: int, candidates: list[int],
                          flows: list[list[int]]) -> tuple[SplitStep, list[list[int]]]:
     """Mutating mader_split: split off in g the first pair of `candidates`
-    (what `_split_candidates` returned for u in g), in ascending edge-id
+    (u's non-loop edges in g, once the split preconditions hold there:
+    what `_split_candidates` or `_Drain.check` returns), in ascending edge-id
     order, that keeps every flow of `flows` (none of which starts or ends
     at u), and return the step and the flows repaired into the split
     graph, for the next call.
@@ -785,18 +832,19 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
 
 
 def _reduce_vertex(g: Multigraph, u: int, steps: list[TraceStep],
-                   flows: list[list[int]], candidates: list[int] | None = None) -> None:
+                   flows: list[list[int]], drain: _Drain | None = None) -> None:
     """Mutating: split off at the non-terminal u toward its normal-form
     degree, appending each step to `steps` and replacing the contents of
-    `flows` by the flows repaired through it.  `candidates`, when given, is
-    what `_split_candidates` already returned for u in g, and serves the
-    first pair search in place of a second check.
+    `flows` by the flows repaired through it.  `drain`, when given, is a
+    `_Drain` of u in g whose preconditions were already checked.
 
     At even degree u's loops are deleted first (they never affect a cut
     or carry flow, and a split at u joins two other ends, so it never
     makes one).  Pairs are then split off while deg(u) > 3, each keeping
     every flow (`_mader_split_inplace`), so an odd u ends at degree 3 or
-    1 and an even one at 2 or 0.  At 2 the last two edges are split and
+    1 and an even one at 2 or 0.  The preconditions of every such split
+    come from one search of G - u, kept up to date through the splits
+    (`_Drain`).  At 2 the last two edges are split and
     logged as a suppression (a split step that also removes u): any path
     through u uses both and reroutes over the child edge, so no pair
     search is needed.  At 0, u is removed.  A split precondition (a
@@ -808,10 +856,9 @@ def _reduce_vertex(g: Multigraph, u: int, steps: list[TraceStep],
             steps.append(DeleteEdgeStep(edge=eid, ends=g.endpoints(eid)))
             g.delete_edge(eid)
     while g.degree(u) > 3:
-        step, flows[:] = _mader_split_inplace(
-            g, u, candidates or _split_candidates(g, u), flows)
+        drain = drain or _Drain(g, u)
+        step, flows[:] = drain.split(flows)
         steps.append(step)
-        candidates = None
     if g.degree(u) == 2:
         found = _split_trial(g, flows, u, *g.incident_edges(u))
         if found is None:
@@ -835,8 +882,8 @@ def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigra
     are built only when a pair search will run, at four or more non-loop
     edges, and only once the split preconditions hold in g: loops affect
     neither its connectivity nor its cut-edges, so the check can precede
-    their deletion, and it serves the first split, which is not checked
-    again.
+    their deletion, and its one search of G - u serves every split of the
+    drain (`_Drain`).
     """
     tset = frozenset(terminals)
     if u in tset:
@@ -845,14 +892,15 @@ def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigra
         raise InvalidArgumentError(f"no vertex {u}")
     if g.degree(u) % 2 != 0:
         raise PreconditionViolationError(f"vertex {u} has odd degree")
-    flows: list[list[int]] = []
-    candidates = None
-    if sum(not g.is_loop(eid) for eid in g.incident_edges(u)) > 2:
-        candidates = _split_candidates(g, u)
-        flows = _all_pairs_flows(g, u)
     out = g.copy()
+    flows: list[list[int]] = []
+    drain = None
+    if sum(not g.is_loop(eid) for eid in g.incident_edges(u)) > 2:
+        drain = _Drain(out, u)
+        drain.check()
+        flows = _all_pairs_flows(g, u)
     steps: list[TraceStep] = []
-    _reduce_vertex(out, u, steps, flows, candidates)
+    _reduce_vertex(out, u, steps, flows, drain)
     return out, steps
 
 
@@ -886,10 +934,113 @@ def _normal_form_violation(g: Multigraph, tset: frozenset[int]
     return None
 
 
-def _has_twin(g: Multigraph, eid: int) -> bool:
-    """Does another edge join the two ends of `eid`?"""
+def _deletable(g: Multigraph, tset: frozenset[int], eid: int) -> bool:
+    """Is `eid` a loop, an edge between two non-terminals, or an edge from
+    a terminal to a non-terminal hub that is pendant or has another edge
+    to the same terminal?  The twin is looked for at the hub, whose
+    incidence is the short one."""
     a, b = g.endpoints(eid)
-    return any(other != eid and w == b for other, w, _ in g._incidence[a])
+    if a == b:
+        return True  # loops never sit in a cut and never help a packing
+    if a not in tset and b not in tset:
+        return True
+    if a in tset and b in tset:
+        return False
+    hub, end = (a, b) if b in tset else (b, a)
+    arcs = g._incidence[hub]
+    # a pendant non-terminal can never carry part of a packing: a tree
+    # would prune it as a leaf and a connector cannot give it odd degree,
+    # so its edge is dead weight
+    return len(arcs) == 1 or any(other != eid and w == end for other, w, _ in arcs)
+
+
+def _deletions(g: Multigraph, tset: frozenset[int], flows: list[list[int]],
+               check_each: bool) -> tuple[list[TraceStep], list[list[int]]]:
+    """Mutating: one pass of deletions over g, in ascending edge id, each
+    candidate judged on g as the pass has left it (`_deletable`); returns
+    the steps and the flows.  Only loops and edges with a non-terminal end
+    are scanned, since an edge between two terminals is never a candidate.
+
+    A deleted edge's non-terminal ends left isolated are removed with it.
+    With `check_each`, each deletion other than a loop's is then checked
+    and undone when refused: it must leave its two ends joined, else a
+    stranded component would stop every later split, and every flow must
+    repair through it (see `_split_trial`); the repaired flows replace the
+    old.  The check judges the composite move, else pruning a pendant
+    non-terminal would read as a disconnect.  Without it the pass keeps
+    every deletion and leaves `flows` as they were, for one check of the
+    whole pass (`_deletion_pass`).
+    """
+    steps: list[TraceStep] = []
+    scan = sorted(eid for eid, (a, b) in g.edges.items()
+                  if a == b or a not in tset or b not in tset)
+    for eid in scan:
+        if not g.has_edge(eid) or not _deletable(g, tset, eid):
+            continue
+        a, b = ends = g.endpoints(eid)
+        edit: list[TraceStep] = [DeleteEdgeStep(edge=eid, ends=ends)]
+        edit[0].apply(g)
+        for v in sorted(set(ends) - tset):
+            if not g._incidence[v]:
+                edit.append(RemoveIsolatedStep(vertex=v))
+                edit[-1].apply(g)
+        if check_each and a != b:
+            joined = (not g.has_vertex(a) or not g.has_vertex(b)
+                      or b in g._component_of(a, goal=b))
+            repaired = _repair(g, flows, ((eid, ends),)) if joined else None
+            if repaired is None:
+                for step in reversed(edit):
+                    step.undo(g)
+                continue
+            flows = repaired
+        steps += edit
+    return steps, flows
+
+
+def _pass_repair(g: Multigraph, flows: list[list[int]],
+                 dropped: tuple[tuple[int, tuple[int, int]], ...]) -> list[list[int]] | None:
+    """The flows repaired into g through a deletion pass that removed the
+    non-loop edges `dropped` and no vertex, when each deletion of the
+    pass, checked on its own, would have been kept; else None.
+
+    One search from an end of the first edge must reach both ends of
+    every edge, and every flow must repair through all of them at once.
+    With the vertex set fixed, each graph the pass went through holds the
+    final one, and an edge only joins more vertices and raises a λ(t0, t);
+    so when the final graph passes both, every deletion's own check would
+    have passed too.  None says only that some deletion would have been
+    refused, not which.
+    """
+    reached = g._component_of(dropped[0][1][0])
+    if not all(a in reached and b in reached for _, (a, b) in dropped):
+        return None
+    return _repair(g, flows, dropped)
+
+
+def _deletion_pass(g: Multigraph, tset: frozenset[int], flows: list[list[int]],
+                   threshold: int) -> tuple[list[TraceStep], list[list[int]]]:
+    """Mutating: one pass of guarded deletions over g (`_deletions`);
+    returns its steps and the flows repaired through them.
+
+    The pass runs unchecked and is then checked once (`_pass_repair`).
+    Loops need no check (they never lie in a cut), nor does anything at a
+    threshold of 0 or less.  A pass that removed a vertex may have
+    stranded a component part-way through and pruned it later, so it is
+    not checked whole.  A pass that is not kept is undone and run again
+    with each deletion checked on its own.  Either way the pass keeps
+    exactly the deletions that checking each on its own keeps.
+    """
+    steps, _ = _deletions(g, tset, flows, check_each=False)
+    dropped = tuple((step.edge, step.ends) for step in steps
+                    if isinstance(step, DeleteEdgeStep) and step.ends[0] != step.ends[1])
+    if threshold <= 0 or not dropped:
+        return steps, flows
+    pruned = any(isinstance(step, RemoveIsolatedStep) for step in steps)
+    if not pruned and (repaired := _pass_repair(g, flows, dropped)) is not None:
+        return steps, repaired
+    for step in reversed(steps):
+        step.undo(g)
+    return _deletions(g, tset, flows, check_each=True)
 
 
 def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
@@ -898,13 +1049,14 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
     `threshold`.
 
     The components without terminals are deleted first.  Then a fixpoint
-    loop: loops, edges between two non-terminals and parallel edges at a
-    non-terminal are deleted whenever the deleted graph stays connected
-    with terminal connectivity at or above the threshold; then one rule
-    splits off at every non-terminal (`_reduce_vertex`): an even one is
-    split to isolation and removed, an odd one above 3 split down to 3.
-    Every change is logged so the caller can replay or invert the whole
-    reduction.
+    loop: a pass of deletions in ascending edge id (`_deletion_pass`),
+    where loops, edges between two non-terminals and parallel edges at a
+    non-terminal are deleted whenever the deleted graph keeps the edge's
+    ends joined and the terminal connectivity at or above the threshold;
+    then one rule splits off at every non-terminal (`_reduce_vertex`): an
+    even one is split to isolation and removed, an odd one above 3 split
+    down to 3.  Every change is logged so the caller can replay or invert
+    the whole reduction.
 
     Every edit is checked against one set of flows, built once after the
     terminal-free components go: for each terminal t other than
@@ -912,22 +1064,21 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
     threshold is at most 0).  λ_T is the minimum of the λ(t0, t), so a
     flow short of the cap has value λ_T, and the input is refused; else
     an edit keeps λ_T >= threshold exactly when each flow repairs
-    through the edges it removes (see `_split_trial`).  A deletion other
-    than a loop's, each split trial and each suppression repair them, and
-    the edit is kept exactly when all of them repair; the repaired flows
-    then replace the old, while a refused deletion leaves the old flows
-    with the old graph.  A split thus takes the first candidate pair that
-    keeps λ_T at or above the threshold, and some pair always does: at a
-    vertex of degree other than 3 with no incident cut-edge, one keeps
-    every λ among the other vertices (Mader 1978).  When a split
-    precondition stops the rule at a vertex, the steps it made there stay,
-    each already checked, and a later pass may go on.
-    With a positive threshold a deletion must also leave the graph
-    connected, since a stranded component would stop every later split.
-    The graph was connected (the terminal-free components are gone, and
-    λ_T > 0 keeps the terminals together), so one search from one end of
-    the deleted edge that stops at the other decides it; a pendant
-    non-terminal end goes with its edge and leaves the rest connected.
+    through the edges it removes (see `_split_trial`).  Each split trial
+    and each suppression repair them, and the split is kept exactly when
+    all of them repair; the repaired flows then replace the old.  A split
+    thus takes the first candidate pair that keeps λ_T at or above the
+    threshold, and some pair always does: at a vertex of degree other
+    than 3 with no incident cut-edge, one keeps every λ among the other
+    vertices (Mader 1978).  When a split precondition stops the rule at a
+    vertex, the steps it made there stay, each already checked, and a
+    later pass may go on.  A pass of deletions repairs them once, through
+    every edge it deleted, and is redone one deletion at a time, each
+    with its own search and repair, only when that check refuses it or it
+    removed a vertex; either way it keeps the deletions that checking
+    each on its own keeps.  The ends of a deleted edge must stay joined at
+    a positive threshold, since a stranded component would stop every
+    later split; a pendant non-terminal end goes with its edge.
 
     A non-empty trace is checked at the end by recounting the terminal
     connectivity of the reduced graph from nothing, independently of the
@@ -967,52 +1118,11 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
             f"terminal connectivity {lowest} is below the threshold {threshold}")
     flows = [flow for _, flow, _ in capped]
 
-    def deletion_candidate(eid: int) -> bool:
-        a, b = work.endpoints(eid)
-        if a == b:
-            return True  # loops never sit in a cut and never help a packing
-        if a not in tset and b not in tset:
-            return True
-        if a in tset and b in tset:
-            return False
-        hub = a if a not in tset else b
-        if work.degree(hub) == 1:
-            # a pendant non-terminal can never carry part of a packing:
-            # a tree would prune it as a leaf and a connector cannot give
-            # it odd degree, so its edge is dead weight
-            return True
-        return _has_twin(work, eid)
-
     changed = True
     while changed:
-        changed = False
-
-        # Guarded deletions, each applied and undone when refused.  Loops
-        # skip the check (they never lie in a cut).  The check judges the
-        # composite move including the isolated-vertex cleanup that
-        # follows, else pruning a pendant non-terminal would read as a
-        # disconnect.
-        for eid in sorted(work.edges):
-            if not work.has_edge(eid) or not deletion_candidate(eid):
-                continue
-            a, b = ends = work.endpoints(eid)
-            steps = [DeleteEdgeStep(edge=eid, ends=ends)]
-            steps[0].apply(work)
-            for v in sorted(set(ends) - tset):
-                if work.degree(v) == 0:
-                    steps.append(RemoveIsolatedStep(vertex=v))
-                    steps[-1].apply(work)
-            if a != b and threshold > 0:
-                joined = (not work.has_vertex(a) or not work.has_vertex(b)
-                          or b in work._component_of(a, goal=b))
-                repaired = _repair(work, flows, ((eid, ends),)) if joined else None
-                if repaired is None:
-                    for step in reversed(steps):
-                        step.undo(work)
-                    continue
-                flows = repaired
-            trace.extend(steps)
-            changed = True
+        steps, flows = _deletion_pass(work, tset, flows, threshold)
+        trace.extend(steps)
+        changed = bool(steps)
 
         # Vertex rules, ascending id for reproducibility.
         for u in sorted(work.vertices - tset):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from treepack import (
     InstanceParseError,
+    InternalInvariantError,
     InvalidArgumentError,
     Multigraph,
     PreconditionViolationError,
@@ -24,6 +25,8 @@ import treepack.graphcore
 from treepack.generate import generate, generate_kriesell
 from treepack.graphcore import (
     SplitStep,
+    _deletions,
+    _Drain,
     _flow_tree,
     _max_flow,
     _normal_form_cut,
@@ -81,6 +84,65 @@ def _doubled(g):
     for a, b in list(g.edges.values()):
         g.add_edge(a, b)
     return g
+
+
+def _outcome(g, terminals, threshold):
+    """What reduce_instance returns, or the type and text of its error."""
+    try:
+        rr = reduce_instance(g, terminals, threshold)
+    except (InvalidArgumentError, InternalInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+    return rr.trace.steps, rr.graph, rr.graph.next_edge_id, rr.form
+
+
+def _verdict(check):
+    """The candidates `check` returns, or the text of its precondition error."""
+    try:
+        return check()
+    except PreconditionViolationError as exc:
+        return str(exc)
+
+
+def _per_edit_agrees(g, terminals, threshold) -> Counter:
+    """Reduce g as is and with every deletion pass's one check refusing,
+    so that each pass is redone with every deletion checked on its own;
+    the two must agree in trace, reduced graph, form and error.  After
+    every split of every drain in either, the drain's kept labels and
+    counts must give the verdict of a fresh `_split_candidates`.  Returns
+    how the deletion passes of the first went: kept whole, refused by the
+    check, or redone because they removed a vertex."""
+    verdicts: Counter = Counter()
+    pass_repair = treepack.graphcore._pass_repair
+    deletions = treepack.graphcore._deletions
+    split = _Drain.split
+
+    def counted_check(*args):
+        found = pass_repair(*args)
+        verdicts["kept" if found is not None else "refused"] += 1
+        return found
+
+    def counted_deletions(*args, check_each):
+        verdicts["per-edit"] += check_each
+        return deletions(*args, check_each=check_each)
+
+    def checked_split(self, flows):
+        found = split(self, flows)
+        if self.g.degree(self.u) != 3:
+            assert _verdict(self.check) == _verdict(lambda: _split_candidates(self.g, self.u))
+            verdicts["drain checks"] += 1
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Drain, "split", checked_split)
+        mp.setattr(treepack.graphcore, "_pass_repair", counted_check)
+        mp.setattr(treepack.graphcore, "_deletions", counted_deletions)
+        fast = _outcome(g, terminals, threshold)
+        verdicts["pruned"] = verdicts["per-edit"] - verdicts["refused"]
+        seen = Counter(verdicts)
+        mp.setattr(treepack.graphcore, "_pass_repair", lambda *args: None)
+        slow = _outcome(g, terminals, threshold)
+    assert fast == slow, (sorted(terminals), threshold)
+    return seen
 
 
 class TestMultigraph:
@@ -471,18 +533,19 @@ class TestMaderSplit:
 
     def test_drain_checks_preconditions_once_per_split(self, monkeypatch):
         # isolate_even_nonterminal checks the preconditions in g before it
-        # builds a flow, and that check serves its first split: at the
-        # degree-18 non-terminal 2 of this kriesell graph, 8 splits take a
-        # pair search, and each is checked once (the check at degree 18
-        # used to run twice).
+        # builds a flow, by one search of G - u whose labels and counts
+        # then serve every split of the drain: at the degree-18
+        # non-terminal 2 of this kriesell graph, 8 splits take a pair
+        # search and one search checks them all (a search per split made
+        # 8, and the check at degree 18 once ran twice).
         inst = generate("kriesell", 12, 1, 1)
         assert 2 not in inst.terminals and inst.graph.degree(2) == 18
-        events = _spy(monkeypatch, "_split_candidates", "_max_flow")
+        events = _spy(monkeypatch, "_Drain", "_split_candidates", "_max_flow")
         out, steps = isolate_even_nonterminal(inst.graph, inst.terminals, 2)
         assert not out.has_vertex(2)
         assert [type(step).__name__ for step in steps] == ["SplitStep"] * 9
-        assert events[0] == "_split_candidates" and events[1] == "_max_flow"
-        assert events.count("_split_candidates") == 8
+        assert events[0] == "_Drain" and events[1] == "_max_flow"
+        assert events.count("_Drain") == 1 and "_split_candidates" not in events
 
     def test_incident_cut_edge_matches_per_edge_search(self):
         # The one search of G - u gives the verdict and the message of
@@ -983,12 +1046,14 @@ class TestReduceInstance:
 
     def test_guard_and_splits_stay_incremental(self, monkeypatch):
         # Kriesell n=11, k=1, seed 7 at threshold 8 (λ_T = 9, five
-        # terminals, a 48-step trace).  The reduction makes 143 residual
+        # terminals, a 48-step trace).  The reduction makes 108 residual
         # searches, entry and exit recounts included, and builds no flow
-        # tree.  A deletion guard with its own flows and a flow tree per
-        # split vertex made 257, flows searched for every path and run to
-        # a failed search even when only a bound was asked 721, and fresh
-        # flows for every tree and every tight deletion 3,164.
+        # tree.  Repairing the flows through each deletion on its own
+        # rather than once per deletion pass made 129, a deletion guard
+        # with its own flows and a flow tree per split vertex 257, flows
+        # searched for every path and run to a failed search even when
+        # only a bound was asked 721, and fresh flows for every tree and
+        # every tight deletion 3,164.
         searches = []
         trees = []
         route = treepack.graphcore._route
@@ -1006,7 +1071,7 @@ class TestReduceInstance:
         monkeypatch.setattr(treepack.graphcore, "_flow_tree", no_tree)
         rr = reduce_instance(inst.graph, inst.terminals, 8)
         assert (len(inst.terminals), inst.connectivity, len(rr.trace)) == (5, 9, 48)
-        assert len(searches) < 160 and trees == []
+        assert len(searches) == 108 and trees == []
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=3, max_value=7), st.integers(min_value=0, max_value=10_000))
@@ -1037,6 +1102,139 @@ class TestReduceInstance:
             for u in rr.graph.vertices - tset:
                 assert rr.graph.degree(u) == 3
                 assert rr.graph.neighbors(u) <= tset
+
+
+def _tokens(steps):
+    """A trace in short: d<edge>, r<vertex>, s<center>:<e1>,<e2>><child>,
+    with a trailing - on a suppression."""
+    tokens = []
+    for step in steps:
+        if isinstance(step, treepack.graphcore.DeleteEdgeStep):
+            tokens.append(f"d{step.edge}")
+        elif isinstance(step, treepack.graphcore.RemoveIsolatedStep):
+            tokens.append(f"r{step.vertex}")
+        else:
+            tokens.append(f"s{step.center}:{step.e1},{step.e2}>{step.child}"
+                          f"{'' if step.removed is None else '-'}")
+    return " ".join(tokens)
+
+
+class TestDeletionPass:
+    """A deletion pass is checked once, and redone one deletion at a time
+    when that check refuses it or it removed a vertex; a drain checks its
+    splits' preconditions by one search kept up to date."""
+
+    def test_per_edit_path_agrees_on_kriesell_draws(self):
+        seen: Counter = Counter()
+        for n in range(9, 15):
+            for k in (1, 2):
+                for seed in range(3):
+                    inst = generate_kriesell(n, k, seed)
+                    paper_g = min(Thresholds.for_k(k).g_k, inst.connectivity)
+                    for threshold in (2 * k, 3 * k, paper_g):
+                        seen += _per_edit_agrees(inst.graph, inst.terminals, threshold)
+        assert seen["kept"] >= 10 and seen["refused"] >= 5 and seen["pruned"] >= 100, seen
+        assert seen["drain checks"] >= 300, seen
+
+    @staticmethod
+    def _random_instances(seed):
+        """A random multigraph with loops, every other vertex a terminal
+        (all of them on three or fewer), at thresholds 1, λ_T - 1 and
+        λ_T."""
+        g = random_multigraph(seed, max_vertices=8, max_edges=18, loops=True,
+                              connected=seed % 4 != 0)
+        vertices = sorted(g.vertices)
+        terminals = vertices[seed % 2::2] if len(vertices) > 3 else vertices
+        connectivity = steiner_connectivity(g, terminals)
+        return [(threshold, g, terminals)
+                for threshold in sorted({1, max(connectivity - 1, 0), connectivity})]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_per_edit_path_agrees_on_random_multigraphs(self, seed):
+        for threshold, g, terminals in self._random_instances(seed):
+            _per_edit_agrees(g, terminals, threshold)
+
+    def test_random_multigraphs_refuse_passes(self):
+        # The inputs of the test above: some deletion passes there are
+        # refused by their one check, and some removed a vertex.
+        seen: Counter = Counter()
+        for seed in range(150):
+            for threshold, g, terminals in self._random_instances(seed):
+                seen += _per_edit_agrees(g, terminals, threshold)
+        assert seen["kept"] >= 40 and seen["refused"] >= 20 and seen["pruned"] >= 100, seen
+        assert seen["drain checks"] >= 30, seen
+
+    def test_pass_that_strands_then_prunes_falls_back(self):
+        # Terminals 0 and 1 share four edges, and 4 joins them.  Unchecked,
+        # the first pass deletes the edge 2-4 (6), which strands the
+        # terminal-free pair {2, 3}, and then the edge 2-3 (7), which
+        # prunes the pair: its final graph passes every check.  Since it
+        # removed vertices, the pass is redone one deletion at a time,
+        # which refuses 6 until a later pass has made 2 pendant.
+        g = graph_from_pairs(5, [(0, 1)] * 4 + [(0, 4), (1, 4), (2, 4), (2, 3)])
+        unchecked, _ = _deletions(g.copy(), frozenset({0, 1}), [], check_each=False)
+        assert _tokens(unchecked) == "d6 d7 r2 r3"
+        seen = _per_edit_agrees(g, {0, 1}, 2)
+        assert (seen["pruned"], seen["kept"], seen["refused"]) == (2, 0, 0)
+        rr = reduce_instance(g, {0, 1}, 2)
+        assert _tokens(rr.trace.steps) == "d7 r3 d6 r2 s4:4,5>8-"
+        assert rr.form == "fkk" and rr.trace.unapply(rr.graph) == g
+
+    def test_one_refused_deletion_at_one_unit_of_slack(self):
+        # λ_T = 5 at threshold 4.  Deleting 2 spends the slack, 4 keeps
+        # λ_T, and deleting the edge 3-4 (8) would lower it to 3; the one
+        # check of the pass refuses the three together, and the pass redone
+        # one deletion at a time refuses only 8.
+        g = graph_from_pairs(5, [(0, 1)] * 2 + [(0, 2)] * 2 + [(1, 2)] * 2
+                             + [(0, 3), (1, 4), (3, 4)])
+        assert steiner_connectivity(g, {0, 1}) == 5
+        unchecked, _ = _deletions(g.copy(), frozenset({0, 1}), [], check_each=False)
+        assert _tokens(unchecked) == "d2 d4 d8"
+        seen = _per_edit_agrees(g, {0, 1}, 4)
+        assert (seen["refused"], seen["pruned"]) == (1, 0)
+        rr = reduce_instance(g, {0, 1}, 4)
+        assert _tokens(rr.trace.steps) == "d2 d4 s2:3,5>9- s3:6,8>10- s4:7,10>11-"
+        assert steiner_connectivity(rr.graph, {0, 1}) == 4 and rr.form == "fkk"
+
+    def test_drain_meets_cut_edge_after_its_first_split(self):
+        # Hub 2 has three edges into {3, 4} and three into {0, 1}.  The
+        # first split takes both edges to 3 (the terminal flow uses
+        # neither) and leaves one edge into {3, 4}, a cut-edge: the kept
+        # count says so, with the message of a fresh search, and the
+        # split made stays, with the flow repaired through it.
+        g = graph_from_pairs(5, [(2, 3), (2, 3), (2, 4), (3, 4),
+                                 (2, 0), (2, 0), (2, 1), (0, 1)])
+        before = g.copy()
+        flows = [_max_flow(g, 0, 1, 2)[1]]
+        steps = []
+        message = "^vertex 2 is incident with a cut-edge$"
+        with pytest.raises(PreconditionViolationError, match=message):
+            _reduce_vertex(g, 2, steps, flows)
+        assert [(step.e1, step.e2, step.child, step.removed) for step in steps] == \
+            [(0, 1, 8, None)]
+        with pytest.raises(PreconditionViolationError, match=message):
+            _split_candidates(g, 2)
+        replay = before.copy()
+        for step in steps:
+            step.apply(replay)
+        assert replay == g and g.degree(2) == 4
+        assert len(flows) == 1 and is_flow(g, flows[0], 0, 1, 2)
+
+    def test_deletion_passes_repair_once(self, monkeypatch):
+        # Kriesell n=11, k=1, seed 7 at threshold 3: three deletion
+        # passes.  The first deletes 44 edges and is checked whole, the
+        # second deletes one edge and prunes the vertex 3, so it is redone
+        # with that deletion checked on its own, and the third deletes
+        # nothing.  One `_repair` each for the two that delete, where one
+        # per deletion made 45.
+        inst = generate("kriesell", 11, 1, 7)
+        events = _spy(monkeypatch, "_deletion_pass", "_repair", "_split_trial")
+        rr = reduce_instance(inst.graph, inst.terminals, 3)
+        kinds = Counter(type(step).__name__ for step in rr.trace.steps)
+        assert kinds == {"DeleteEdgeStep": 45, "SplitStep": 4, "RemoveIsolatedStep": 1}
+        assert events.count("_deletion_pass") == 3
+        assert events.count("_repair") - events.count("_split_trial") == 2
 
 
 class TestInstanceFormat:
