@@ -20,10 +20,13 @@ value so far, starting from a cap its caller may give, so below that cap
 its value and side are exact and at it the value only bounds λ_T from
 below.  The public `steiner_min_cut` gives no cap and is exact; the
 packing pipeline caps its entry cut at the most it decides on, and the
-reducer caps its flows and its exit recount at the threshold.  Input
-already in the reduced normal form needs no flow for its terminal
-connectivity: `_normal_form_cut` reads it off maximum-adjacency orderings
-of the hypergraph the non-terminals make on the terminals.  The
+reducer caps its flows and its exit recount at the threshold.  One pass
+over a graph (`_normal_form`) either names what keeps it from
+the reduced normal form or reads it as the hypergraph the non-terminals
+make on the terminals, with each hub's edges; the packing pipeline takes
+its cut, its matroid and its decode from that scan.  Input already in the
+form needs no flow for its terminal connectivity: `_normal_form_cut`
+reads it off maximum-adjacency orderings of the scan's hyperedges.  The
 splitting-off routines implement the classical degree-lowering operation
 (replace edges uv, uv' at u by a single edge vv') together with a
 verified search for a pair at a vertex, whose preconditions (a connected
@@ -49,10 +52,11 @@ replaying and rewinding a trace is one call per step.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import KeysView, Mapping
+from typing import Collection, KeysView, Mapping
 
 from .errors import (
     InstanceParseError,
@@ -62,6 +66,11 @@ from .errors import (
     parse_int,
     read_lines,
 )
+
+
+# Flows are lists indexed by edge id, and a list holds fewer than
+# sys.maxsize entries.
+MAX_EDGE_ID = sys.maxsize - 1
 
 
 class Multigraph:
@@ -101,6 +110,8 @@ class Multigraph:
             eid = self._next_edge_id
         elif eid < 0:
             raise InvalidArgumentError(f"edge id {eid} is negative")
+        elif eid > MAX_EDGE_ID:
+            raise InvalidArgumentError(f"edge id {eid} is above {MAX_EDGE_ID}")
         elif eid in self._edges:
             raise InvalidArgumentError(f"edge id {eid} already in use")
         self._next_edge_id = max(self._next_edge_id, eid + 1)
@@ -543,45 +554,44 @@ def _terminal_cut(g: Multigraph, tset: frozenset[int], limit: int | None = None
     return best, best_side
 
 
-def _normal_form_cut(g: Multigraph, tset: frozenset[int]) -> int:
-    """The terminal connectivity of g in the reduced normal form (see
-    `_normal_form_violation`), by maximum-adjacency orderings and no flow.
+def _normal_form_cut(hyperedges: Collection[tuple[int, ...]], tset: frozenset[int]) -> int:
+    """The terminal connectivity of a graph in the reduced normal form, by
+    maximum-adjacency orderings of its hyperedges on the terminals T (the
+    values of `NormalForm.hyperedges`) and no flow.
 
     In that form λ_T is the global minimum cut of the hypergraph on T whose
     hyperedges are each non-terminal's three neighbours and each
     terminal-terminal edge: a cut of g splits a non-terminal's neighbours
     at most 2-1 and is cheapest with it on its majority side, where it
-    costs 1.  `best` starts at the least terminal degree, since a lone
-    terminal is a T-cut.  Each phase orders the current groups of
-    terminals from the least: the next is one with the largest key, the
-    number of hyperedges that contain it and meet the groups before it.
-    The last group's key is its degree, a cut, and the least cut that
-    separates it from the one before (Klimmek-Wagner 1996; Queyranne
-    1998).  A prefix v_1 ... v_i of the order is such an order of the
-    hypergraph with every hyperedge trimmed to the prefix, where v_i's key
-    is its degree; trimming only shrinks cuts, so key(v_i) <=
-    λ(v_{i-1}, v_i).  After recording the last group's key, the phase
-    merges every consecutive pair whose later key is at least `best`, the
-    last pair included: no cut below `best` separates such a pair, so
-    every cut below `best` survives the merge.  The phases stop when one
-    group is left.  A hyperedge counts once toward each group it meets,
-    however many of its ends that group holds, and not at all once one
-    group holds all of them.
+    costs 1.  `best` starts at the least terminal degree, the number of
+    hyperedges at the terminal, since a lone terminal is a T-cut.  Each
+    phase orders the current groups of terminals from the least: the next
+    is one with the largest key, the number of hyperedges that contain it
+    and meet the groups before it.  The last group's key is its degree, a
+    cut, and the least cut that separates it from the one before
+    (Klimmek-Wagner 1996; Queyranne 1998).  A prefix v_1 ... v_i of the
+    order is such an order of the hypergraph with every hyperedge trimmed
+    to the prefix, where v_i's key is its degree; trimming only shrinks
+    cuts, so key(v_i) <= λ(v_{i-1}, v_i).  After recording the last
+    group's key, the phase merges every consecutive pair whose later key
+    is at least `best`, the last pair included: no cut below `best`
+    separates such a pair, so every cut below `best` survives the merge.
+    The phases stop when one group is left.  A hyperedge counts once
+    toward each group it meets, however many of its ends that group
+    holds, and not at all once one group holds all of them.
     """
-    arcs = g._incidence
-    edges: list[tuple[int, ...]] = []
-    for v, inc in arcs.items():
-        if v not in tset:
-            edges.append(tuple([w for _, w, _ in inc]))
-        else:
-            edges.extend((v, w) for _, w, direction in inc if direction == 1 and w in tset)
-    best = min(len(arcs[t]) for t in tset)
+    edges = list(hyperedges)
     labels = sorted(tset)
-    while best > 0 and len(labels) > 1:
+    best = None
+    while len(labels) > 1:
         meets: dict[int, list[int]] = {x: [] for x in labels}
         for i, ends in enumerate(edges):
             for x in ends:
                 meets[x].append(i)
+        if best is None:
+            best = min(map(len, meets.values()))
+        if best == 0:
+            break
         key = dict.fromkeys(labels[1:], 0)
         v = labels[0]
         order, attach = [v], [0]
@@ -907,31 +917,86 @@ def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigra
 # -- instance reduction ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class NormalForm:
+    """A graph in the reduced normal form, read as the hypergraph on its
+    terminals that the packing runs on (`_normal_form`).
+
+    `hyperedges` maps each hyperedge id, in ascending order, to its sorted
+    vertex tuple: each terminal-terminal edge under its own id, then each
+    non-terminal hub, in ascending vertex order, under the ids from
+    max(edge id) + 1 on.  `origin` records per hyperedge id ("edge",
+    edge id) or ("vertex", hub), and `stars` maps each hub's hyperedge id
+    to the hub's edge to each of its three neighbours.
+    """
+
+    hyperedges: dict[int, tuple[int, ...]]
+    origin: dict[int, tuple[str, int]]
+    stars: dict[int, dict[int, int]]
+
+
 @dataclass
 class ReduceResult:
     graph: Multigraph
     terminals: frozenset[int]
     trace: SplitTrace
-    form: str  # "fkk" when every non-terminal is degree-3 with three distinct
-    #            terminal neighbors and no loop is left; "partial" otherwise
+    normal_form: NormalForm | None  # the reduced graph's, None off the form
+
+    @property
+    def form(self) -> str:
+        """The form's name: "fkk" when every non-terminal is degree-3 with
+        three distinct terminal neighbors and no loop is left, "partial"
+        otherwise."""
+        return "partial" if self.normal_form is None else "fkk"
 
 
-def _normal_form_violation(g: Multigraph, tset: frozenset[int]
-                           ) -> tuple[str, int] | None:
-    """What first keeps g from the reduced normal form, or None when g is in
-    it.  The form asks every non-terminal to have degree 3 and three
-    distinct terminal neighbors, and the graph to have no loops.  The
-    report is ("vertex", u) for the least non-terminal that breaks the
-    first rule, else ("loop", eid) for the least loop."""
-    for u in sorted(g.vertices - tset):
-        nbrs = g.neighbors(u)
-        if g.degree(u) != 3 or len(nbrs) != 3 or not nbrs <= tset:
-            return "vertex", u
-    for eid in sorted(g.edges):
-        u, v = g.endpoints(eid)
-        if u == v:
-            return "loop", eid
-    return None
+def _normal_form(g: Multigraph, tset: frozenset[int]) -> NormalForm | tuple[str, int]:
+    """g read as its `NormalForm`, or what first keeps g from that form.
+    The form asks every non-terminal to have degree 3 and three distinct
+    terminal neighbors, and the graph to have no loops.  The report is
+    ("vertex", u) for the least non-terminal that breaks the first rule,
+    else ("loop", eid) for the least loop.
+
+    One scan of the non-terminals' incidence checks the first rule: it
+    holds exactly when the incidence is three arcs to three distinct
+    terminals, since a loop at u is an arc back to u, no terminal.  When
+    it holds everywhere, every edge at no hub joins two terminals or is a
+    loop at one, and one scan of the edges finds them.
+    """
+    hubs: list[tuple[int, dict[int, int]]] = []
+    bad: int | None = None
+    for v, arcs in g._incidence.items():
+        if v in tset:
+            continue
+        if len(arcs) == 3:
+            (e1, a, _), (e2, b, _), (e3, c, _) = arcs
+            if a != b != c != a and a in tset and b in tset and c in tset:
+                hubs.append((v, {a: e1, b: e2, c: e3}))
+                continue
+        if bad is None or v < bad:
+            bad = v
+    if bad is not None:
+        return "vertex", bad
+    loops: list[int] = []
+    pairs: list[int] = []
+    for eid, (a, b) in g._edges.items():
+        if a in tset and b in tset:
+            (loops if a == b else pairs).append(eid)
+    if loops:
+        return "loop", min(loops)
+    hyperedges: dict[int, tuple[int, ...]] = {}
+    origin: dict[int, tuple[str, int]] = {}
+    for eid in sorted(pairs):
+        a, b = g._edges[eid]
+        hyperedges[eid] = (a, b) if a < b else (b, a)
+        origin[eid] = ("edge", eid)
+    stars: dict[int, dict[int, int]] = {}
+    hubs.sort(key=lambda hub: hub[0])
+    for hid, (u, star) in enumerate(hubs, start=max(g._edges, default=-1) + 1):
+        hyperedges[hid] = tuple(sorted(star))
+        origin[hid] = ("vertex", u)
+        stars[hid] = star
+    return NormalForm(hyperedges=hyperedges, origin=origin, stars=stars)
 
 
 def _deletable(g: Multigraph, tset: frozenset[int], eid: int) -> bool:
@@ -1139,8 +1204,9 @@ def reduce_instance(g: Multigraph, terminals, threshold: int) -> ReduceResult:
     if trace and (final := _terminal_cut(work, tset, threshold)[0]) < threshold:
         raise InternalInvariantError(
             f"reduction lowered terminal connectivity to {final} < {threshold}")
-    form = "partial" if _normal_form_violation(work, tset) else "fkk"
-    return ReduceResult(graph=work, terminals=tset, trace=trace, form=form)
+    scan = _normal_form(work, tset)
+    return ReduceResult(graph=work, terminals=tset, trace=trace,
+                        normal_form=scan if isinstance(scan, NormalForm) else None)
 
 
 # -- instance text format ----------------------------------------------------
@@ -1176,6 +1242,8 @@ def parse_instance(text: str) -> tuple[Multigraph, frozenset[int]]:
             eid, u, v = values
             if eid < 0:
                 raise InstanceParseError(lineno, f"edge id {eid} is negative")
+            if eid > MAX_EDGE_ID:
+                raise InstanceParseError(lineno, f"edge id {eid} is above {MAX_EDGE_ID}")
             if g.has_edge(eid):
                 raise InstanceParseError(lineno, f"duplicate edge id {eid}")
             g.add_vertex(u)

@@ -541,12 +541,35 @@ class HypergraphicMatroid(Matroid):
     forest has one edge per hyperedge, so |V| - 1 bounds the rank."""
 
     def __init__(self, h: Hypergraph):
-        self.hypergraph = h
-        self._vertices = {eid: tuple(sorted(vs)) for eid, vs in h.hyperedges.items()}
+        self._setup(h.vertices, {eid: tuple(sorted(vs)) for eid, vs in h.hyperedges.items()})
+        self._hypergraph: Hypergraph | None = h
+
+    @classmethod
+    def of_tuples(cls, vertices: frozenset[int], hyperedges: Mapping[int, tuple[int, ...]]
+                  ) -> "HypergraphicMatroid":
+        """The matroid of `hyperedges`, each a sorted tuple of 2 or 3
+        distinct members of `vertices`, taken as they are, unchecked: for
+        a caller whose hyperedges are built that way, such as the
+        normal-form scan.  Its `hypergraph` is built on first use."""
+        oracle = cls.__new__(cls)
+        oracle._setup(vertices, hyperedges)
+        oracle._hypergraph = None
+        return oracle
+
+    def _setup(self, vertices: frozenset[int], hyperedges: Mapping[int, tuple[int, ...]]) -> None:
+        self._vertex_set = vertices
+        self._vertices = hyperedges
         self._pairs = {eid: list(itertools.combinations(vs, 2))
-                       for eid, vs in self._vertices.items()}
-        super().__init__(h.hyperedges.keys(), self._indep_query, name="hypergraphic")
-        self._rank_bound = len(h.vertices) - 1
+                       for eid, vs in hyperedges.items()}
+        super().__init__(hyperedges.keys(), self._indep_query, name="hypergraphic")
+        self._rank_bound = len(vertices) - 1
+
+    @property
+    def hypergraph(self) -> Hypergraph:
+        """The hyperedges as a `Hypergraph`, built on first use."""
+        if self._hypergraph is None:
+            self._hypergraph = Hypergraph(self._vertex_set, self._vertices)
+        return self._hypergraph
 
     def _augment(self, forest: _RootedForest, new_eid: int) -> dict[int, Pair] | None:
         """Insert one hyperedge into `forest` by a shortest exchange chain.

@@ -40,11 +40,12 @@ from .errors import (
 )
 from .graphcore import (
     Multigraph,
+    NormalForm,
     ReduceResult,
     SplitStep,
     SplitTrace,
+    _normal_form,
     _normal_form_cut,
-    _normal_form_violation,
     _terminal_cut,
     reduce_instance,
     steiner_min_cut,  # unused here, but bench/tracing.py wraps packing.steiner_min_cut
@@ -393,50 +394,32 @@ def build_steiner_hypergraph(g: Multigraph, terminals: frozenset[int]
     ("vertex", non-terminal-id) for decoding packings back to edges.
     """
     tset = frozenset(terminals)
-    violation = _normal_form_violation(g, tset)
-    if violation is not None:
-        kind, ref = violation
+    scan = _normal_form(g, tset)
+    if not isinstance(scan, NormalForm):
+        kind, ref = scan
         if kind == "vertex":
             raise InvalidArgumentError(
                 f"vertex {ref} breaks the reduced form needed for the hypergraph step")
         raise InvalidArgumentError(f"loop {ref} cannot enter the hypergraph")
-    return _build_steiner_hypergraph(g, tset)
+    return Hypergraph(tset, scan.hyperedges), scan.origin
 
 
-def _build_steiner_hypergraph(g: Multigraph, tset: frozenset[int]
-                              ) -> tuple[Hypergraph, dict[int, tuple[str, int]]]:
-    """`build_steiner_hypergraph` for a graph the caller already knows to
-    be in the reduced normal form."""
-    origin: dict[int, tuple[str, int]] = {}
-    h = Hypergraph(tset)
-    next_id = (max(g.edges) + 1) if g.edges else 0
-    for eid in sorted(g.edges):
-        u, v = g.endpoints(eid)
-        if u in tset and v in tset:
-            h.add_hyperedge(eid, (u, v))
-            origin[eid] = ("edge", eid)
-    for u in sorted(g.vertices - tset):
-        h.add_hyperedge(next_id, g.neighbors(u))
-        origin[next_id] = ("vertex", u)
-        next_id += 1
-    return h, origin
-
-
-def _decode(g: Multigraph, reps: Mapping[int, tuple[int, int]],
-            origin: Mapping[int, tuple[str, int]]) -> frozenset[int]:
-    """The edges of g behind one packed basis, given by its representative
-    forest `reps` (`PackBasesResult.states[i].ends`): a 2-vertex hyperedge
-    is its edge, and a hub gives the two star edges to its pair.  The pairs
-    form a tree on the terminals, so the result is a tree in which every
-    hub it uses has degree 2, a canonical connector that needs no pruning.
+def _decode(form: NormalForm, reps: Mapping[int, tuple[int, int]]) -> frozenset[int]:
+    """The edges of the graph read as `form` behind one packed basis, given
+    by its representative forest `reps` (`PackBasesResult.states[i].ends`):
+    a 2-vertex hyperedge is its edge, and a hub gives the two star edges
+    to its pair.  The pairs form a tree on the terminals, so the result is
+    a tree in which every hub it uses has degree 2, a canonical connector
+    that needs no pruning.
     """
     edges: set[int] = set()
-    for hid, pair in reps.items():
-        kind, ref = origin[hid]
-        if kind == "edge":
-            edges.add(ref)
+    for hid, (a, b) in reps.items():
+        star = form.stars.get(hid)
+        if star is None:
+            edges.add(hid)
         else:
-            edges.update(eid for eid in g.incident_edges(ref) if g.other_end(eid, ref) in pair)
+            edges.add(star[a])
+            edges.add(star[b])
     return frozenset(edges)
 
 
@@ -607,9 +590,10 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
     # Input already in the normal form needs no flow to find λ_T, and no
     # reduction: it is its own reduced graph, with an empty trace.
     cap = connectivity_cap(k, threshold)
-    normal = _normal_form_violation(g, tset) is None
+    scan = _normal_form(g, tset)
+    normal = isinstance(scan, NormalForm)
     if normal:
-        connectivity, side = min(_normal_form_cut(g, tset), cap), None
+        connectivity, side = min(_normal_form_cut(scan.hyperedges.values(), tset), cap), None
     else:
         connectivity, side = _terminal_cut(g, tset, cap)
     rr: ReduceResult | None = None
@@ -630,27 +614,27 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
             kind="cut-too-small", cut_side=side, cut_size=connectivity, threshold=threshold))
 
     if normal:
-        rr = ReduceResult(graph=g.copy(), terminals=tset, trace=SplitTrace(), form="fkk")
+        rr = ReduceResult(graph=g.copy(), terminals=tset, trace=SplitTrace(), normal_form=scan)
     else:
         # Reduction runs at the hypergraph-packing threshold when the
         # instance affords it; below that (probing regimes) it preserves
         # what was asked.
         reduce_threshold = t_values.fkk if connectivity >= t_values.fkk else threshold
         rr = reduce_instance(g, tset, reduce_threshold)
-        if rr.form != "fkk" and threshold < reduce_threshold:
+        if rr.normal_form is None and threshold < reduce_threshold:
             # Keeping λ_T at 3k can leave no slack for the deletions the
             # normal form needs; the requested threshold may leave enough.
             # The stalled trace is dropped, and every packing is verified.
             rr = reduce_instance(g, tset, threshold)
 
     packed = None
-    if rr.form == "fkk":
-        # The form was tested at entry or by the reduction, so it is not
-        # tested again.
-        h, origin = _build_steiner_hypergraph(rr.graph, tset)
-        packed = pack_bases(HypergraphicMatroid(h), k)
+    if rr.normal_form is not None:
+        # The form was read at entry or by the reduction, and its
+        # hyperedges go to the matroid as they are.
+        oracle = HypergraphicMatroid.of_tuples(tset, rr.normal_form.hyperedges)
+        packed = pack_bases(oracle, k)
         if packed.size == k * (len(tset) - 1):
-            decoded = [_decode(rr.graph, state.ends, origin) for state in packed.states]
+            decoded = [_decode(rr.normal_form, state.ends) for state in packed.states]
             pre_lift, packing = _lift_verified(decoded, rr, g, mode, "pipeline")
             return result("packed", packing=packing, pre_lift=pre_lift, method="pipeline")
 
@@ -690,6 +674,7 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
         cert = Certificate(kind="reduction-incomplete", reduced_graph=rr.graph,
                            reduced_form=rr.form)
     else:
+        h = oracle.hypergraph
         cert = _violating_partition_certificate(h.vertices, h.hyperedges, k,
                                                 packed.reached, scope="reduced-hypergraph")
     return result("certificate", certificate=cert)
@@ -702,11 +687,14 @@ def pack_steiner_trees(g: Multigraph, terminals, k: int,
 
     Pipeline: threshold check, reduction, hypergraphic base packing,
     decode, lift, verify; input already in the normal form skips the
-    reduction and the lift.  The reduction keeps λ_T at 3k when the instance
-    affords it; when that stalls before the normal form and a lower
-    threshold was asked, it starts again at that threshold.  When the
-    hypergraph does not pack or the reduction still stalls, the routes
-    are tried in this order:
+    reduction and the lift.  The graph packed, the input or the reduced
+    graph, is read in one scan (`graphcore._normal_form`): its result
+    gives the normal-form cut, the hyperedges the matroid takes as they
+    are, and each hub's edges for the decode.  The reduction keeps λ_T at
+    3k when the instance affords it; when that stalls before the normal
+    form and a lower threshold was asked, it starts again at that
+    threshold.  When the hypergraph does not pack or the reduction still
+    stalls, the routes are tried in this order:
 
     1. the single tree (k=1): the reduced edge set pruned to a terminal
        tree, lifted;

@@ -11,7 +11,9 @@ scalar-bound deletion guard that recounts λ_T whenever its bound has no
 slack.  So does the union engine's: the exchange search with no pruning,
 over part states rebuilt after every chain, and the hypergraphic circuit
 as what one failed exchange search displaces.  So does the leaf pruning
-that rescans the whole edge set per leaf.  So does the kriesell model's
+that rescans the whole edge set per leaf, and the normal form read three
+times: its test, its hypergraph built through `add_hyperedge`, and its
+flow-free cut on hyperedges read off the incidence lists.  So does the kriesell model's
 draw that builds every graph and runs the flows before rejecting it.
 Tests compare the fast implementations against these.
 """
@@ -551,6 +553,86 @@ def reference_prune_to_terminal_tree(g: Multigraph, terminals, edge_ids) -> froz
         if drop is None:
             return frozenset(tree)
         tree.discard(next(eid for eid in tree if drop in g.endpoints(eid)))
+
+
+def reference_normal_form_violation(g: Multigraph, tset) -> tuple[str, int] | None:
+    """The normal-form test as its own scan: every non-terminal, in
+    ascending order, by its degree and neighbour set, then every edge, in
+    ascending id, for a loop.  None when g is in the form."""
+    for u in sorted(g.vertices - tset):
+        nbrs = g.neighbors(u)
+        if g.degree(u) != 3 or len(nbrs) != 3 or not nbrs <= tset:
+            return "vertex", u
+    for eid in sorted(g.edges):
+        u, v = g.endpoints(eid)
+        if u == v:
+            return "loop", eid
+    return None
+
+
+def reference_steiner_hypergraph(g: Multigraph, tset):
+    """The hypergraph of a normal-form graph built through
+    `Hypergraph.add_hyperedge`, with its origin map: terminal-terminal
+    edges under their ids, then the hubs in ascending order from
+    max(edge id) + 1, each on its neighbour set."""
+    origin: dict[int, tuple[str, int]] = {}
+    h = Hypergraph(tset)
+    next_id = (max(g.edges) + 1) if g.edges else 0
+    for eid in sorted(g.edges):
+        u, v = g.endpoints(eid)
+        if u in tset and v in tset:
+            h.add_hyperedge(eid, (u, v))
+            origin[eid] = ("edge", eid)
+    for u in sorted(g.vertices - tset):
+        h.add_hyperedge(next_id, g.neighbors(u))
+        origin[next_id] = ("vertex", u)
+        next_id += 1
+    return h, origin
+
+
+def reference_normal_form_cut(g: Multigraph, tset) -> int:
+    """The flow-free terminal cut of a normal-form graph with its
+    hyperedges read off the incidence lists (each hub's arcs, each
+    terminal's forward arcs to a terminal) and `best` starting at the
+    least terminal incidence."""
+    arcs = g._incidence
+    edges: list[tuple[int, ...]] = []
+    for v, inc in arcs.items():
+        if v not in tset:
+            edges.append(tuple([w for _, w, _ in inc]))
+        else:
+            edges.extend((v, w) for _, w, direction in inc if direction == 1 and w in tset)
+    best = min(len(arcs[t]) for t in tset)
+    labels = sorted(tset)
+    while best > 0 and len(labels) > 1:
+        meets: dict[int, list[int]] = {x: [] for x in labels}
+        for i, ends in enumerate(edges):
+            for x in ends:
+                meets[x].append(i)
+        key = dict.fromkeys(labels[1:], 0)
+        v = labels[0]
+        order, attach = [v], [0]
+        counted = [False] * len(edges)
+        while key:
+            for i in meets[v]:
+                if not counted[i]:
+                    counted[i] = True
+                    for x in edges[i]:
+                        if x in key:
+                            key[x] += 1
+            v = max(key, key=key.__getitem__)
+            order.append(v)
+            attach.append(key.pop(v))
+        best = min(best, attach[-1])
+        merged = {}
+        for i, x in enumerate(order):
+            if i == 0 or (attach[i] < best and i < len(order) - 1):
+                run = x
+            merged[x] = run
+        edges = [ends for ends in (tuple({merged[x] for x in e}) for e in edges)
+                 if len(ends) > 1]
+        labels = sorted(set(merged.values()))
+    return best
 
 
 def reference_generate_kriesell(n: int, k: int, seed: int,

@@ -64,6 +64,20 @@ class TestVerifyCuts:
             assert code == 2 and captured.out == ""
             assert "line 4" in captured.err and "vertex 1 declared twice" in captured.err
 
+    def test_edge_id_beyond_the_index_range_exits_2(self, capsys, tmp_path):
+        # Flows are lists indexed by edge id: an id of 2^63 once ended in
+        # an OverflowError traceback and exit 1.
+        path = tmp_path / "bad.txt"
+        path.write_text("graph 3 2\nt 0\nt 1\ne 0 0 2\ne 9223372036854775808 2 1\n",
+                        encoding="utf-8")
+        for command in (["verify-cuts", str(path), "--k", "1"],
+                        ["pack", str(path), "--mode", "steiner", "--k", "1",
+                         "--threshold", "1"]):
+            code = main(command)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("error line 5: edge id 9223372036854775808 is above")
+
     def test_malformed_integer_threshold_exits_2(self, capsys, doubled_triangle_file):
         for token in ("1_0", "+1", "\u0663"):
             code = main(["verify-cuts", doubled_triangle_file,

@@ -24,13 +24,14 @@ from treepack import (
 import treepack.graphcore
 from treepack.generate import generate, generate_kriesell
 from treepack.graphcore import (
+    NormalForm,
     SplitStep,
     _deletions,
     _Drain,
     _flow_tree,
     _max_flow,
+    _normal_form,
     _normal_form_cut,
-    _normal_form_violation,
     _reduce_vertex,
     _split_candidates,
     _split_trial,
@@ -48,11 +49,15 @@ from conftest import (
     random_multigraph,
     reference_has_incident_cut_edge,
     reference_mader_split,
+    reference_normal_form_cut,
+    reference_normal_form_violation,
     reference_reduce_instance,
     reference_split_verdict,
+    reference_steiner_hypergraph,
     reference_steiner_min_cut,
     triangle,
 )
+from treepack.rng import SplitMix64
 
 
 def _eligible_split_vertices(g):
@@ -188,6 +193,9 @@ class TestMultigraph:
         g.add_edge(1, 2, eid=5)
         with pytest.raises(InvalidArgumentError, match="negative"):
             g.add_edge(0, 2, eid=-2)
+        # nor can an id past what a list can index
+        with pytest.raises(InvalidArgumentError, match="is above"):
+            g.add_edge(0, 2, eid=2 ** 63)
         assert dict(g.edges) == {5: (1, 2)} and g.next_edge_id == 6
 
 
@@ -354,6 +362,13 @@ def brute_hypergraph_cut(terminals, hyperedges) -> int:
                             for mask in range(1, 1 << (len(ts) - 1))))
 
 
+def form_cut(g, tset) -> int:
+    """The flow-free terminal cut on the hyperedges of g's normal-form scan."""
+    form = _normal_form(g, tset)
+    assert isinstance(form, NormalForm)
+    return _normal_form_cut(form.hyperedges.values(), tset)
+
+
 class TestNormalFormCut:
     """The flow-free terminal cut against the flow loop and the bipartitions."""
 
@@ -361,8 +376,7 @@ class TestNormalFormCut:
     @given(normal_form_instances())
     def test_matches_flows_and_bipartitions(self, instance):
         g, tset, hyperedges = instance
-        assert _normal_form_violation(g, tset) is None
-        value = _normal_form_cut(g, tset)
+        value = form_cut(g, tset)
         assert value == reference_steiner_min_cut(g, tset)[0]
         assert value == brute_hypergraph_cut(tset, hyperedges)
 
@@ -375,15 +389,118 @@ class TestNormalFormCut:
         for t in (0, 1, 2):
             g.add_edge(4, t)
         tset = frozenset(range(4))
-        assert _normal_form_cut(g, tset) == steiner_connectivity(g, tset) == 1
+        assert form_cut(g, tset) == steiner_connectivity(g, tset) == 1
 
     def test_benchmark_shaped_instances(self):
         for n, k in ((9, 3), (11, 2), (16, 2)):
             for seed in range(10):
                 inst = generate("fkk", n, k, seed)
-                assert _normal_form_violation(inst.graph, inst.terminals) is None
-                assert _normal_form_cut(inst.graph, inst.terminals) == \
+                assert form_cut(inst.graph, inst.terminals) == \
                     reference_steiner_min_cut(inst.graph, inst.terminals)[0]
+
+
+def near_normal_form(seed: int) -> tuple[Multigraph, frozenset[int]]:
+    """A seeded graph in the reduced normal form or a few edits off it.
+
+    Terminals and hubs get shuffled vertex ids, added in shuffled order;
+    each hub joins three distinct terminals and a few terminal pairs get
+    (possibly parallel) edges, laid down in shuffled order and orientation
+    under sparse edge ids drawn out of order.  Then up to two edits: a loop
+    at a terminal or a hub, a hub-hub edge, a fourth hub edge, a hub edge
+    dropped or moved onto a terminal the hub already has, a hub edge made
+    a loop, or an isolated non-terminal."""
+    rng = SplitMix64(seed)
+    n, count = 2 + rng.below(6), rng.below(7)
+    labels = list(range(n + count))
+    rng.shuffle(labels)
+    terminals, hubs = labels[:n], labels[n:] if n >= 3 else []
+    order = terminals + hubs
+    rng.shuffle(order)
+    g = Multigraph()
+    for v in order:
+        g.add_vertex(v)
+    pairs = [(h, t) for h in hubs for t in rng.sample(terminals, 3)]
+    pairs += [tuple(rng.sample(terminals, 2)) for _ in range(rng.below(4))]
+    rng.shuffle(pairs)
+    ids = rng.sample(range(2 * len(pairs) + 8), len(pairs) + 4)
+
+    def add(u, v):
+        g.add_edge(*((u, v) if rng.below(2) else (v, u)), eid=ids.pop())
+
+    for u, v in pairs:
+        add(u, v)
+    for _ in range(rng.below(3)):
+        edit = rng.below(10)
+        if edit == 0:
+            t = rng.sample(terminals, 1)[0]
+            add(t, t)
+        elif edit == 7:
+            g.add_vertex(n + count + rng.below(3))
+        elif hubs and edit in (1, 2, 3, 4, 5, 6):
+            hub = rng.sample(hubs, 1)[0]
+            if edit == 1:
+                add(hub, hub)
+            elif edit == 2 and len(hubs) > 1:
+                add(hub, rng.sample([h for h in hubs if h != hub], 1)[0])
+            elif edit == 3:
+                add(hub, rng.sample(terminals, 1)[0])
+            elif edit in (4, 5, 6) and g.incident_edges(hub):
+                g.delete_edge(rng.sample(g.incident_edges(hub), 1)[0])
+                if edit == 5 and g.neighbors(hub):
+                    add(hub, rng.sample(sorted(g.neighbors(hub)), 1)[0])
+                elif edit == 6:
+                    add(hub, hub)
+    return g, frozenset(terminals)
+
+
+class TestNormalFormScan:
+    """The one-scan normal form against its three references: the form
+    test, the hypergraph built through `add_hyperedge`, and the cut on
+    hyperedges read off the incidence lists."""
+
+    @staticmethod
+    def cases():
+        for seed in range(600):
+            yield near_normal_form(seed)
+        for seed in range(150):
+            g = random_multigraph(seed, max_vertices=7, max_edges=14)
+            vs = sorted(g.vertices)
+            yield g, frozenset(vs[:2 + seed % (len(vs) - 1)])
+        for n, k in ((9, 2), (11, 2), (9, 3)):
+            for seed in range(4):
+                inst = generate("fkk", n, k, seed)
+                yield inst.graph, inst.terminals
+        for n in (9, 11, 13):
+            for seed in range(4):
+                inst = generate_kriesell(n, 1 + seed % 2, seed)
+                for threshold in (2, 3):
+                    rr = reduce_instance(inst.graph, inst.terminals, threshold)
+                    yield rr.graph, rr.terminals
+
+    def test_matches_the_references(self):
+        verdicts = Counter()
+        for g, tset in self.cases():
+            form = _normal_form(g, tset)
+            violation = reference_normal_form_violation(g, tset)
+            verdicts[violation[0] if violation else "normal"] += 1
+            if violation is not None:
+                assert form == violation
+                continue
+            assert isinstance(form, NormalForm)
+            h, origin = reference_steiner_hypergraph(g, tset)
+            assert list(form.hyperedges) == list(h.hyperedges)
+            assert form.hyperedges == {hid: tuple(sorted(vs))
+                                       for hid, vs in h.hyperedges.items()}
+            assert form.origin == origin
+            hubs = {hid: ref for hid, (kind, ref) in origin.items() if kind == "vertex"}
+            assert form.stars.keys() == hubs.keys()
+            for hid, hub in hubs.items():
+                star = form.stars[hid]
+                assert sorted(star.values()) == g.incident_edges(hub)
+                assert all(g.other_end(eid, hub) == t for t, eid in star.items())
+            value = _normal_form_cut(form.hyperedges.values(), tset)
+            assert value == reference_normal_form_cut(g, tset) == steiner_connectivity(g, tset)
+        assert min(verdicts.values()) >= 40, verdicts
 
 
 class TestSplitOff:

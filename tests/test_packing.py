@@ -27,7 +27,7 @@ from treepack import (
 import treepack.packing
 from treepack.generate import generate
 from treepack.matroid import iter_partitions, graph_edge_sets
-from treepack.graphcore import ReduceResult, _normal_form_violation
+from treepack.graphcore import NormalForm, ReduceResult, _normal_form
 from treepack.packing import _violating_partition_certificate, prune_to_terminal_tree
 from treepack.rng import SplitMix64
 from conftest import c4, doubled_triangle, graph_from_pairs, k4, random_hypergraph, triangle
@@ -348,11 +348,12 @@ class TestPackSteinerTrees:
         # The pipeline's threshold check computes λ_T once, capped at
         # max(threshold, 3k): by flows, whose value decides the reduction's
         # threshold; or, on normal-form input, which skips the reduction,
-        # by the flow-free cut.  The reduction's own terminal cut is its
-        # exit recount, an independent check of the reduced graph.
+        # by the flow-free cut on the hyperedges of the entry scan.  The
+        # reduction's own terminal cut is its exit recount, an independent
+        # check of the reduced graph, before its scan of the reduced form.
         import treepack.graphcore
         from treepack.generate import generate
-        calls = []
+        calls, scans, cut_input = [], [], []
 
         def counting(name):
             for module in (treepack.graphcore, treepack.packing):
@@ -361,49 +362,74 @@ class TestPackSteinerTrees:
                 def counted(*args, _where=module.__name__.split(".")[1],
                             _original=original):
                     calls.append((_where, name, args[2:]))
-                    return _original(*args)
+                    if name == "_normal_form_cut":
+                        cut_input.append(list(args[0]))
+                    out = _original(*args)
+                    if name == "_normal_form":
+                        scans.append(out)
+                    return out
 
                 monkeypatch.setattr(module, name, counted)
 
         normal, reducible = generate("fkk", 11, 2, 1), generate("kriesell", 11, 1, 3)
-        for name in ("steiner_min_cut", "_terminal_cut", "_normal_form_cut"):
+        for name in ("steiner_min_cut", "_terminal_cut", "_normal_form_cut", "_normal_form"):
             counting(name)
         result = pack_steiner_trees(normal.graph, normal.terminals, 2, threshold=6,
                                     brute_fallback=False)
         assert result.succeeded and len(result.trace) == 0
-        assert [call[:2] for call in calls] == [("packing", "_normal_form_cut")]
+        assert [call[:2] for call in calls] == [("packing", "_normal_form"),
+                                                ("packing", "_normal_form_cut")]
+        assert cut_input == [list(scans[0].hyperedges.values())]
         calls.clear()
         result = pack_steiner_trees(reducible.graph, reducible.terminals, 1, threshold=3,
                                     brute_fallback=False)
         assert result.succeeded and len(result.trace) > 0
-        assert calls == [("packing", "_terminal_cut", (3,)),
-                         ("graphcore", "_terminal_cut", (3,))]
+        assert calls == [("packing", "_normal_form", ()),
+                         ("packing", "_terminal_cut", (3,)),
+                         ("graphcore", "_terminal_cut", (3,)),
+                         ("graphcore", "_normal_form", ())]
 
     def test_normal_form_is_tested_once(self, monkeypatch):
-        # The pipeline tests the form at entry and builds the hypergraph
-        # from what it found, without a second test.
+        # The pipeline reads the form of each graph it packs in one scan,
+        # at entry or at the end of the reduction, and the cut, the
+        # matroid and the decode all take what that scan found: no
+        # `Hypergraph` is built on the way to a packing.  A reduced input
+        # is scanned at entry too, once, where the scan finds it off the
+        # form.
         import treepack.graphcore
-        inst = generate("fkk", 11, 2, 1)
-        calls = []
-        original = treepack.graphcore._normal_form_violation
+        normal, reducible = generate("fkk", 11, 2, 1), generate("kriesell", 11, 2, 3)
+        scanned = []
+        original = treepack.graphcore._normal_form
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(g, tset):
+            scanned.append(g)
+            return original(g, tset)
 
-        monkeypatch.setattr(treepack.graphcore, "_normal_form_violation", counting)
-        monkeypatch.setattr(treepack.packing, "_normal_form_violation", counting)
+        def built(*args):
+            raise AssertionError("a Hypergraph was built")
+
+        monkeypatch.setattr(treepack.graphcore, "_normal_form", counting)
+        monkeypatch.setattr(treepack.packing, "_normal_form", counting)
+        monkeypatch.setattr(Hypergraph, "add_hyperedge", built)
         for pack in (pack_steiner_trees, pack_connectors):
-            calls.clear()
-            result = pack(inst.graph, inst.terminals, 2, threshold=6, brute_fallback=False)
-            assert (result.outcome, result.method, len(calls)) == ("packed", "pipeline", 1)
+            scanned.clear()
+            result = pack(normal.graph, normal.terminals, 2, threshold=6, brute_fallback=False)
+            assert (result.outcome, result.method) == ("packed", "pipeline")
+            assert len(scanned) == 1 and scanned[0] is normal.graph
+            scanned.clear()
+            result = pack(reducible.graph, reducible.terminals, 2, threshold=6,
+                          brute_fallback=False)
+            assert (result.outcome, result.method) == ("packed", "pipeline")
+            assert len(result.trace) > 0 and result.pre_lift is not None
+            assert len(scanned) == 2 and scanned[0] is reducible.graph
+            assert scanned[1] is result.reduced_graph
 
     def test_normal_form_certificate_keeps_the_flow_side(self):
         # Below the threshold, normal-form input still reports the side of
         # the flow loop, as it did when the loop also gave the value.
         from conftest import reference_steiner_min_cut
         inst = generate("fkk", 9, 2, 1)
-        assert _normal_form_violation(inst.graph, inst.terminals) is None
+        assert isinstance(_normal_form(inst.graph, inst.terminals), NormalForm)
         result = pack_steiner_trees(inst.graph, inst.terminals, 2, threshold=99)
         cert = result.certificate
         assert (cert.kind, cert.cut_size, cert.threshold) == ("cut-too-small", 6, 99)
@@ -586,7 +612,9 @@ class TestLifting:
         assert lifted == [frozenset({0, 1, 2, 3, 4})]
         assert verify_packing(original, terminals, Packing(mode="steiner", parts=tuple(
             lifted))).reason == "part has a cycle"
-        rr = ReduceResult(graph=reduced, terminals=terminals, trace=trace, form="fkk")
+        rr = ReduceResult(graph=reduced, terminals=terminals, trace=trace,
+                          normal_form=_normal_form(reduced, terminals))
+        assert rr.form == "fkk"
         pre_lift, packing = treepack.packing._lift_verified([part], rr, original, "steiner",
                                                             "test")
         assert pre_lift.parts == (part,)
