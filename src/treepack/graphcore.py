@@ -8,17 +8,18 @@ and reproduce ids exactly.
 
 Cut routines use unit-capacity augmenting paths; a loop never counts toward
 any cut.  A multigraph's incidence lists are its residual network, and
-every flow runs over them: flows are lists indexed by edge id, and one
-search (`_route`) sends a unit from supply vertices to demand vertices.
-`min_cut`, `steiner_min_cut`, the flow tree and every check of an edit
-use it, and a flow computed before an edit is repaired after it
-(`_reroute`) instead of being recomputed.  A flow from zero (`_max_flow`)
-is seeded with its one- and two-edge paths in one pass before any
-search, and a caller that needs only a bound caps it at exactly that
-value: the terminal cut (`_terminal_cut`) caps each flow at the smallest
-value so far, starting from a cap its caller may give, so below that cap
-its value and side are exact and at it the value only bounds λ_T from
-below.  The public `steiner_min_cut` gives no cap and is exact; the
+every flow runs over them: a flow maps the id of each edge that carries
+a unit to its direction, so its size never depends on how large the ids
+are, and one search (`_route`) sends a unit from supply vertices to
+demand vertices.  `min_cut`, `steiner_min_cut`, the flow tree and every
+check of an edit use it, and a flow computed before an edit is repaired
+after it (`_repair`) instead of being recomputed.  A flow from zero
+(`_max_flow`) is seeded with its one- and two-edge paths in one pass
+before any search, and a caller that needs only a bound caps it at
+exactly that value: the terminal cut (`_terminal_cut`) caps each flow at
+the smallest value so far, starting from a cap its caller may give, so
+below that cap its value and side are exact and at it the value only
+bounds λ_T from below.  The public `steiner_min_cut` gives no cap and is exact; the
 packing pipeline caps its entry cut at the most it decides on, and the
 reducer caps its flows and its exit recount at the threshold.  One pass
 over a graph (`_normal_form`) either names what keeps it from
@@ -52,7 +53,6 @@ replaying and rewinding a trace is one call per step.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -68,11 +68,6 @@ from .errors import (
 )
 
 
-# Flows are lists indexed by edge id, and a list holds fewer than
-# sys.maxsize entries.
-MAX_EDGE_ID = sys.maxsize - 1
-
-
 class Multigraph:
     """Labeled multigraph; loops and parallel edges permitted.
 
@@ -83,11 +78,11 @@ class Multigraph:
     Each vertex's incidence is its list of arcs (edge id, other end,
     direction), which is also the graph's unit-capacity residual network:
     edge i = (a, b) is listed at a as (i, b, +1) and at b as (i, a, -1),
-    and a loop once, as (i, a, +1).  A flow is a list indexed by edge id:
-    flow[i] is +1 when one unit runs from a to b, -1 for the reverse, 0
-    when idle, and an arc with direction d has residual capacity while
-    flow[i] != d.  A loop's arc leads back to its own vertex, so no search
-    ever takes it.
+    and a loop once, as (i, a, +1).  A flow is a map from edge id that
+    holds only the edges carrying a unit: flow[i] is +1 when one unit runs
+    from a to b and -1 for the reverse, an idle edge has no entry, and an
+    arc with direction d has residual capacity while flow.get(i) != d.  A
+    loop's arc leads back to its own vertex, so no search ever takes it.
     """
 
     __slots__ = ("_edges", "_incidence", "_next_edge_id")
@@ -110,8 +105,6 @@ class Multigraph:
             eid = self._next_edge_id
         elif eid < 0:
             raise InvalidArgumentError(f"edge id {eid} is negative")
-        elif eid > MAX_EDGE_ID:
-            raise InvalidArgumentError(f"edge id {eid} is above {MAX_EDGE_ID}")
         elif eid in self._edges:
             raise InvalidArgumentError(f"edge id {eid} already in use")
         self._next_edge_id = max(self._next_edge_id, eid + 1)
@@ -345,16 +338,16 @@ class SplitTrace:
 # -- cuts --------------------------------------------------------------------
 
 
-def _route(g: Multigraph, flow: list[int], supply: dict[int, int],
+def _route(g: Multigraph, flow: dict[int, int], supply: dict[int, int],
            demand: dict[int, int]) -> dict | None:
     """One residual search: send one unit from a vertex of `supply` to a
     vertex of `demand` along a shortest residual path of g.
 
     Both maps count the units still to leave or reach each vertex.  On
-    success the path is augmented into `flow`, its two ends are counted
-    off, and None is returned.  Otherwise nothing changes and the search's
-    parent map is returned; its keys are the vertices the supply can
-    reach.  Routing until a search fails is the augmenting path method on
+    success the path is augmented into `flow`, where a unit against an
+    edge's flow cancels it, its two ends are counted off, and None is
+    returned.  Otherwise nothing changes and the search's parent map is
+    returned; its keys are the vertices the supply can reach.  Routing until a search fails is the augmenting path method on
     the network with a super-source feeding the supply and a super-sink
     draining the demand, so all of the supply routes exactly when some
     flow in the residual network has these imbalances.
@@ -364,13 +357,16 @@ def _route(g: Multigraph, flow: list[int], supply: dict[int, int],
     queue = list(supply)
     for x in queue:
         for i, y, direction in arcs[x]:
-            if y not in parent and flow[i] != direction:
+            if y not in parent and (i not in flow or flow[i] != direction):
                 parent[y] = (x, i, direction)
                 if y in demand:
                     _count_off(demand, y)
                     while (step := parent[y]) is not None:
                         y, i, direction = step
-                        flow[i] += direction
+                        if i in flow:
+                            del flow[i]
+                        else:
+                            flow[i] = direction
                     _count_off(supply, y)
                     return None
                 queue.append(y)
@@ -385,7 +381,7 @@ def _count_off(counts: dict[int, int], v: int) -> None:
 
 
 def _max_flow(g: Multigraph, s: int, t: int, limit: int | None = None
-              ) -> tuple[int, list[int], frozenset[int] | None]:
+              ) -> tuple[int, dict[int, int], frozenset[int] | None]:
     """An s-t flow from zero: its value, the flow, and the set reachable
     from s in its residual graph.
 
@@ -403,7 +399,7 @@ def _max_flow(g: Multigraph, s: int, t: int, limit: int | None = None
     side.
     """
     arcs = g._incidence
-    flow = [0] * g.next_edge_id
+    flow: dict[int, int] = {}
     into_t: dict[int, list[tuple[int, int]]] = {}
     for i, w, direction in arcs[t]:
         if w != t:
@@ -431,51 +427,36 @@ def _max_flow(g: Multigraph, s: int, t: int, limit: int | None = None
     return value, flow, None
 
 
-def _reroute(g: Multigraph, flow: list[int],
-             dropped: tuple[tuple[int, tuple[int, int]], ...]) -> list[int] | None:
-    """Repair a flow of the graph before an edit into g, the graph after
-    it.  `dropped` lists the removed edges as (edge id, ends); edges the
-    edit added start idle, and so does a removed edge newer than the flow
-    (the child of a split made after it was last routed), whose id lies
-    beyond the flow's end.
+def _repair(g: Multigraph, flows: list[dict[int, int]],
+            dropped: tuple[tuple[int, tuple[int, int]], ...]) -> list[dict[int, int]] | None:
+    """Every flow of `flows`, each of the graph before an edit, repaired
+    into g, the graph after it, or None as soon as one does not repair.
+    `dropped` lists the removed edges as (edge id, ends); edges the edit
+    added start idle.
 
-    The flow's units on the removed edges are dropped, which leaves each
-    vertex that sent one a unit to send and each that received one a unit
-    to receive; routing that imbalance through g's residual network gives
-    a flow of g of the same value.  Returns it, a copy, or None when the
-    imbalance does not all route.  By the transshipment argument of
-    `_split_trial`, it all routes exactly when g still has a flow of that
-    value.
-    """
-    balance: dict[int, int] = {}
-    for eid, (a, b) in dropped:
-        if eid < len(flow) and flow[eid]:
-            balance[a] = balance.get(a, 0) + flow[eid]
-            balance[b] = balance.get(b, 0) - flow[eid]
-    flow = flow + [0] * (g.next_edge_id - len(flow))
-    for eid, _ in dropped:
-        flow[eid] = 0
-    supply = {v: n for v, n in balance.items() if n > 0}
-    demand = {v: -n for v, n in balance.items() if n < 0}
-    while supply:
-        if _route(g, flow, supply, demand) is not None:
-            return None
-    return flow
-
-
-def _repair(g: Multigraph, flows: list[list[int]],
-            dropped: tuple[tuple[int, tuple[int, int]], ...]) -> list[list[int]] | None:
-    """Every flow of `flows` repaired into g through an edit that removed
-    `dropped` (see `_reroute`), or None as soon as one does not repair.
     A flow with no unit on the removed edges is still a flow of g and is
-    kept as it is, with no `_reroute`; the others are repaired into
-    copies, so the given flows are left as they were."""
+    kept as it is.  From a copy of each other flow its units on the
+    removed edges are dropped, which leaves each vertex that sent one a
+    unit to send and each that received one a unit to receive; routing
+    that imbalance through g's residual network gives a flow of g of the
+    same value.  By the transshipment argument of `_split_trial`, it all
+    routes exactly when g still has a flow of that value.  The given flows
+    are left as they were.
+    """
     repaired = []
     for flow in flows:
-        if any(eid < len(flow) and flow[eid] for eid, _ in dropped):
-            flow = _reroute(g, flow, dropped)
-            if flow is None:
-                return None
+        if any(eid in flow for eid, _ in dropped):
+            flow = dict(flow)
+            balance: dict[int, int] = {}
+            for eid, (a, b) in dropped:
+                if unit := flow.pop(eid, 0):
+                    balance[a] = balance.get(a, 0) + unit
+                    balance[b] = balance.get(b, 0) - unit
+            supply = {v: n for v, n in balance.items() if n > 0}
+            demand = {v: -n for v, n in balance.items() if n < 0}
+            while supply:
+                if _route(g, flow, supply, demand) is not None:
+                    return None
         repaired.append(flow)
     return repaired
 
@@ -649,7 +630,7 @@ def split_off(g: Multigraph, u: int, e1: int, e2: int) -> tuple[Multigraph, Spli
     return out, step
 
 
-_FlowTree = list[tuple[int, int, int, list[int]]]
+_FlowTree = list[tuple[int, int, int, dict[int, int]]]
 
 
 def _flow_tree(g: Multigraph, vertices: list[int]) -> _FlowTree:
@@ -673,15 +654,15 @@ def _flow_tree(g: Multigraph, vertices: list[int]) -> _FlowTree:
     return tree
 
 
-def _all_pairs_flows(g: Multigraph, u: int) -> list[list[int]]:
+def _all_pairs_flows(g: Multigraph, u: int) -> list[dict[int, int]]:
     """The flows of an equivalent-flow tree of g on V - u.  A split at u
     that keeps every one of them keeps every pairwise cut among V - u (see
     `mader_split`), and the repaired flows are again such a tree's flows."""
     return [flow for *_, flow in _flow_tree(g, sorted(g.vertices - {u}))]
 
 
-def _split_trial(g: Multigraph, flows: list[list[int]], u: int, e1: int, e2: int
-                 ) -> tuple[SplitStep, list[list[int]]] | None:
+def _split_trial(g: Multigraph, flows: list[dict[int, int]], u: int, e1: int, e2: int
+                 ) -> tuple[SplitStep, list[dict[int, int]]] | None:
     """Split e1 = u v1, e2 = u v2 off at u in g, and keep the split when
     every flow of `flows` keeps its value: returns the step and the flows
     repaired into the split graph.  Otherwise undoes the split, leaving g
@@ -760,7 +741,7 @@ class _Drain:
             raise PreconditionViolationError(f"vertex {self.u} is incident with a cut-edge")
         return self.edges
 
-    def split(self, flows: list[list[int]]) -> tuple[SplitStep, list[list[int]]]:
+    def split(self, flows: list[dict[int, int]]) -> tuple[SplitStep, list[dict[int, int]]]:
         """`_mader_split_inplace` at u once the preconditions hold, with
         the state updated through the split it makes."""
         step, flows = _mader_split_inplace(self.g, self.u, self.check(), flows)
@@ -793,7 +774,7 @@ def _split_candidates(g: Multigraph, u: int) -> list[int]:
 
 
 def _mader_split_inplace(g: Multigraph, u: int, candidates: list[int],
-                         flows: list[list[int]]) -> tuple[SplitStep, list[list[int]]]:
+                         flows: list[dict[int, int]]) -> tuple[SplitStep, list[dict[int, int]]]:
     """Mutating mader_split: split off in g the first pair of `candidates`
     (u's non-loop edges in g, once the split preconditions hold there:
     what `_split_candidates` or `_Drain.check` returns), in ascending edge-id
@@ -842,7 +823,7 @@ def mader_split(g: Multigraph, u: int) -> tuple[int, int]:
 
 
 def _reduce_vertex(g: Multigraph, u: int, steps: list[TraceStep],
-                   flows: list[list[int]], drain: _Drain | None = None) -> None:
+                   flows: list[dict[int, int]], drain: _Drain | None = None) -> None:
     """Mutating: split off at the non-terminal u toward its normal-form
     degree, appending each step to `steps` and replacing the contents of
     `flows` by the flows repaired through it.  `drain`, when given, is a
@@ -903,7 +884,7 @@ def isolate_even_nonterminal(g: Multigraph, terminals, u: int) -> tuple[Multigra
     if g.degree(u) % 2 != 0:
         raise PreconditionViolationError(f"vertex {u} has odd degree")
     out = g.copy()
-    flows: list[list[int]] = []
+    flows: list[dict[int, int]] = []
     drain = None
     if sum(not g.is_loop(eid) for eid in g.incident_edges(u)) > 2:
         drain = _Drain(out, u)
@@ -1019,8 +1000,8 @@ def _deletable(g: Multigraph, tset: frozenset[int], eid: int) -> bool:
     return len(arcs) == 1 or any(other != eid and w == end for other, w, _ in arcs)
 
 
-def _deletions(g: Multigraph, tset: frozenset[int], flows: list[list[int]],
-               check_each: bool) -> tuple[list[TraceStep], list[list[int]]]:
+def _deletions(g: Multigraph, tset: frozenset[int], flows: list[dict[int, int]],
+               check_each: bool) -> tuple[list[TraceStep], list[dict[int, int]]]:
     """Mutating: one pass of deletions over g, in ascending edge id, each
     candidate judged on g as the pass has left it (`_deletable`); returns
     the steps and the flows.  Only loops and edges with a non-terminal end
@@ -1062,8 +1043,8 @@ def _deletions(g: Multigraph, tset: frozenset[int], flows: list[list[int]],
     return steps, flows
 
 
-def _pass_repair(g: Multigraph, flows: list[list[int]],
-                 dropped: tuple[tuple[int, tuple[int, int]], ...]) -> list[list[int]] | None:
+def _pass_repair(g: Multigraph, flows: list[dict[int, int]],
+                 dropped: tuple[tuple[int, tuple[int, int]], ...]) -> list[dict[int, int]] | None:
     """The flows repaired into g through a deletion pass that removed the
     non-loop edges `dropped` and no vertex, when each deletion of the
     pass, checked on its own, would have been kept; else None.
@@ -1082,8 +1063,8 @@ def _pass_repair(g: Multigraph, flows: list[list[int]],
     return _repair(g, flows, dropped)
 
 
-def _deletion_pass(g: Multigraph, tset: frozenset[int], flows: list[list[int]],
-                   threshold: int) -> tuple[list[TraceStep], list[list[int]]]:
+def _deletion_pass(g: Multigraph, tset: frozenset[int], flows: list[dict[int, int]],
+                   threshold: int) -> tuple[list[TraceStep], list[dict[int, int]]]:
     """Mutating: one pass of guarded deletions over g (`_deletions`);
     returns its steps and the flows repaired through them.
 
@@ -1242,8 +1223,6 @@ def parse_instance(text: str) -> tuple[Multigraph, frozenset[int]]:
             eid, u, v = values
             if eid < 0:
                 raise InstanceParseError(lineno, f"edge id {eid} is negative")
-            if eid > MAX_EDGE_ID:
-                raise InstanceParseError(lineno, f"edge id {eid} is above {MAX_EDGE_ID}")
             if g.has_edge(eid):
                 raise InstanceParseError(lineno, f"duplicate edge id {eid}")
             g.add_vertex(u)

@@ -89,7 +89,7 @@ class Partition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def classify(self, edge_sets: Mapping[int, frozenset[int]]) -> "EdgeClassification":
+    def classify(self, edge_sets: Mapping[int, Collection[int]]) -> "EdgeClassification":
         """Split the edges of `edge_sets` into those inside one block and
         the rest, in one pass over their vertices.  An edge with a vertex
         in no block is outer."""
@@ -146,11 +146,6 @@ def iter_partitions(vertices: Iterable[int]) -> Iterator[Partition]:
             yield from rec(i + 1, max(top, b))
 
     yield from rec(1, 0) if n > 1 else iter([emit()])
-
-
-def graph_edge_sets(edges: Mapping[int, tuple[int, int]]) -> dict[int, frozenset[int]]:
-    """View graph edges as vertex sets so partition classification applies."""
-    return {eid: frozenset(ends) for eid, ends in edges.items()}
 
 
 # -- generic matroid oracle ---------------------------------------------------
@@ -542,7 +537,6 @@ class HypergraphicMatroid(Matroid):
 
     def __init__(self, h: Hypergraph):
         self._setup(h.vertices, {eid: tuple(sorted(vs)) for eid, vs in h.hyperedges.items()})
-        self._hypergraph: Hypergraph | None = h
 
     @classmethod
     def of_tuples(cls, vertices: frozenset[int], hyperedges: Mapping[int, tuple[int, ...]]
@@ -550,26 +544,17 @@ class HypergraphicMatroid(Matroid):
         """The matroid of `hyperedges`, each a sorted tuple of 2 or 3
         distinct members of `vertices`, taken as they are, unchecked: for
         a caller whose hyperedges are built that way, such as the
-        normal-form scan.  Its `hypergraph` is built on first use."""
+        normal-form scan."""
         oracle = cls.__new__(cls)
         oracle._setup(vertices, hyperedges)
-        oracle._hypergraph = None
         return oracle
 
     def _setup(self, vertices: frozenset[int], hyperedges: Mapping[int, tuple[int, ...]]) -> None:
-        self._vertex_set = vertices
         self._vertices = hyperedges
         self._pairs = {eid: list(itertools.combinations(vs, 2))
                        for eid, vs in hyperedges.items()}
         super().__init__(hyperedges.keys(), self._indep_query, name="hypergraphic")
         self._rank_bound = len(vertices) - 1
-
-    @property
-    def hypergraph(self) -> Hypergraph:
-        """The hyperedges as a `Hypergraph`, built on first use."""
-        if self._hypergraph is None:
-            self._hypergraph = Hypergraph(self._vertex_set, self._vertices)
-        return self._hypergraph
 
     def _augment(self, forest: _RootedForest, new_eid: int) -> dict[int, Pair] | None:
         """Insert one hyperedge into `forest` by a shortest exchange chain.

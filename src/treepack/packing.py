@@ -27,7 +27,7 @@ pipelines; it accepts a search leaf only when verify_packing does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from . import limits
 from .errors import (
@@ -55,7 +55,6 @@ from .matroid import (
     Hypergraph,
     HypergraphicMatroid,
     Partition,
-    graph_edge_sets,
     graphic_matroid,
     iter_partitions,  # unused here, but bench/tracing.py wraps packing.iter_partitions
     pack_bases,
@@ -157,7 +156,9 @@ class PackResult:
     below the cap and a lower bound at it, since λ_T decides only whether
     it is below the threshold and whether it reaches 3k.  It is None for
     spanning trees and for a single terminal.  `steiner_connectivity`
-    gives λ_T exactly.
+    gives λ_T exactly.  `reduced_graph` is the reduction's graph, or the
+    input itself, not a copy, when the input is already in the normal
+    form and no reduction ran.
     """
 
     outcome: str  # "packed" | "certificate" | "infeasible"
@@ -316,7 +317,7 @@ def _verified(g: Multigraph, terminals: frozenset[int] | None, packing: Packing,
 
 
 def _violating_partition_certificate(vertices: frozenset[int],
-                                     edge_sets: Mapping[int, frozenset[int]], k: int,
+                                     edge_sets: Mapping[int, Collection[int]], k: int,
                                      reached: frozenset[int],
                                      scope: str = "graph") -> Certificate:
     """A partition certificate for a failed k-fold packing whose exchange
@@ -375,8 +376,7 @@ def pack_spanning_trees(g: Multigraph, k: int) -> PackResult:
     if result.size == k * (n - 1):
         packing = _verified(g, None, Packing(mode="spanning", parts=result.parts), "spanning")
         return PackResult(outcome="packed", packing=packing, method="pipeline")
-    cert = _violating_partition_certificate(g.vertices, graph_edge_sets(g.edges), k,
-                                            result.reached)
+    cert = _violating_partition_certificate(g.vertices, g.edges, k, result.reached)
     return PackResult(outcome="certificate", certificate=cert, method="pipeline")
 
 
@@ -614,7 +614,7 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
             kind="cut-too-small", cut_side=side, cut_size=connectivity, threshold=threshold))
 
     if normal:
-        rr = ReduceResult(graph=g.copy(), terminals=tset, trace=SplitTrace(), normal_form=scan)
+        rr = ReduceResult(graph=g, terminals=tset, trace=SplitTrace(), normal_form=scan)
     else:
         # Reduction runs at the hypergraph-packing threshold when the
         # instance affords it; below that (probing regimes) it preserves
@@ -674,8 +674,7 @@ def _pipeline(g: Multigraph, terminals, k: int, mode: str,
         cert = Certificate(kind="reduction-incomplete", reduced_graph=rr.graph,
                            reduced_form=rr.form)
     else:
-        h = oracle.hypergraph
-        cert = _violating_partition_certificate(h.vertices, h.hyperedges, k,
+        cert = _violating_partition_certificate(tset, rr.normal_form.hyperedges, k,
                                                 packed.reached, scope="reduced-hypergraph")
     return result("certificate", certificate=cert)
 

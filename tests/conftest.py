@@ -146,11 +146,13 @@ def brute_source_side(g: Multigraph, s: int, t: int) -> frozenset[int]:
 
 
 def is_flow(g: Multigraph, flow, s: int, t: int, value: int) -> bool:
-    """Is `flow` (a list indexed by edge id, +1 along the stored edge
-    direction) a unit-capacity s-t flow of `value` that idles on loops?"""
+    """Is `flow` (a map from edge id to +1 along the stored edge direction
+    or -1 against it, holding only the edges that carry a unit) a
+    unit-capacity s-t flow of `value` that idles on loops?"""
+    assert all(f != 0 and g.has_edge(eid) for eid, f in flow.items()), flow
     net = dict.fromkeys(g.vertices, 0)
     for eid, (a, b) in g.edges.items():
-        f = flow[eid] if eid < len(flow) else 0
+        f = flow.get(eid, 0)
         if f not in (-1, 0, 1) or (a == b and f):
             return False
         net[a] += f

@@ -37,7 +37,7 @@ from treepack import (
     verify_packing,
 )
 from treepack.fractional import ceil_fraction
-from treepack.matroid import graph_edge_sets, iter_partitions, pack_elements
+from treepack.matroid import iter_partitions, pack_elements
 from treepack.generate import generate_fkk, generate_kriesell
 from treepack.rng import SplitMix64
 from conftest import (
@@ -64,12 +64,11 @@ def test_criterion_1_tree_packing_biconditional():
     with criterion(1, "tree-packing biconditional"):
         for seed in range(500):
             g = random_multigraph(seed, max_vertices=5, max_edges=9)
-            edge_sets = graph_edge_sets(g.edges)
             for k in (1, 2):
                 result = pack_spanning_trees(g, k)
                 brute = brute_force_pack(g, None, k, "spanning")
                 violated = any(
-                    p.classify(edge_sets).outer_count < k * (len(p) - 1)
+                    p.classify(g.edges).outer_count < k * (len(p) - 1)
                     for p in iter_partitions(g.vertices))
                 assert result.succeeded == (brute.packing is not None) == (not violated)
                 if result.succeeded:

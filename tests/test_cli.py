@@ -1,7 +1,13 @@
 """Command-line behavior: reports, exit codes, files, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import treepack
 from treepack import parse_instance, parse_packing, reduce_instance, verify_packing
 from treepack.cli import main
 from conftest import c4, doubled_triangle, graph_from_pairs
@@ -64,19 +70,19 @@ class TestVerifyCuts:
             assert code == 2 and captured.out == ""
             assert "line 4" in captured.err and "vertex 1 declared twice" in captured.err
 
-    def test_edge_id_beyond_the_index_range_exits_2(self, capsys, tmp_path):
-        # Flows are lists indexed by edge id: an id of 2^63 once ended in
-        # an OverflowError traceback and exit 1.
-        path = tmp_path / "bad.txt"
-        path.write_text("graph 3 2\nt 0\nt 1\ne 0 0 2\ne 9223372036854775808 2 1\n",
-                        encoding="utf-8")
-        for command in (["verify-cuts", str(path), "--k", "1"],
-                        ["pack", str(path), "--mode", "steiner", "--k", "1",
-                         "--threshold", "1"]):
-            code = main(command)
-            captured = capsys.readouterr()
-            assert code == 2 and captured.out == ""
-            assert captured.err.startswith("error line 5: edge id 9223372036854775808 is above")
+    def test_edge_ids_beyond_a_machine_word_pack(self, capsys, tmp_path):
+        # A flow is a map keyed by edge id, so an id no list could index
+        # packs and verifies like any other.
+        path = tmp_path / "big.txt"
+        for eid in (2 ** 63, 10 ** 30):
+            path.write_text(f"graph 3 2\nt 0\nt 1\ne 0 0 2\ne {eid} 2 1\n", encoding="utf-8")
+            code, out = run_cli(capsys, "verify-cuts", str(path), "--k", "1",
+                                "--threshold", "1")
+            assert code == 0 and "result pass" in out.splitlines()
+            code, out = run_cli(capsys, "pack", str(path), "--mode", "steiner", "--k", "1",
+                                "--threshold", "1")
+            lines = out.splitlines()
+            assert code == 0 and "verified yes" in lines and f"part 1: 0 {eid}" in lines
 
     def test_malformed_integer_threshold_exits_2(self, capsys, doubled_triangle_file):
         for token in ("1_0", "+1", "\u0663"):
@@ -223,6 +229,31 @@ class TestPack:
                             "--mode", "spanning", "--k", "2")
         assert code == 0
         assert "packing spanning 2" in out
+
+    def test_peak_memory_does_not_grow_with_the_edge_ids(self, tmp_path):
+        # The path 0-2-1 packs through a reduction, so flows run, and a
+        # flow's size must not depend on how large the edge ids are.  Each
+        # run is its own process and reports its own peak.
+        report = ("import resource, sys\n"
+                  "from treepack.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print('maxrss_kb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+                  "sys.exit(code)\n")
+        src = str(Path(treepack.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        peaks = []
+        for eid in (1000, 10 ** 7):
+            path = tmp_path / f"path-{eid}.txt"
+            path.write_text(f"graph 3 2\nt 0\nt 1\ne 0 0 2\ne {eid} 2 1\n", encoding="utf-8")
+            run = subprocess.run(
+                [sys.executable, "-c", report, "pack", str(path), "--mode", "steiner",
+                 "--k", "1", "--threshold", "1"],
+                capture_output=True, text=True, env=env, timeout=120)
+            lines = run.stdout.splitlines()
+            assert run.returncode == 0 and "verified yes" in lines, run.stderr
+            peaks.append(int(lines[-1].removeprefix("maxrss_kb ")))
+        assert abs(peaks[1] - peaks[0]) <= 5 * 1024, peaks
 
 
 class TestGen:

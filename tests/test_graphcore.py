@@ -185,18 +185,17 @@ class TestMultigraph:
             g.remove_vertex(0)
 
     def test_negative_edge_id_rejected(self):
-        # Flows are lists indexed by edge id: ids -1, 5, -2 on a triangle
-        # read min_cut(g, 0, 2) as 3, and a lone edge -1 raised IndexError.
+        # The file format's ids are non-negative; any such id is accepted,
+        # however large, since a flow is a map keyed by edge id.
         g = graph_from_pairs(3, [])
         with pytest.raises(InvalidArgumentError, match="negative"):
             g.add_edge(0, 1, eid=-1)
         g.add_edge(1, 2, eid=5)
         with pytest.raises(InvalidArgumentError, match="negative"):
             g.add_edge(0, 2, eid=-2)
-        # nor can an id past what a list can index
-        with pytest.raises(InvalidArgumentError, match="is above"):
-            g.add_edge(0, 2, eid=2 ** 63)
         assert dict(g.edges) == {5: (1, 2)} and g.next_edge_id == 6
+        assert g.add_edge(0, 2, eid=2 ** 63) == 2 ** 63
+        assert dict(g.edges) == {5: (1, 2), 2 ** 63: (0, 2)}
 
 
 class TestMinCut:

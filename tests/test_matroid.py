@@ -298,13 +298,17 @@ class TestPackBases:
                 assert result.size == union_rank(h, None, k)
 
 
+def engine_hypergraph(seed: int) -> Hypergraph:
+    """The hypergraph behind `engine_oracles`' hypergraphic oracle."""
+    rng = SplitMix64(seed)
+    return random_hypergraph(seed, n=3 + rng.below(4), m=1 + rng.below(9))
+
+
 def engine_oracles(seed: int):
     """A graphic oracle on a multigraph with loops and parallel edges, and a
     hypergraphic one, both from the seed."""
-    rng = SplitMix64(seed)
     g = random_multigraph(seed, max_vertices=6, max_edges=12)
-    h = random_hypergraph(seed, n=3 + rng.below(4), m=1 + rng.below(9))
-    return graphic_matroid(g.vertices, g.edges), HypergraphicMatroid(h)
+    return graphic_matroid(g.vertices, g.edges), HypergraphicMatroid(engine_hypergraph(seed))
 
 
 def reference(oracle) -> Matroid:
@@ -504,13 +508,13 @@ class TestUnionEngine:
             def _part_update(self, part, state, left, arrived):
                 new = super()._part_update(part, state, left, arrived)
                 assert set(new.ends) == part and plain.witness(part) is not None
-                assert all(set(pair) <= self.hypergraph.hyperedges[e]
+                assert all(set(pair) <= h.hyperedges[e]
                            for e, pair in new.ends.items())
                 Checked.updates += bool(arrived)
                 return new
 
         for seed in range(40):
-            h = engine_oracles(seed)[1].hypergraph
+            h = engine_hypergraph(seed)
             plain = HypergraphicMatroid(h)
             for k in (1, 2, 3):
                 checked = Checked(h)
@@ -897,7 +901,8 @@ class TestTightSetClosure:
                 counts[kind][1] += fits
                 if kind == 2:
                     roots = {forest.tree[v] for ends in forest.ends.values() for v in ends}
-                    isolated = oracle.hypergraph.vertices - set(forest.tree)
+                    vertices = several_trees_hypergraph(seed)[0].vertices
+                    isolated = vertices - set(forest.tree)
                     shapes += len(roots) >= 2 and bool(isolated)
         assert all(circuits > 200 and fits > 50 for circuits, fits in counts)
         assert shapes > 50

@@ -26,7 +26,7 @@ from treepack import (
 )
 import treepack.packing
 from treepack.generate import generate
-from treepack.matroid import iter_partitions, graph_edge_sets
+from treepack.matroid import iter_partitions
 from treepack.graphcore import NormalForm, ReduceResult, _normal_form
 from treepack.packing import _violating_partition_certificate, prune_to_terminal_tree
 from treepack.rng import SplitMix64
@@ -34,9 +34,8 @@ from conftest import c4, doubled_triangle, graph_from_pairs, k4, random_hypergra
 
 
 def violates_tree_packing_bound(g, k) -> bool:
-    edge_sets = graph_edge_sets(g.edges)
     for p in iter_partitions(g.vertices):
-        if p.classify(edge_sets).outer_count < k * (len(p) - 1):
+        if p.classify(g.edges).outer_count < k * (len(p) - 1):
             return True
     return False
 
@@ -133,7 +132,7 @@ def recounted(vertices, edge_sets, cert, k) -> bool:
 
 def ground(g):
     """A graph as the (vertices, edge_sets) pair the helpers above take."""
-    return g.vertices, graph_edge_sets(g.edges)
+    return g.vertices, g.edges
 
 
 class TestSpanningCertificates:
