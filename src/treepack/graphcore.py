@@ -906,13 +906,11 @@ class NormalForm:
     `hyperedges` maps each hyperedge id, in ascending order, to its sorted
     vertex tuple: each terminal-terminal edge under its own id, then each
     non-terminal hub, in ascending vertex order, under the ids from
-    max(edge id) + 1 on.  `origin` records per hyperedge id ("edge",
-    edge id) or ("vertex", hub), and `stars` maps each hub's hyperedge id
-    to the hub's edge to each of its three neighbours.
+    max(edge id) + 1 on.  `stars` maps each hub's hyperedge id to the
+    hub's edge to each of its three neighbours.
     """
 
     hyperedges: dict[int, tuple[int, ...]]
-    origin: dict[int, tuple[str, int]]
     stars: dict[int, dict[int, int]]
 
 
@@ -966,18 +964,15 @@ def _normal_form(g: Multigraph, tset: frozenset[int]) -> NormalForm | tuple[str,
     if loops:
         return "loop", min(loops)
     hyperedges: dict[int, tuple[int, ...]] = {}
-    origin: dict[int, tuple[str, int]] = {}
     for eid in sorted(pairs):
         a, b = g._edges[eid]
         hyperedges[eid] = (a, b) if a < b else (b, a)
-        origin[eid] = ("edge", eid)
     stars: dict[int, dict[int, int]] = {}
     hubs.sort(key=lambda hub: hub[0])
-    for hid, (u, star) in enumerate(hubs, start=max(g._edges, default=-1) + 1):
+    for hid, (_, star) in enumerate(hubs, start=max(g._edges, default=-1) + 1):
         hyperedges[hid] = tuple(sorted(star))
-        origin[hid] = ("vertex", u)
         stars[hid] = star
-    return NormalForm(hyperedges=hyperedges, origin=origin, stars=stars)
+    return NormalForm(hyperedges=hyperedges, stars=stars)
 
 
 def _deletable(g: Multigraph, tset: frozenset[int], eid: int) -> bool:

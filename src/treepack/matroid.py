@@ -34,12 +34,12 @@ union of those sets minimises |E - A| + k*rank(A), so certificates of
 deficiency are read off the failed searches instead of enumerated.  A part
 that holds |V| - 1 elements is a basis and takes nothing, so a search asks
 such full parts last; once every part is full, the engine stops searching.
-A hypergraphic search that finds an element fits a part keeps its chain on
-the part's forest, and the chain update applies it with no second search.
-Most elements fit a part at once; those cost one arrival at that part, and
-the exchange search's state is built only for an element that every part
-refuses.  `pack_bases` hands back each part's final state, so a
-hypergraphic basis comes with its representative forest.
+A circuit query only reads the part's state; the chain update is what
+moves it, and for the hypergraphic oracle the only place an exchange
+search runs.  Most elements fit a part at once; those cost one arrival at
+that part, and the union engine's search state is built only for an
+element that every part refuses.  `pack_bases` hands back each part's
+final state, so a hypergraphic basis comes with its representative forest.
 """
 
 from __future__ import annotations
@@ -217,7 +217,8 @@ class Matroid:
     def _circuit(self, part: set[int], state: object, y: int) -> frozenset[int] | None:
         """The elements z of the independent `part` for which part - z + y is
         independent (the fundamental circuit of y, less y), or None when
-        part + y is independent.  `y` is not in `part`."""
+        part + y is independent.  `y` is not in `part`.  A query only reads
+        `state`; `_part_update` alone changes it."""
         if self.independent(part | {y}):
             return None
         return frozenset(z for z in part if self.independent((part - {z}) | {y}))
@@ -310,13 +311,9 @@ class _RootedForest:
     link that changes tree.  `acyclic` is False once the edges are not a
     forest (a loop, a repeated pair, or an edge that closes a cycle);
     such an edge stays in `ends` unlinked, so paths are then those of a
-    spanning forest of them.
+    spanning forest of them."""
 
-    `found` is one slot for a reader that has searched the forest: a label
-    and the exchange chain found for it, or None.  Every `exchange` clears
-    it, so a chain read back from it was found on the forest as it is."""
-
-    __slots__ = ("ends", "adj", "tree", "depth", "up", "acyclic", "found")
+    __slots__ = ("ends", "adj", "tree", "depth", "up", "acyclic")
 
     def __init__(self):
         self.ends: dict[int, Pair] = {}
@@ -325,14 +322,12 @@ class _RootedForest:
         self.depth: dict[int, int] = {}
         self.up: dict[int, tuple[int, int]] = {}
         self.acyclic = True
-        self.found: tuple[int, dict[int, Pair]] | None = None
 
     def exchange(self, left: Iterable[int], arrived: Mapping[int, Pair]) -> None:
         """Drop the linked edges labelled `left`, then link each of
         `arrived` (label -> ends) in turn.  An arrival whose ends one tree
         already joins is kept unlinked and sets `acyclic` to False; a
         forest in that state is only read before it is discarded."""
-        self.found = None
         ends, adj, tree, depth, up = self.ends, self.adj, self.tree, self.depth, self.up
         for label in left:
             a, b = ends.pop(label)
@@ -624,16 +619,13 @@ class HypergraphicMatroid(Matroid):
         in), all in place: |arrived| searches where a rebuild takes |part|.
         Each set on the way lies inside the new part, so while that is
         independent every insertion fits; the first that does not reports
-        the part dependent.  A chain that `_circuit` found for the arrival
-        on the forest as it is (its `found` slot) is applied without a
-        second search: the search is deterministic, so that is the chain a
-        new one would find.  The result is checked once by `acyclic`
-        (pairs are never loops, and a repeated pair counts as a cycle)."""
+        the part dependent.  This is the only caller of `_augment`.  The
+        result is checked once by `acyclic` (pairs are never loops, and a
+        repeated pair counts as a cycle)."""
         if left:
             state.exchange(left, {})
         for eid in sorted(arrived):
-            found = state.found
-            chain = found[1] if found and found[0] == eid else self._augment(state, eid)
+            chain = self._augment(state, eid)
             if chain is None:
                 return None
             state.exchange([e for e in chain if e in state.ends], chain)
@@ -673,8 +665,8 @@ class HypergraphicMatroid(Matroid):
         the forest.
 
         A vertex in another tree, or outside the forest, is in no tight
-        set with V(y), so y fits: only then does `_augment` run, and its
-        chain is kept in the forest's `found` slot for `_part_update`."""
+        set with V(y), so y fits.  The forest is only read: inserting y is
+        `_part_update`'s."""
         tree, depth, up = state.tree, state.depth, state.up
         vertices = self._vertices
         first, *todo = vertices[y]
@@ -687,7 +679,6 @@ class HypergraphicMatroid(Matroid):
             if a in joined:
                 continue
             if root is None or tree.get(a) != root:
-                state.found = (y, self._augment(state, y))
                 return None
             while a not in joined:
                 if depth[a] >= depth[top]:
@@ -807,11 +798,8 @@ class PackBasesResult:
 class _Part:
     """One part of a k-fold packing and the oracle's state for it.
 
-    An element that fits the part goes into it at once, so the oracle may
-    keep in the state what it found while answering that an element fits
-    (the hypergraphic oracle keeps the exchange chain), for the update
-    that follows.  An element placed with no exchange arrives alone, as
-    `((), (x,))`."""
+    A circuit query only reads the state, and `update` alone moves it.  An
+    element placed with no exchange arrives alone, as `((), (x,))`."""
 
     __slots__ = ("index", "items", "state")
 

@@ -391,7 +391,8 @@ def build_steiner_hypergraph(g: Multigraph, terminals: frozenset[int]
     Requires the reduced normal form: every non-terminal has degree 3 and
     three distinct terminal neighbors, and the graph has no loops.  The
     origin map records, per hyperedge id, either ("edge", edge-id) or
-    ("vertex", non-terminal-id) for decoding packings back to edges.
+    ("vertex", non-terminal-id) for decoding packings back to edges; a
+    hub is the other end of any edge of its star.
     """
     tset = frozenset(terminals)
     scan = _normal_form(g, tset)
@@ -401,7 +402,11 @@ def build_steiner_hypergraph(g: Multigraph, terminals: frozenset[int]
             raise InvalidArgumentError(
                 f"vertex {ref} breaks the reduced form needed for the hypergraph step")
         raise InvalidArgumentError(f"loop {ref} cannot enter the hypergraph")
-    return Hypergraph(tset, scan.hyperedges), scan.origin
+    origin = {hid: ("edge", hid) for hid in scan.hyperedges}
+    for hid, star in scan.stars.items():
+        terminal, eid = next(iter(star.items()))
+        origin[hid] = ("vertex", g.other_end(eid, terminal))
+    return Hypergraph(tset, scan.hyperedges), origin
 
 
 def _decode(form: NormalForm, reps: Mapping[int, tuple[int, int]]) -> frozenset[int]:
@@ -702,7 +707,9 @@ def pack_steiner_trees(g: Multigraph, terminals, k: int,
     3. with brute_fallback: the exhaustive search on the input graph,
        whose exhaustion is returned as `infeasible`;
     4. the certificate: a violating partition of the reduced hypergraph,
-       or the partially reduced instance.
+       or the partially reduced instance.  A `reduced-hypergraph`
+       certificate proves that the reduced hypergraph has no k disjoint
+       bases.  It does not prove that the input has no k trees.
 
     The exhaustive search is skipped above its caps.
     """

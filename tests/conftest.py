@@ -21,6 +21,7 @@ Tests compare the fast implementations against these.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -91,6 +92,42 @@ def random_hypergraph(seed: int, n: int, m: int) -> Hypergraph:
         size = 2 + rng.below(2)
         h.add_hyperedge(eid, rng.sample(range(n), size))
     return h
+
+
+# (terminals low, high, non-terminals low, high, probabilities of a terminal end)
+PROBE_SETTINGS = {
+    "small": (3, 5, 8, 30, (0.3, 0.45, 0.6)),
+    "large": (3, 4, 30, 70, (0.45, 0.6, 0.75)),
+    "many-terminals": (6, 10, 20, 50, (0.5, 0.7)),
+}
+
+
+def probe_family(setting: str, seed: int) -> tuple[Multigraph, frozenset[int]]:
+    """A draw of the probe family and its terminals: t terminals 0..t-1
+    with no edge between two of them, and N degree-3 non-terminals
+    t..t+N-1, many adjacent to non-terminals.  Each end of each
+    non-terminal, in ascending order, goes to a random terminal with
+    probability p, or else onto a list of loose ends; the shuffled loose
+    ends are joined two by two from the back, and an odd one left goes to
+    a random terminal."""
+    tl, th, nl, nh, ps = PROBE_SETTINGS[setting]
+    r = random.Random(seed)
+    t, n, p = r.randint(tl, th), r.randint(nl, nh), r.choice(ps)
+    terminals = list(range(t))
+    g = graph_from_pairs(t + n, [])
+    loose: list[int] = []
+    for u in range(t, t + n):
+        for _ in range(3):
+            if r.random() < p:
+                g.add_edge(u, r.choice(terminals))
+            else:
+                loose.append(u)
+    r.shuffle(loose)
+    while len(loose) >= 2:
+        g.add_edge(loose.pop(), loose.pop())
+    if loose:
+        g.add_edge(loose.pop(), r.choice(terminals))
+    return g, frozenset(terminals)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -476,8 +513,7 @@ def reference_pack(oracle, k: int, elements):
 def reference_hypergraphic_circuit(oracle, forest, y: int):
     """The hypergraphic circuit C(part, y) less y as the set one failed
     exchange search displaces, or None when y fits the part, whose
-    representative forest is `forest`; then the chain found is kept in
-    `forest.found`, as `HypergraphicMatroid._circuit` keeps it.
+    representative forest is `forest`.
 
     Breadth-first over vertex pairs from y's: a claimed pair whose ends
     the forest joins displaces the hyperedges whose representatives lie on
@@ -490,32 +526,19 @@ def reference_hypergraphic_circuit(oracle, forest, y: int):
     z + y is independent."""
     ends = forest.ends
     pairs = oracle._pairs
-    claimant = {}
-    parent = {}
-    queue = deque()
+    claimed = set(pairs[y])
+    queue = deque(pairs[y])
     displaced = set()
-    for p in pairs[y]:
-        claimant[p] = y
-        parent[p] = None
-        queue.append(p)
     while queue:
-        p = queue.popleft()
-        blockers = forest.path(*p)
+        blockers = forest.path(*queue.popleft())
         if blockers is None:
-            chain = {}
-            cur = p
-            while cur is not None:
-                chain[claimant[cur]] = cur
-                cur = parent[cur]
-            forest.found = (y, chain)
             return None
         for needy in blockers:
             displaced.add(needy)
             for p2 in pairs[needy]:
-                if p2 == ends[needy] or p2 in claimant:
+                if p2 == ends[needy] or p2 in claimed:
                     continue
-                claimant[p2] = needy
-                parent[p2] = p
+                claimed.add(p2)
                 queue.append(p2)
     return frozenset(displaced)
 

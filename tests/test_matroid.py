@@ -710,10 +710,10 @@ class TestUnionEngine:
     def test_non_forest_exchange_is_reported(self):
         # An exchange search that "succeeds" where none fits hands back a
         # chain whose pair closes a cycle; the forest built from it must
-        # be refused, both in `witness` and in a chain update.  A refused
-        # circuit query runs no search, so in the packing the circuit
-        # query lies too: it claims every element fits, and the chain
-        # update's own search hands back the cycle.
+        # be refused, both in `witness` and in a chain update.  A circuit
+        # query runs no search, so in the packing the circuit query lies
+        # too: it claims every element fits, and the chain update's search
+        # hands back the cycle.
         class Cyclic(HypergraphicMatroid):
             def _augment(self, forest, new_eid):
                 chain = super()._augment(forest, new_eid)
@@ -735,14 +735,12 @@ class TestUnionEngine:
         # forest per part, which chains then update in place.  No witness
         # replay runs, and a refused circuit query costs no exchange
         # search: no confirming searches, no per-chain rebuilds and no rank
-        # pass.  A placement applies the chain its circuit query found,
-        # and full parts are asked only when no other part takes the
-        # element.  Searches and circuit queries: (20, 55) at n=11,
-        # (47, 135) at n=24, one search again for a chain that also took
-        # an element out of its part, and (24, 25) at n=9, k=3.  A failed
-        # search per refusal made 55, 136 and 25 searches; searching again
-        # for each found chain and asking full parts in index order made
-        # 183 at n=24, and a rank pass would add 79.
+        # pass.  A circuit query runs no search either; each arrival a chain
+        # update inserts runs one, and full parts are asked only when no
+        # other part takes the element.  Searches and circuit queries:
+        # (20, 55) at n=11, (47, 135) at n=24 and (24, 25) at n=9, k=3.  A
+        # failed search per refusal made 55, 136 and 25 searches, and a rank
+        # pass would add 79.
         calls = {"witness": 0, "_part_state": 0, "_augment": 0, "_circuit": 0, "__init__": 0}
         for owner, name in ((HypergraphicMatroid, "witness"),
                             (HypergraphicMatroid, "_part_state"),
@@ -831,8 +829,7 @@ def assert_closure_matches_references(oracle: HypergraphicMatroid, part, state=N
     """For every hyperedge y outside `part`, the tight-set closure's answer
     equals the set one failed exchange search displaces
     (`reference_hypergraphic_circuit`, on the same forest) and, with
-    `probe`, the probing reference's, None included; when y fits, the
-    chain the closure keeps is the one that search finds.  `state` is the
+    `probe`, the probing reference's, None included.  `state` is the
     part's forest, grown by `_part_state` when not given.  Returns how many
     circuits and how many fits were compared."""
     forest = oracle._part_state(part) if state is None else state
@@ -842,12 +839,9 @@ def assert_closure_matches_references(oracle: HypergraphicMatroid, part, state=N
         if y in part:
             continue
         circuit = oracle._circuit(part, forest, y)
-        found = forest.found
         assert reference_hypergraphic_circuit(oracle, forest, y) == circuit
         if probe:
             assert prober._circuit(part, part, y) == circuit
-        if circuit is None:
-            assert found == forest.found
         circuits += circuit is not None
         fits += circuit is None
     return circuits, fits
@@ -882,8 +876,7 @@ def augment_results(monkeypatch) -> list:
 class TestTightSetClosure:
     """A hypergraphic circuit is closed along forest paths from y's
     vertices; it must equal the set a failed exchange search displaces and
-    the probing reference's circuit, and a fit must keep the chain that
-    search finds."""
+    the probing reference's circuit."""
 
     def test_matches_references_on_small_kinds(self):
         # Every kind gives circuits and fits: parts from random pools of
@@ -921,23 +914,12 @@ class TestTightSetClosure:
                         oracle, part, state, probe=n <= 24)
                     assert circuits > 0
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_found_chain_is_a_fresh_search_property(self, seed):
-        # For each y that fits, the chain kept in `found` is the one a new
-        # search finds from a forest grown afresh for the part.
-        for oracle, part in closure_inputs(seed):
-            forest = oracle._part_state(part)
-            for y in sorted(set(oracle.ground) - part):
-                if oracle._circuit(part, forest, y) is None:
-                    assert forest.found == (y, oracle._augment(oracle._part_state(part), y))
-            assert_closure_matches_references(oracle, part, forest)
-
     def test_every_search_in_a_packing_finds_a_chain(self, monkeypatch):
-        # A refused circuit query runs no exchange search, so every search
-        # `pack_bases` runs places a hyperedge: on reduced fkk, and on the
-        # connector-kriesell benchmark pool at seed 1, where each instance
-        # refuses 15.5 circuit queries on average.
+        # A circuit query runs no exchange search, so every search
+        # `pack_bases` runs inserts a hyperedge in a chain update, and
+        # finds a chain: on reduced fkk, and on the connector-kriesell
+        # benchmark pool at seed 1, where each instance refuses 15.5
+        # circuit queries on average.
         results = augment_results(monkeypatch)
         for n, k in ((24, 2), (9, 3)):
             oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
@@ -949,6 +931,72 @@ class TestTightSetClosure:
         for inst in workloads.build_pool("connector-kriesell", 1):
             assert workloads.solve(inst).outcome == "packed"
         assert None not in results and len(results) == 751
+
+
+def state_snapshot(state):
+    """A copy of a part's state to compare with after queries: a forest's
+    fields, or the part itself, which is the probing oracle's state."""
+    if isinstance(state, _RootedForest):
+        return (dict(state.ends), {v: dict(nbrs) for v, nbrs in state.adj.items()},
+                dict(state.tree), dict(state.depth), dict(state.up), state.acyclic)
+    return set(state)
+
+
+class TestCircuitQueryOnlyReads:
+    """A circuit query reads the part's state and changes nothing, for the
+    probing, graphic and hypergraphic oracles; no hypergraphic exchange
+    search runs for it, as inserting is `_part_update`'s alone."""
+
+    def test_queries_leave_the_part_as_it_was(self, monkeypatch):
+        searches = 0
+        augment = HypergraphicMatroid._augment
+
+        def counted(self, *args):
+            nonlocal searches
+            searches += 1
+            return augment(self, *args)
+
+        monkeypatch.setattr(HypergraphicMatroid, "_augment", counted)
+        answers: dict[str, list[int]] = {}
+
+        def assert_unchanged(oracle, part, state=None) -> None:
+            state = oracle._part_state(part) if state is None else state
+            items, before, searched = set(part), state_snapshot(state), searches
+            counts = answers.setdefault(oracle.name, [0, 0])
+            for y in sorted(set(oracle.ground) - part):
+                counts[oracle._circuit(part, state, y) is None] += 1
+                assert (part, state_snapshot(state)) == (items, before), y
+            # The probing reference's predicate grows a forest per probe.
+            if isinstance(oracle, HypergraphicMatroid):
+                assert searches == searched
+
+        for seed in range(60):
+            rng = SplitMix64(seed)
+            graphic = engine_oracles(seed)[0]
+            for oracle, part in closure_inputs(seed):
+                assert_unchanged(oracle, part)
+                assert_unchanged(reference(oracle), part)
+            part = set(graphic.greedy_basis([e for e in graphic.ground if not rng.below(3)]))
+            assert_unchanged(graphic, part)
+            assert_unchanged(reference(graphic), part)
+        for n in (11, 24):
+            for k in (2, 3):
+                oracle = HypergraphicMatroid(reduced_fkk(n, k, 1))
+                result = pack_bases(oracle, k)
+                for part, state in zip(result.parts, result.states):
+                    assert_unchanged(oracle, set(part), state)
+                    if n == 11:
+                        assert_unchanged(reference(oracle), set(part))
+        # The spanning-nwt benchmark shape: the graphic forests pack_bases
+        # hands back.
+        nwt = generate("nwt", 24, 2, 1).graph
+        graphic = graphic_matroid(nwt.vertices, nwt.edges)
+        result = pack_bases(graphic, 2)
+        for part, state in zip(result.parts, result.states):
+            assert_unchanged(graphic, set(part), state)
+        # Every oracle answered with circuits and with fits.
+        assert answers.keys() == {"reference", "graphic", "hypergraphic"}
+        assert all(circuits > 100 and fits > 100 for circuits, fits in answers.values())
 
 
 def stop_oracles(seed: int):
@@ -1036,16 +1084,12 @@ class EngineSpy:
 
     `steps` holds, per element y the search dequeued, y's own part,
     whether another part was full, and the parts asked about y in order,
-    each as (index, full, fits);
-    `kept` and `dropped` count the chain updates of a part whose forest
-    holds a found chain, with nothing left (the chain is applied) and with
-    something left (a new search runs)."""
+    each as (index, full, fits)."""
 
     def __init__(self, monkeypatch):
         self.parts: list = []
         self.steps: list[tuple[int, int | None, bool, list[tuple[int, bool, bool]]]] = []
-        self.kept = self.dropped = 0
-        part_init, circuit, update = _Part.__init__, _Part.circuit, _Part.update
+        part_init, circuit = _Part.__init__, _Part.circuit
         spy = self
 
         def init(part, oracle, index, items):
@@ -1065,15 +1109,8 @@ class EngineSpy:
             spy.steps[-1][3].append((part.index, full, answer is None))
             return answer
 
-        def updated(part, oracle, left, arrived):
-            if getattr(part.state, "found", None) is not None:
-                spy.dropped += bool(left)
-                spy.kept += not left
-            update(part, oracle, left, arrived)
-
         monkeypatch.setattr(_Part, "__init__", init)
         monkeypatch.setattr(_Part, "circuit", asked)
-        monkeypatch.setattr(_Part, "update", updated)
 
     def check_steps(self, k: int) -> tuple[int, int]:
         """Each step asks the parts y is not in, full ones last, stops at the
@@ -1100,9 +1137,9 @@ class EngineSpy:
 
 
 class TestOneSearchPerPlacement:
-    """Full parts are asked last, and a chain found by `_circuit` is
-    applied, not searched for again; parts, unplaced elements and reached
-    sets stay those of the unpruned reference."""
+    """Full parts are asked last, and a chain update inserts each arrival
+    by one exchange search; parts, unplaced elements and reached sets stay
+    those of the unpruned reference."""
 
     @staticmethod
     def assert_matches_reference(spy: EngineSpy, seed: int) -> None:
@@ -1113,13 +1150,9 @@ class TestOneSearchPerPlacement:
             spy.steps.clear()
 
     def test_matches_reference_as_parts_fill(self, monkeypatch):
-        # A found chain is dropped only when the chain also takes an
-        # element out of the part it ends in: 32 times here, against
-        # 14,434 chains applied as found.
         spy = EngineSpy(monkeypatch)
         for seed in range(100):
             self.assert_matches_reference(spy, seed)
-        assert spy.kept > 10_000 and spy.dropped > 20
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -1127,13 +1160,11 @@ class TestOneSearchPerPlacement:
         with pytest.MonkeyPatch.context() as monkeypatch:
             self.assert_matches_reference(EngineSpy(monkeypatch), seed)
 
-    def test_found_chain_equals_a_new_search(self):
-        # For every y that fits a part: inserting y by `_part_update`
-        # applies the chain `_circuit` found, which must be the one a new
-        # search finds; and when the update also takes an element out of
-        # the part, inserting y must search again.  On 54 of the 307
-        # insertions here the old chain would leave another forest, for
-        # one by putting back a displaced element that has left.
+    def test_part_update_insertion_equals_a_fresh_build(self):
+        # For every y that fits a part, with nothing or one element taken
+        # out of the part as well: inserting y by `_part_update` into the
+        # part's forest gives the forest that inserting y into a fresh
+        # build of what is left gives.
         checked = 0
         for seed in range(200):
             rng = SplitMix64(seed)

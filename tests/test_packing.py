@@ -30,7 +30,8 @@ from treepack.matroid import iter_partitions
 from treepack.graphcore import NormalForm, ReduceResult, _normal_form
 from treepack.packing import _violating_partition_certificate, prune_to_terminal_tree
 from treepack.rng import SplitMix64
-from conftest import c4, doubled_triangle, graph_from_pairs, k4, random_hypergraph, triangle
+from conftest import (c4, doubled_triangle, graph_from_pairs, k4, probe_family, random_hypergraph,
+                      triangle)
 
 
 def violates_tree_packing_bound(g, k) -> bool:
@@ -863,6 +864,40 @@ class TestBelowTheoremThresholds:
         assert (result.outcome, result.method, len(result.trace)) == ("packed", "pipeline", 18)
         assert result.trace.steps == reduce_instance(inst.graph, terminals, 4).trace.steps
         assert verify_packing(inst.graph, terminals, result.packing).ok
+
+
+def probe_at_2k(setting: str, seed: int):
+    """A probe-family draw packed as Steiner trees at Kriesell's 2k, with
+    k = ⌊λ_T/2⌋ and no brute help: its terminal count, edge count, λ_T,
+    and the result."""
+    g, terminals = probe_family(setting, seed)
+    connectivity = steiner_connectivity(g, terminals)
+    k = connectivity // 2
+    result = pack_steiner_trees(g, terminals, k, threshold=2 * k, brute_fallback=False)
+    return (len(terminals), len(g.edges), connectivity), result
+
+
+class TestProbeFamilyPins:
+    """The current outcome on two draws of ROADMAP's probe family that the
+    route does not pack.  Neither certificate proves that the input has no
+    k trees.  The relaxed route after a stall (ROADMAP item 2) should flip
+    the first to packed, and trees that branch at a hub (item 4) the
+    second; each flip gets its own CHANGES.md line."""
+
+    def test_small_251_stalls_the_reduction(self):
+        shape, result = probe_at_2k("small", 251)
+        assert shape == (4, 65, 6)
+        assert result.outcome == "certificate"
+        assert result.certificate.kind == "reduction-incomplete"
+
+    def test_many_terminals_2874_has_no_k_bases_in_the_reduced_hypergraph(self):
+        shape, result = probe_at_2k("many-terminals", 2874)
+        assert shape == (7, 80, 8)
+        cert = result.certificate
+        assert (result.outcome, cert.kind, cert.scope) == \
+            ("certificate", "violating-partition", "reduced-hypergraph")
+        assert set(cert.partition) == {frozenset({t}) for t in range(7)}
+        assert (cert.lambda_out, cert.bound) == (23, 24)
 
 
 def h_graph():
