@@ -70,6 +70,8 @@ def _fmt_partition(blocks) -> str:
 
 def _certificate_lines(cert: Certificate) -> list[str]:
     lines = [f"certificate_kind {cert.kind}", f"certificate_scope {cert.scope}"]
+    if cert.scope == "reduced-hypergraph":
+        lines.append("certificate_proves no-k-bases-in-reduced-hypergraph")
     if cert.kind == "violating-partition":
         lines.append(f"certificate_partition {_fmt_partition(cert.partition)}")
         lines.append(f"certificate_lambda_out {cert.lambda_out}")

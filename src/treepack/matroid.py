@@ -18,7 +18,9 @@ An oracle keeps one state per part (`_part_state`), reads circuits off it
 (`_part_update`).  Both oracles keep one forest type as that state: a
 `_RootedForest` labelled by element id, whose tree paths read off as
 element ids, which starts empty and changes only in place, one cut or
-link per element that leaves or arrives (`_RootedForest.exchange`).  The
+link per element that leaves or arrives (`_RootedForest.exchange`).  A
+link that brings in a new vertex hangs it as a leaf; only a cut, or a
+link of two trees, re-labels a subtree.  The
 graphic oracle's forest is the part's edges, and a circuit is the tree path
 between y's ends.  The hypergraphic oracle's is the part's representative
 forest, one pair per hyperedge; a circuit less y is the least tight set of
@@ -307,11 +309,11 @@ class _RootedForest:
     depend on where the trees are rooted.
 
     A forest starts empty, and `exchange` is the only change to it: it
-    cuts and links in place, re-labelling only the side of each cut or
-    link that changes tree.  `acyclic` is False once the edges are not a
-    forest (a loop, a repeated pair, or an edge that closes a cycle);
-    such an edge stays in `ends` unlinked, so paths are then those of a
-    spanning forest of them."""
+    cuts and links in place.  A link that brings in a new vertex hangs it
+    as a leaf; only a cut, or a link of two trees, re-labels the side that
+    changes tree.  `acyclic` is False once the edges are not a forest (a
+    loop, a repeated pair, or an edge that closes a cycle); such an edge
+    stays in `ends` unlinked, so paths are those of a spanning forest."""
 
     __slots__ = ("ends", "adj", "tree", "depth", "up", "acyclic")
 
@@ -323,11 +325,14 @@ class _RootedForest:
         self.up: dict[int, tuple[int, int]] = {}
         self.acyclic = True
 
-    def exchange(self, left: Iterable[int], arrived: Mapping[int, Pair]) -> None:
-        """Drop the linked edges labelled `left`, then link each of
-        `arrived` (label -> ends) in turn.  An arrival whose ends one tree
-        already joins is kept unlinked and sets `acyclic` to False; a
-        forest in that state is only read before it is discarded."""
+    def exchange(self, left: Iterable[int], arrived: Iterable[int],
+                 pairs: Mapping[int, Pair]) -> None:
+        """Drop the linked edges labelled `left`, then link each label of
+        `arrived` in turn, by its ends in `pairs`.  A new end hangs as a
+        leaf below the other (a new root, if both are new); only a link of
+        two trees re-roots one.  An arrival whose ends one tree already
+        joins is kept unlinked and sets `acyclic` to False; a forest in
+        that state is only read before it is discarded."""
         ends, adj, tree, depth, up = self.ends, self.adj, self.tree, self.depth, self.up
         for label in left:
             a, b = ends.pop(label)
@@ -336,16 +341,20 @@ class _RootedForest:
             child = b if up.get(b) == (a, label) else a
             del up[child]
             self._relabel(child, child, 0)
-        for label, (a, b) in arrived.items():
-            ends[label] = (a, b)
+        for label in arrived:
+            a, b = ends[label] = pairs[label]
             if a == b or (a in tree and b in tree and tree[a] == tree[b]):
                 self.acyclic = False
                 continue
-            for v in (a, b):
-                if v not in tree:
-                    tree[v], depth[v], adj[v] = v, 0, {}
-            # b's tree is re-rooted at b and hangs below a.
-            self._relabel(b, tree[a], depth[a] + 1)
+            if b in tree and a not in tree:
+                a, b = b, a
+            if a not in tree:
+                tree[a], depth[a], adj[a] = a, 0, {}
+            if b in tree:
+                # b's tree is re-rooted at b and hangs below a.
+                self._relabel(b, tree[a], depth[a] + 1)
+            else:
+                tree[b], depth[b], adj[b] = tree[a], depth[a] + 1, {}
             up[b] = (a, label)
             adj[a][label] = b
             adj[b][label] = a
@@ -416,8 +425,7 @@ class GraphicMatroid(Matroid):
         arrivals are linked in the order given: that order moves only the
         roots, while `acyclic` and every path are properties of the edge
         set alone."""
-        edges = self.edges
-        state.exchange(left, {e: edges[e] for e in arrived})
+        state.exchange(left, arrived, self.edges)
         return state if state.acyclic else None
 
     def _circuit(self, part: set[int], state: _RootedForest,
@@ -623,12 +631,12 @@ class HypergraphicMatroid(Matroid):
         result is checked once by `acyclic` (pairs are never loops, and a
         repeated pair counts as a cycle)."""
         if left:
-            state.exchange(left, {})
+            state.exchange(left, (), {})
         for eid in sorted(arrived):
             chain = self._augment(state, eid)
             if chain is None:
                 return None
-            state.exchange([e for e in chain if e in state.ends], chain)
+            state.exchange([e for e in chain if e in state.ends], chain, chain)
         if not state.acyclic:
             raise InternalInvariantError(
                 "representative exchange produced a non-forest; "

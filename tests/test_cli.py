@@ -10,7 +10,7 @@ import pytest
 import treepack
 from treepack import parse_instance, parse_packing, reduce_instance, verify_packing
 from treepack.cli import main
-from conftest import c4, doubled_triangle, graph_from_pairs
+from conftest import c4, doubled_triangle, graph_from_pairs, probe_family
 from treepack import serialize_instance
 
 
@@ -223,6 +223,27 @@ class TestPack:
                      "certificate_reduced_form partial", "certificate_reduced_edges 5",
                      "certificate_reduced_vertices 6"):
             assert line in lines
+
+    def test_reduced_hypergraph_certificate_says_what_it_proves(self, capsys, tmp_path,
+                                                                c4_file):
+        # Probe draw many-terminals 2874 (λ_T 8) ends, at k 4, in a partition
+        # certificate of the reduced hypergraph, which proves nothing about
+        # trees in the input; the report says so.  A certificate of the
+        # input graph itself gets no such line.
+        g, terminals = probe_family("many-terminals", 2874)
+        path = tmp_path / "probe.txt"
+        path.write_text(serialize_instance(g, terminals), encoding="utf-8")
+        code, out = run_cli(capsys, "pack", str(path), "--mode", "steiner",
+                            "--k", "4", "--threshold", "8")
+        assert code == 1
+        lines = out.splitlines()
+        for line in ("certificate_kind violating-partition",
+                     "certificate_scope reduced-hypergraph",
+                     "certificate_proves no-k-bases-in-reduced-hypergraph"):
+            assert line in lines
+        code, out = run_cli(capsys, "pack", c4_file, "--mode", "spanning", "--k", "2")
+        assert code == 1 and "certificate_scope graph" in out.splitlines()
+        assert "certificate_proves" not in out
 
     def test_packing_printed_when_no_out_file(self, capsys, doubled_triangle_file):
         code, out = run_cli(capsys, "pack", doubled_triangle_file,

@@ -534,7 +534,7 @@ class TestUnionEngine:
         edges = [(100 + i, (order[i], order[rng.below(i)]))
                  for i in range(1, n) if rng.below(4)]
         forest = _RootedForest()
-        forest.exchange([], dict(edges))
+        forest.exchange([], dict(edges), dict(edges))
         assert forest.acyclic
         for u in range(n + 1):
             for v in range(n + 1):
@@ -542,7 +542,7 @@ class TestUnionEngine:
         # one more edge, perhaps a loop, is a forest exactly when it joins
         # two trees
         extra = (rng.below(n + 1), rng.below(n + 1))
-        forest.exchange([], {0: extra})
+        forest.exchange([], [0], {0: extra})
         assert forest.acyclic == \
             graphic_independent(range(n + 1), [ends for _, ends in edges] + [extra])
 
@@ -576,7 +576,7 @@ class TestUnionEngine:
                 forest = _RootedForest()
                 while shuffled:
                     batch = 1 + rng.below(len(shuffled))
-                    forest.exchange([], dict(shuffled[:batch]))
+                    forest.exchange([], dict(shuffled[:batch]), dict(shuffled[:batch]))
                     shuffled = shuffled[batch:]
                 assert forest.acyclic is acyclic
                 assert sorted(forest.ends.items()) == sorted(edges)
@@ -605,12 +605,12 @@ class TestUnionEngine:
                 if a != b and dsu.union(a, b):
                     arrived[label] = (a, b)
             next_label += 4
-            forest.exchange(left, arrived)
+            forest.exchange(left, arrived, arrived)
             assert_forest_matches_edges(forest, n)
         # an arrival inside one tree, or a loop, closes a cycle
         a = rng.below(n)
         same_tree = [b for b in range(n) if b == a or forest.path(a, b) is not None]
-        forest.exchange([], {-1: (a, same_tree[rng.below(len(same_tree))])})
+        forest.exchange([], [-1], {-1: (a, same_tree[rng.below(len(same_tree))])})
         assert not forest.acyclic
         assert not graphic_independent(range(n), forest.ends.values())
 
@@ -768,6 +768,33 @@ class TestUnionEngine:
         nwt = generate("nwt", 24, 2, 1).graph
         assert pack_bases(graphic_matroid(nwt.vertices, nwt.edges), 2).size == 2 * 23
         assert calls["__init__"] == 2
+
+    def test_a_new_vertex_links_as_a_leaf(self, monkeypatch):
+        # A link that brings in a vertex the forest does not hold hangs it
+        # as a leaf; only a cut, or a link of two trees, re-labels a
+        # subtree.  That is 5 re-labellings on the spanning-nwt shape (nwt
+        # n=24, k=2; 48 links), 2 on nwt n=9 at k=4, and none on a path
+        # built one new vertex at a time.  Re-rooting at every link made
+        # 50, 27 and n - 1.
+        calls = 0
+        original = _RootedForest._relabel
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(_RootedForest, "_relabel", counted)
+        for (n, k), relabels in {(24, 2): 5, (9, 4): 2}.items():
+            calls = 0
+            g = generate("nwt", n, 2, 1).graph
+            pack_bases(graphic_matroid(g.vertices, g.edges), k)
+            assert calls == relabels
+        for n in (2, 9, 40):
+            calls = 0
+            path = graphic_matroid(range(n), {i: (i, i + 1) for i in range(n - 1)})
+            assert pack_bases(path, 1).size == n - 1
+            assert calls == 0
 
 
 def several_trees_hypergraph(seed: int) -> tuple[Hypergraph, list[int]]:
@@ -1177,8 +1204,8 @@ class TestOneSearchPerPlacement:
                         break
                     after = (part - set(left)) | {y}
                     fresh = _RootedForest()
-                    fresh.exchange([], {e: pair for e, pair in forest.ends.items()
-                                        if e not in left})
+                    kept = {e: pair for e, pair in forest.ends.items() if e not in left}
+                    fresh.exchange([], kept, kept)
                     fresh = oracle._part_update(after, fresh, (), [y])
                     assert oracle._part_update(after, forest, left, [y]).ends == fresh.ends
                     checked += 1
