@@ -40,8 +40,10 @@ A circuit query only reads the part's state; the chain update is what
 moves it, and for the hypergraphic oracle the only place an exchange
 search runs.  Most elements fit a part at once; those cost one arrival at
 that part, and the union engine's search state is built only for an
-element that every part refuses.  `pack_bases` hands back each part's
-final state, so a hypergraphic basis comes with its representative forest.
+element that every part refuses.  An exact fit test (`_fits`), where the
+oracle has one, goes before any circuit, and a search ends at the first
+element it enqueues that fits.  `pack_bases` hands back each part's final
+state, so a hypergraphic basis comes with its representative forest.
 """
 
 from __future__ import annotations
@@ -162,9 +164,12 @@ class Matroid:
     subclasses that override them are tested against these defaults.
     `_rank_bound` is an upper bound on the rank known without a search, or
     None as here; the engine stops once every part holds that many elements.
+    `_fits` is an exact fit test cheaper than `_circuit`, or None as here:
+    `_fits(part, state, y)` is `_circuit(part, state, y) is None`.
     """
 
     _rank_bound: int | None = None
+    _fits: Callable[[set[int], object, int], bool] | None = None
 
     def __init__(self, ground: Iterable[int], indep: Callable[[frozenset[int]], bool],
                  name: str = "matroid"):
@@ -432,6 +437,12 @@ class GraphicMatroid(Matroid):
                  y: int) -> frozenset[int] | None:
         path = state.path(*self.edges[y])
         return None if path is None else frozenset(path)
+
+    def _fits(self, part: set[int], state: _RootedForest, y: int) -> bool:
+        """y is no loop and its ends lie in different trees of `state`."""
+        u, v = self.edges[y]
+        tree = state.tree
+        return u != v and (u not in tree or v not in tree or tree[u] != tree[v])
 
 
 def graphic_matroid(vertices: Iterable[int], edges: Mapping[int, tuple[int, int]]
@@ -833,6 +844,46 @@ class _Part:
         return oracle._circuit(self.items, self.state, y)
 
 
+def _apply_chain(oracle: Matroid, parts: list[_Part], asked: list[_Part],
+                 placement: dict[int, int], part: _Part, y: int,
+                 parent: Mapping[int, int | None] | None) -> None:
+    """Put y into `part` and each element before it on the chain (`parent`;
+    None for x alone) into the part the next one left, update the changed
+    parts in index order, and move `part` last in `asked` once it fills."""
+    if parent is None:
+        part.items.add(y)
+        placement[y] = part.index
+        part.update(oracle, (), (y,))
+    else:
+        moves: dict[int, tuple[set[int], set[int]]] = {}
+        target: int | None = part.index
+        cur: int | None = y
+        while cur is not None:
+            old = placement.get(cur)
+            parts[target].items.add(cur)
+            placement[cur] = target
+            moves.setdefault(target, (set(), set()))[1].add(cur)
+            if old is not None:
+                parts[old].items.discard(cur)
+                moves.setdefault(old, (set(), set()))[0].add(cur)
+            target = old
+            cur = parent[cur]
+        for t in sorted(moves):
+            parts[t].update(oracle, *moves[t])
+    if len(part.items) == oracle._rank_bound:
+        asked.remove(part)
+        asked.append(part)
+
+
+def _first_fit(fits: Callable[[set[int], object, int], bool], asked: list[_Part],
+               y: int, y_at: int | None) -> _Part | None:
+    """The first part of `asked` but y's own (`y_at`) that fits y, or None."""
+    for part in asked:
+        if part.index != y_at and fits(part.items, part.state, y):
+            return part
+    return None
+
+
 def _union_augment(oracle: Matroid, parts: list[_Part], asked: list[_Part],
                    placement: dict[int, int], x: int,
                    closed: set[int]) -> frozenset[int] | None:
@@ -864,7 +915,7 @@ def _union_augment(oracle: Matroid, parts: list[_Part], asked: list[_Part],
 
     A part that holds `oracle._rank_bound` elements is full: it is a
     basis, so it takes no y.  `asked` holds the parts, those not full
-    first and in index order, so a full part reads a circuit only when
+    first and in index order, so a full part is asked about y only when
     every other part y is not in has refused y.  The part that takes y is
     then the first in index order that does, and the circuits are enqueued
     in index order, so the chain and the reached set are those of asking
@@ -872,56 +923,44 @@ def _union_augment(oracle: Matroid, parts: list[_Part], asked: list[_Part],
     when it fills it moves to the end of `asked`.
 
     Most elements fit a part at once (all 27 edges of an nwt graph on 9
-    vertices at k=4, for one).  So the search state, the parent map, the
-    queue and the circuits by part, is built only once every part has
-    refused x, and x's circuits seed it in index order as above; a part
-    that takes x at once gets it as a single arrival, with no chain to
-    walk."""
+    vertices at k=4, for one).  So the search state, the parent map and
+    the queue, is built only once every part has refused x, and x's
+    circuits seed it in index order as above; a part that takes x at once
+    gets it as a single arrival, with no chain to walk.  An oracle's exact
+    fit test (`Matroid._fits`) is asked first, of x and of each element as
+    it is enqueued, and the first enqueued element that a part takes ends
+    the chain: with a first-in, first-out queue and parts that stay still
+    during a search, it is the first dequeued one that fits, and a failed
+    search still enqueues all."""
+    fits = oracle._fits
+    if fits is not None and (part := _first_fit(fits, asked, x, None)) is not None:
+        _apply_chain(oracle, parts, asked, placement, part, x, None)
+        return None
     parent: dict[int, int | None] | None = None
     queue: deque[int] | None = None
     y = x
     while True:
         y_at = placement.get(y)
-        circuits: list[Iterable[int]] | None = None
+        circuits: list[Iterable[int]] = [()] * len(parts)
         for part in asked:
             if part.index == y_at:
                 continue
             circuit = part.circuit(oracle, y)
             if circuit is not None:
-                if circuits is None:
-                    circuits = [()] * len(parts)
                 circuits[part.index] = circuit
                 continue
-            if parent is None:
-                part.items.add(x)
-                placement[x] = part.index
-                part.update(oracle, (), (x,))
-            else:
-                moves: dict[int, tuple[set[int], set[int]]] = {}
-                target: int | None = part.index
-                cur: int | None = y
-                while cur is not None:
-                    old = placement.get(cur)
-                    parts[target].items.add(cur)
-                    placement[cur] = target
-                    moves.setdefault(target, (set(), set()))[1].add(cur)
-                    if old is not None:
-                        parts[old].items.discard(cur)
-                        moves.setdefault(old, (set(), set()))[0].add(cur)
-                    target = old
-                    cur = parent[cur]
-                for t in sorted(moves):
-                    parts[t].update(oracle, *moves[t])
-            if len(part.items) == oracle._rank_bound:
-                asked.remove(part)
-                asked.append(part)
+            _apply_chain(oracle, parts, asked, placement, part, y, parent)
             return None
         if parent is None:
             parent, queue = {x: None}, deque()
-        for circuit in circuits or ():
+        for circuit in circuits:
             for z in sorted(circuit):
                 if z not in parent and z not in closed:
                     parent[z] = y
+                    if fits is not None and \
+                            (part := _first_fit(fits, asked, z, placement[z])) is not None:
+                        _apply_chain(oracle, parts, asked, placement, part, z, parent)
+                        return None
                     queue.append(z)
         if not queue:
             return frozenset(parent)

@@ -279,13 +279,13 @@ def verify_packing(g: Multigraph, terminals: frozenset[int] | None,
             if not tset <= vertices:
                 return VerifyResult(ok=False, part_index=i,
                                     reason="part misses a terminal")
+        # Every end lies in `vertices`, so the part's components among
+        # them number len(vertices) - merges.
         dsu = _DSU()
-        acyclic = True
-        for eid in part:
-            acyclic &= dsu.union(*g.endpoints(eid))
-        if packing.mode != "connector" and not acyclic:
+        merges = sum(dsu.union(*g.endpoints(eid)) for eid in part)
+        if packing.mode != "connector" and merges != len(part):
             return VerifyResult(ok=False, part_index=i, reason="part has a cycle")
-        if not dsu.joins(vertices):
+        if merges != len(vertices) - 1:
             return VerifyResult(ok=False, part_index=i, reason="part is disconnected")
         if packing.mode == "connector":
             deg = _part_degrees(g, part)

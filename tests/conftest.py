@@ -11,7 +11,8 @@ scalar-bound deletion guard that recounts λ_T whenever its bound has no
 slack.  So does the union engine's: the exchange search with no pruning,
 over part states rebuilt after every chain, and the hypergraphic circuit
 as what one failed exchange search displaces.  So does the leaf pruning
-that rescans the whole edge set per leaf, and the normal form read three
+that rescans the whole edge set per leaf, the packing verifier that
+finds every vertex a part must span, and the normal form read three
 times: its test, its hypergraph built through `add_hyperedge`, and its
 flow-free cut on hyperedges read off the incidence lists.  So does the kriesell model's
 draw that builds every graph and runs the flows before rejecting it.
@@ -578,6 +579,61 @@ def reference_prune_to_terminal_tree(g: Multigraph, terminals, edge_ids) -> froz
         if drop is None:
             return frozenset(tree)
         tree.discard(next(eid for eid in tree if drop in g.endpoints(eid)))
+
+
+def reference_verify_packing(g: Multigraph, terminals, packing):
+    """verify_packing's part checks as their own scan: one union-find per
+    part over its edges, a cycle when some union finds its ends already
+    joined, and connectivity by a `find` of every vertex the part must
+    span.  The reasons and their order are verify_packing's."""
+    from treepack.matroid import _DSU
+    from treepack.packing import VerifyResult
+    seen: dict[int, int] = {}
+    for i, part in enumerate(packing.parts):
+        for eid in part:
+            if eid in seen:
+                return VerifyResult(ok=False, part_index=i,
+                                    reason=f"edge {eid} also in part {seen[eid]}")
+            seen[eid] = i
+    tset = frozenset(terminals or ())
+    canonical = True
+    for i, part in enumerate(packing.parts):
+        if packing.mode == "spanning":
+            if len(part) != len(g.vertices) - 1:
+                return VerifyResult(ok=False, part_index=i,
+                                    reason=f"{len(part)} edges cannot span "
+                                           f"{len(g.vertices)} vertices as a tree")
+            vertices = set(g.vertices)
+        else:
+            if not part:
+                if len(tset) != 1:
+                    return VerifyResult(ok=False, part_index=i, reason="empty part")
+                continue
+            vertices = {v for eid in part for v in g.endpoints(eid)}
+            if not tset <= vertices:
+                return VerifyResult(ok=False, part_index=i, reason="part misses a terminal")
+        dsu = _DSU()
+        acyclic = True
+        for eid in part:
+            acyclic &= dsu.union(*g.endpoints(eid))
+        if packing.mode != "connector" and not acyclic:
+            return VerifyResult(ok=False, part_index=i, reason="part has a cycle")
+        if not dsu.joins(vertices):
+            return VerifyResult(ok=False, part_index=i, reason="part is disconnected")
+        if packing.mode == "connector":
+            deg: dict[int, int] = {}
+            for eid in part:
+                for v in g.endpoints(eid):
+                    deg[v] = deg.get(v, 0) + 1
+            for v in sorted(vertices - tset):
+                if deg.get(v, 0) % 2:
+                    return VerifyResult(ok=False, part_index=i,
+                                        reason=f"non-terminal {v} has odd degree {deg[v]}")
+                canonical &= deg.get(v, 0) in (0, 2)
+    if packing.mode == "connector":
+        return VerifyResult(ok=True, canonical=canonical,
+                            note=None if canonical else "unverified connector shape")
+    return VerifyResult(ok=True)
 
 
 def reference_normal_form_violation(g: Multigraph, tset) -> tuple[str, int] | None:

@@ -796,6 +796,28 @@ class TestUnionEngine:
             assert pack_bases(path, 1).size == n - 1
             assert calls == 0
 
+    def test_fit_tests_spare_the_circuits(self, monkeypatch):
+        # An edge is tested against the parts by tree ids before any path
+        # is walked, and a search ends at the first edge it enqueues that
+        # some part takes.  Paths walked: 17 on the spanning-nwt shape
+        # (nwt n=24, k=2), none on nwt n=9 at k=4, and 41 on nwt n=400
+        # seed 3 at k=2, which places 798 edges.  Walking the path of every
+        # element asked about and dequeued made 82, 29 and 1,442.
+        calls = 0
+        original = GraphicMatroid._circuit
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(GraphicMatroid, "_circuit", counted)
+        for (n, k, seed), circuits in {(24, 2, 1): 17, (9, 4, 1): 0, (400, 2, 3): 41}.items():
+            calls = 0
+            g = generate("nwt", n, 2, seed).graph
+            pack_bases(graphic_matroid(g.vertices, g.edges), k)
+            assert calls == circuits
+
 
 def several_trees_hypergraph(seed: int) -> tuple[Hypergraph, list[int]]:
     """A hypergraph and the hyperedges of a part whose forest has several
@@ -1297,6 +1319,80 @@ class TestSearchStateOnDemand:
             nwt = generate("nwt", n, 2, 1).graph
             assert pack_bases(graphic_matroid(nwt.vertices, nwt.edges), k).size == size
             assert (spy.direct, spy.searched) == (size - searched, searched)
+
+
+class TestFitTestMatchesCircuits:
+    """The graphic oracle's fit test is its circuit query's None, and the
+    engine that asks it first packs exactly as the circuit-only engine,
+    which runs with `_fits` patched to None.  The hypergraphic and probing
+    oracles have no fit test."""
+
+    def test_fits_equals_a_circuit_of_none(self):
+        assert Matroid._fits is None and HypergraphicMatroid._fits is None
+        checked = [0, 0]
+
+        def assert_fits(oracle, part, state=None) -> None:
+            state = oracle._part_state(part) if state is None else state
+            for y in sorted(set(oracle.ground) - part):
+                fits = oracle._fits(part, state, y)
+                assert fits == (oracle._circuit(part, state, y) is None), y
+                checked[fits] += 1
+
+        for seed in range(60):
+            rng = SplitMix64(seed)
+            graphic = engine_oracles(seed)[0]
+            assert_fits(graphic, set(graphic.greedy_basis(
+                [e for e in graphic.ground if not rng.below(3)])))
+        # The spanning-nwt benchmark shape, with the forests pack_bases
+        # hands back, and parts grown part of the way.
+        nwt = generate("nwt", 24, 2, 1).graph
+        graphic = graphic_matroid(nwt.vertices, nwt.edges)
+        result = pack_bases(graphic, 2)
+        for part, state in zip(result.parts, result.states):
+            assert_fits(graphic, set(part), state)
+        for part in pack_elements(graphic, 2, graphic.ground[:30])[0]:
+            assert_fits(graphic, part)
+        # 326 refusals and 179 fits.
+        assert checked[0] > 300 and checked[1] > 150
+
+    @staticmethod
+    def packed(oracle, k: int, elements):
+        """What `_pack` and `pack_bases` give, each state by its `ends`."""
+        parts, unplaced, reached = treepack.matroid._pack(oracle, k, elements)
+        result = pack_bases(oracle, k)
+        return ([part.items for part in parts], unplaced, reached,
+                [part.state.ends for part in parts],
+                result, [state.ends for state in result.states])
+
+    def test_fast_path_packs_as_the_circuit_only_path(self, monkeypatch):
+        calls = [0]
+        original = GraphicMatroid._circuit
+
+        def counted(self, *args):
+            calls[0] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(GraphicMatroid, "_circuit", counted)
+        oracles = []
+        for seed in range(40):
+            rng = SplitMix64(seed)
+            for k in (1, 2, 3, 4):
+                for oracle in (filling_oracles(seed, k)[0], *stop_oracles(seed)[:2]):
+                    subset = [e for e in oracle.ground if rng.below(4)]
+                    oracles += [(oracle, k, oracle.ground), (oracle, k, subset)]
+        for n, seed in ((24, 1), (400, 3)):
+            g = generate("nwt", n, 2, seed).graph
+            oracles.append((graphic_matroid(g.vertices, g.edges), 2, sorted(g.edges)))
+        runs = []
+        for fits in (GraphicMatroid._fits, None):
+            monkeypatch.setattr(GraphicMatroid, "_fits", fits)
+            calls[0] = 0
+            runs.append(([self.packed(oracle, k, elements) for oracle, k, elements in oracles],
+                         calls[0]))
+        (fast, fast_circuits), (slow, slow_circuits) = runs
+        assert fast == slow
+        # 14,860 paths walked against 31,315.
+        assert 2 * fast_circuits < slow_circuits
 
 
 class TestAdjustUnion:

@@ -31,7 +31,7 @@ from treepack.graphcore import NormalForm, ReduceResult, _normal_form
 from treepack.packing import _violating_partition_certificate, prune_to_terminal_tree
 from treepack.rng import SplitMix64
 from conftest import (c4, doubled_triangle, graph_from_pairs, k4, probe_family, random_hypergraph,
-                      triangle)
+                      random_multigraph, reference_verify_packing, triangle)
 
 
 def violates_tree_packing_bound(g, k) -> bool:
@@ -1038,6 +1038,81 @@ class TestVerifyPacking:
         out = verify_packing(g, frozenset({0, 1, 2}), packing)
         assert out.ok and out.canonical is False
         assert out.note == "unverified connector shape"
+
+
+def verify_draws(seed: int):
+    """(graph, terminals, packing) triples from the seed, in all three
+    modes: a multigraph with loops and parallel edges, now and then with
+    an isolated vertex, and one or two parts, each a forest grown from one
+    or two random vertices over a random share of the edges, that forest
+    plus one more edge, or random edges, |V| - 1 of them or any number.  Terminals
+    are a few vertices of the first part, with a vertex outside it now and
+    then."""
+    rng = SplitMix64(seed)
+    g = random_multigraph(seed, max_vertices=7, max_edges=16, connected=bool(rng.below(2)))
+    if not rng.below(3):
+        g.add_vertex(len(g.vertices))
+    n = len(g.vertices)
+    free = set(g.edges)
+    parts = []
+    for _ in range(1 + rng.below(2)):
+        pool = [e for e in sorted(free) if rng.below(5)]
+        kind = rng.below(4)
+        if kind == 3:
+            part = set(rng.sample(pool, min(len(pool), n - 1)) if rng.below(2) else pool)
+        else:
+            part, joined = set(), set(rng.sample(range(n), 1 + rng.below(2)))
+            grown = True
+            while grown:
+                grown = False
+                for e in pool:
+                    u, v = g.endpoints(e)
+                    if (u in joined) != (v in joined):
+                        part.add(e)
+                        joined |= {u, v}
+                        grown = True
+            rest = [e for e in pool if e not in part]
+            if kind == 2 and rest:
+                part.add(rest[rng.below(len(rest))])
+        free -= part
+        parts.append(frozenset(part))
+    ends = sorted({v for e in parts[0] for v in g.endpoints(e)}) or [0]
+    terminals = set(rng.sample(ends, 1 + rng.below(len(ends))))
+    if not rng.below(4):
+        terminals.add(rng.below(n))
+    for mode in ("spanning", "steiner", "connector"):
+        yield g, None if mode == "spanning" else frozenset(terminals), \
+            Packing(mode=mode, parts=tuple(parts))
+
+
+class TestVerifyPackingMatchesReference:
+    """verify_packing reads a cycle and a disconnected part off the count
+    of merging unions; the reference finds every vertex the part must
+    span instead."""
+
+    def test_matches_reference_on_random_parts(self):
+        outcomes: dict[tuple[str, str | None], int] = {}
+        for seed in range(600):
+            for g, terminals, packing in verify_draws(seed):
+                out = verify_packing(g, terminals, packing)
+                assert out == reference_verify_packing(g, terminals, packing)
+                reason = out.reason
+                if reason is not None and reason.endswith("as a tree"):
+                    reason = "too few or too many edges"
+                elif reason is not None and "odd degree" in reason:
+                    reason = "odd degree"
+                key = (packing.mode, reason)
+                outcomes[key] = outcomes.get(key, 0) + 1
+        # Every outcome of each mode comes up.
+        # A spanning part of |V| - 1 edges and no cycle is a tree.
+        for mode, reasons in (("spanning", (None, "part has a cycle",
+                                            "too few or too many edges")),
+                              ("steiner", (None, "part has a cycle", "part is disconnected",
+                                           "part misses a terminal")),
+                              ("connector", (None, "part is disconnected",
+                                             "part misses a terminal", "odd degree"))):
+            for reason in reasons:
+                assert outcomes.get((mode, reason), 0) >= 10, (mode, reason, outcomes)
 
 
 class TestBruteForce:
